@@ -9,7 +9,7 @@ component, in pipeline order, before the next edit enters the pipeline.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -25,17 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class TrainingContext:
     """Carries one component's training output forward to the next.
 
-    The tokenizer fills ``tokens`` and ``token_spans``; the featurizer fills
-    ``vocabulary``. ``seed`` drives every stochastic training step so runs
-    are reproducible.
+    The tokenizer fills ``tokens``, one token list per training example;
+    the featurizer fills ``vocabulary``. ``seed`` drives every stochastic
+    training step so runs are reproducible.
     """
 
     dataset: "TrainingDataset"
     seed: int
     tokens: list[list[str]] | None = None
-    token_spans: list[list[tuple[int, int]]] | None = None
     vocabulary: "Vocabulary | None" = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
 
 class Component:
@@ -47,10 +45,11 @@ class Component:
     given at construction are validated against ``defaults``.
 
     ``process`` is called once per edit with the edit type and the raw word
-    involved (the added word, or the word just revoked). A call with
-    ``edit=None`` asks the component to recompute its annotations from the
-    current hypothesis without consuming an edit; the interpreter uses this
-    to produce a result for the empty utterance.
+    involved (the added word, or the word just revoked). The lock-step
+    pipeline hands every edit to every component, so a component's state
+    always matches the buffer. A call with ``edit=None`` consumes no edit:
+    the component re-publishes the annotations of its current state. The
+    interpreter uses this to produce a result for the empty utterance.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.

@@ -137,7 +137,8 @@ class WhitespaceTokenizer(Component):
     """Maintains the token sequence of the surviving hypothesis.
 
     Incremental adds carry exactly one token each (the buffer rejects
-    whitespace in payloads), so an add appends and a revoke pops.
+    whitespace in payloads), so an add appends and a revoke pops. The board
+    gets a copy of the list, so a published value never changes afterwards.
     """
 
     name = "tokenizer_whitespace"
@@ -148,27 +149,18 @@ class WhitespaceTokenizer(Component):
         super().__init__(params)
         self._tokens: list[str] = []
 
-    def _norm(self, word: str) -> str:
-        return word.lower() if self.params["lowercase"] else word
-
     def train(self, dataset, ctx: TrainingContext) -> None:
         lowercase = self.params["lowercase"]
         ctx.tokens = [tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples]
-        ctx.token_spans = [
-            [(s, e) for _, s, e in tokenize_with_spans(ex.text, lowercase=lowercase)]
-            for ex in dataset.examples
-        ]
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         if edit is EditType.ADD:
-            self._tokens.append(self._norm(word))
+            self._tokens.append(word.lower() if self.params["lowercase"] else word)
         elif edit is EditType.REVOKE:
             if not self._tokens:
                 raise ConsistencyError("token list empty on revoke")
             self._tokens.pop()
-        else:
-            self._tokens = [self._norm(w) for w in board.buffer.hypothesis()]
-        board.write(self.name, TOKENS, self._tokens)
+        board.write(self.name, TOKENS, list(self._tokens))
 
     def new_utterance(self) -> None:
         self._tokens = []
@@ -182,7 +174,7 @@ class WhitespaceTokenizer(Component):
 
 
 class CountVectorsFeaturizer(Component):
-    """Bag-of-words featurizer with exact add/revoke updates."""
+    """Bag-of-words featurizer with exact add/revoke updates; publishes copies."""
 
     name = "featurizer_count_vectors"
     provides = (COUNT_VECTOR,)
@@ -212,9 +204,7 @@ class CountVectorsFeaturizer(Component):
             self._vec = np.zeros(len(vocab), dtype=np.int64)
         if edit is not None:
             vector_apply(self._vec, vocab, word, edit)
-        else:
-            self._vec = count_vector(vocab, board.annotations.get(TOKENS, []))
-        board.write(self.name, COUNT_VECTOR, self._vec)
+        board.write(self.name, COUNT_VECTOR, self._vec.copy())
 
     def new_utterance(self) -> None:
         self._vec = None

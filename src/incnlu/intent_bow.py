@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 class LinearIntentModel:
     intents: list[str]
     weights: np.ndarray  # (vocab size + 1, intent count); last row is the bias
-    hyperparameters: dict
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -102,13 +101,7 @@ def train_classifier(
             _, grad = loss_and_grad(weights, inputs[batch], labels[batch], l2)
             weights = weights - lr * grad
 
-    return LinearIntentModel(
-        intents=intents,
-        weights=weights,
-        hyperparameters={
-            "epochs": epochs, "lr": lr, "l2": l2, "seed": seed, "batch_size": batch_size,
-        },
-    )
+    return LinearIntentModel(intents=intents, weights=weights)
 
 
 def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]]:
@@ -185,9 +178,5 @@ class BowIntentClassifier(Component):
         )
         if weights.shape[1] != len(intents):
             raise ConsistencyError("weight matrix width does not match intents header")
-        comp.model = LinearIntentModel(
-            intents=intents,
-            weights=weights,
-            hyperparameters={k: comp.params[k] for k in cls.defaults},
-        )
+        comp.model = LinearIntentModel(intents=intents, weights=weights)
         return comp

@@ -99,7 +99,10 @@ class IncrementalInterpreter:
         return result
 
     def refresh(self) -> NluResult:
-        """Recompute annotations from the current hypothesis, consuming no edit."""
+        """Re-publish every component's current annotations, consuming no edit.
+
+        Mid-utterance that repeats the last edit's result.
+        """
         self.board.begin_cycle()
         for comp in self.components:
             comp.process(self.board)

@@ -1,18 +1,18 @@
 """Incremental units, the add/revoke buffer, and the blackboard message bus.
 
-A word entering the system becomes an :class:`IncrementalUnit`. Units are
-only ever appended; revoking flags the most recently added surviving unit
-instead of deleting it, so the full edit history stays reconstructible.
-Components communicate through a :class:`Blackboard` that carries the unit
-buffer plus named annotations (tokens, count vector, entities, intent
-distribution).
+A word entering the system becomes an :class:`IncrementalUnit`. The
+:class:`IuBuffer` is a stack of the surviving units: an ADD pushes one and
+a REVOKE pops the newest. The :class:`Blackboard` carries that stack, the
+utterance's edit log (its only record of every ADD and REVOKE; replayed
+onto an empty stack it gives the buffer), and named annotations (tokens,
+count vector, entities, intent distribution) through which components
+communicate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import BufferUnderflowError, ConsistencyError, InvalidPayloadError
 
@@ -30,18 +30,11 @@ class EditType(Enum):
     REVOKE = "REVOKE"
 
 
-@dataclass
-class IncrementalUnit:
-    """One word-level edit event.
-
-    ``position`` is the 0-based index among surviving units at the time the
-    unit was added; it is not updated when later units are revoked.
-    """
+class IncrementalUnit(NamedTuple):
+    """One word; ``id`` is unique within its utterance."""
 
     id: int
     word: str
-    position: int
-    revoked: bool = False
 
 
 def _check_word(word: Any) -> str:
@@ -53,35 +46,30 @@ def _check_word(word: Any) -> str:
 
 
 class IuBuffer:
-    """Append-only unit store with last-in-first-out revocation."""
+    """Stack of the surviving units, oldest first."""
 
     def __init__(self) -> None:
         self.units: list[IncrementalUnit] = []
-        self._live: list[int] = []  # indices of surviving units, in add order
         self._next_id = 0
 
     def add(self, word: str) -> IncrementalUnit:
-        word = _check_word(word)
-        unit = IncrementalUnit(id=self._next_id, word=word, position=len(self._live))
+        unit = IncrementalUnit(self._next_id, _check_word(word))
         self._next_id += 1
-        self._live.append(len(self.units))
         self.units.append(unit)
         return unit
 
     def revoke(self) -> IncrementalUnit:
-        """Flag the most recently added surviving unit and return it."""
-        if not self._live:
+        """Pop the most recently added surviving unit and return it."""
+        if not self.units:
             raise BufferUnderflowError("revoke on an empty hypothesis")
-        unit = self.units[self._live.pop()]
-        unit.revoked = True
-        return unit
+        return self.units.pop()
 
     def hypothesis(self) -> list[str]:
         """Surviving words in add order."""
-        return [self.units[i].word for i in self._live]
+        return [unit.word for unit in self.units]
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self.units)
 
 
 class Blackboard:
@@ -99,8 +87,7 @@ class Blackboard:
         self.buffer = IuBuffer()
         self.annotations: dict[str, Any] = {}
         self.component_annotations: dict[tuple[str, str], Any] = {}
-        self.last_edit: EditType | None = None
-        self.edit_log: list[tuple[int, EditType, str]] = []
+        self.edit_log: list[tuple[int, EditType, str]] = []  # (unit id, edit, word)
         self._owners: dict[str, str] = {}
         self._cycle_writers: dict[str, str] = {}
 
@@ -108,7 +95,7 @@ class Blackboard:
         self._owners = dict(owners)
 
     def apply_edit(self, edit: EditType, word: str | None) -> IncrementalUnit:
-        """Apply one edit to the buffer and record it in the edit log."""
+        """Apply one edit to the buffer and append it to the edit log."""
         if edit is EditType.ADD:
             if word is None:
                 raise InvalidPayloadError("ADD requires a word")
@@ -119,7 +106,6 @@ class Blackboard:
             unit = self.buffer.revoke()
         else:  # pragma: no cover - enum is closed
             raise InvalidPayloadError(f"unknown edit type {edit!r}")
-        self.last_edit = edit
         self.edit_log.append((unit.id, edit, unit.word))
         return unit
 
@@ -159,7 +145,6 @@ class Blackboard:
         self.buffer = IuBuffer()
         self.annotations = {}
         self.component_annotations = {}
-        self.last_edit = None
         self.edit_log = []
         self._cycle_writers = {}
 

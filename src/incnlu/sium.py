@@ -23,7 +23,6 @@ import numpy as np
 from .components import Component, TrainingContext, read_params, write_params
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConsistencyError, DataError, ParameterError
-from .features import tokenize
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, EditType
 from .results import EntitySpan, rank_distribution
 
@@ -172,11 +171,6 @@ class SiumState:
             scores = scores + self.model.intent_loglik(token)
         self.log_scores = scores
 
-    def reset(self) -> None:
-        self.tokens = []
-        self.log_scores = self.model.log_intent_prior.copy()
-        self.entity_probs = []
-
 
 def classify(state: SiumState) -> np.ndarray:
     """Posterior over intents, normalized to sum to one."""
@@ -281,10 +275,6 @@ class SiumIntent(Component):
             state.add(word)
         elif edit is EditType.REVOKE:
             state.revoke(word)
-        else:
-            state.reset()
-            for token in board.annotations.get(TOKENS, []):
-                state.add(token)
         probs = classify(state)
         board.write(self.name, INTENT_DISTRIBUTION, rank_distribution(self.model.intents, probs))
         board.write(self.name, ENTITIES, sium_entities(state))

@@ -122,7 +122,7 @@ class TestWhitespaceTokenizer:
         unit = board.apply_edit(EditType.REVOKE, None)
         comp.process(board, EditType.REVOKE, unit.word)
         assert board.annotations[TOKENS] == ["play"]
-        # edit=None rebuilds from the buffer instead of consuming an edit
+        # edit=None re-publishes the current tokens without consuming an edit
         comp.process(board)
         assert board.annotations[TOKENS] == ["play"]
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from incnlu import BufferUnderflowError, ConsistencyError, InvalidPayloadError
 from incnlu.iu import (
@@ -18,7 +20,7 @@ class TestIuBuffer:
         buf = IuBuffer()
         units = [buf.add(w) for w in ["play", "some", "jazz"]]
         assert [u.id for u in units] == [0, 1, 2]
-        assert [u.position for u in units] == [0, 1, 2]
+        assert buf.units == units
         assert buf.hypothesis() == ["play", "some", "jazz"]
 
     def test_revoke_removes_most_recent_word(self):
@@ -26,8 +28,8 @@ class TestIuBuffer:
         for w in ["play", "some", "jazz"]:
             buf.add(w)
         revoked = buf.revoke()
-        assert revoked.word == "jazz"
-        assert revoked.revoked is True
+        assert revoked == (2, "jazz")
+        assert revoked not in buf.units
         assert buf.hypothesis() == ["play", "some"]
 
     def test_revoke_on_empty_buffer_raises(self):
@@ -41,21 +43,32 @@ class TestIuBuffer:
             with pytest.raises(InvalidPayloadError):
                 buf.add(bad)
 
-    def test_units_are_append_only(self):
-        # Revocation flags a unit instead of deleting it, so the record of
-        # what the recognizer once said survives.
-        buf = IuBuffer()
-        buf.add("a")
-        buf.add("b")
-        buf.revoke()
-        buf.add("c")
-        assert [(u.word, u.revoked) for u in buf.units] == [
-            ("a", False),
-            ("b", True),
-            ("c", False),
-        ]
-        assert buf.hypothesis() == ["a", "c"]
-        assert len(buf) == 2
+    @given(st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "c"])), max_size=40))
+    def test_edit_log_replays_to_the_live_units(self, script):
+        # The edit log is the only history: replaying it onto an empty stack
+        # gives the buffer's units. None in the script is a REVOKE.
+        board = Blackboard()
+        applied = []
+        for word in script:
+            edit = EditType.ADD if word else EditType.REVOKE
+            if word is None and not board.buffer.units:
+                # An underflow is refused and leaves no trace in the log.
+                with pytest.raises(BufferUnderflowError):
+                    board.apply_edit(edit, None)
+                continue
+            board.apply_edit(edit, word)
+            applied.append(edit)
+        assert [edit for _, edit, _ in board.edit_log] == applied
+        stack = []
+        added_ids = []
+        for unit_id, edit, word in board.edit_log:
+            if edit is EditType.ADD:
+                stack.append((unit_id, word))
+                added_ids.append(unit_id)
+            else:
+                assert stack.pop() == (unit_id, word)
+        assert board.buffer.units == stack
+        assert len(set(added_ids)) == len(added_ids)
 
     def test_randomized_edits_match_reference_stack(self):
         rng = random.Random(4021)
@@ -101,7 +114,7 @@ class TestBlackboard:
         unit = board.apply_edit(EditType.REVOKE, None)
         assert unit.word == "there"
         assert board.buffer.hypothesis() == ["hello"]
-        assert board.last_edit is EditType.REVOKE
+        assert board.edit_log[-1] == (1, EditType.REVOKE, "there")
 
     def test_add_requires_word_and_revoke_forbids_it(self):
         board = Blackboard()

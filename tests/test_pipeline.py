@@ -217,6 +217,43 @@ class TestInterpreter:
         for name in ("intent_sium", "intent_classifier_bow", "entity_tagger_sequence"):
             assert noisy.component_result(name) == clean.component_result(name)
 
+    def test_refresh_mid_utterance_repeats_the_last_result(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        interp.new_utterance()
+        for edit, word in [
+            (EditType.ADD, "weather"),
+            (EditType.ADD, "in"),
+            (EditType.ADD, "denver"),
+            (EditType.REVOKE, None),
+            (EditType.ADD, "boston"),
+            (EditType.ADD, "today"),
+            (EditType.REVOKE, None),
+        ]:
+            last = interp.parse_incremental(edit, word)
+        names = [c.name for c in interp.components]
+        views = {name: interp.component_result(name) for name in names}
+        tokens = interp.board.annotations["tokens"]
+        counts = interp.board.annotations["count_vector"]
+        edits = list(interp.board.edit_log)
+
+        assert interp.refresh() == last
+        assert {name: interp.component_result(name) for name in names} == views
+        assert interp.board.annotations["tokens"] == tokens == ["weather", "in", "boston"]
+        assert np.array_equal(interp.board.annotations["count_vector"], counts)
+        assert interp.board.edit_log == edits
+
+    def test_published_annotations_do_not_alias_live_state(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        interp.new_utterance()
+        interp.parse_incremental(EditType.ADD, "play")
+        tokens = interp.board.component_view("tokenizer_whitespace")["tokens"]
+        counts = interp.board.component_view("featurizer_count_vectors")["count_vector"]
+        interp.parse_incremental(EditType.ADD, "some")
+        interp.parse_incremental(EditType.REVOKE)
+        interp.parse_incremental(EditType.ADD, "jazz")
+        assert tokens == ["play"]
+        assert counts.sum() == 1
+
     def test_training_on_empty_dataset_is_an_error(self):
         with pytest.raises(DataError):
             train_pipeline(default_config(), TrainingDataset([]))
