@@ -1,14 +1,14 @@
 """Update-incremental Bayesian intent understanding.
 
 Each incoming word multiplies per-intent word likelihoods into a running
-posterior, kept in log space. The model never reprocesses the prefix on an
-add; a revoke rebuilds the accumulator by refolding the surviving token
-history with the same left-to-right additions a clean run would perform, so
-an add/revoke pair leaves state bit-identical to never having added at all.
+posterior, kept in log space. An add folds the word in once and pushes the
+scores it replaced; a revoke pops them back. So an add/revoke pair restores
+the exact array from before the add, bit for bit, and neither edit touches
+the rest of the prefix.
 
-Entities are read off per token: a word whose entity-class posterior clears
-a confidence threshold is labelled with its argmax class, and adjacent
-same-class words merge into one span.
+Entities are read off per token: on its add, a word whose entity-class
+posterior clears a confidence threshold is labelled with its argmax class.
+Adjacent same-class words merge into one span.
 """
 
 from __future__ import annotations
@@ -136,12 +136,13 @@ def train_sium(
 
 @dataclass
 class SiumState:
-    """Running posterior over one utterance."""
+    """Running posterior over one utterance, with one undo entry per word."""
 
     model: SiumModel
     tokens: list[str] = field(default_factory=list)
     log_scores: np.ndarray = None
-    entity_probs: list[np.ndarray] = field(default_factory=list)
+    picks: list[tuple[str, float] | None] = field(default_factory=list)
+    replaced: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.log_scores is None:
@@ -151,25 +152,21 @@ class SiumState:
         if self.model.lowercase:
             word = word.lower()
         self.tokens.append(word)
+        self.replaced.append(self.log_scores)
         self.log_scores = self.log_scores + self.model.intent_loglik(word)
-        self.entity_probs.append(self.model.entity_posterior(word))
+        self.picks.append(entity_pick(self.model, self.model.entity_posterior(word)))
 
     def revoke(self, word: str) -> None:
         if not self.tokens:
             raise ConsistencyError("revoke with no accumulated words")
         if self.model.lowercase:
             word = word.lower()
-        top = self.tokens.pop()
+        top = self.tokens[-1]
         if top != word:
             raise ConsistencyError(f"revoke of {word!r} but last accumulated word was {top!r}")
-        self.entity_probs.pop()
-        # Refold instead of subtracting: float subtraction is not an exact
-        # inverse of addition, and the accumulator must match a clean run bit
-        # for bit.
-        scores = self.model.log_intent_prior.copy()
-        for token in self.tokens:
-            scores = scores + self.model.intent_loglik(token)
-        self.log_scores = scores
+        self.tokens.pop()
+        self.picks.pop()
+        self.log_scores = self.replaced.pop()
 
 
 def classify(state: SiumState) -> np.ndarray:
@@ -187,25 +184,20 @@ def batch_posterior(model: SiumModel, words: list[str]) -> np.ndarray:
     return classify(state)
 
 
-def sium_entities(state: SiumState, threshold: float | None = None) -> list[EntitySpan]:
-    """Threshold the per-word class posteriors and merge adjacent matches.
+def entity_pick(model: SiumModel, probs: np.ndarray) -> tuple[str, float] | None:
+    """(class, confidence) of a word's best class, or None when that class is
+    the null class or its probability is not strictly above the threshold."""
+    best = int(np.argmax(probs))
+    cls = model.entity_classes[best]
+    conf = float(probs[best])
+    if cls == NO_ENTITY or conf <= model.entity_threshold:
+        return None
+    return cls, conf
 
-    A word is labelled only when its best non-null class is strictly above
-    the threshold; a span's confidence is its weakest word.
-    """
-    model = state.model
-    if threshold is None:
-        threshold = model.entity_threshold
-    picks: list[tuple[str, float] | None] = []
-    for probs in state.entity_probs:
-        best = int(np.argmax(probs))
-        cls = model.entity_classes[best]
-        conf = float(probs[best])
-        if cls == NO_ENTITY or conf <= threshold:
-            picks.append(None)
-        else:
-            picks.append((cls, conf))
 
+def sium_entities(state: SiumState) -> list[EntitySpan]:
+    """Merge adjacent same-class picks; a span's confidence is its weakest word."""
+    picks = state.picks
     spans = []
     i = 0
     while i < len(picks):

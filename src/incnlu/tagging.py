@@ -57,6 +57,17 @@ def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return init, pair
 
 
+def _transition_scores(
+    weights: dict[str, np.ndarray], tags: list[str], mask: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(initial, pairwise) scores: the pt= weights plus the BIO mask."""
+    init_mask, pair_mask = mask
+    zero = np.zeros(len(tags))
+    init = weights.get(f"pt={START}", zero) + init_mask
+    pair = np.array([weights.get(f"pt={tag}", zero) for tag in tags]) + pair_mask
+    return init, pair
+
+
 @dataclass
 class TaggerModel:
     """Finalized averaged weights, one vector over tags per feature string."""
@@ -64,15 +75,14 @@ class TaggerModel:
     tags: list[str]
     weights: dict[str, np.ndarray]
 
-    def transition_matrix(self) -> np.ndarray:
-        init_mask, pair_mask = _transition_mask(self.tags)
-        n = len(self.tags)
-        zero = np.zeros(n)
-        init = self.weights.get(f"pt={START}", zero) + init_mask
-        pair = np.zeros((n, n))
-        for a, tag in enumerate(self.tags):
-            pair[a] = self.weights.get(f"pt={tag}", zero)
-        return init, pair + pair_mask
+    def __post_init__(self) -> None:
+        # Built once, as the weights are final; read-only, as every session shares them.
+        self._transitions = _transition_scores(self.weights, self.tags, _transition_mask(self.tags))
+        for scores in self._transitions:
+            scores.flags.writeable = False
+
+    def transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._transitions
 
 
 def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
@@ -158,8 +168,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     """
     tags = _tag_set(dataset)
     tag_idx = {t: i for i, t in enumerate(tags)}
-    init_mask, pair_mask = _transition_mask(tags)
-    zero = np.zeros(len(tags))
+    mask = _transition_mask(tags)
 
     sentences = []
     for ex in dataset.examples:
@@ -177,11 +186,8 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             feats, gold = sentences[idx]
             acc.step += 1
             em = _emissions(acc.weights, len(tags), feats)
-            init = acc.weights.get(f"pt={START}", zero) + init_mask
-            pair = np.zeros((len(tags), len(tags)))
-            for a, tag in enumerate(tags):
-                pair[a] = acc.weights.get(f"pt={tag}", zero)
-            pred = _viterbi(em, init, pair + pair_mask, tags)
+            init, pair = _transition_scores(acc.weights, tags, mask)
+            pred = _viterbi(em, init, pair, tags)
             if pred == gold:
                 continue
             for i, (p, g) in enumerate(zip(pred, gold)):

@@ -1,8 +1,7 @@
-import math
-import random
-
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from incnlu import ConsistencyError, ParameterError
 from incnlu.data import NO_ENTITY, TrainingDataset, TrainingExample
@@ -14,6 +13,7 @@ from incnlu.sium import (
     SiumState,
     batch_posterior,
     classify,
+    entity_pick,
     sium_entities,
     train_sium,
 )
@@ -97,23 +97,48 @@ def test_add_then_revoke_restores_state_bit_for_bit(toy_dataset):
     assert state.tokens == ["weather", "in"]
 
 
-def test_randomized_streams_track_the_batch_oracle(toy_dataset):
-    """Any interleaving of adds and revokes must land exactly on the
-    posterior a clean left-to-right run over the survivors produces."""
-    model = train_sium(toy_dataset)
-    rng = random.Random(553)
-    words = [w for row in toy_rows() for w in row[0].split()]
-    for _ in range(50):
-        state = SiumState(model)
-        stack = []
-        for _ in range(rng.randrange(3, 25)):
-            if stack and rng.random() < 0.4:
-                state.revoke(stack.pop())
-            else:
-                w = rng.choice(words)
-                stack.append(w)
-                state.add(w)
-            assert np.array_equal(classify(state), batch_posterior(model, stack))
+_TOY_MODEL = train_sium(TrainingDataset([make_example(*row) for row in toy_rows()]))
+# Toy words, an unseen word, and a capitalised one that lowercases onto a
+# known word.
+_WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
+# A script step is a word to ADD, an int n for a run of n REVOKEs (runs that
+# outlast the words underflow), or "readd" to ADD the last revoked word again.
+_STEPS = st.one_of(st.sampled_from(_WORDS), st.integers(1, 4), st.just("readd"))
+
+
+@given(st.lists(_STEPS, max_size=30))
+def test_randomized_streams_track_the_batch_oracle(script):
+    """Any interleaving of adds and revokes must land exactly on the state
+    a clean left-to-right run over the survivors produces."""
+    model = _TOY_MODEL
+    state = SiumState(model)
+    stack: list[str] = []
+    revoked: list[str] = []
+    for step in script:
+        if isinstance(step, int):
+            for _ in range(step):
+                if not stack:
+                    with pytest.raises(ConsistencyError):
+                        state.revoke("ghost")
+                    break
+                revoked.append(stack.pop())
+                state.revoke(revoked[-1])
+        else:
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = revoked.pop()
+            stack.append(step)
+            state.add(step)
+        clean = SiumState(model)
+        for word in stack:
+            clean.add(word)
+        # Bit-equal, not merely close: a revoke restores the earlier array.
+        assert np.array_equal(state.log_scores, clean.log_scores)
+        assert state.tokens == clean.tokens
+        assert state.picks == clean.picks
+        assert sium_entities(state) == sium_entities(clean)
+        assert np.array_equal(classify(state), batch_posterior(model, stack))
 
 
 def test_revoke_must_match_the_last_word(toy_dataset):
@@ -124,6 +149,11 @@ def test_revoke_must_match_the_last_word(toy_dataset):
     state.add("play")
     with pytest.raises(ConsistencyError):
         state.revoke("jazz")
+    # A refused revoke changes nothing, so the right word still pops cleanly.
+    assert state.tokens == ["play"]
+    state.revoke("play")
+    assert np.array_equal(state.log_scores, model.log_intent_prior)
+    assert state.picks == []
 
 
 def test_posteriors_and_tables_normalize(toy_dataset):
@@ -161,7 +191,8 @@ class TestEntityReadout:
         """Build a state whose per-word class posteriors are hand-chosen.
 
         ``picks`` maps each token position to (class, confidence) or None;
-        remaining mass goes to the null class.
+        remaining mass goes to the null class. Each posterior goes through
+        ``entity_pick``, as an ADD would, so the threshold still applies.
         """
         state = SiumState(model)
         state.tokens = list(tokens)
@@ -175,7 +206,7 @@ class TestEntityReadout:
                 idx = model.entity_classes.index(cls)
                 probs[idx] = conf
                 probs[null] = 1.0 - conf
-            state.entity_probs.append(probs)
+            state.picks.append(entity_pick(model, probs))
         return state
 
     def test_adjacent_same_class_words_merge(self):

@@ -92,6 +92,31 @@ def test_same_seed_reproduces_identical_weights(toy_dataset):
         assert np.array_equal(a.weights[feat], b.weights[feat])
 
 
+def test_transition_scores_are_built_once_and_read_only(toy_dataset):
+    model = train_tagger(toy_dataset)
+    init, pair = model.transition_matrix()
+    again = model.transition_matrix()
+    # Every session shares these arrays, so they are the same objects on
+    # every call and refuse writes.
+    assert again[0] is init and again[1] is pair
+    assert not init.flags.writeable and not pair.flags.writeable
+    with pytest.raises(ValueError):
+        pair[0, 0] = 0.0
+    # They equal the pt= weights with BIO's forbidden moves set to -inf.
+    tags = model.tags
+    zero = np.zeros(len(tags))
+    want_init = model.weights.get("pt=<s>", zero).copy()
+    want_pair = np.array([model.weights.get(f"pt={tag}", zero) for tag in tags])
+    for b, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            want_init[b] = -np.inf
+            for a, prev in enumerate(tags):
+                if prev not in ("B-" + tag[2:], tag):
+                    want_pair[a, b] = -np.inf
+    assert np.array_equal(init, want_init)
+    assert np.array_equal(pair, want_pair)
+
+
 def test_viterbi_agrees_with_exhaustive_search():
     """On random small models the decoded path must score as high as the
     best path found by brute-force enumeration over all valid sequences."""
