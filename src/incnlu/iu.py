@@ -22,7 +22,6 @@ TOKENS = "tokens"
 COUNT_VECTOR = "count_vector"
 ENTITIES = "entities"
 INTENT_DISTRIBUTION = "intent_distribution"
-UTTERANCE_COMPLETE = "utterance_complete"
 
 
 class EditType(Enum):

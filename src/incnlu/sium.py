@@ -8,7 +8,8 @@ the rest of the prefix.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
-Adjacent same-class words merge into one span.
+Adjacent same-class words merge into one span. An edit can change only the
+last span, so the readout keeps the spans before it.
 """
 
 from __future__ import annotations
@@ -136,23 +137,35 @@ def train_sium(
 
 @dataclass
 class SiumState:
-    """Running posterior over one utterance, with one undo entry per word."""
+    """Running posterior over one utterance, with one undo entry per word.
+
+    Row i of ``replaced`` holds the scores word i's add replaced; rows past
+    ``len(tokens)`` are spare room. ``spans`` caches the merged picks of the
+    first ``merged`` words for :func:`sium_entities`.
+    """
 
     model: SiumModel
     tokens: list[str] = field(default_factory=list)
     log_scores: np.ndarray = None
     picks: list[tuple[str, float] | None] = field(default_factory=list)
-    replaced: list[np.ndarray] = field(default_factory=list)
+    replaced: np.ndarray = None
+    spans: list[EntitySpan] = field(default_factory=list)
+    merged: int = 0
 
     def __post_init__(self) -> None:
         if self.log_scores is None:
             self.log_scores = self.model.log_intent_prior.copy()
+        if self.replaced is None:
+            self.replaced = np.empty((8, len(self.log_scores)))
 
     def add(self, word: str) -> None:
         if self.model.lowercase:
             word = word.lower()
+        n = len(self.tokens)
+        if n == len(self.replaced):
+            self.replaced = np.resize(self.replaced, (2 * n, self.replaced.shape[1]))
+        self.replaced[n] = self.log_scores
         self.tokens.append(word)
-        self.replaced.append(self.log_scores)
         self.log_scores = self.log_scores + self.model.intent_loglik(word)
         self.picks.append(entity_pick(self.model, self.model.entity_posterior(word)))
 
@@ -166,7 +179,9 @@ class SiumState:
             raise ConsistencyError(f"revoke of {word!r} but last accumulated word was {top!r}")
         self.tokens.pop()
         self.picks.pop()
-        self.log_scores = self.replaced.pop()
+        n = len(self.tokens)
+        self.log_scores = self.replaced[n].copy()
+        self.merged = min(self.merged, n)
 
 
 def classify(state: SiumState) -> np.ndarray:
@@ -196,10 +211,15 @@ def entity_pick(model: SiumModel, probs: np.ndarray) -> tuple[str, float] | None
 
 
 def sium_entities(state: SiumState) -> list[EntitySpan]:
-    """Merge adjacent same-class picks; a span's confidence is its weakest word."""
-    picks = state.picks
-    spans = []
-    i = 0
+    """Merge adjacent same-class picks; a span's confidence is its weakest word.
+
+    Only a span that reaches the last merged word can change, so the merge
+    restarts at its start and the state keeps the spans before it.
+    """
+    picks, spans = state.picks, state.spans
+    i = state.merged
+    while spans and spans[-1].end >= state.merged:
+        i = min(i, spans.pop().start)
     while i < len(picks):
         if picks[i] is None:
             i += 1
@@ -220,7 +240,8 @@ def sium_entities(state: SiumState) -> list[EntitySpan]:
             )
         )
         i = j + 1
-    return spans
+    state.merged = len(picks)
+    return list(spans)
 
 
 class SiumIntent(Component):

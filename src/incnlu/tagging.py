@@ -1,14 +1,24 @@
-"""Entity tagging over the surviving prefix, re-decoded from scratch per edit.
+"""Entity tagging over the surviving prefix, decoded incrementally per edit.
 
 An averaged structured perceptron scores BIO tag sequences; Viterbi with
 transition constraints guarantees no decoded sequence ever places I-t after
-anything but B-t or I-t. The decoder holds no state between edits, so the
-entity output is a pure function of the current prefix.
+anything but B-t or I-t.
+
+The component keeps one Viterbi lattice per session (:class:`ViterbiState`)
+and computes only the columns an edit changes: the right-context feature
+``nw=`` makes a column final once the next word is known, so an ADD
+finalises one column and adds one, and a REVOKE recomputes the new last
+column from a kept final one. The traceback stops where it meets the
+previous best path (partial traceback, Brown, Spohrer, Hochschild & Baker,
+ICASSP 1982), and spans are re-extracted from there on. Every column is
+computed by the same steps as in the batch :func:`decode`, so the entity
+output is still exactly that of a restart over the current prefix.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +32,9 @@ from .results import EntitySpan
 
 START = "<s>"
 _NEG_INF = float("-inf")
+# A session's lattice keeps the final score column of every CHECKPOINT_EVERY-th
+# position; a revoke recomputes at most this many columns.
+CHECKPOINT_EVERY = 16
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
@@ -85,24 +98,40 @@ class TaggerModel:
         return self._transitions
 
 
+def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray) -> np.ndarray:
+    """Add the weight vectors of ``feats`` into ``out``, in feature order."""
+    for feat in feats:
+        vec = weights.get(feat)
+        if vec is not None:
+            out += vec
+    return out
+
+
 def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
     em = np.zeros((len(feats), n_tags))
     for i, row in enumerate(feats):
-        for feat in row:
-            vec = weights.get(feat)
-            if vec is not None:
-                em[i] += vec
+        _emission(weights, row, em[i])
     return em
+
+
+def _back_dtype(n_tags: int) -> np.dtype:
+    """Smallest unsigned type that holds a tag index: one byte up to 256 tags."""
+    return np.min_scalar_type(n_tags - 1)
+
+
+def _step(delta: np.ndarray, pair: np.ndarray, em: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Viterbi column: back-pointers into ``delta`` and the new scores."""
+    scores = delta[:, None] + pair
+    back = np.argmax(scores, axis=0)
+    return back, scores[back, np.arange(len(em))] + em
 
 
 def _viterbi(em: np.ndarray, init: np.ndarray, pair: np.ndarray, tags: list[str]) -> list[str]:
     n_pos, n_tags = em.shape
     delta = em[0] + init
-    back = np.zeros((n_pos, n_tags), dtype=np.int64)
+    back = np.zeros((n_pos, n_tags), dtype=_back_dtype(n_tags))
     for i in range(1, n_pos):
-        scores = delta[:, None] + pair
-        back[i] = np.argmax(scores, axis=0)
-        delta = scores[back[i], np.arange(n_tags)] + em[i]
+        back[i], delta = _step(delta, pair, em[i])
     best = int(np.argmax(delta))
     path = [best]
     for i in range(n_pos - 1, 0, -1):
@@ -204,18 +233,21 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     return TaggerModel(tags=tags, weights=acc.averaged())
 
 
-def extract_entities(tags: list[str], tokens: list[str]) -> list[EntitySpan]:
-    """Turn maximal B-I runs into spans; perceptron confidence is fixed at 1.
+def extract_entities(tags: list[str], tokens: Sequence[str], start: int = 0) -> list[EntitySpan]:
+    """Turn maximal B-I runs from ``start`` on into spans; perceptron
+    confidence is fixed at 1.
 
     A stray I- with no compatible predecessor opens a new span; the decoder
-    never produces one, but hand-built tag lists may.
+    never produces one, but hand-built tag lists may. A ``start`` inside a
+    run reads the run's rest as such a span, so callers start where a span
+    starts or at an "O".
     """
     if len(tags) != len(tokens):
         raise ConsistencyError(
             f"{len(tags)} tags for {len(tokens)} tokens"
         )
     spans = []
-    i = 0
+    i = start
     while i < len(tags):
         tag = tags[i]
         if tag == "O":
@@ -238,8 +270,127 @@ def extract_entities(tags: list[str], tokens: list[str]) -> list[EntitySpan]:
     return spans
 
 
+class _Lowered(Sequence):
+    """Lowercased read-only view of a token list, so no second copy is kept."""
+
+    def __init__(self, tokens: list[str]) -> None:
+        self._tokens = tokens
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [t.lower() for t in self._tokens[i]]
+        return self._tokens[i].lower()
+
+
+class ViterbiState:
+    """One session's Viterbi lattice over the prefix, with its best path and spans.
+
+    Column i is final once token i+1 is known, as only ``nw=`` reads past
+    token i; the last column is provisional and is not kept. A back-pointer
+    row only reads the final column before it, so every row is final and
+    all are kept, one byte per tag. Final score columns are kept for the
+    two most recent positions and every CHECKPOINT_EVERY-th; any other is
+    recomputed forward from the nearest kept one. Every column is computed
+    by ``_step`` on ``_emission`` rows, as in ``decode``, so to the same bits.
+    """
+
+    __slots__ = ("model", "n", "back", "finals", "held", "tags", "spans")
+
+    def __init__(self, model: TaggerModel) -> None:
+        self.model = model
+        self.n = 0
+        n_tags = len(model.tags)
+        self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
+        # Rows 0 and 1: the two most recent final columns, at the row of
+        # their position's parity; row 2 + j: final column j * CHECKPOINT_EVERY.
+        self.finals = np.zeros((3, n_tags))
+        self.held = (-1, -1)  # positions in rows 0 and 1, -1 for none
+        self.tags: list[str] = []
+        self.spans: list[EntitySpan] = []
+
+    def _column(self, tokens: Sequence[str], i: int, prev: np.ndarray | None) -> np.ndarray:
+        """Score column i from final column i-1; records back-pointer row i."""
+        model = self.model
+        init, pair = model.transition_matrix()
+        em = _emission(model.weights, tag_features(tokens, i), np.zeros(len(model.tags)))
+        if i == 0:
+            return em + init
+        if i == len(self.back):
+            self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
+        self.back[i], col = _step(prev, pair, em)
+        return col
+
+    def _keep_final(self, i: int, col: np.ndarray) -> None:
+        self.finals[i % 2] = col
+        self.held = (i, self.held[1]) if i % 2 == 0 else (self.held[0], i)
+        j, off = divmod(i, CHECKPOINT_EVERY)
+        if off == 0:
+            if 2 + j == len(self.finals):
+                self.finals = np.resize(self.finals, (2 * (2 + j), self.finals.shape[1]))
+            self.finals[2 + j] = col
+
+    def update(self, tokens: Sequence[str]) -> None:
+        """Follow the prefix to ``tokens``.
+
+        The state trusts that the first min(old, new) tokens are the ones it
+        has seen, as the lock-step pipeline guarantees; one ADD or REVOKE
+        changes the length by one, and a fresh state catches up in one call.
+        """
+        n = len(tokens)
+        kept = min(self.n, n)
+        if n == self.n:
+            return
+        self.n = n
+        tags, spans = self.tags, self.spans
+        if n == 0:
+            tags.clear()
+            spans.clear()
+            return
+        # Final columns up to kept-2 saw only kept tokens; resume from the
+        # highest one still held and make columns up to n-2 final.
+        valid = kept - 2
+        self.held = tuple(i if i <= valid else -1 for i in self.held)
+        pos, col = -1, None
+        if valid >= 0:
+            j = valid // CHECKPOINT_EVERY
+            pos, col = j * CHECKPOINT_EVERY, self.finals[2 + j]
+            for row, i in enumerate(self.held):
+                if i > pos:
+                    pos, col = i, self.finals[row]
+        for i in range(pos + 1, n - 1):
+            col = self._column(tokens, i, col)
+            self._keep_final(i, col)
+        last = self._column(tokens, n - 1, col)
+
+        # Partial traceback: back-pointer rows below kept are unchanged, so
+        # once the new path meets the old one there, the rest is the old one.
+        names = self.model.tags
+        del tags[n:]
+        tags.extend([names[0]] * (n - len(tags)))  # placeholders; the traceback writes them all
+        i, cur = n - 1, int(np.argmax(last))
+        tags[i] = names[cur]
+        while i > 0:
+            cur = int(self.back[i, cur])
+            if i - 1 < kept and tags[i - 1] == names[cur]:
+                break
+            i -= 1
+            tags[i] = names[cur]
+
+        # Spans ending before i cannot change; one that reaches i may.
+        start = i
+        while spans and spans[-1].end >= i:
+            start = min(start, spans.pop().start)
+        spans.extend(extract_entities(tags, tokens, start))
+
+
 class SequenceEntityTagger(Component):
-    """Restart-incremental entity path: full re-decode of the prefix per edit."""
+    """Restart-incremental entity path: each edit's output equals a full
+    re-decode of the prefix, but only the lattice columns the edit changes
+    are computed (see :class:`ViterbiState`). Publishes copies of its spans.
+    """
 
     name = "entity_tagger_sequence"
     provides = (ENTITIES,)
@@ -249,8 +400,10 @@ class SequenceEntityTagger(Component):
     def __init__(self, params=None) -> None:
         super().__init__(params)
         self.model: TaggerModel | None = None
+        self._state: ViterbiState | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
+        self._state = None
         self.model = train_tagger(
             dataset,
             epochs=self.params["epochs"],
@@ -261,14 +414,16 @@ class SequenceEntityTagger(Component):
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         if self.model is None:
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
-        tokens = list(board.annotations.get(TOKENS, []))
-        if self.params["lowercase"]:
-            tokens = [t.lower() for t in tokens]
-        tags = decode(self.model, tokens)
-        board.write(self.name, ENTITIES, extract_entities(tags, tokens))
+        if self._state is None:
+            self._state = ViterbiState(self.model)
+        tokens = board.annotations.get(TOKENS, [])
+        self._state.update(_Lowered(tokens) if self.params["lowercase"] else tokens)
+        board.write(self.name, ENTITIES, list(self._state.spans))
 
     def new_utterance(self) -> None:
-        pass
+        # Reassign rather than reset in place: fresh() shallow-copies the
+        # component, and the copy must not clobber the original's state.
+        self._state = None
 
     def persist(self, directory: Path) -> None:
         write_params(directory, self.params)

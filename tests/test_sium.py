@@ -141,6 +141,37 @@ def test_randomized_streams_track_the_batch_oracle(script):
         assert np.array_equal(classify(state), batch_posterior(model, stack))
 
 
+# At threshold 0 most toy words pick a class, so spans run over several
+# words and their confidence varies along them.
+_EAGER_MODEL = train_sium(TrainingDataset([make_example(*row) for row in toy_rows()]), entity_threshold=0.0)
+
+
+@given(st.lists(st.tuples(_STEPS, st.booleans()), max_size=30))
+def test_entity_readout_tracks_a_full_merge(script):
+    """The readout keeps the spans of its last call; read after any edits,
+    it must equal a first readout of a clean state of the survivors."""
+    state = SiumState(_EAGER_MODEL)
+    stack: list[str] = []
+    revoked: list[str] = []
+    for step, read in script:
+        if isinstance(step, int):
+            for _ in range(min(step, len(stack))):
+                revoked.append(stack.pop())
+                state.revoke(revoked[-1])
+        else:
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = revoked.pop()
+            stack.append(step)
+            state.add(step)
+        if read:
+            clean = SiumState(_EAGER_MODEL)
+            for word in stack:
+                clean.add(word)
+            assert sium_entities(state) == sium_entities(clean)
+
+
 def test_revoke_must_match_the_last_word(toy_dataset):
     model = train_sium(toy_dataset)
     state = SiumState(model)

@@ -1,13 +1,19 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from incnlu import ConsistencyError
+from incnlu import BufferUnderflowError, ConsistencyError, IncrementalInterpreter, default_config
+from incnlu import tagging
 from incnlu.data import TrainingDataset, bio_tags
+from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, TOKENS, Blackboard, EditType
 from incnlu.tagging import (
+    CHECKPOINT_EVERY,
     SequenceEntityTagger,
     TaggerModel,
     decode,
@@ -219,3 +225,153 @@ class TestTaggerComponent:
             feat, tag, value = line.rsplit("\t", 2)
             assert tag in comp.model.tags
             assert float(value) != 0.0
+
+
+def _random_model(seed=3):
+    """A tagger whose random weights make the best path hinge on far-off
+    words, so edits often change tags well before the last word. Its
+    transitions favour I- after B- and I-, so multi-word spans are common."""
+    rng = np.random.default_rng(seed)
+    tags = ["O", "B-x", "I-x", "B-y", "I-y"]
+    weights = {"bias": rng.normal(size=5)}
+    for word in _WORDS:
+        for prefix in ("w=", "pw=", "nw="):
+            weights[prefix + word.lower()] = rng.normal(size=5)
+    for tag in ["<s>"] + tags:
+        weights[f"pt={tag}"] = 3 * rng.normal(size=5)
+    for b in (1, 3):
+        weights[f"pt={tags[b]}"][b + 1] += 3.0
+        weights[f"pt={tags[b + 1]}"][b + 1] += 3.0
+    return TaggerModel(tags=tags, weights=weights)
+
+
+_WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
+_MODELS = {
+    "toy": train_tagger(TrainingDataset([make_example(*r) for r in toy_rows()])),
+    "random": _random_model(),
+}
+
+
+def _tagger_session(model):
+    """A tokenizer and a tagger over one blackboard."""
+    tagger = SequenceEntityTagger()
+    tagger.model = model
+    return IncrementalInterpreter(default_config(), [WhitespaceTokenizer(), tagger])
+
+
+def _entities(session):
+    return session.component_result("entity_tagger_sequence").entities
+
+
+def _clean_entities(session, words):
+    clean = session.fresh_copy()
+    for word in words:
+        clean.parse_incremental(EditType.ADD, word)
+    return _entities(clean)
+
+
+# A script step is a run of words to ADD, an int n for a run of n REVOKEs
+# (runs that outlast the words underflow), or "readd" to ADD the last
+# revoked word again.
+_STEPS = st.one_of(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12),
+    st.integers(1, 12),
+    st.just("readd"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_MODELS)),
+    st.sampled_from([2, 3, CHECKPOINT_EVERY]),
+    st.lists(_STEPS, max_size=25),
+)
+def test_incremental_decoding_tracks_a_restart(model_name, every, script):
+    """Any interleaving of adds and revokes, with revokes deeper than the
+    checkpoint spacing, must give after every edit exactly the spans of a
+    full decode of the survivors and of a clean session over them."""
+    model = _MODELS[model_name]
+    with mock.patch.object(tagging, "CHECKPOINT_EVERY", every):
+        session = _tagger_session(model)
+        stack: list[str] = []
+        revoked: list[str] = []
+        for step in script:
+            if isinstance(step, int):
+                for _ in range(step):
+                    if not stack:
+                        before = _entities(session)
+                        with pytest.raises(BufferUnderflowError):
+                            session.parse_incremental(EditType.REVOKE)
+                        assert _entities(session) == before == []
+                        break
+                    revoked.append(stack.pop())
+                    session.parse_incremental(EditType.REVOKE)
+                    _check(session, model, stack)
+                continue
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = [revoked.pop()]
+            for word in step:
+                stack.append(word)
+                session.parse_incremental(EditType.ADD, word)
+                _check(session, model, stack)
+
+
+def _check(session, model, stack):
+    tokens = [w.lower() for w in stack]
+    view = _entities(session)
+    assert view == extract_entities(decode(model, tokens), tokens)
+    assert view == _clean_entities(session, stack)
+
+
+def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
+    a, b = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+    a_words = ["weather", "in", "boston", "and", "denver"]
+    b_words = ["play", "some", "jazz", "tonight"]
+    for i in range(max(len(a_words), len(b_words))):
+        if i < len(a_words):
+            a.parse_incremental(EditType.ADD, a_words[i])
+        if i < len(b_words):
+            b.parse_incremental(EditType.ADD, b_words[i])
+            b.parse_incremental(EditType.REVOKE)
+            b.parse_incremental(EditType.ADD, b_words[i])
+    name = "entity_tagger_sequence"
+    states = [next(c for c in s.components if c.name == name)._state for s in (a, b)]
+    assert states[0] is not states[1]
+    assert a.component_result(name).entities == _clean_entities(a, a_words)
+    assert b.component_result(name).entities == _clean_entities(b, b_words)
+    assert [s.value for s in a.component_result(name).entities] == ["boston", "denver"]
+
+
+def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch):
+    """At 1000 words an ADD computes at most two columns, a REVOKE after an
+    ADD one, and any REVOKE at most CHECKPOINT_EVERY + 1."""
+    calls = []
+    features = tagging.tag_features
+
+    def counting(tokens, i):
+        calls.append(i)
+        return features(tokens, i)
+
+    monkeypatch.setattr(tagging, "tag_features", counting)
+    rng = random.Random(11)
+    session = _tagger_session(_MODELS["random"])
+
+    def cost(edit, word=None):
+        calls.clear()
+        session.parse_incremental(edit, word)
+        return len(calls)
+
+    for _ in range(1000):
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+    for _ in range(50):
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+        assert cost(EditType.REVOKE) <= 1
+    for _ in range(3 * CHECKPOINT_EVERY):
+        assert cost(EditType.REVOKE) <= CHECKPOINT_EVERY + 1
+    for _ in range(10):
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+    tokens = [w.lower() for w in session.board.buffer.hypothesis()]
+    assert len(tokens) == 1000 - 3 * CHECKPOINT_EVERY + 10
+    assert _entities(session) == extract_entities(decode(session.components[1].model, tokens), tokens)
