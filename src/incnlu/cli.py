@@ -17,7 +17,7 @@ from . import interpreter as interp_mod
 from .config import default_config, load_config
 from .data import load_dataset
 from .errors import BufferUnderflowError, IncnluError, InvalidPayloadError, ParameterError
-from .evaluation import evaluate
+from .evaluation import NOISE_RATES, evaluate
 from .iu import EditType
 from .registry import REGISTRY
 from .results import NluResult
@@ -96,7 +96,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ParameterError(f"--noise-rate must be in [0, 1], got {args.noise_rate}")
     interp = interp_mod.load(args.model)
     test = load_dataset(args.test)
-    rates = (args.noise_rate,) if args.noise_rate is not None else (0.0, 0.4, 1.0)
+    rates = (args.noise_rate,) if args.noise_rate is not None else NOISE_RATES
     report = evaluate(interp, test, noise_rates=rates, noise_seed=args.seed)
     print(report.to_text())
     if args.report:

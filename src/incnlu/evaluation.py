@@ -6,6 +6,11 @@ then immediately revoked words leave every output identical to a clean run?
 And how well do the two intent strategies and two entity paths actually
 score on held-out data?
 
+Each test utterance is streamed once, clean, on a fresh session. Its final
+views give the F1 predictions and are the reference that the word-streamed
+run and every noise rate are compared against. SIUM's streamed posterior
+is also checked against a batch row-sum over the whole utterance.
+
 Entity scoring is span-exact: a predicted span counts only when its
 (type, start, end) triple equals a gold span's. Published reference scores
 for the full-scale systems this package's models stand in for are carried
@@ -44,6 +49,9 @@ REFERENCE_F1 = {
 BOW = "intent_classifier_bow"
 SIUM = "intent_sium"
 TAGGER = "entity_tagger_sequence"
+
+# Insertion rates of the noise protocol when none are given.
+NOISE_RATES = (0.0, 0.4, 1.0)
 
 
 def f1_intent(predictions: list[str], gold: list[str]) -> tuple[float, float]:
@@ -132,7 +140,6 @@ class EvalReport:
     equivalence_total: int = 0
     equivalence_exact: int = 0
     sium_max_deviation: float = 0.0
-    incremental_f1_gap: float = 0.0
     noise_results: dict[float, tuple[int, int]] = field(default_factory=dict)
     seeds: dict[str, int] = field(default_factory=dict)
     runtime_seconds: float = 0.0
@@ -175,7 +182,6 @@ class EvalReport:
         lines.append("equivalence (streamed vs whole-utterance)")
         lines.append(f"  exact result matches    {self.equivalence_exact}/{self.equivalence_total}")
         lines.append(f"  max posterior deviation {self.sium_max_deviation:.3e}")
-        lines.append(f"  incremental F1 gap      {self.incremental_f1_gap:.4f}")
         if self.noise_results:
             lines.append("")
             lines.append("noise protocol (insert + revoke, outputs must match clean run)")
@@ -203,7 +209,6 @@ class EvalReport:
         pairs.append(("equivalence.total", self.equivalence_total))
         pairs.append(("equivalence.exact", self.equivalence_exact))
         pairs.append(("equivalence.sium_max_deviation", repr(self.sium_max_deviation)))
-        pairs.append(("equivalence.incremental_f1_gap", f"{self.incremental_f1_gap:.6f}"))
         for rate in sorted(self.noise_results):
             passed, total = self.noise_results[rate]
             pairs.append((f"noise.rate_{rate:g}.passed", passed))
@@ -215,25 +220,11 @@ class EvalReport:
         return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
 
 
-def _component_names(interp: IncrementalInterpreter) -> list[str]:
-    return [c.name for c in interp.components]
-
-
 def _snapshot(interp: IncrementalInterpreter) -> dict[str, NluResult]:
     """Final canonical result plus every component's own view."""
-    views = {name: interp.component_result(name) for name in _component_names(interp)}
+    views = {c.name: interp.component_result(c.name) for c in interp.components}
     views["__result__"] = interp.current_result()
     return views
-
-
-def _stream(interp: IncrementalInterpreter, words: list[str]) -> NluResult:
-    interp.new_utterance()
-    if not words:
-        return interp.refresh()
-    result = None
-    for word in words:
-        result = interp.parse_incremental(EditType.ADD, word)
-    return result
 
 
 def _sium_component(interp: IncrementalInterpreter) -> SiumIntent | None:
@@ -243,40 +234,63 @@ def _sium_component(interp: IncrementalInterpreter) -> SiumIntent | None:
     return None
 
 
-def run_equivalence(interp: IncrementalInterpreter, test: TrainingDataset) -> dict:
-    """Streamed final outputs vs whole-utterance outputs, per utterance.
-
-    The whole-utterance side runs on a separate fresh session so no state
-    can leak between the two paths; the SIUM posterior is additionally
-    checked against a batch fold of the full token sequence.
-    """
-    reference = interp.fresh_copy()
-    sium = _sium_component(interp)
-    exact = 0
-    streamed_intents: list[str] = []
-    full_intents: list[str] = []
-    max_dev = 0.0
+def _clean_views(
+    interp: IncrementalInterpreter, test: TrainingDataset
+) -> list[dict[str, NluResult]]:
+    """Each utterance streamed once, clean, on a fresh session: its final views."""
+    session = interp.fresh_copy()
+    views = []
     for ex in test.examples:
+        session.parse_full(ex.text)
+        views.append(_snapshot(session))
+    return views
+
+
+def _check_streams(
+    interp: IncrementalInterpreter,
+    test: TrainingDataset,
+    clean: list[dict[str, NluResult]],
+    noise: NoiseConfig,
+) -> tuple[int, float]:
+    """Stream each utterance word by word on ``interp``, with the noise of
+    :func:`run_noise_protocol`, and compare its final views with ``clean``.
+
+    Returns how many utterances end with every view equal to the clean one,
+    and the largest deviation of SIUM's streamed posterior from the batch
+    row-sum over the true words.
+    """
+    if not noise.noise_vocabulary and noise.insertion_rate > 0.0:
+        raise ParameterError("noise protocol needs a non-empty noise vocabulary")
+    rng = random.Random(noise.seed)
+    sium = _sium_component(interp)
+    passed = 0
+    max_dev = 0.0
+    for ex, clean_views in zip(test.examples, clean):
         words = tokenize(ex.text, lowercase=False)
-        streamed = _stream(interp, words)
-        streamed_views = _snapshot(interp)
-        full = reference.parse_full(ex.text)
-        full_views = _snapshot(reference)
-        if streamed == full and streamed_views == full_views:
-            exact += 1
-        streamed_intents.append(streamed.intent)
-        full_intents.append(full.intent)
+        interp.new_utterance()
+        if not words:
+            interp.refresh()
+        for word in words:
+            if noise.insertion_rate > 0.0 and rng.random() < noise.insertion_rate:
+                interp.parse_incremental(EditType.ADD, rng.choice(noise.noise_vocabulary))
+                interp.parse_incremental(EditType.REVOKE)
+            interp.parse_incremental(EditType.ADD, word)
+        passed += _snapshot(interp) == clean_views
         if sium is not None and sium.model is not None:
             oracle = batch_posterior(sium.model, words)
             max_dev = max(max_dev, float(np.abs(sium.posterior() - oracle).max()))
-    micro_streamed, _ = f1_intent(streamed_intents, [ex.intent for ex in test.examples])
-    micro_full, _ = f1_intent(full_intents, [ex.intent for ex in test.examples])
-    return {
-        "total": len(test.examples),
-        "exact": exact,
-        "sium_max_deviation": max_dev,
-        "incremental_f1_gap": abs(micro_streamed - micro_full),
-    }
+    return passed, max_dev
+
+
+def run_equivalence(interp: IncrementalInterpreter, test: TrainingDataset) -> dict:
+    """Word-streamed final outputs vs whole-utterance outputs, per utterance.
+
+    The whole-utterance side is one clean pass on a separate fresh session,
+    so no state can leak between the two paths. SIUM's streamed posterior
+    is also checked against a batch row-sum over the whole utterance.
+    """
+    exact, max_dev = _check_streams(interp, test, _clean_views(interp, test), NoiseConfig(0.0))
+    return {"total": len(test.examples), "exact": exact, "sium_max_deviation": max_dev}
 
 
 def run_noise_protocol(
@@ -286,84 +300,65 @@ def run_noise_protocol(
 
     Before each true word, with probability ``insertion_rate``, one word
     sampled uniformly from the noise vocabulary is added and immediately
-    revoked. Pass = final result and all component views identical to the
-    clean streamed run of the same utterance.
+    revoked. Pass = final result and all component views identical to one
+    clean pass of the same utterance on a fresh session.
     """
-    if not noise.noise_vocabulary and noise.insertion_rate > 0.0:
-        raise ParameterError("noise protocol needs a non-empty noise vocabulary")
-    rng = random.Random(noise.seed)
-    clean = interp.fresh_copy()
-    passed = 0
-    for ex in test.examples:
-        words = tokenize(ex.text, lowercase=False)
-        _stream(clean, words)
-        clean_views = _snapshot(clean)
-
-        interp.new_utterance()
-        if not words:
-            interp.refresh()
-        for word in words:
-            if noise.insertion_rate > 0.0 and rng.random() < noise.insertion_rate:
-                interp.parse_incremental(EditType.ADD, rng.choice(noise.noise_vocabulary))
-                interp.parse_incremental(EditType.REVOKE)
-            interp.parse_incremental(EditType.ADD, word)
-        if _snapshot(interp) == clean_views:
-            passed += 1
+    passed, _ = _check_streams(interp, test, _clean_views(interp, test), noise)
     return passed, len(test.examples)
 
 
-def gold_spans(example, lowercase: bool = True):
+def gold_spans(example):
     """Gold (type, start, end) entity spans over token indices."""
-    tokens, tags = bio_tags(example.text, example.entities, lowercase=lowercase)
+    tokens, tags = bio_tags(example.text, example.entities)
     return extract_entities(tags, tokens)
 
 
 def evaluate(
     interp: IncrementalInterpreter,
     test: TrainingDataset,
-    noise_rates: tuple[float, ...] = (0.0, 0.4, 1.0),
+    noise_rates: tuple[float, ...] = NOISE_RATES,
     noise_seed: int = 97,
     train_seed: int | None = None,
 ) -> EvalReport:
-    """Full harness run: F1 per path, equivalence, and the noise protocol."""
+    """Full harness run: F1 per path, equivalence, and the noise protocol.
+
+    One clean pass per utterance feeds the F1 scores and is the reference
+    for the equivalence check and every noise rate.
+    """
     started = time.perf_counter()
     report = EvalReport(utterances=len(test.examples))
     report.seeds["noise"] = noise_seed
     if train_seed is not None:
         report.seeds["train"] = train_seed
 
-    names = _component_names(interp)
+    clean = _clean_views(interp, test)
     intent_preds: dict[str, list[str]] = defaultdict(list)
     entity_preds: dict[str, list[list]] = defaultdict(list)
-    gold_intents: list[str] = []
-    gold_entities: list[list] = []
-    for ex in test.examples:
-        interp.parse_full(ex.text)
-        gold_intents.append(ex.intent)
-        gold_entities.append(gold_spans(ex))
-        for name in names:
-            view = interp.component_result(name)
+    gold_intents = [ex.intent for ex in test.examples]
+    gold_entities = [gold_spans(ex) for ex in test.examples]
+    for views in clean:
+        for comp in interp.components:
+            view = views[comp.name]
             if view.intent_ranking:
-                intent_preds[name].append(view.intent)
-            if name in (TAGGER, SIUM):
-                entity_preds[name].append(view.entities)
+                intent_preds[comp.name].append(view.intent)
+            if comp.name in (TAGGER, SIUM):
+                entity_preds[comp.name].append(view.entities)
 
     for name, preds in intent_preds.items():
         report.intent_f1[name] = f1_intent(preds, gold_intents)
     for name, preds in entity_preds.items():
-        precision, recall, f1 = f1_entities(preds, gold_entities)
-        report.entity_f1[name] = (precision, recall, f1)
+        report.entity_f1[name] = f1_entities(preds, gold_entities)
 
-    eq = run_equivalence(interp, test)
-    report.equivalence_total = eq["total"]
-    report.equivalence_exact = eq["exact"]
-    report.sium_max_deviation = eq["sium_max_deviation"]
-    report.incremental_f1_gap = eq["incremental_f1_gap"]
+    report.equivalence_total = report.utterances
+    report.equivalence_exact, report.sium_max_deviation = _check_streams(
+        interp, test, clean, NoiseConfig(0.0)
+    )
 
     vocabulary = _noise_vocabulary(interp)
     for rate in noise_rates:
         noise = NoiseConfig(insertion_rate=rate, noise_vocabulary=vocabulary, seed=noise_seed)
-        report.noise_results[rate] = run_noise_protocol(interp, test, noise)
+        passed, _ = _check_streams(interp, test, clean, noise)
+        report.noise_results[rate] = (passed, report.utterances)
 
     report.runtime_seconds = time.perf_counter() - started
     return report

@@ -184,19 +184,21 @@ class SiumState:
         self.merged = min(self.merged, n)
 
 
-def classify(state: SiumState) -> np.ndarray:
-    """Posterior over intents, normalized to sum to one."""
-    scores = state.log_scores - state.log_scores.max()
-    probs = np.exp(scores)
+def _normalize(log_scores: np.ndarray) -> np.ndarray:
+    probs = np.exp(log_scores - log_scores.max())
     return probs / probs.sum()
 
 
+def classify(state: SiumState) -> np.ndarray:
+    """Posterior over intents, normalized to sum to one."""
+    return _normalize(state.log_scores)
+
+
 def batch_posterior(model: SiumModel, words: list[str]) -> np.ndarray:
-    """Whole-utterance posterior, folding words the same way the state does."""
-    state = SiumState(model)
-    for word in words:
-        state.add(word)
-    return classify(state)
+    """Whole-utterance posterior as one row-sum over the words' likelihoods,
+    without the word-by-word fold of :class:`SiumState`."""
+    rows = [model.row(word) for word in words]
+    return _normalize(model.log_intent_prior + model.log_word_given_intent[rows].sum(axis=0))
 
 
 def entity_pick(model: SiumModel, probs: np.ndarray) -> tuple[str, float] | None:

@@ -1,6 +1,6 @@
 import pytest
 
-from incnlu import ConsistencyError, ParameterError
+from incnlu import ConsistencyError, IncrementalInterpreter, ParameterError
 from incnlu.evaluation import (
     BOW,
     REFERENCE_F1,
@@ -176,7 +176,6 @@ class TestEvaluateEndToEnd:
         assert report.utterances == len(toy_dataset)
         assert report.equivalence_exact == report.equivalence_total == len(toy_dataset)
         assert report.sium_max_deviation < 1e-9
-        assert report.incremental_f1_gap == 0.0
         assert set(report.noise_results) == {0.0, 0.5}
         for passed, total in report.noise_results.values():
             assert passed == total == len(toy_dataset)
@@ -189,3 +188,18 @@ class TestEvaluateEndToEnd:
         assert report.seeds == {"noise": 97, "train": 13}
         assert report.runtime_seconds > 0
         assert report.all_checks_pass()
+
+    def test_each_utterance_is_streamed_once_per_pass(self, toy_interp, toy_dataset, monkeypatch):
+        # One clean pass, one word-streamed pass against it, one pass per
+        # noise rate; the clean pass also feeds the F1 scores.
+        calls = 0
+        new_utterance = IncrementalInterpreter.new_utterance
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            new_utterance(self)
+
+        monkeypatch.setattr(IncrementalInterpreter, "new_utterance", counting)
+        evaluate(toy_interp.fresh_copy(), toy_dataset, noise_rates=(0.0, 0.5))
+        assert calls == (2 + 2) * len(toy_dataset)

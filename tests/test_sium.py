@@ -138,7 +138,8 @@ def test_randomized_streams_track_the_batch_oracle(script):
         assert state.tokens == clean.tokens
         assert state.picks == clean.picks
         assert sium_entities(state) == sium_entities(clean)
-        assert np.array_equal(classify(state), batch_posterior(model, stack))
+        assert np.array_equal(classify(state), classify(clean))
+        assert np.abs(classify(state) - batch_posterior(model, stack)).max() <= 1e-12
 
 
 # At threshold 0 most toy words pick a class, so spans run over several

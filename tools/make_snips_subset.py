@@ -1,7 +1,8 @@
 """Build the bundled SNIPS-style training corpus.
 
 Generates 700 synthetic utterances (100 per intent, 7 intents) from hand
-written templates with slot pools, plus a seeded 560/140 stratified split.
+written templates with slot pools, and writes them as a seeded 560/140
+stratified split: snips_train.json and snips_test.json.
 The intent inventory and corpus size mirror the public SNIPS benchmark
 subset this package's evaluation setup is modelled on; the texts themselves
 are synthetic so the repository carries no third-party data.
@@ -239,7 +240,6 @@ def main() -> int:
     dataset = generate(args.seed, args.per_intent)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_json(dataset, out / "snips_subset.json")
     train, test = stratified_split(dataset, test_fraction=0.2, seed=args.seed)
     save_json(train, out / "snips_train.json")
     save_json(test, out / "snips_test.json")
