@@ -26,8 +26,8 @@ class TrainingContext:
     """Carries one component's training output forward to the next.
 
     The tokenizer fills ``tokens``, one token list per training example;
-    the featurizer fills ``vocabulary``. ``seed`` drives every stochastic
-    training step so runs are reproducible.
+    the featurizer fills ``vocabulary``. No component reads ``seed``, which
+    the manifest records; each reads its own ``seed`` parameter instead.
     """
 
     dataset: "TrainingDataset"
@@ -42,7 +42,8 @@ class Component:
     Subclasses set ``name`` (the registry key), ``provides`` (annotation
     keys they write), ``requires`` (annotation keys that must be written by
     an earlier component), and ``defaults`` (parameter defaults). Parameters
-    given at construction are validated against ``defaults``.
+    given at construction are validated against ``defaults``: each must be
+    known and have its default's type (or be an int where a float is due).
 
     ``process`` is called once per edit with the edit type and the raw word
     involved (the added word, or the word just revoked). The lock-step
@@ -68,6 +69,12 @@ class Component:
                 f"component {self.name!r} does not accept parameter(s): "
                 + ", ".join(sorted(unknown))
             )
+        for key, value in params.items():
+            if not _same_kind(value, self.defaults[key]):
+                raise ConfigError(
+                    f"component {self.name!r} parameter {key!r} must be "
+                    f"{type(self.defaults[key]).__name__}, got {value!r}"
+                )
         self.params: dict[str, Any] = {**self.defaults, **params}
 
     def train(self, dataset: "TrainingDataset", ctx: TrainingContext) -> None:
@@ -82,11 +89,12 @@ class Component:
         pass
 
     def persist(self, directory: Path) -> None:
-        raise NotImplementedError
+        """Write the trained model files; parameters live in the bundle config."""
 
     @classmethod
     def load(cls, directory: Path, params: dict[str, Any]) -> "Component":
-        raise NotImplementedError
+        """Rebuild from ``params`` and the model files ``persist`` wrote."""
+        return cls(params)
 
     def fresh(self) -> "Component":
         """A state-free copy sharing this component's trained model."""
@@ -95,19 +103,7 @@ class Component:
         return clone
 
 
-def write_params(directory: Path, params: dict[str, Any]) -> None:
-    lines = [f"{key}\t{params[key]!r}" for key in sorted(params)]
-    (directory / "params.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_params(directory: Path) -> dict[str, Any]:
-    import ast
-
-    path = directory / "params.tsv"
-    params: dict[str, Any] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        key, _, raw = line.partition("\t")
-        params[key] = ast.literal_eval(raw)
-    return params
+def _same_kind(value: Any, default: Any) -> bool:
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))

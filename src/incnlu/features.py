@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_params, write_params
+from .components import Component, TrainingContext
 from .errors import ConfigError, ConsistencyError, DataError
 from .iu import COUNT_VECTOR, TOKENS, Blackboard, EditType
 
@@ -165,13 +165,6 @@ class WhitespaceTokenizer(Component):
     def new_utterance(self) -> None:
         self._tokens = []
 
-    def persist(self, directory: Path) -> None:
-        write_params(directory, self.params)
-
-    @classmethod
-    def load(cls, directory: Path, params) -> "WhitespaceTokenizer":
-        return cls(read_params(directory))
-
 
 class CountVectorsFeaturizer(Component):
     """Bag-of-words featurizer with exact add/revoke updates; publishes copies."""
@@ -210,7 +203,6 @@ class CountVectorsFeaturizer(Component):
         self._vec = None
 
     def persist(self, directory: Path) -> None:
-        write_params(directory, self.params)
         vocab = self._require_vocab()
         (directory / "vocabulary.tsv").write_text(
             "\n".join(vocab.to_lines()) + "\n", encoding="utf-8"
@@ -218,7 +210,7 @@ class CountVectorsFeaturizer(Component):
 
     @classmethod
     def load(cls, directory: Path, params) -> "CountVectorsFeaturizer":
-        comp = cls(read_params(directory))
+        comp = cls(params)
         lines = (directory / "vocabulary.tsv").read_text(encoding="utf-8").splitlines()
         comp.vocabulary = Vocabulary.from_lines(lines, lowercase=comp.params["lowercase"])
         return comp

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_params, write_params
+from .components import Component, TrainingContext
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError
 from .features import Vocabulary, count_vector, tokenize
@@ -158,7 +158,6 @@ class BowIntentClassifier(Component):
         pass
 
     def persist(self, directory: Path) -> None:
-        write_params(directory, self.params)
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_classifier_bow")
@@ -169,7 +168,7 @@ class BowIntentClassifier(Component):
 
     @classmethod
     def load(cls, directory: Path, params) -> "BowIntentClassifier":
-        comp = cls(read_params(directory))
+        comp = cls(params)
         lines = (directory / "weights.tsv").read_text(encoding="utf-8").splitlines()
         intents = lines[0].split("\t")
         weights = np.array(

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .components import Component, TrainingContext
-from .config import PipelineConfig, build_components, config_text, key_owners, parse_config
+from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, parse_config
 from .data import TrainingDataset
 from .errors import BundleError, DataError
 from .features import tokenize
@@ -22,7 +22,7 @@ from .iu import Blackboard, EditType
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
 
@@ -55,6 +55,8 @@ class IncrementalInterpreter:
     # -- training ------------------------------------------------------
 
     def train(self, dataset: TrainingDataset, seed: int = 13) -> None:
+        """Train every component in order. ``seed`` is only recorded, as the
+        manifest's ``training.seed``; components read their own ``seed`` param."""
         if not dataset.examples:
             raise DataError("cannot train on an empty dataset")
         ctx = TrainingContext(dataset=dataset, seed=seed)
@@ -129,7 +131,12 @@ class IncrementalInterpreter:
             raise BundleError("refusing to persist an untrained pipeline")
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        (root / CONFIG_NAME).write_text(config_text(self.config), encoding="utf-8")
+        # Every parameter, defaults included: the bundle keeps them nowhere else.
+        resolved = PipelineConfig(
+            self.config.language,
+            [ComponentSpec(comp.name, dict(comp.params)) for comp in self.components],
+        )
+        (root / CONFIG_NAME).write_text(config_text(resolved), encoding="utf-8")
         for comp in self.components:
             sub = root / comp.name
             sub.mkdir(exist_ok=True)
@@ -175,10 +182,12 @@ def load(path: str | Path) -> IncrementalInterpreter:
     for spec in config.components:
         if spec.name not in REGISTRY:
             raise BundleError(f"bundle config names unknown component {spec.name!r}")
-        sub = root / spec.name
-        if not sub.is_dir():
-            raise BundleError(f"bundle is missing component directory {spec.name!r}")
-        components.append(REGISTRY[spec.name].load(sub, spec.params))
+        try:
+            components.append(REGISTRY[spec.name].load(root / spec.name, spec.params))
+        except (ValueError, KeyError, IndexError, OSError) as exc:
+            raise BundleError(
+                f"bundle component {spec.name!r}: unreadable model file ({type(exc).__name__}: {exc})"
+            ) from exc
     interp = IncrementalInterpreter(config, components)
     interp.is_trained = True
     interp.training_info = dict(manifest.get("training", {}))
@@ -186,6 +195,7 @@ def load(path: str | Path) -> IncrementalInterpreter:
 
 
 def train_pipeline(config: PipelineConfig, dataset: TrainingDataset, seed: int = 13) -> IncrementalInterpreter:
+    """Build and train a pipeline; ``seed`` as in :meth:`IncrementalInterpreter.train`."""
     interp = IncrementalInterpreter(config)
     interp.train(dataset, seed=seed)
     return interp

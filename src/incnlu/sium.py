@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_params, write_params
+from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, EditType
@@ -302,7 +302,6 @@ class SiumIntent(Component):
     # -- persistence ---------------------------------------------------
 
     def persist(self, directory: Path) -> None:
-        write_params(directory, self.params)
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_sium")
@@ -330,7 +329,7 @@ class SiumIntent(Component):
 
     @classmethod
     def load(cls, directory: Path, params) -> "SiumIntent":
-        comp = cls(read_params(directory))
+        comp = cls(params)
         text = (directory / "model.tsv").read_text(encoding="utf-8")
         sections: dict[str, list[str]] = {}
         current = None

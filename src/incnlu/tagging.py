@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_params, write_params
+from .components import Component, TrainingContext
 from .data import TrainingDataset, bio_tags
 from .errors import ConsistencyError
 from .iu import ENTITIES, TOKENS, Blackboard
@@ -426,7 +426,6 @@ class SequenceEntityTagger(Component):
         self._state = None
 
     def persist(self, directory: Path) -> None:
-        write_params(directory, self.params)
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
@@ -440,7 +439,7 @@ class SequenceEntityTagger(Component):
 
     @classmethod
     def load(cls, directory: Path, params) -> "SequenceEntityTagger":
-        comp = cls(read_params(directory))
+        comp = cls(params)
         lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
         header = lines[0].split("\t")
         if header[0] != "#tags":

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from incnlu import TrainingDataset, TrainingExample, EntityAnnotation, default_config, train_pipeline
+from incnlu.interpreter import _bundle_checksum
 
 # Small three-intent corpus for unit tests; entity values are single words
 # placed by substring search so spans always align to token boundaries.
@@ -32,6 +35,15 @@ def make_example(text: str, intent: str, entities) -> TrainingExample:
 
 def toy_rows():
     return list(_TOY_ROWS)
+
+
+def reseal(root):
+    """Recompute a bundle's manifest checksum after editing its files, so
+    that load gets past the integrity check to the edited file."""
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["checksum"] = _bundle_checksum(root)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 @pytest.fixture()

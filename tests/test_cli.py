@@ -1,5 +1,6 @@
 import io
 import re
+import shutil
 
 import pytest
 
@@ -7,7 +8,7 @@ from incnlu.cli import main
 from incnlu.data import TrainingDataset
 from incnlu.interpreter import load as load_bundle
 
-from conftest import make_example, toy_rows
+from conftest import make_example, reseal, toy_rows
 
 WIRE_RE = re.compile(r"^\S*\t\d\.\d{6}\t(\S+:\S+:\d+:\d+(;\S+:\S+:\d+:\d+)*)?$")
 
@@ -181,3 +182,19 @@ class TestEval:
         )
         assert code == 1
         assert "noise-rate" in capsys.readouterr().err
+
+    def test_malformed_bundle_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(cli_env["bundle"], bundle)
+        weights = bundle / "intent_classifier_bow" / "weights.tsv"
+        lines = weights.read_text(encoding="utf-8").splitlines()
+        lines[1] = "heavy" + lines[1][lines[1].index("\t"):]
+        weights.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reseal(bundle)
+        code = main(["eval", "--model", str(bundle), "--test", str(cli_env["data"])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("incnlu eval: ")
+        assert "intent_classifier_bow" in captured.err

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incnlu import (
+    BufferUnderflowError,
     BundleError,
     ConfigError,
     DataError,
@@ -23,8 +26,11 @@ from incnlu.config import (
     parse_config,
 )
 from incnlu.data import TrainingDataset
-from incnlu.interpreter import _bundle_checksum
+from incnlu.interpreter import SCHEMA_VERSION
 from incnlu.iu import EditType
+from incnlu.registry import REGISTRY
+
+from conftest import reseal, toy_rows
 
 
 SAMPLE = """\
@@ -100,6 +106,28 @@ class TestPipelineAssembly:
         )
         with pytest.raises(ConfigError, match="casing"):
             build_components(config)
+
+    @pytest.mark.parametrize(
+        "component, line",
+        [
+            ("intent_sium", 'alpha: "x"'),
+            ("entity_tagger_sequence", 'epochs: "x"'),
+            ("intent_sium", "lowercase: 3"),
+            ("entity_tagger_sequence", "epochs: 2.5"),
+            ("intent_classifier_bow", "lr: true"),
+        ],
+    )
+    def test_wrongly_typed_parameter_is_rejected(self, component, line):
+        config = parse_config(
+            'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\n'
+            f'- name: "featurizer_count_vectors"\n- name: "{component}"\n  {line}\n'
+        )
+        with pytest.raises(ConfigError, match=line.split(":")[0]):
+            build_components(config)
+
+    def test_int_is_accepted_for_a_float_parameter(self):
+        sium = build_components(parse_config(SAMPLE))[1]
+        assert sium.params["alpha"] == 2
 
     def test_requirement_must_be_provided_earlier(self):
         config = PipelineConfig(
@@ -266,6 +294,88 @@ class TestInterpreter:
         assert result.intent_ranking == []
 
 
+# Toy words, an unseen word, and a capitalised one that lowercases onto a
+# known word.
+_WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
+# A script step is a word to ADD, an int n for a run of n REVOKEs (runs that
+# outlast the words underflow), or "readd" to ADD the last revoked word again.
+_STEPS = st.one_of(st.sampled_from(_WORDS), st.integers(1, 4), st.just("readd"))
+
+
+def _views(interp):
+    notes = interp.board.annotations
+    return (
+        interp.current_result(),
+        [interp.component_result(c.name) for c in interp.components],
+        notes["tokens"],
+        notes["count_vector"].tolist(),
+    )
+
+
+@settings(deadline=None)
+@given(script=st.lists(_STEPS, max_size=30))
+def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, script):
+    """After every step of any ADD/REVOKE script, the pipeline result,
+    every component's view, the tokens and the count vector equal those of
+    a fresh session fed only the surviving words."""
+    session = toy_interp.fresh_copy()
+    session.parse_full("")
+    reference = toy_interp.fresh_copy()
+    stack: list[str] = []
+    revoked: list[str] = []
+    for step in script:
+        if isinstance(step, int):
+            for _ in range(step):
+                if not stack:
+                    before = _views(session)
+                    with pytest.raises(BufferUnderflowError):
+                        session.parse_incremental(EditType.REVOKE)
+                    assert _views(session) == before
+                    break
+                revoked.append(stack.pop())
+                session.parse_incremental(EditType.REVOKE)
+        else:
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = revoked.pop()
+            stack.append(step)
+            session.parse_incremental(EditType.ADD, step)
+        reference.parse_full(" ".join(stack))
+        assert _views(session) == _views(reference)
+
+
+def _set_field(line_no, field, value):
+    """Edit that overwrites one tab-separated field of one line."""
+
+    def edit(text):
+        lines = text.split("\n")
+        parts = lines[line_no].split("\t")
+        parts[field] = value
+        lines[line_no] = "\t".join(parts)
+        return "\n".join(lines)
+
+    return edit
+
+
+# One edit per case, each leaving a bundle whose checksum is valid again
+# (None deletes the file).
+_MALFORMED = {
+    "tagger-weight-not-a-float": ("entity_tagger_sequence/model.tsv", _set_field(1, -1, "heavy")),
+    "tagger-tag-unknown": ("entity_tagger_sequence/model.tsv", _set_field(1, -2, "B-nosuch")),
+    "sium-section-missing": (
+        "intent_sium/model.tsv",
+        lambda text: text[: text.index("[word_given_entity]")],
+    ),
+    "vocabulary-index-not-an-int": (
+        "featurizer_count_vectors/vocabulary.tsv",
+        _set_field(0, 1, "first"),
+    ),
+    "bow-weight-not-a-float": ("intent_classifier_bow/weights.tsv", _set_field(1, 0, "heavy")),
+    "bow-weights-deleted": ("intent_classifier_bow/weights.tsv", None),
+}
+
+
 class TestBundles:
     def test_round_trip_preserves_predictions(self, toy_interp, tmp_path):
         toy_interp.persist(tmp_path / "bundle")
@@ -294,10 +404,12 @@ class TestBundles:
     def test_wrong_schema_version_names_the_expected_one(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        manifest["schema_version"] = 999
-        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(BundleError, match=r"999.*expected 1"):
-            load(root)
+        # Schema 1 kept parameters in per-component params.tsv files.
+        for version in (999, 1):
+            manifest["schema_version"] = version
+            (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):
+                load(root)
 
     def test_tampered_model_file_fails_the_checksum(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
@@ -319,19 +431,70 @@ class TestBundles:
 
         root = toy_interp.persist(tmp_path / "bundle")
         shutil.rmtree(root / "intent_sium")
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        manifest["checksum"] = _bundle_checksum(root)
-        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        reseal(root)
         with pytest.raises(BundleError, match="intent_sium"):
             load(root)
 
     def test_manifest_is_deterministic_json(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == SCHEMA_VERSION
         assert manifest["components"] == [c.name for c in toy_interp.components]
         assert manifest["training"]["examples"] == 14
         assert "checksum" in manifest
         # No wall-clock fields: persisting twice must be byte-identical.
         again = toy_interp.persist(tmp_path / "bundle2")
         assert (root / "manifest.json").read_bytes() == (again / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("relpath, edit", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_malformed_model_file_is_a_bundle_error(self, toy_interp, tmp_path, relpath, edit):
+        root = toy_interp.persist(tmp_path / "bundle")
+        target = root / relpath
+        if edit is None:
+            target.unlink()
+        else:
+            target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        reseal(root)
+        with pytest.raises(BundleError, match=relpath.split("/")[0]):
+            load(root)
+
+    def test_config_records_every_parameter_and_no_params_file_is_written(
+        self, toy_interp, tmp_path
+    ):
+        root = toy_interp.persist(tmp_path / "bundle")
+        config = load_config(root / "config.yml")
+        assert [(s.name, s.params) for s in config.components] == [
+            (c.name, c.params) for c in toy_interp.components
+        ]
+        assert config.components[2].params == {
+            "alpha": 1.0, "entity_threshold": 0.6, "lowercase": True
+        }
+        assert not list(root.rglob("params.tsv"))
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("tokenizer_whitespace", {"lowercase": False}),
+            ("featurizer_count_vectors", {"lowercase": False}),
+            ("intent_sium", {"entity_threshold": 0.9}),
+            ("entity_tagger_sequence", {"epochs": 3, "lowercase": False}),
+            ("intent_classifier_bow", {"seed": 5}),
+        ],
+    )
+    def test_component_load_uses_the_params_it_is_given(self, toy_interp, tmp_path, name, params):
+        root = toy_interp.persist(tmp_path / "bundle")
+        comp = REGISTRY[name].load(root / name, params)
+        assert comp.params == {**REGISTRY[name].defaults, **params}
+        if name == "intent_sium":
+            assert comp.model.entity_threshold == 0.9
+        if name == "featurizer_count_vectors":
+            assert comp.vocabulary.lowercase is False
+
+    def test_wrongly_typed_bundle_parameter_is_a_config_error(self, toy_interp, tmp_path):
+        root = toy_interp.persist(tmp_path / "bundle")
+        path = root / "config.yml"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("epochs: 10", 'epochs: "x"'), encoding="utf-8")
+        reseal(root)
+        with pytest.raises(ConfigError, match="epochs"):
+            load(root)
