@@ -111,8 +111,11 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]
             f"count vector of length {vec.shape[0]} against vocabulary of "
             f"{model.weights.shape[0] - 1}"
         )
-    scores = _augment(vec[None, :]) @ model.weights
-    probs = softmax(scores)[0]
+    # _augment's row, filled in one allocation instead of three.
+    row = np.empty((1, vec.shape[0] + 1))
+    row[0, :-1] = vec
+    row[0, -1] = 1.0
+    probs = softmax(row @ model.weights)[0]
     return rank_distribution(model.intents, probs)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+from .iu import ENTITIES, INTENT_DISTRIBUTION
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,18 +29,16 @@ class NluResult:
 def rank_distribution(labels: list[str], probabilities) -> list[tuple[str, float]]:
     """Sort (label, probability) pairs descending; ties break on the label.
 
-    Every intent producer routes through this so tie handling is identical
-    across classifiers.
+    ``probabilities`` is a 1-D numpy array. Every intent producer routes
+    through this so tie handling is identical across classifiers.
     """
-    pairs = [(label, float(p)) for label, p in zip(labels, probabilities)]
-    pairs.sort(key=lambda lp: (-lp[1], lp[0]))
+    pairs = sorted(zip(labels, probabilities.tolist()), key=itemgetter(0))
+    pairs.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay in label order
     return pairs
 
 
 def result_from_annotations(annotations: dict) -> NluResult:
     """Assemble an NluResult from pipeline-level blackboard annotations."""
-    from .iu import ENTITIES, INTENT_DISTRIBUTION
-
     ranking = list(annotations.get(INTENT_DISTRIBUTION, []))
     intent = ranking[0][0] if ranking else ""
     entities = list(annotations.get(ENTITIES, []))

@@ -8,6 +8,8 @@ the rest of the prefix.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
+That pick depends only on the word's likelihood row, so the model memoises
+it per row on first use, and every session on the model shares the memo.
 Adjacent same-class words merge into one span. An edit can change only the
 last span, so the readout keeps the spans before it.
 """
@@ -50,6 +52,12 @@ class SiumModel:
     log_intent_prior: np.ndarray
     log_entity_prior: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Entity pick per likelihood row, filled on first use: at most V+1
+        # entries, shared by every session on this model. Not a field, so a
+        # copy made through ``dataclasses.replace`` starts a memo of its own.
+        self._picks: dict[int, tuple[str, float] | None] = {}
+
     def row(self, word: str) -> int:
         if self.lowercase:
             word = word.lower()
@@ -64,6 +72,15 @@ class SiumModel:
         score = score - score.max()
         probs = np.exp(score)
         return probs / probs.sum()
+
+    def pick(self, word: str) -> tuple[str, float] | None:
+        """:func:`entity_pick` of the word's class posterior, memoised per row."""
+        row = self.row(word)
+        try:
+            return self._picks[row]
+        except KeyError:
+            pick = self._picks[row] = entity_pick(self, self.entity_posterior(word))
+            return pick
 
 
 def _smoothed_log_table(
@@ -167,7 +184,7 @@ class SiumState:
         self.replaced[n] = self.log_scores
         self.tokens.append(word)
         self.log_scores = self.log_scores + self.model.intent_loglik(word)
-        self.picks.append(entity_pick(self.model, self.model.entity_posterior(word)))
+        self.picks.append(self.model.pick(word))
 
     def revoke(self, word: str) -> None:
         if not self.tokens:

@@ -6,13 +6,15 @@ anything but B-t or I-t.
 
 The component keeps one Viterbi lattice per session (:class:`ViterbiState`)
 and computes only the columns an edit changes: the right-context feature
-``nw=`` makes a column final once the next word is known, so an ADD
-finalises one column and adds one, and a REVOKE recomputes the new last
-column from a kept final one. The traceback stops where it meets the
-previous best path (partial traceback, Brown, Spohrer, Hochschild & Baker,
-ICASSP 1982), and spans are re-extracted from there on. Every column is
-computed by the same steps as in the batch :func:`decode`, so the entity
-output is still exactly that of a restart over the current prefix.
+``nw=`` makes a column final once the next word is known. An ADD computes
+one new column, and finalises the one before it by adding the ``nw=``
+weights to the parts of it kept when it was the last; a REVOKE recomputes
+the new last column from a kept final one. The traceback stops where it
+meets the previous best path (partial traceback, Brown, Spohrer, Hochschild
+& Baker, ICASSP 1982), and spans are re-extracted from there on. Every
+column is computed by the same float operations as in the batch
+:func:`decode`, so the entity output is still exactly that of a restart
+over the current prefix.
 """
 
 from __future__ import annotations
@@ -35,23 +37,35 @@ _NEG_INF = float("-inf")
 # A session's lattice keeps the final score column of every CHECKPOINT_EVERY-th
 # position; a revoke recomputes at most this many columns.
 CHECKPOINT_EVERY = 16
+# tag_features puts first the features that read no token past their own.
+_HEAD_FEATURES = 6
+# Rows of ViterbiState.finals past the two most recent final columns.
+_BEST_ROW, _HEAD_ROW, _CHECKPOINT_ROW = 2, 3, 4
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
-    """Static feature strings for position i (prev-tag added at decode time)."""
+    """Static feature strings for position i (prev-tag added at decode time).
+
+    The first _HEAD_FEATURES read no token past i; the rest are
+    :func:`_tail_features`, the only ones the next token can change.
+    """
     word = tokens[i]
-    feats = [
+    return [
         "bias",
         f"w={word}",
         f"lw={word.lower()}",
         f"p3={word[:3]}",
         f"s3={word[-3:]}",
         f"pw={tokens[i - 1] if i > 0 else START}",
-        f"nw={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}",
-    ]
-    if word.isdigit():
-        feats.append("digit")
-    return feats
+    ] + _tail_features(tokens, i)
+
+
+def _tail_features(tokens: Sequence[str], i: int) -> list[str]:
+    """``nw=`` and, summed after it, ``digit``: the last features of position i."""
+    tail = [f"nw={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}"]
+    if tokens[i].isdigit():
+        tail.append("digit")
+    return tail
 
 
 def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +105,9 @@ class TaggerModel:
     def __post_init__(self) -> None:
         # Built once, as the weights are final; read-only, as every session shares them.
         self._transitions = _transition_scores(self.weights, self.tags, _transition_mask(self.tags))
-        for scores in self._transitions:
+        # Row b: the pairwise scores into tag b, for ViterbiState's _predecessors.
+        self._incoming = np.ascontiguousarray(self._transitions[1].T)
+        for scores in (*self._transitions, self._incoming):
             scores.flags.writeable = False
 
     def transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +140,16 @@ def _step(delta: np.ndarray, pair: np.ndarray, em: np.ndarray) -> tuple[np.ndarr
     scores = delta[:, None] + pair
     back = np.argmax(scores, axis=0)
     return back, scores[back, np.arange(len(em))] + em
+
+
+def _predecessors(delta: np.ndarray, incoming: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_step`` without the emission: back-pointers into ``delta`` and each
+    tag's best-predecessor score. ``incoming`` is the transposed pairwise
+    matrix, so each tag's candidates lie in one contiguous row; they are
+    the same sums, and the argmax takes the same first maximum."""
+    scores = incoming + delta
+    back = scores.argmax(axis=1)
+    return back, scores[np.arange(len(delta)), back]
 
 
 def _viterbi(em: np.ndarray, init: np.ndarray, pair: np.ndarray, tags: list[str]) -> list[str]:
@@ -289,12 +315,16 @@ class ViterbiState:
     """One session's Viterbi lattice over the prefix, with its best path and spans.
 
     Column i is final once token i+1 is known, as only ``nw=`` reads past
-    token i; the last column is provisional and is not kept. A back-pointer
-    row only reads the final column before it, so every row is final and
-    all are kept, one byte per tag. Final score columns are kept for the
-    two most recent positions and every CHECKPOINT_EVERY-th; any other is
-    recomputed forward from the nearest kept one. Every column is computed
-    by ``_step`` on ``_emission`` rows, as in ``decode``, so to the same bits.
+    token i. A back-pointer row only reads the final column before it, so
+    every row is final and all are kept, one byte per tag. Final score
+    columns are kept for the two most recent positions and every
+    CHECKPOINT_EVERY-th; any other is recomputed forward from the nearest
+    kept one. The provisional last column is not kept, but two rows of it
+    are: its best-predecessor scores and its emission summed up to ``pw=``.
+    An ADD finalises it by adding ``nw=`` and ``digit`` to a copy of that
+    sum, and the result to those scores, then computes one new column.
+    Every column so gets the sums ``_step`` makes of ``_emission`` rows in
+    ``decode``, in the same order, so it has the same bits.
     """
 
     __slots__ = ("model", "n", "back", "finals", "held", "tags", "spans")
@@ -305,32 +335,45 @@ class ViterbiState:
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         # Rows 0 and 1: the two most recent final columns, at the row of
-        # their position's parity; row 2 + j: final column j * CHECKPOINT_EVERY.
-        self.finals = np.zeros((3, n_tags))
+        # their position's parity; _BEST_ROW and _HEAD_ROW: the last column's
+        # best-predecessor scores and head emission; _CHECKPOINT_ROW + j:
+        # final column j * CHECKPOINT_EVERY.
+        self.finals = np.zeros((_CHECKPOINT_ROW + 1, n_tags))
         self.held = (-1, -1)  # positions in rows 0 and 1, -1 for none
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
 
     def _column(self, tokens: Sequence[str], i: int, prev: np.ndarray | None) -> np.ndarray:
-        """Score column i from final column i-1; records back-pointer row i."""
+        """Score column i from final column i-1; records back-pointer row i
+        and keeps the rows :meth:`_finalise` reads."""
         model = self.model
-        init, pair = model.transition_matrix()
-        em = _emission(model.weights, tag_features(tokens, i), np.zeros(len(model.tags)))
+        feats = tag_features(tokens, i)
+        head = self.finals[_HEAD_ROW]
+        head.fill(0.0)
+        _emission(model.weights, feats[:_HEAD_FEATURES], head)
+        em = _emission(model.weights, feats[_HEAD_FEATURES:], head.copy())
         if i == 0:
-            return em + init
-        if i == len(self.back):
-            self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-        self.back[i], col = _step(prev, pair, em)
-        return col
+            self.finals[_BEST_ROW] = model.transition_matrix()[0]
+        else:
+            if i == len(self.back):
+                self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
+            self.back[i], self.finals[_BEST_ROW] = _predecessors(prev, model._incoming)
+        return self.finals[_BEST_ROW] + em
+
+    def _finalise(self, tokens: Sequence[str], i: int) -> np.ndarray:
+        """Final column i, from the rows :meth:`_column` kept of it as the last."""
+        em = _emission(self.model.weights, _tail_features(tokens, i), self.finals[_HEAD_ROW].copy())
+        return self.finals[_BEST_ROW] + em
 
     def _keep_final(self, i: int, col: np.ndarray) -> None:
         self.finals[i % 2] = col
         self.held = (i, self.held[1]) if i % 2 == 0 else (self.held[0], i)
         j, off = divmod(i, CHECKPOINT_EVERY)
         if off == 0:
-            if 2 + j == len(self.finals):
-                self.finals = np.resize(self.finals, (2 * (2 + j), self.finals.shape[1]))
-            self.finals[2 + j] = col
+            row = _CHECKPOINT_ROW + j
+            if row == len(self.finals):
+                self.finals = np.resize(self.finals, (2 * row, self.finals.shape[1]))
+            self.finals[row] = col
 
     def update(self, tokens: Sequence[str]) -> None:
         """Follow the prefix to ``tokens``.
@@ -350,18 +393,19 @@ class ViterbiState:
             spans.clear()
             return
         # Final columns up to kept-2 saw only kept tokens; resume from the
-        # highest one still held and make columns up to n-2 final.
+        # highest one still held and make columns up to n-2 final. Column
+        # kept-1, if among them, was the last one and is finalised.
         valid = kept - 2
         self.held = tuple(i if i <= valid else -1 for i in self.held)
         pos, col = -1, None
         if valid >= 0:
             j = valid // CHECKPOINT_EVERY
-            pos, col = j * CHECKPOINT_EVERY, self.finals[2 + j]
+            pos, col = j * CHECKPOINT_EVERY, self.finals[_CHECKPOINT_ROW + j]
             for row, i in enumerate(self.held):
                 if i > pos:
                     pos, col = i, self.finals[row]
         for i in range(pos + 1, n - 1):
-            col = self._column(tokens, i, col)
+            col = self._finalise(tokens, i) if i == kept - 1 else self._column(tokens, i, col)
             self._keep_final(i, col)
         last = self._column(tokens, n - 1, col)
 
@@ -370,7 +414,7 @@ class ViterbiState:
         names = self.model.tags
         del tags[n:]
         tags.extend([names[0]] * (n - len(tags)))  # placeholders; the traceback writes them all
-        i, cur = n - 1, int(np.argmax(last))
+        i, cur = n - 1, int(last.argmax())
         tags[i] = names[cur]
         while i > 0:
             cur = int(self.back[i, cur])

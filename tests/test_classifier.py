@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incnlu import ConsistencyError
 from incnlu.data import TrainingDataset, TrainingExample
@@ -7,11 +9,15 @@ from incnlu.features import Vocabulary, count_vector, fit_vocabulary, tokenize
 from incnlu.intent_bow import (
     BowIntentClassifier,
     LinearIntentModel,
+    _augment,
     loss_and_grad,
     predict,
     softmax,
     train_classifier,
 )
+from incnlu.results import rank_distribution
+
+from conftest import make_example, toy_rows
 
 
 def _separable_dataset():
@@ -66,6 +72,24 @@ def test_predictions_normalize_and_rank_descending():
         probs = [p for _, p in ranking]
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+_TOY = TrainingDataset([make_example(*row) for row in toy_rows()])
+_TOY_VOCAB = fit_vocabulary(_TOY)
+_TOY_MODEL = train_classifier(_TOY, _TOY_VOCAB, epochs=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=len(_TOY_VOCAB), max_size=len(_TOY_VOCAB)))
+@example([0] * len(_TOY_VOCAB))
+def test_predict_is_bit_equal_to_the_training_path(counts):
+    """predict builds its input row apart from _augment; the ranking must be
+    the same, bit for bit, with every probability a Python float."""
+    vec = np.array(counts, dtype=np.int64)
+    ranking = predict(_TOY_MODEL, vec)
+    want = softmax(_augment(vec[None, :]) @ _TOY_MODEL.weights)[0]
+    assert ranking == rank_distribution(_TOY_MODEL.intents, want)
+    assert all(type(p) is float for _, p in ranking)
 
 
 def test_dimension_mismatch_is_rejected():

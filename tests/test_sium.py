@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -357,3 +359,43 @@ class TestSiumComponent:
         board.begin_cycle()
         with pytest.raises(ConsistencyError):
             comp.process(board, EditType.ADD, "word")
+
+
+class TestPickMemo:
+    """An ADD's entity pick comes from a per-row memo on the model."""
+
+    def test_add_appends_the_pick_of_the_words_posterior(self, toy_dataset):
+        model = train_sium(toy_dataset)
+        words = sorted(model.word_index) + ["zubat", "Jazz", "BOSTON"]
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            state = SiumState(model)
+            for word in words:
+                state.add(word)
+                assert state.picks[-1] == entity_pick(model, model.entity_posterior(word))
+        assert len(model._picks) == len(model.word_index) + 1
+
+    def test_replaced_model_follows_its_own_threshold(self, toy_dataset):
+        model = train_sium(toy_dataset)
+        words = sorted(model.word_index)
+        SiumState(model).add("jazz")
+        loose = dataclasses.replace(model, entity_threshold=0.0)
+        assert loose._picks == {}
+        state = SiumState(loose)
+        for word in words:
+            state.add(word)
+            assert state.picks[-1] == entity_pick(loose, loose.entity_posterior(word))
+        strict = [model.pick(word) for word in words]
+        assert state.picks != strict
+
+    def test_fresh_sessions_share_one_memo(self, toy_interp):
+        a, b = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+        sium_a, sium_b = (next(c for c in s.components if c.name == "intent_sium") for s in (a, b))
+        assert sium_a.model._picks is sium_b.model._picks
+        a.parse_incremental(EditType.ADD, "quasar")
+        assert sium_b.model.row("quasar") in sium_b.model._picks
+
+    def test_memo_is_empty_after_load(self, toy_dataset, tmp_path):
+        comp = SiumIntent()
+        comp.train(toy_dataset, ctx=None)
+        comp.persist(tmp_path)
+        assert SiumIntent.load(tmp_path, {}).model._picks == {}

@@ -106,6 +106,8 @@ def test_transition_scores_are_built_once_and_read_only(toy_dataset):
     # every call and refuse writes.
     assert again[0] is init and again[1] is pair
     assert not init.flags.writeable and not pair.flags.writeable
+    # The incremental lattice reads the same scores, transposed.
+    assert not model._incoming.flags.writeable and np.array_equal(model._incoming, pair.T)
     with pytest.raises(ValueError):
         pair[0, 0] = 0.0
     # They equal the pt= weights with BIO's forbidden moves set to -inf.
@@ -230,13 +232,18 @@ class TestTaggerComponent:
 def _random_model(seed=3):
     """A tagger whose random weights make the best path hinge on far-off
     words, so edits often change tags well before the last word. Its
-    transitions favour I- after B- and I-, so multi-word spans are common."""
+    transitions favour I- after B- and I-, so multi-word spans are common.
+    It weighs every kind of feature ``tag_features`` emits; ``digit`` as
+    heavily as the transitions, so a lost digit term shows in the tags."""
     rng = np.random.default_rng(seed)
     tags = ["O", "B-x", "I-x", "B-y", "I-y"]
-    weights = {"bias": rng.normal(size=5)}
+    weights = {"bias": rng.normal(size=5), "digit": 3 * rng.normal(size=5)}
     for word in _WORDS:
-        for prefix in ("w=", "pw=", "nw="):
-            weights[prefix + word.lower()] = rng.normal(size=5)
+        word = word.lower()
+        for feat in ("w=", "lw=", "pw=", "nw="):
+            weights[feat + word] = rng.normal(size=5)
+        weights["p3=" + word[:3]] = rng.normal(size=5)
+        weights["s3=" + word[-3:]] = rng.normal(size=5)
     for tag in ["<s>"] + tags:
         weights[f"pt={tag}"] = 3 * rng.normal(size=5)
     for b in (1, 3):
@@ -245,7 +252,7 @@ def _random_model(seed=3):
     return TaggerModel(tags=tags, weights=weights)
 
 
-_WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
+_WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston", "7", "2019"]
 _MODELS = {
     "toy": train_tagger(TrainingDataset([make_example(*r) for r in toy_rows()])),
     "random": _random_model(),
@@ -325,6 +332,38 @@ def _check(session, model, stack):
     assert view == _clean_entities(session, stack)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_MODELS)),
+    st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
+)
+def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, script):
+    """After every ADD (a word) or REVOKE (None), each final score column the
+    lattice keeps has the bits of that column in ``decode``'s forward pass."""
+    model = _MODELS[model_name]
+    init, pair = model.transition_matrix()
+    with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
+        state = tagging.ViterbiState(model)
+        tokens: list[str] = []
+        for step in script:
+            if step is None:
+                tokens = tokens[:-1]
+            else:
+                tokens = tokens + [step.lower()]
+            state.update(tokens)
+            if not tokens:
+                continue
+            feats = [tagging.tag_features(tokens, i) for i in range(len(tokens))]
+            em = tagging._emissions(model.weights, len(model.tags), feats)
+            columns = [em[0] + init]
+            for i in range(1, len(tokens)):
+                columns.append(tagging._step(columns[-1], pair, em[i])[1])
+            kept = [(row, i) for row, i in enumerate(state.held) if i >= 0]
+            kept += [(tagging._CHECKPOINT_ROW + j, j * 3) for j in range((len(tokens) - 2) // 3 + 1)]
+            for row, i in kept:
+                assert np.array_equal(state.finals[row], columns[i])
+
+
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
     a, b = toy_interp.fresh_copy(), toy_interp.fresh_copy()
     a_words = ["weather", "in", "boston", "and", "denver"]
@@ -345,8 +384,9 @@ def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
 
 
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch):
-    """At 1000 words an ADD computes at most two columns, a REVOKE after an
-    ADD one, and any REVOKE at most CHECKPOINT_EVERY + 1."""
+    """At 1000 words an ADD computes one column (it finalises the one before
+    without recomputing it), a REVOKE after an ADD one, and any REVOKE at
+    most CHECKPOINT_EVERY + 1."""
     calls = []
     features = tagging.tag_features
 
@@ -364,14 +404,14 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch):
         return len(calls)
 
     for _ in range(1000):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
     for _ in range(50):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
         assert cost(EditType.REVOKE) <= 1
     for _ in range(3 * CHECKPOINT_EVERY):
         assert cost(EditType.REVOKE) <= CHECKPOINT_EVERY + 1
     for _ in range(10):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 2
+        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
     tokens = [w.lower() for w in session.board.buffer.hypothesis()]
     assert len(tokens) == 1000 - 3 * CHECKPOINT_EVERY + 10
     assert _entities(session) == extract_entities(decode(session.components[1].model, tokens), tokens)
