@@ -103,6 +103,40 @@ class Component:
         return clone
 
 
+class KeepsRanking:
+    """Mixin for a component that publishes an intent ranking: it keeps the
+    ranking it last published and, one deep, the one it published before
+    its last ADD.
+
+    A REVOKE right after that ADD gives the component back the input it had
+    before it, so the ranking would come out the same; it is republished
+    instead. Both are kept as tuples and published as new lists, so no
+    caller's edit of a published ranking reaches a later one.
+    """
+
+    _ranking: tuple[tuple[str, float], ...] | None = None
+    _before_add: tuple[tuple[str, float], ...] | None = None
+
+    def _publish_ranking(self, edit: EditType | None, rank) -> list[tuple[str, float]]:
+        """The ranking after ``edit``: the kept one on a REVOKE right after
+        an ADD, else ``rank()``. ``edit=None`` leaves the kept one alone."""
+        if edit is EditType.ADD:
+            self._before_add = self._ranking
+        elif edit is not None:  # a REVOKE
+            before, self._before_add = self._before_add, None
+            if before is not None:
+                self._ranking = before
+                return list(before)
+        ranking = rank()
+        self._ranking = tuple(ranking)
+        return ranking
+
+    def _forget_rankings(self) -> None:
+        # Reassign rather than reset in place: fresh() shallow-copies the
+        # component, and the copy must not clobber the original's state.
+        self._ranking = self._before_add = None
+
+
 def _same_kind(value: Any, default: Any) -> bool:
     if isinstance(value, bool) != isinstance(default, bool):
         return False

@@ -2,10 +2,11 @@
 
 Multinomial logistic regression, trained by mini-batch gradient descent from
 a zero initialization (the objective is convex, so the start point is not a
-modelling choice). The classifier keeps no state between edits: every edit
-reclassifies the current prefix vector as if it were a finished utterance,
-which is exactly what makes its final incremental output equal the
-non-incremental one.
+modelling choice). Every edit reclassifies the current prefix vector as if it
+were a finished utterance, which is exactly what makes its final incremental
+output equal the non-incremental one. The one exception gives the same
+result: a REVOKE right after an ADD leaves the count vector of before the
+ADD, so the classifier republishes the ranking it kept from then.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, KeepsRanking, TrainingContext
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError
 from .features import Vocabulary, count_vector, tokenize
@@ -119,8 +120,9 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]
     return rank_distribution(model.intents, probs)
 
 
-class BowIntentClassifier(Component):
-    """Stateless per-edit reclassification of the prefix count vector."""
+class BowIntentClassifier(KeepsRanking, Component):
+    """Per-edit reclassification of the prefix count vector. Its only state
+    is the rankings :class:`KeepsRanking` keeps for a REVOKE right after an ADD."""
 
     name = "intent_classifier_bow"
     provides = (INTENT_DISTRIBUTION,)
@@ -132,6 +134,7 @@ class BowIntentClassifier(Component):
         self.model: LinearIntentModel | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
+        self._forget_rankings()
         if ctx.vocabulary is None:
             raise ConfigError(
                 "intent_classifier_bow needs featurizer_count_vectors earlier in the pipeline"
@@ -155,10 +158,11 @@ class BowIntentClassifier(Component):
                 "no count vector on the blackboard; is featurizer_count_vectors "
                 "ahead of intent_classifier_bow?"
             )
-        board.write(self.name, INTENT_DISTRIBUTION, predict(self.model, np.asarray(vec)))
+        ranking = self._publish_ranking(edit, lambda: predict(self.model, np.asarray(vec)))
+        board.write(self.name, INTENT_DISTRIBUTION, ranking)
 
     def new_utterance(self) -> None:
-        pass
+        self._forget_rankings()
 
     def persist(self, directory: Path) -> None:
         model = self.model

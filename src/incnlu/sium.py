@@ -4,7 +4,9 @@ Each incoming word multiplies per-intent word likelihoods into a running
 posterior, kept in log space. An add folds the word in once and pushes the
 scores it replaced; a revoke pops them back. So an add/revoke pair restores
 the exact array from before the add, bit for bit, and neither edit touches
-the rest of the prefix.
+the rest of the prefix. A revoke right after an add also republishes the
+ranking kept from before that add, as renormalising the restored scores
+would give it again.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, KeepsRanking, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, EditType
@@ -68,18 +70,24 @@ class SiumModel:
 
     def entity_posterior(self, word: str) -> np.ndarray:
         """Normalized class posterior from this single word."""
-        score = self.log_entity_prior + self.log_word_given_entity[self.row(word)]
+        return self._row_posterior(self.row(word))
+
+    def _row_posterior(self, row: int) -> np.ndarray:
+        score = self.log_entity_prior + self.log_word_given_entity[row]
         score = score - score.max()
         probs = np.exp(score)
         return probs / probs.sum()
 
     def pick(self, word: str) -> tuple[str, float] | None:
         """:func:`entity_pick` of the word's class posterior, memoised per row."""
-        row = self.row(word)
+        return self.row_pick(self.row(word))
+
+    def row_pick(self, row: int) -> tuple[str, float] | None:
+        """:meth:`pick` of a word whose likelihood row is ``row``."""
         try:
             return self._picks[row]
         except KeyError:
-            pick = self._picks[row] = entity_pick(self, self.entity_posterior(word))
+            pick = self._picks[row] = entity_pick(self, self._row_posterior(row))
             return pick
 
 
@@ -176,15 +184,17 @@ class SiumState:
             self.replaced = np.empty((8, len(self.log_scores)))
 
     def add(self, word: str) -> None:
-        if self.model.lowercase:
+        model = self.model
+        if model.lowercase:
             word = word.lower()
+        row = model.word_index.get(word, len(model.word_index))  # model.row(word), lowercased once
         n = len(self.tokens)
         if n == len(self.replaced):
             self.replaced = np.resize(self.replaced, (2 * n, self.replaced.shape[1]))
         self.replaced[n] = self.log_scores
         self.tokens.append(word)
-        self.log_scores = self.log_scores + self.model.intent_loglik(word)
-        self.picks.append(self.model.pick(word))
+        self.log_scores = self.log_scores + model.log_word_given_intent[row]
+        self.picks.append(model.row_pick(row))
 
     def revoke(self, word: str) -> None:
         if not self.tokens:
@@ -263,7 +273,7 @@ def sium_entities(state: SiumState) -> list[EntitySpan]:
     return list(spans)
 
 
-class SiumIntent(Component):
+class SiumIntent(KeepsRanking, Component):
     """Update-incremental intent and entity component."""
 
     name = "intent_sium"
@@ -283,6 +293,7 @@ class SiumIntent(Component):
         self._state: SiumState | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
+        self.new_utterance()
         self.model = train_sium(
             dataset,
             alpha=self.params["alpha"],
@@ -307,14 +318,17 @@ class SiumIntent(Component):
             state.add(word)
         elif edit is EditType.REVOKE:
             state.revoke(word)
-        probs = classify(state)
-        board.write(self.name, INTENT_DISTRIBUTION, rank_distribution(self.model.intents, probs))
+        ranking = self._publish_ranking(
+            edit, lambda: rank_distribution(self.model.intents, classify(state))
+        )
+        board.write(self.name, INTENT_DISTRIBUTION, ranking)
         board.write(self.name, ENTITIES, sium_entities(state))
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the
         # component, and the copy must not clobber the original's state.
         self._state = None
+        self._forget_rankings()
 
     # -- persistence ---------------------------------------------------
 

@@ -8,8 +8,10 @@ The component keeps one Viterbi lattice per session (:class:`ViterbiState`)
 and computes only the columns an edit changes: the right-context feature
 ``nw=`` makes a column final once the next word is known. An ADD computes
 one new column, and finalises the one before it by adding the ``nw=``
-weights to the parts of it kept when it was the last; a REVOKE recomputes
-the new last column from a kept final one. The traceback stops where it
+weights to the parts of it kept when it was the last. Those parts are kept
+for the two most recent positions, so a REVOKE right after an ADD rebuilds
+the new last column from them with no new features; a deeper REVOKE
+recomputes it from a kept final one. The traceback stops where it
 meets the previous best path (partial traceback, Brown, Spohrer, Hochschild
 & Baker, ICASSP 1982), and spans are re-extracted from there on. Every
 column is computed by the same float operations as in the batch
@@ -39,8 +41,8 @@ _NEG_INF = float("-inf")
 CHECKPOINT_EVERY = 16
 # tag_features puts first the features that read no token past their own.
 _HEAD_FEATURES = 6
-# Rows of ViterbiState.finals past the two most recent final columns.
-_BEST_ROW, _HEAD_ROW, _CHECKPOINT_ROW = 2, 3, 4
+# Row of ViterbiState.finals past the two most recent final columns.
+_CHECKPOINT_ROW = 2
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
@@ -319,15 +321,19 @@ class ViterbiState:
     every row is final and all are kept, one byte per tag. Final score
     columns are kept for the two most recent positions and every
     CHECKPOINT_EVERY-th; any other is recomputed forward from the nearest
-    kept one. The provisional last column is not kept, but two rows of it
+    kept one. No column is kept while it is the last, but two parts of it
     are: its best-predecessor scores and its emission summed up to ``pw=``.
-    An ADD finalises it by adding ``nw=`` and ``digit`` to a copy of that
-    sum, and the result to those scores, then computes one new column.
-    Every column so gets the sums ``_step`` makes of ``_emission`` rows in
-    ``decode``, in the same order, so it has the same bits.
+    They read no token past their own, so they stay valid while it
+    survives; they are kept for the two most recent positions. Adding
+    ``nw=`` and ``digit`` to a copy of the sum, and the result to the
+    scores, gives the column again: final on an ADD, which then computes
+    one new column, and the last on a REVOKE right after an ADD, which so
+    computes none. Every column so gets the sums ``_step`` makes of
+    ``_emission`` rows in ``decode``, in the same order, so it has the
+    same bits.
     """
 
-    __slots__ = ("model", "n", "back", "finals", "held", "tags", "spans")
+    __slots__ = ("model", "n", "back", "finals", "held", "parts", "parted", "tags", "spans")
 
     def __init__(self, model: TaggerModel) -> None:
         self.model = model
@@ -335,35 +341,42 @@ class ViterbiState:
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         # Rows 0 and 1: the two most recent final columns, at the row of
-        # their position's parity; _BEST_ROW and _HEAD_ROW: the last column's
-        # best-predecessor scores and head emission; _CHECKPOINT_ROW + j:
-        # final column j * CHECKPOINT_EVERY.
+        # their position's parity; _CHECKPOINT_ROW + j: final column
+        # j * CHECKPOINT_EVERY.
         self.finals = np.zeros((_CHECKPOINT_ROW + 1, n_tags))
         self.held = (-1, -1)  # positions in rows 0 and 1, -1 for none
+        # Rows 2p and 2p+1: the best-predecessor scores and head emission of
+        # the most recent column computed at a position of parity p.
+        self.parts = np.zeros((4, n_tags))
+        self.parted = (-1, -1)  # their positions, for p = 0 and 1; -1 for none
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
 
     def _column(self, tokens: Sequence[str], i: int, prev: np.ndarray | None) -> np.ndarray:
         """Score column i from final column i-1; records back-pointer row i
-        and keeps the rows :meth:`_finalise` reads."""
+        and keeps the parts :meth:`_finalise` reads."""
         model = self.model
         feats = tag_features(tokens, i)
-        head = self.finals[_HEAD_ROW]
+        row = 2 * (i % 2)
+        head = self.parts[row + 1]
         head.fill(0.0)
         _emission(model.weights, feats[:_HEAD_FEATURES], head)
         em = _emission(model.weights, feats[_HEAD_FEATURES:], head.copy())
         if i == 0:
-            self.finals[_BEST_ROW] = model.transition_matrix()[0]
+            self.parts[row] = model.transition_matrix()[0]
         else:
             if i == len(self.back):
                 self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-            self.back[i], self.finals[_BEST_ROW] = _predecessors(prev, model._incoming)
-        return self.finals[_BEST_ROW] + em
+            self.back[i], self.parts[row] = _predecessors(prev, model._incoming)
+        self.parted = (self.parted[0], i) if row else (i, self.parted[1])
+        return self.parts[row] + em
 
     def _finalise(self, tokens: Sequence[str], i: int) -> np.ndarray:
-        """Final column i, from the rows :meth:`_column` kept of it as the last."""
-        em = _emission(self.model.weights, _tail_features(tokens, i), self.finals[_HEAD_ROW].copy())
-        return self.finals[_BEST_ROW] + em
+        """Column i from the parts :meth:`_column` kept of it: final if
+        ``tokens`` go past i, else the last."""
+        row = 2 * (i % 2)
+        em = _emission(self.model.weights, _tail_features(tokens, i), self.parts[row + 1].copy())
+        return self.parts[row] + em
 
     def _keep_final(self, i: int, col: np.ndarray) -> None:
         self.finals[i % 2] = col
@@ -392,11 +405,14 @@ class ViterbiState:
             tags.clear()
             spans.clear()
             return
-        # Final columns up to kept-2 saw only kept tokens; resume from the
-        # highest one still held and make columns up to n-2 final. Column
-        # kept-1, if among them, was the last one and is finalised.
+        # Final columns up to kept-2 and parts of columns up to kept-1 saw
+        # only kept tokens; resume from the highest final column still held
+        # and make columns up to n-2 final, then column n-1 the last. A
+        # column whose parts are held is finalised from them.
         valid = kept - 2
-        self.held = tuple(i if i <= valid else -1 for i in self.held)
+        (f0, f1), (p0, p1) = self.held, self.parted
+        self.held = (f0 if f0 <= valid else -1, f1 if f1 <= valid else -1)
+        self.parted = (p0 if p0 < kept else -1, p1 if p1 < kept else -1)
         pos, col = -1, None
         if valid >= 0:
             j = valid // CHECKPOINT_EVERY
@@ -405,9 +421,10 @@ class ViterbiState:
                 if i > pos:
                     pos, col = i, self.finals[row]
         for i in range(pos + 1, n - 1):
-            col = self._finalise(tokens, i) if i == kept - 1 else self._column(tokens, i, col)
+            col = self._finalise(tokens, i) if i in self.parted else self._column(tokens, i, col)
             self._keep_final(i, col)
-        last = self._column(tokens, n - 1, col)
+        i = n - 1
+        last = self._finalise(tokens, i) if i in self.parted else self._column(tokens, i, col)
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.

@@ -282,6 +282,23 @@ class TestInterpreter:
         assert tokens == ["play"]
         assert counts.sum() == 1
 
+        # A caller that empties every published ranking, before an ADD and
+        # between it and its REVOKE, changes nothing the REVOKE publishes.
+        rankers = ("intent_sium", "intent_classifier_bow")
+        expected = interp.current_result(), [interp.component_result(n) for n in rankers]
+
+        def clear_published():
+            for name in rankers:
+                interp.board.component_view(name)["intent_distribution"].clear()
+
+        clear_published()
+        result = interp.parse_incremental(EditType.ADD, "tonight")
+        result.intent_ranking.clear()
+        clear_published()
+        interp.parse_incremental(EditType.REVOKE)
+        assert (interp.current_result(), [interp.component_result(n) for n in rankers]) == expected
+        assert len(expected[0].intent_ranking) == 3
+
     def test_training_on_empty_dataset_is_an_error(self):
         with pytest.raises(DataError):
             train_pipeline(default_config(), TrainingDataset([]))
@@ -298,8 +315,11 @@ class TestInterpreter:
 # known word.
 _WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
 # A script step is a word to ADD, an int n for a run of n REVOKEs (runs that
-# outlast the words underflow), or "readd" to ADD the last revoked word again.
-_STEPS = st.one_of(st.sampled_from(_WORDS), st.integers(1, 4), st.just("readd"))
+# outlast the words underflow), "readd" to ADD the last revoked word again,
+# or "refresh" to republish without an edit.
+_STEPS = st.one_of(
+    st.sampled_from(_WORDS), st.integers(1, 4), st.just("readd"), st.just("refresh")
+)
 
 
 def _views(interp):
@@ -315,16 +335,21 @@ def _views(interp):
 @settings(deadline=None)
 @given(script=st.lists(_STEPS, max_size=30))
 def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, script):
-    """After every step of any ADD/REVOKE script, the pipeline result,
-    every component's view, the tokens and the count vector equal those of
-    a fresh session fed only the surviving words."""
+    """After every step of any ADD/REVOKE/refresh script, the pipeline
+    result, every component's view, the tokens and the count vector equal
+    those of a fresh session fed only the surviving words. A REVOKE right
+    after an ADD, refreshes between them aside, gives back the results from
+    before that ADD."""
     session = toy_interp.fresh_copy()
     session.parse_full("")
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []
+    before_add = None  # the results before the last edit, if it was an ADD
     for step in script:
-        if isinstance(step, int):
+        if step == "refresh":
+            session.refresh()
+        elif isinstance(step, int):
             for _ in range(step):
                 if not stack:
                     before = _views(session)
@@ -334,12 +359,16 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
                     break
                 revoked.append(stack.pop())
                 session.parse_incremental(EditType.REVOKE)
+                if before_add is not None:
+                    assert _views(session)[:2] == before_add
+                    before_add = None
         else:
             if step == "readd":
                 if not revoked:
                     continue
                 step = revoked.pop()
             stack.append(step)
+            before_add = _views(session)[:2]
             session.parse_incremental(EditType.ADD, step)
         reference.parse_full(" ".join(stack))
         assert _views(session) == _views(reference)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incnlu import BufferUnderflowError, ConsistencyError, IncrementalInterpreter, default_config
-from incnlu import tagging
+from incnlu import intent_bow, sium, tagging
 from incnlu.data import TrainingDataset, bio_tags
 from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, TOKENS, Blackboard, EditType
@@ -339,9 +339,12 @@ def _check(session, model, stack):
 )
 def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, script):
     """After every ADD (a word) or REVOKE (None), each final score column the
-    lattice keeps has the bits of that column in ``decode``'s forward pass."""
+    lattice keeps has the bits of that column in ``decode``'s forward pass,
+    and each kept pair of parts of a column has the bits of that column's
+    best-predecessor scores and of its emission summed up to ``pw=``."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
+    n_tags = len(model.tags)
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
         state = tagging.ViterbiState(model)
         tokens: list[str] = []
@@ -362,6 +365,14 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, scrip
             kept += [(tagging._CHECKPOINT_ROW + j, j * 3) for j in range((len(tokens) - 2) // 3 + 1)]
             for row, i in kept:
                 assert np.array_equal(state.finals[row], columns[i])
+            for p, i in enumerate(state.parted):
+                if i < 0:
+                    continue
+                best = init if i == 0 else (columns[i - 1][:, None] + pair).max(axis=0)
+                feats = tagging.tag_features(tokens, i)[:tagging._HEAD_FEATURES]
+                head = tagging._emission(model.weights, feats, np.zeros(n_tags))
+                assert np.array_equal(state.parts[2 * p], best)
+                assert np.array_equal(state.parts[2 * p + 1], head)
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
@@ -383,35 +394,41 @@ def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
     assert [s.value for s in a.component_result(name).entities] == ["boston", "denver"]
 
 
-def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch):
+def _counting(real, calls):
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    return counting
+
+
+def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     """At 1000 words an ADD computes one column (it finalises the one before
-    without recomputing it), a REVOKE after an ADD one, and any REVOKE at
-    most CHECKPOINT_EVERY + 1."""
-    calls = []
-    features = tagging.tag_features
-
-    def counting(tokens, i):
-        calls.append(i)
-        return features(tokens, i)
-
-    monkeypatch.setattr(tagging, "tag_features", counting)
+    without recomputing it), a REVOKE right after an ADD none and no intent
+    ranking, and any REVOKE at most CHECKPOINT_EVERY + 1 columns."""
+    calls = {}
+    for module, name in ((tagging, "tag_features"), (intent_bow, "predict"), (sium, "classify")):
+        calls[name] = []
+        monkeypatch.setattr(module, name, _counting(getattr(module, name), calls[name]))
     rng = random.Random(11)
-    session = _tagger_session(_MODELS["random"])
+    session = toy_interp.fresh_copy()
+    tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
+    tagger.model = _MODELS["random"]
 
     def cost(edit, word=None):
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         session.parse_incremental(edit, word)
-        return len(calls)
+        return {name: len(made) for name, made in calls.items()}
 
     for _ in range(1000):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
+        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
     for _ in range(50):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
-        assert cost(EditType.REVOKE) <= 1
+        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
+        assert cost(EditType.REVOKE) == {"tag_features": 0, "predict": 0, "classify": 0}
     for _ in range(3 * CHECKPOINT_EVERY):
-        assert cost(EditType.REVOKE) <= CHECKPOINT_EVERY + 1
+        assert cost(EditType.REVOKE)["tag_features"] <= CHECKPOINT_EVERY + 1
     for _ in range(10):
-        assert cost(EditType.ADD, rng.choice(_WORDS)) <= 1
+        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
     tokens = [w.lower() for w in session.board.buffer.hypothesis()]
     assert len(tokens) == 1000 - 3 * CHECKPOINT_EVERY + 10
-    assert _entities(session) == extract_entities(decode(session.components[1].model, tokens), tokens)
+    assert _entities(session) == extract_entities(decode(tagger.model, tokens), tokens)
