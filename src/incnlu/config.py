@@ -44,6 +44,10 @@ class PipelineConfig:
 def _parse_scalar(raw: str, lineno: int) -> object:
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         return raw[1:-1]
+    if raw and (raw[0] in "\"'" or raw[-1] in "\"'"):
+        # Quoted at one end only: also what a "#" inside quotes leaves, as
+        # comments are cut before values are read.
+        raise ConfigError(f"line {lineno}: unbalanced quotes in value {raw!r}")
     if raw == "true":
         return True
     if raw == "false":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .components import Component, KeepsRanking, TrainingContext
 from .data import TrainingDataset
-from .errors import ConfigError, ConsistencyError, DataError
+from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import Vocabulary, count_vector, tokenize
 from .iu import COUNT_VECTOR, INTENT_DISTRIBUTION, Blackboard
 from .results import rank_distribution
@@ -131,6 +131,15 @@ class BowIntentClassifier(KeepsRanking, Component):
 
     def __init__(self, params=None) -> None:
         super().__init__(params)
+        batch_size, epochs, lr, l2 = (self.params[k] for k in ("batch_size", "epochs", "lr", "l2"))
+        if batch_size < 1:
+            raise ParameterError(f"{self.name} batch_size must be at least 1, got {batch_size}")
+        if epochs < 0:
+            raise ParameterError(f"{self.name} epochs must be at least 0, got {epochs}")
+        if not lr > 0:
+            raise ParameterError(f"{self.name} lr must be positive, got {lr}")
+        if not l2 >= 0:
+            raise ParameterError(f"{self.name} l2 must be at least 0, got {l2}")
         self.model: LinearIntentModel | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:

@@ -11,7 +11,8 @@ one new column, and finalises the one before it by adding the ``nw=``
 weights to the parts of it kept when it was the last. Those parts are kept
 for the two most recent positions, so a REVOKE right after an ADD rebuilds
 the new last column from them with no new features; a deeper REVOKE
-recomputes it from a kept final one. The traceback stops where it
+recomputes it from a checkpoint, the final column kept at every
+CHECKPOINT_EVERY-th position. The traceback stops where it
 meets the previous best path (partial traceback, Brown, Spohrer, Hochschild
 & Baker, ICASSP 1982), and spans are re-extracted from there on. Every
 column is computed by the same float operations as in the batch
@@ -30,7 +31,7 @@ import numpy as np
 
 from .components import Component, TrainingContext
 from .data import TrainingDataset, bio_tags
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ParameterError
 from .iu import ENTITIES, TOKENS, Blackboard
 from .results import EntitySpan
 
@@ -41,8 +42,6 @@ _NEG_INF = float("-inf")
 CHECKPOINT_EVERY = 16
 # tag_features puts first the features that read no token past their own.
 _HEAD_FEATURES = 6
-# Row of ViterbiState.finals past the two most recent final columns.
-_CHECKPOINT_ROW = 2
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
@@ -137,29 +136,23 @@ def _back_dtype(n_tags: int) -> np.dtype:
     return np.min_scalar_type(n_tags - 1)
 
 
-def _step(delta: np.ndarray, pair: np.ndarray, em: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Viterbi column: back-pointers into ``delta`` and the new scores."""
-    scores = delta[:, None] + pair
-    back = np.argmax(scores, axis=0)
-    return back, scores[back, np.arange(len(em))] + em
-
-
 def _predecessors(delta: np.ndarray, incoming: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_step`` without the emission: back-pointers into ``delta`` and each
-    tag's best-predecessor score. ``incoming`` is the transposed pairwise
-    matrix, so each tag's candidates lie in one contiguous row; they are
-    the same sums, and the argmax takes the same first maximum."""
+    """One Viterbi column step before its emission is added: back-pointers
+    into ``delta`` and each tag's best-predecessor score. ``incoming`` is
+    the transposed pairwise matrix, row b holding the scores into tag b;
+    the argmax takes the first maximum."""
     scores = incoming + delta
     back = scores.argmax(axis=1)
     return back, scores[np.arange(len(delta)), back]
 
 
-def _viterbi(em: np.ndarray, init: np.ndarray, pair: np.ndarray, tags: list[str]) -> list[str]:
+def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray, tags: list[str]) -> list[str]:
     n_pos, n_tags = em.shape
     delta = em[0] + init
     back = np.zeros((n_pos, n_tags), dtype=_back_dtype(n_tags))
     for i in range(1, n_pos):
-        back[i], delta = _step(delta, pair, em[i])
+        back[i], best = _predecessors(delta, incoming)
+        delta = best + em[i]
     best = int(np.argmax(delta))
     path = [best]
     for i in range(n_pos - 1, 0, -1):
@@ -175,8 +168,7 @@ def decode(model: TaggerModel, tokens: list[str]) -> list[str]:
         return []
     feats = [tag_features(tokens, i) for i in range(len(tokens))]
     em = _emissions(model.weights, len(model.tags), feats)
-    init, pair = model.transition_matrix()
-    return _viterbi(em, init, pair, model.tags)
+    return _viterbi(em, model.transition_matrix()[0], model._incoming, model.tags)
 
 
 def _tag_set(dataset: TrainingDataset) -> list[str]:
@@ -244,7 +236,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             acc.step += 1
             em = _emissions(acc.weights, len(tags), feats)
             init, pair = _transition_scores(acc.weights, tags, mask)
-            pred = _viterbi(em, init, pair, tags)
+            pred = _viterbi(em, init, pair.T, tags)
             if pred == gold:
                 continue
             for i, (p, g) in enumerate(zip(pred, gold)):
@@ -319,32 +311,27 @@ class ViterbiState:
     Column i is final once token i+1 is known, as only ``nw=`` reads past
     token i. A back-pointer row only reads the final column before it, so
     every row is final and all are kept, one byte per tag. Final score
-    columns are kept for the two most recent positions and every
-    CHECKPOINT_EVERY-th; any other is recomputed forward from the nearest
-    kept one. No column is kept while it is the last, but two parts of it
-    are: its best-predecessor scores and its emission summed up to ``pw=``.
-    They read no token past their own, so they stay valid while it
-    survives; they are kept for the two most recent positions. Adding
-    ``nw=`` and ``digit`` to a copy of the sum, and the result to the
-    scores, gives the column again: final on an ADD, which then computes
-    one new column, and the last on a REVOKE right after an ADD, which so
-    computes none. Every column so gets the sums ``_step`` makes of
-    ``_emission`` rows in ``decode``, in the same order, so it has the
-    same bits.
+    columns are kept as checkpoints, at every CHECKPOINT_EVERY-th position.
+    Two parts of a column are kept too: its best-predecessor scores and its
+    emission summed up to ``pw=``. They read no token past their own, so
+    they stay valid while the column survives; they are kept for the two
+    most recent positions. Adding ``nw=`` and ``digit`` to a copy of the
+    sum, and the result to the scores, gives the column again: final on an
+    ADD, which then computes one new column, and the last on a REVOKE right
+    after an ADD, which so computes none. Any other column is recomputed
+    forward from the nearest checkpoint. Every column so gets the sums
+    ``decode`` makes of its ``_predecessors`` and ``_emission`` rows, in
+    the same order, so it has the same bits.
     """
 
-    __slots__ = ("model", "n", "back", "finals", "held", "parts", "parted", "tags", "spans")
+    __slots__ = ("model", "n", "back", "checkpoints", "parts", "parted", "tags", "spans")
 
     def __init__(self, model: TaggerModel) -> None:
         self.model = model
         self.n = 0
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
-        # Rows 0 and 1: the two most recent final columns, at the row of
-        # their position's parity; _CHECKPOINT_ROW + j: final column
-        # j * CHECKPOINT_EVERY.
-        self.finals = np.zeros((_CHECKPOINT_ROW + 1, n_tags))
-        self.held = (-1, -1)  # positions in rows 0 and 1, -1 for none
+        self.checkpoints = np.zeros((1, n_tags))  # row j: final column j * CHECKPOINT_EVERY
         # Rows 2p and 2p+1: the best-predecessor scores and head emission of
         # the most recent column computed at a position of parity p.
         self.parts = np.zeros((4, n_tags))
@@ -378,16 +365,6 @@ class ViterbiState:
         em = _emission(self.model.weights, _tail_features(tokens, i), self.parts[row + 1].copy())
         return self.parts[row] + em
 
-    def _keep_final(self, i: int, col: np.ndarray) -> None:
-        self.finals[i % 2] = col
-        self.held = (i, self.held[1]) if i % 2 == 0 else (self.held[0], i)
-        j, off = divmod(i, CHECKPOINT_EVERY)
-        if off == 0:
-            row = _CHECKPOINT_ROW + j
-            if row == len(self.finals):
-                self.finals = np.resize(self.finals, (2 * row, self.finals.shape[1]))
-            self.finals[row] = col
-
     def update(self, tokens: Sequence[str]) -> None:
         """Follow the prefix to ``tokens``.
 
@@ -405,33 +382,31 @@ class ViterbiState:
             tags.clear()
             spans.clear()
             return
-        # Final columns up to kept-2 and parts of columns up to kept-1 saw
-        # only kept tokens; resume from the highest final column still held
-        # and make columns up to n-2 final, then column n-1 the last. A
-        # column whose parts are held is finalised from them.
-        valid = kept - 2
-        (f0, f1), (p0, p1) = self.held, self.parted
-        self.held = (f0 if f0 <= valid else -1, f1 if f1 <= valid else -1)
+        # Parts of columns up to kept-1 and checkpoints up to kept-2 saw only
+        # kept tokens. Resume from the newest column whose parts are held,
+        # or one past the newest checkpoint, whichever is later; make the
+        # columns up to n-2 final, then column n-1 the last.
+        p0, p1 = self.parted
         self.parted = (p0 if p0 < kept else -1, p1 if p1 < kept else -1)
-        pos, col = -1, None
-        if valid >= 0:
-            j = valid // CHECKPOINT_EVERY
-            pos, col = j * CHECKPOINT_EVERY, self.finals[_CHECKPOINT_ROW + j]
-            for row, i in enumerate(self.held):
-                if i > pos:
-                    pos, col = i, self.finals[row]
-        for i in range(pos + 1, n - 1):
+        first, col = max(*self.parted, 0), None
+        if kept >= 2:
+            j = (kept - 2) // CHECKPOINT_EVERY
+            if j * CHECKPOINT_EVERY >= first:
+                first, col = j * CHECKPOINT_EVERY + 1, self.checkpoints[j]
+        for i in range(first, n):
             col = self._finalise(tokens, i) if i in self.parted else self._column(tokens, i, col)
-            self._keep_final(i, col)
-        i = n - 1
-        last = self._finalise(tokens, i) if i in self.parted else self._column(tokens, i, col)
+            j, off = divmod(i, CHECKPOINT_EVERY)
+            if off == 0 and i < n - 1:
+                if j == len(self.checkpoints):
+                    self.checkpoints = np.resize(self.checkpoints, (2 * j, len(col)))
+                self.checkpoints[j] = col
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.
         names = self.model.tags
         del tags[n:]
         tags.extend([names[0]] * (n - len(tags)))  # placeholders; the traceback writes them all
-        i, cur = n - 1, int(last.argmax())
+        i, cur = n - 1, int(col.argmax())
         tags[i] = names[cur]
         while i > 0:
             cur = int(self.back[i, cur])
@@ -460,6 +435,8 @@ class SequenceEntityTagger(Component):
 
     def __init__(self, params=None) -> None:
         super().__init__(params)
+        if self.params["epochs"] < 0:
+            raise ParameterError(f"{self.name} epochs must be at least 0, got {self.params['epochs']}")
         self.model: TaggerModel | None = None
         self._state: ViterbiState | None = None
 

@@ -56,6 +56,24 @@ class TestTrain:
         loaded = load_bundle(out)
         assert [c.name for c in loaded.components] == ["tokenizer_whitespace", "intent_sium"]
 
+    def test_out_of_range_parameter_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        config = tmp_path / "bad.yml"
+        config.write_text(
+            'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\n'
+            '- name: "featurizer_count_vectors"\n- name: "intent_classifier_bow"\n'
+            "  batch_size: 0\n",
+            encoding="utf-8",
+        )
+        code = main(
+            ["train", "--config", str(config), "--data", str(cli_env["data"]),
+             "--out", str(tmp_path / "bundle")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("incnlu train: ")
+        assert "batch_size" in captured.err
+
     def test_missing_required_flag_exits_one(self, cli_env, capsys):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(cli_env["data"])])

@@ -11,6 +11,7 @@ from incnlu import (
     ConfigError,
     DataError,
     IncrementalInterpreter,
+    ParameterError,
     load,
     train_pipeline,
 )
@@ -85,6 +86,10 @@ class TestConfigParsing:
                 'language: "en"\npipeline:\n- name: "intent_sium"\n  alpha: {oops}\n'
             )
 
+    def test_quoted_value_cut_by_a_comment_reports_its_line(self):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config('language: "en#x"\npipeline:\n- name: "tokenizer_whitespace"\n')
+
     def test_load_config_prefixes_the_path(self, tmp_path):
         path = tmp_path / "p.yml"
         path.write_text('language: "en"\n', encoding="utf-8")
@@ -123,6 +128,25 @@ class TestPipelineAssembly:
             f'- name: "featurizer_count_vectors"\n- name: "{component}"\n  {line}\n'
         )
         with pytest.raises(ConfigError, match=line.split(":")[0]):
+            build_components(config)
+
+    @pytest.mark.parametrize(
+        "component, line",
+        [
+            ("intent_classifier_bow", "batch_size: 0"),
+            ("intent_classifier_bow", "epochs: -3"),
+            ("intent_classifier_bow", "lr: -0.5"),
+            ("intent_classifier_bow", "lr: 0"),
+            ("intent_classifier_bow", "l2: -1.0"),
+            ("entity_tagger_sequence", "epochs: -1"),
+        ],
+    )
+    def test_out_of_range_parameter_is_rejected(self, component, line):
+        config = parse_config(
+            'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\n'
+            f'- name: "featurizer_count_vectors"\n- name: "{component}"\n  {line}\n'
+        )
+        with pytest.raises(ParameterError, match=line.split(":")[0]):
             build_components(config)
 
     def test_int_is_accepted_for_a_float_parameter(self):

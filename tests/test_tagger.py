@@ -256,6 +256,8 @@ _WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "
 _MODELS = {
     "toy": train_tagger(TrainingDataset([make_example(*r) for r in toy_rows()])),
     "random": _random_model(),
+    # No weights: every allowed predecessor ties, so the first maximum decides.
+    "tied": TaggerModel(tags=["O", "B-x", "I-x", "B-y", "I-y"], weights={}),
 }
 
 
@@ -338,10 +340,13 @@ def _check(session, model, stack):
     st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
 )
 def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, script):
-    """After every ADD (a word) or REVOKE (None), each final score column the
-    lattice keeps has the bits of that column in ``decode``'s forward pass,
-    and each kept pair of parts of a column has the bits of that column's
-    best-predecessor scores and of its emission summed up to ``pw=``."""
+    """After every ADD (a word) or REVOKE (None), each back-pointer row and
+    checkpoint the lattice keeps has the bits of that row or column in a
+    plain forward pass over ``pair``, and each kept pair of parts of a
+    column has the bits of that column's best-predecessor scores and of its
+    emission summed up to ``pw=``. The reference reads ``pair`` down its
+    columns, so it also checks that ``_predecessors`` on the transposed
+    matrix makes the same sums and takes the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
     n_tags = len(model.tags)
@@ -360,11 +365,11 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, scrip
             em = tagging._emissions(model.weights, len(model.tags), feats)
             columns = [em[0] + init]
             for i in range(1, len(tokens)):
-                columns.append(tagging._step(columns[-1], pair, em[i])[1])
-            kept = [(row, i) for row, i in enumerate(state.held) if i >= 0]
-            kept += [(tagging._CHECKPOINT_ROW + j, j * 3) for j in range((len(tokens) - 2) // 3 + 1)]
-            for row, i in kept:
-                assert np.array_equal(state.finals[row], columns[i])
+                scores = columns[-1][:, None] + pair
+                assert np.array_equal(state.back[i], scores.argmax(axis=0))
+                columns.append(scores.max(axis=0) + em[i])
+            for j in range((len(tokens) - 2) // 3 + 1):
+                assert np.array_equal(state.checkpoints[j], columns[j * 3])
             for p, i in enumerate(state.parted):
                 if i < 0:
                     continue
