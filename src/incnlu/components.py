@@ -9,11 +9,12 @@ component, in pipeline order, before the next edit enters the pipeline.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .iu import Blackboard, EditType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +44,8 @@ class Component:
     keys they write), ``requires`` (annotation keys that must be written by
     an earlier component), and ``defaults`` (parameter defaults). Parameters
     given at construction are validated against ``defaults``: each must be
-    known and have its default's type (or be an int where a float is due).
+    known and have its default's type (or be an int where a float is due),
+    and a float must be finite.
 
     ``process`` is called once per edit with the edit type and the raw word
     involved (the added word, or the word just revoked). The lock-step
@@ -74,6 +76,10 @@ class Component:
                 raise ConfigError(
                     f"component {self.name!r} parameter {key!r} must be "
                     f"{type(self.defaults[key]).__name__}, got {value!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(
+                    f"component {self.name!r} parameter {key!r} must be finite, got {value!r}"
                 )
         self.params: dict[str, Any] = {**self.defaults, **params}
 

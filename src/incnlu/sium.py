@@ -116,8 +116,8 @@ def train_sium(
     entity_threshold: float = 0.6,
     lowercase: bool = True,
 ) -> SiumModel:
-    if alpha <= 0:
-        raise ParameterError(f"smoothing alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterError(f"smoothing alpha must be positive and finite, got {alpha}")
     if not 0.0 <= entity_threshold <= 1.0:
         raise ParameterError(f"entity_threshold must be in [0, 1], got {entity_threshold}")
     if not dataset.examples:

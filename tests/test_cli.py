@@ -56,23 +56,40 @@ class TestTrain:
         loaded = load_bundle(out)
         assert [c.name for c in loaded.components] == ["tokenizer_whitespace", "intent_sium"]
 
-    def test_out_of_range_parameter_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+    @staticmethod
+    def _train_with(cli_env, tmp_path, component, line):
+        """Run ``incnlu train`` on a pipeline whose ``component`` has ``line``."""
         config = tmp_path / "bad.yml"
         config.write_text(
             'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\n'
-            '- name: "featurizer_count_vectors"\n- name: "intent_classifier_bow"\n'
-            "  batch_size: 0\n",
+            f'- name: "featurizer_count_vectors"\n- name: "{component}"\n  {line}\n',
             encoding="utf-8",
         )
-        code = main(
+        return main(
             ["train", "--config", str(config), "--data", str(cli_env["data"]),
              "--out", str(tmp_path / "bundle")]
         )
+
+    def test_out_of_range_parameter_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        code = self._train_with(cli_env, tmp_path, "intent_classifier_bow", "batch_size: 0")
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("incnlu train: ")
         assert "batch_size" in captured.err
+
+    @pytest.mark.parametrize(
+        "component, line", [("intent_sium", "alpha: nan"), ("intent_classifier_bow", "l2: inf")]
+    )
+    def test_non_finite_parameter_exits_one_with_a_one_line_error(
+        self, cli_env, tmp_path, capsys, component, line
+    ):
+        code = self._train_with(cli_env, tmp_path, component, line)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("incnlu train: ")
+        assert component in captured.err and line.split(":")[0] in captured.err
 
     def test_missing_required_flag_exits_one(self, cli_env, capsys):
         with pytest.raises(SystemExit) as err:

@@ -139,6 +139,10 @@ class TestPipelineAssembly:
             ("intent_classifier_bow", "lr: 0"),
             ("intent_classifier_bow", "l2: -1.0"),
             ("entity_tagger_sequence", "epochs: -1"),
+            ("intent_sium", "alpha: nan"),
+            ("intent_sium", "alpha: inf"),
+            ("intent_classifier_bow", "lr: inf"),
+            ("intent_classifier_bow", "l2: inf"),
         ],
     )
     def test_out_of_range_parameter_is_rejected(self, component, line):
@@ -146,7 +150,7 @@ class TestPipelineAssembly:
             'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\n'
             f'- name: "featurizer_count_vectors"\n- name: "{component}"\n  {line}\n'
         )
-        with pytest.raises(ParameterError, match=line.split(":")[0]):
+        with pytest.raises(ParameterError, match=f"{component}.*{line.split(':')[0]}"):
             build_components(config)
 
     def test_int_is_accepted_for_a_float_parameter(self):
@@ -542,6 +546,16 @@ class TestBundles:
             assert comp.model.entity_threshold == 0.9
         if name == "featurizer_count_vectors":
             assert comp.vocabulary.lowercase is False
+
+    def test_non_finite_bundle_parameter_is_a_parameter_error(self, toy_interp, tmp_path):
+        root = toy_interp.persist(tmp_path / "bundle")
+        path = root / "config.yml"
+        text = path.read_text(encoding="utf-8")
+        assert "alpha: 1.0" in text
+        path.write_text(text.replace("alpha: 1.0", "alpha: nan"), encoding="utf-8")
+        reseal(root)
+        with pytest.raises(ParameterError, match="intent_sium.*alpha"):
+            load(root)
 
     def test_wrongly_typed_bundle_parameter_is_a_config_error(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def test_posteriors_and_tables_normalize(toy_dataset):
 
 def test_hyperparameter_validation():
     ds = TrainingDataset([_plain("x", "A")])
-    for alpha in (0.0, -1.0):
+    for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             train_sium(ds, alpha=alpha)
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incnlu import BufferUnderflowError, ConsistencyError, IncrementalInterpreter, default_config
+from incnlu import (
+    BufferUnderflowError,
+    ConsistencyError,
+    EntityAnnotation,
+    IncrementalInterpreter,
+    TrainingExample,
+    default_config,
+    load_dataset,
+)
 from incnlu import intent_bow, sium, tagging
 from incnlu.data import TrainingDataset, bio_tags
 from incnlu.features import WhitespaceTokenizer
@@ -96,6 +105,112 @@ def test_same_seed_reproduces_identical_weights(toy_dataset):
     assert set(a.weights) == set(b.weights)
     for feat in a.weights:
         assert np.array_equal(a.weights[feat], b.weights[feat])
+
+
+def _train_decoding_everything(dataset, epochs, seed):
+    """The averaged perceptron with no decode skipped: every sentence is
+    decoded in every epoch, against transition scores built anew for it."""
+    tags = tagging._tag_set(dataset)
+    tag_idx = {t: i for i, t in enumerate(tags)}
+    mask = tagging._transition_mask(tags)
+    sentences = []
+    for ex in dataset.examples:
+        tokens, gold = bio_tags(ex.text, ex.entities)
+        if tokens:
+            sentences.append(([tagging.tag_features(tokens, i) for i in range(len(tokens))], gold))
+    acc = tagging._AveragedWeights(len(tags))
+    rng = random.Random(seed)
+    order = list(range(len(sentences)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            feats, gold = sentences[idx]
+            acc.step += 1
+            init, pair = tagging._transition_scores(acc.weights, tags, mask)
+            em = tagging._emissions(acc.weights, len(tags), feats)
+            pred = tagging._viterbi(em, init, pair.T, tags)
+            for i, (p, g) in enumerate(zip(pred, gold)):
+                prev_p = pred[i - 1] if i > 0 else tagging.START
+                prev_g = gold[i - 1] if i > 0 else tagging.START
+                if p != g or prev_p != prev_g:
+                    for feat in feats[i]:
+                        acc.update(feat, tag_idx[g], 1.0)
+                        acc.update(feat, tag_idx[p], -1.0)
+                    acc.update(f"pt={prev_g}", tag_idx[g], 1.0)
+                    acc.update(f"pt={prev_p}", tag_idx[p], -1.0)
+    return tags, acc.averaged()
+
+
+def _assert_same_bits(model, tags, weights):
+    assert model.tags == tags
+    assert set(model.weights) == set(weights)
+    for feat, vec in weights.items():
+        assert model.weights[feat].tobytes() == vec.tobytes(), feat
+
+
+def _labelled(words, labels):
+    """An example whose spans follow BIO ``labels``; an I- that continues
+    no span of its type opens one."""
+    text, starts, spans = " ".join(words), [0], []
+    for word in words[:-1]:
+        starts.append(starts[-1] + len(word) + 1)
+    for i, label in enumerate(labels):
+        if label == "O":
+            continue
+        if label.startswith("I-") and spans and spans[-1][2] == label[2:] and spans[-1][1] == i:
+            spans[-1][1] = i + 1
+        else:
+            spans.append([i, i + 1, label[2:]])
+    entities = []
+    for first, end, etype in spans:
+        start, stop = starts[first], starts[end - 1] + len(words[end - 1])
+        entities.append(EntityAnnotation(start=start, end=stop, value=text[start:stop], type=etype))
+    return TrainingExample(text=text, intent="X", entities=entities)
+
+
+@st.composite
+def _conflicting_datasets(draw):
+    """A few texts, each labelled several ways, so some never converge."""
+    word = st.sampled_from(["play", "jazz", "in", "boston", "7", "for"])
+    texts = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=3))
+    label = st.sampled_from(["O", "O", "B-a", "I-a", "B-b", "I-b"])
+    examples = []
+    for _ in range(draw(st.integers(1, 8))):
+        words = draw(st.sampled_from(texts))
+        examples.append(_labelled(words, draw(st.lists(label, min_size=len(words), max_size=len(words)))))
+    return TrainingDataset(examples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conflicting_datasets(), st.integers(0, 12), st.sampled_from([1, 13, 99]))
+def test_skipped_decodes_leave_every_weight_bit_for_bit(dataset, epochs, seed):
+    """Training skips each decode whose outcome is known; the weights must
+    be those of decoding every sentence in every epoch."""
+    model = train_tagger(dataset, epochs=epochs, seed=seed)
+    _assert_same_bits(model, *_train_decoding_everything(dataset, epochs, seed))
+
+
+_SNIPS_TRAIN = Path(__file__).resolve().parent.parent / "data" / "snips_train.json"
+
+
+def test_skipped_decodes_leave_the_bundled_split_bit_for_bit():
+    dataset = load_dataset(_SNIPS_TRAIN)
+    _assert_same_bits(train_tagger(dataset), *_train_decoding_everything(dataset, 10, 13))
+
+
+def test_no_decode_runs_once_training_has_converged(monkeypatch):
+    """On the bundled split every sentence decodes to gold within 10
+    epochs, so 40 more epochs only count steps."""
+    dataset = load_dataset(_SNIPS_TRAIN)
+    decodes = []
+    monkeypatch.setattr(tagging, "_viterbi", _counting(tagging._viterbi, decodes))
+    counts = []
+    for epochs in (10, 50):
+        decodes.clear()
+        train_tagger(dataset, epochs=epochs)
+        counts.append(len(decodes))
+    assert counts[0] == counts[1]
+    assert counts[0] < 10 * len(dataset)
 
 
 def test_transition_scores_are_built_once_and_read_only(toy_dataset):
