@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigError, ParameterError
-from .iu import Blackboard, EditType
+from .iu import ADD, Blackboard, EditType
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import TrainingDataset
@@ -116,20 +116,28 @@ class KeepsRanking:
 
     A REVOKE right after that ADD gives the component back the input it had
     before it, so the ranking would come out the same; it is republished
-    instead. Both are kept as tuples and published as new lists, so no
-    caller's edit of a published ranking reaches a later one.
+    instead. A REVOKE that empties the prefix republishes the empty
+    prefix's ranking, which depends only on the model: the first such
+    REVOKE ranks it and keeps it on the model, as ``empty_ranking``, for
+    every session. Rankings are kept as tuples and published as new lists,
+    so no caller's edit of a published ranking reaches a later one.
     """
 
     _ranking: tuple[tuple[str, float], ...] | None = None
     _before_add: tuple[tuple[str, float], ...] | None = None
 
-    def _publish_ranking(self, edit: EditType | None, rank) -> list[tuple[str, float]]:
-        """The ranking after ``edit``: the kept one on a REVOKE right after
-        an ADD, else ``rank()``. ``edit=None`` leaves the kept one alone."""
-        if edit is EditType.ADD:
+    def _publish_ranking(self, edit: EditType | None, rank, empty: bool) -> list[tuple[str, float]]:
+        """The ranking after ``edit``, which left the prefix ``empty`` or
+        not: a kept one on a REVOKE that empties the prefix or comes right
+        after an ADD, else ``rank()``. ``edit=None`` leaves the kept one alone."""
+        if edit is ADD:
             self._before_add = self._ranking
         elif edit is not None:  # a REVOKE
             before, self._before_add = self._before_add, None
+            if empty:
+                before = self.model.empty_ranking
+                if before is None:
+                    before = self.model.empty_ranking = tuple(rank())
             if before is not None:
                 self._ranking = before
                 return list(before)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .components import Component, TrainingContext
 from .errors import ConfigError, ConsistencyError, DataError
-from .iu import COUNT_VECTOR, TOKENS, Blackboard, EditType
+from .iu import ADD, COUNT_VECTOR, REVOKE, TOKENS, Blackboard, EditType
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -122,7 +122,7 @@ def vector_apply(vec: np.ndarray, vocab: Vocabulary, token: str, edit: EditType)
     idx = vocab.index_of(token)
     if idx is None:
         return vec
-    if edit is EditType.ADD:
+    if edit is ADD:
         vec[idx] += 1
     else:
         if vec[idx] < 1:
@@ -154,9 +154,9 @@ class WhitespaceTokenizer(Component):
         ctx.tokens = [tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples]
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
-        if edit is EditType.ADD:
+        if edit is ADD:
             self._tokens.append(word.lower() if self.params["lowercase"] else word)
-        elif edit is EditType.REVOKE:
+        elif edit is REVOKE:
             if not self._tokens:
                 raise ConsistencyError("token list empty on revoke")
             self._tokens.pop()

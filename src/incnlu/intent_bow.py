@@ -32,6 +32,11 @@ class LinearIntentModel:
     intents: list[str]
     weights: np.ndarray  # (vocab size + 1, intent count); last row is the bias
 
+    def __post_init__(self) -> None:
+        # The empty prefix's ranking, kept by KeepsRanking on first use. Not
+        # a field, so a copy made through ``dataclasses.replace`` starts without it.
+        self.empty_ranking: tuple[tuple[str, float], ...] | None = None
+
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
@@ -167,7 +172,9 @@ class BowIntentClassifier(KeepsRanking, Component):
                 "no count vector on the blackboard; is featurizer_count_vectors "
                 "ahead of intent_classifier_bow?"
             )
-        ranking = self._publish_ranking(edit, lambda: predict(self.model, np.asarray(vec)))
+        ranking = self._publish_ranking(
+            edit, lambda: predict(self.model, np.asarray(vec)), not board.buffer.units
+        )
         board.write(self.name, INTENT_DISTRIBUTION, ranking)
 
     def new_utterance(self) -> None:

@@ -29,6 +29,12 @@ class EditType(Enum):
     REVOKE = "REVOKE"
 
 
+# The members as module globals: a global is read faster than an Enum
+# class attribute, and the per-edit paths test every edit against them.
+ADD = EditType.ADD
+REVOKE = EditType.REVOKE
+
+
 class IncrementalUnit(NamedTuple):
     """One word; ``id`` is unique within its utterance."""
 
@@ -39,7 +45,7 @@ class IncrementalUnit(NamedTuple):
 def _check_word(word: Any) -> str:
     if not isinstance(word, str) or not word:
         raise InvalidPayloadError("unit payload must be a non-empty string")
-    if any(ch.isspace() for ch in word):
+    if word.split() != [word]:  # str.split() splits at exactly the str.isspace() characters
         raise InvalidPayloadError(f"unit payload may not contain whitespace: {word!r}")
     return word
 
@@ -95,11 +101,11 @@ class Blackboard:
 
     def apply_edit(self, edit: EditType, word: str | None) -> IncrementalUnit:
         """Apply one edit to the buffer and append it to the edit log."""
-        if edit is EditType.ADD:
+        if edit is ADD:
             if word is None:
                 raise InvalidPayloadError("ADD requires a word")
             unit = self.buffer.add(word)
-        elif edit is EditType.REVOKE:
+        elif edit is REVOKE:
             if word is not None:
                 raise InvalidPayloadError("REVOKE does not take a word")
             unit = self.buffer.revoke()

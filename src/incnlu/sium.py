@@ -28,7 +28,7 @@ import numpy as np
 from .components import Component, KeepsRanking, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConsistencyError, DataError, ParameterError
-from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, EditType
+from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, REVOKE, TOKENS, Blackboard
 from .results import EntitySpan, rank_distribution
 
 OOV = "__OOV__"
@@ -56,9 +56,11 @@ class SiumModel:
 
     def __post_init__(self) -> None:
         # Entity pick per likelihood row, filled on first use: at most V+1
-        # entries, shared by every session on this model. Not a field, so a
-        # copy made through ``dataclasses.replace`` starts a memo of its own.
+        # entries, shared by every session on this model. Not fields, so a
+        # copy made through ``dataclasses.replace`` starts memos of its own.
         self._picks: dict[int, tuple[str, float] | None] = {}
+        # The empty prefix's ranking, kept by KeepsRanking on first use.
+        self.empty_ranking: tuple[tuple[str, float], ...] | None = None
 
     def row(self, word: str) -> int:
         if self.lowercase:
@@ -314,12 +316,12 @@ class SiumIntent(KeepsRanking, Component):
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         state = self._require_state()
-        if edit is EditType.ADD:
+        if edit is ADD:
             state.add(word)
-        elif edit is EditType.REVOKE:
+        elif edit is REVOKE:
             state.revoke(word)
         ranking = self._publish_ranking(
-            edit, lambda: rank_distribution(self.model.intents, classify(state))
+            edit, lambda: rank_distribution(self.model.intents, classify(state)), not state.tokens
         )
         board.write(self.name, INTENT_DISTRIBUTION, ranking)
         board.write(self.name, ENTITIES, sium_entities(state))

@@ -6,18 +6,21 @@ anything but B-t or I-t.
 
 The component keeps one Viterbi lattice per session (:class:`ViterbiState`)
 and computes only the columns an edit changes: the right-context feature
-``nw=`` makes a column final once the next word is known. An ADD computes
-one new column, and finalises the one before it by adding the ``nw=``
-weights to the parts of it kept when it was the last. Those parts are kept
-for the two most recent positions, so a REVOKE right after an ADD rebuilds
-the new last column from them with no new features; a deeper REVOKE
-recomputes it from a checkpoint, the final column kept at every
-CHECKPOINT_EVERY-th position. The traceback stops where it
-meets the previous best path (partial traceback, Brown, Spohrer, Hochschild
-& Baker, ICASSP 1982), and spans are re-extracted from there on. Every
-column is computed by the same float operations as in the batch
-:func:`decode`, so the entity output is still exactly that of a restart
-over the current prefix.
+``nw=`` makes a column final once the next word is known. Its emission rows
+are sums of each word's parts (:class:`WordParts`), which depend only on
+the word: the model memoises them per known word on first use, lowered if
+the component lowercases, and every session shares the memo, so the
+lattice builds no feature string. An ADD computes one new column, and
+finalises the one before it by adding the ``nw=`` weights to the parts of
+it kept when it was the last. Those parts are kept for the two most recent
+positions, so a REVOKE right after an ADD rebuilds the new last column
+from them; a deeper REVOKE recomputes it from a checkpoint, the final
+column kept at every CHECKPOINT_EVERY-th position. The traceback stops
+where it meets the previous best path (partial traceback, Brown, Spohrer,
+Hochschild & Baker, ICASSP 1982), and spans are re-extracted from there
+on. Every column is computed by the same float operations as in the batch
+:func:`decode`, which stays on feature strings, so the entity output is
+still exactly that of a restart over the current prefix.
 
 Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
@@ -41,37 +44,28 @@ from .iu import ENTITIES, TOKENS, Blackboard
 from .results import EntitySpan
 
 START = "<s>"
+END = "</s>"
 _NEG_INF = float("-inf")
 # A session's lattice keeps the final score column of every CHECKPOINT_EVERY-th
 # position; a revoke recomputes at most this many columns.
 CHECKPOINT_EVERY = 16
-# tag_features puts first the features that read no token past their own.
-_HEAD_FEATURES = 6
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
-    """Static feature strings for position i (prev-tag added at decode time).
-
-    The first _HEAD_FEATURES read no token past i; the rest are
-    :func:`_tail_features`, the only ones the next token can change.
-    """
+    """Static feature strings for position i (prev-tag added at decode time)."""
     word = tokens[i]
-    return [
+    feats = [
         "bias",
         f"w={word}",
         f"lw={word.lower()}",
         f"p3={word[:3]}",
         f"s3={word[-3:]}",
         f"pw={tokens[i - 1] if i > 0 else START}",
-    ] + _tail_features(tokens, i)
-
-
-def _tail_features(tokens: Sequence[str], i: int) -> list[str]:
-    """``nw=`` and, summed after it, ``digit``: the last features of position i."""
-    tail = [f"nw={tokens[i + 1] if i + 1 < len(tokens) else '</s>'}"]
-    if tokens[i].isdigit():
-        tail.append("digit")
-    return tail
+        f"nw={tokens[i + 1] if i + 1 < len(tokens) else END}",
+    ]
+    if word.isdigit():
+        feats.append("digit")
+    return feats
 
 
 def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +97,13 @@ def _transition_scores(
 
 @dataclass
 class TaggerModel:
-    """Finalized averaged weights, one vector over tags per feature string."""
+    """Finalized averaged weights, one vector over tags per feature string.
+
+    The streaming path reads a token's weights through :meth:`word_parts`,
+    memoised per known word on first use and shared by every session on
+    the model. Unseen words are not kept, so the memo is bounded by the
+    model, not by the input.
+    """
 
     tags: list[str]
     weights: dict[str, np.ndarray]
@@ -115,9 +115,33 @@ class TaggerModel:
         self._incoming = np.ascontiguousarray(self._transitions[1].T)
         for scores in (*self._transitions, self._incoming):
             scores.flags.writeable = False
+        self._start_pw = self.weights.get(f"pw={START}")
+        self._end_nw = self.weights.get(f"nw={END}")
+        self._digit = self.weights.get("digit")
+        # word_parts memos, for tokens read as they are and lowered: at most
+        # one entry per known word each. Not fields, so a copy made through
+        # ``dataclasses.replace`` starts its own.
+        self._memos: tuple[dict[str, WordParts], dict[str, WordParts]] = ({}, {})
 
     def transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         return self._transitions
+
+    def word_parts(self, token: str, lowercase: bool) -> WordParts:
+        """The emission parts of ``token`` as the lattice reads it: lowered
+        if ``lowercase``. They are memoised under that word if the weights
+        know it by its ``w=``, ``pw=`` or ``nw=`` feature, so "Boston" finds
+        the parts of "boston"; an unseen word's parts are summed anew on
+        each call."""
+        memo = self._memos[lowercase]
+        parts = memo.get(token)  # with lowercase, every key is a word lowering leaves as it is
+        if parts is None:
+            word = token.lower() if lowercase else token
+            parts = memo.get(word)
+            if parts is None:
+                parts = WordParts(self, word)
+                if parts.pw is not None or parts.nw is not None or f"w={word}" in self.weights:
+                    memo[word] = parts
+        return parts
 
 
 def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray) -> np.ndarray:
@@ -127,6 +151,31 @@ def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray)
         if vec is not None:
             out += vec
     return out
+
+
+class WordParts:
+    """A word's share of the emission rows, as :func:`tag_features` names it.
+
+    ``head`` is the sum of its ``bias``, ``w=``, ``lw=``, ``p3=`` and
+    ``s3=`` weights, added from zero in that order; ``pw`` and ``nw`` are
+    the weights its right and left neighbours read of it; ``digit`` is the
+    ``digit`` weights if it is a number. A weight the model lacks is None.
+    Column i's emission is then the head of word i, plus ``pw`` of word
+    i-1, ``nw`` of word i+1 and ``digit`` of word i: the sum ``decode``
+    makes of its feature strings, in the same order, so it has the same bits.
+    """
+
+    __slots__ = ("word", "head", "pw", "nw", "digit")
+
+    def __init__(self, model: TaggerModel, word: str) -> None:
+        weights = model.weights
+        self.word = word
+        feats = ["bias", f"w={word}", f"lw={word.lower()}", f"p3={word[:3]}", f"s3={word[-3:]}"]
+        self.head = _emission(weights, feats, np.zeros(len(model.tags)))
+        self.head.flags.writeable = False
+        self.pw = weights.get(f"pw={word}")
+        self.nw = weights.get(f"nw={word}")
+        self.digit = model._digit if word.isdigit() else None
 
 
 def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
@@ -287,7 +336,15 @@ def extract_entities(tags: list[str], tokens: Sequence[str], start: int = 0) -> 
         raise ConsistencyError(
             f"{len(tags)} tags for {len(tokens)} tokens"
         )
-    spans = []
+    return [
+        EntitySpan(type=etype, value=" ".join(tokens[i:j]), start=i, end=j, confidence=1.0)
+        for etype, i, j in _runs(tags, start)
+    ]
+
+
+def _runs(tags: list[str], start: int):
+    """(type, start, end) of each maximal B-I run from ``start`` on, for
+    :func:`extract_entities`; ``end`` is exclusive."""
     i = start
     while i < len(tags):
         tag = tags[i]
@@ -295,60 +352,40 @@ def extract_entities(tags: list[str], tokens: Sequence[str], start: int = 0) -> 
             i += 1
             continue
         etype = tag[2:]
-        j = i
-        while j + 1 < len(tags) and tags[j + 1] == f"I-{etype}":
+        j = i + 1
+        while j < len(tags) and tags[j] == f"I-{etype}":
             j += 1
-        spans.append(
-            EntitySpan(
-                type=etype,
-                value=" ".join(tokens[i:j + 1]),
-                start=i,
-                end=j + 1,
-                confidence=1.0,
-            )
-        )
-        i = j + 1
-    return spans
-
-
-class _Lowered(Sequence):
-    """Lowercased read-only view of a token list, so no second copy is kept."""
-
-    def __init__(self, tokens: list[str]) -> None:
-        self._tokens = tokens
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [t.lower() for t in self._tokens[i]]
-        return self._tokens[i].lower()
+        yield etype, i, j
+        i = j
 
 
 class ViterbiState:
     """One session's Viterbi lattice over the prefix, with its best path and spans.
 
-    Column i is final once token i+1 is known, as only ``nw=`` reads past
-    token i. A back-pointer row only reads the final column before it, so
-    every row is final and all are kept, one byte per tag. Final score
-    columns are kept as checkpoints, at every CHECKPOINT_EVERY-th position.
-    Two parts of a column are kept too: its best-predecessor scores and its
-    emission summed up to ``pw=``. They read no token past their own, so
-    they stay valid while the column survives; they are kept for the two
-    most recent positions. Adding ``nw=`` and ``digit`` to a copy of the
-    sum, and the result to the scores, gives the column again: final on an
-    ADD, which then computes one new column, and the last on a REVOKE right
-    after an ADD, which so computes none. Any other column is recomputed
-    forward from the nearest checkpoint. Every column so gets the sums
-    ``decode`` makes of its ``_predecessors`` and ``_emission`` rows, in
-    the same order, so it has the same bits.
+    The state reads the published tokens as they are and takes each one's
+    emission parts from :meth:`TaggerModel.word_parts`, which lowers it if
+    ``lowercase``; it builds no feature string. Column i is final once
+    token i+1 is known, as only ``nw=`` reads past token i. A back-pointer
+    row only reads the final column before it, so every row is final and
+    all are kept, one byte per tag. Final score columns are kept as
+    checkpoints, at every CHECKPOINT_EVERY-th position. Two parts of a
+    column are kept too: its best-predecessor scores and its emission
+    summed up to ``pw=``. They read no token past their own, so they stay
+    valid while the column survives; they are kept for the two most recent
+    positions. Adding ``nw=`` and ``digit`` to a copy of the sum, and the
+    result to the scores, gives the column again: final on an ADD, which
+    then computes one new column, and the last on a REVOKE right after an
+    ADD, which so computes none. Any other column is recomputed forward
+    from the nearest checkpoint. Every column so gets the sums ``decode``
+    makes of its ``_predecessors`` and ``_emission`` rows, in the same
+    order, so it has the same bits.
     """
 
-    __slots__ = ("model", "n", "back", "checkpoints", "parts", "parted", "tags", "spans")
+    __slots__ = ("model", "lowercase", "n", "back", "checkpoints", "parts", "parted", "tags", "spans")
 
-    def __init__(self, model: TaggerModel) -> None:
+    def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
+        self.lowercase = lowercase
         self.n = 0
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
@@ -360,16 +397,19 @@ class ViterbiState:
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
 
-    def _column(self, tokens: Sequence[str], i: int, prev: np.ndarray | None) -> np.ndarray:
-        """Score column i from final column i-1; records back-pointer row i
+    def _column(self, i: int, prev: np.ndarray | None, before: WordParts | None,
+                word: WordParts, after: WordParts | None) -> np.ndarray:
+        """Score column i of ``word``, between ``before`` and ``after`` (None
+        past either end), from final column i-1; records back-pointer row i
         and keeps the parts :meth:`_finalise` reads."""
         model = self.model
-        feats = tag_features(tokens, i)
         row = 2 * (i % 2)
         head = self.parts[row + 1]
-        head.fill(0.0)
-        _emission(model.weights, feats[:_HEAD_FEATURES], head)
-        em = _emission(model.weights, feats[_HEAD_FEATURES:], head.copy())
+        pw = model._start_pw if before is None else before.pw
+        if pw is None:
+            head[:] = word.head
+        else:
+            np.add(word.head, pw, out=head)
         if i == 0:
             self.parts[row] = model.transition_matrix()[0]
         else:
@@ -377,13 +417,16 @@ class ViterbiState:
                 self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
             self.back[i], self.parts[row] = _predecessors(prev, model._incoming)
         self.parted = (self.parted[0], i) if row else (i, self.parted[1])
-        return self.parts[row] + em
+        return self._finalise(i, word, after)
 
-    def _finalise(self, tokens: Sequence[str], i: int) -> np.ndarray:
-        """Column i from the parts :meth:`_column` kept of it: final if
-        ``tokens`` go past i, else the last."""
+    def _finalise(self, i: int, word: WordParts, after: WordParts | None) -> np.ndarray:
+        """Column i of ``word`` from the parts :meth:`_column` kept of it:
+        final if ``after`` is a word, else the last."""
         row = 2 * (i % 2)
-        em = _emission(self.model.weights, _tail_features(tokens, i), self.parts[row + 1].copy())
+        nw = self.model._end_nw if after is None else after.nw
+        em = self.parts[row + 1] + nw if nw is not None else self.parts[row + 1].copy()
+        if word.digit is not None:
+            em += word.digit
         return self.parts[row] + em
 
     def update(self, tokens: Sequence[str]) -> None:
@@ -414,13 +457,22 @@ class ViterbiState:
             j = (kept - 2) // CHECKPOINT_EVERY
             if j * CHECKPOINT_EVERY >= first:
                 first, col = j * CHECKPOINT_EVERY + 1, self.checkpoints[j]
+        word_parts, lowercase = self.model.word_parts, self.lowercase
+        before, word = None, word_parts(tokens[first], lowercase)
         for i in range(first, n):
-            col = self._finalise(tokens, i) if i in self.parted else self._column(tokens, i, col)
+            after = word_parts(tokens[i + 1], lowercase) if i + 1 < n else None
+            if i in self.parted:
+                col = self._finalise(i, word, after)
+            else:
+                if before is None and i > 0:
+                    before = word_parts(tokens[i - 1], lowercase)
+                col = self._column(i, col, before, word, after)
             j, off = divmod(i, CHECKPOINT_EVERY)
             if off == 0 and i < n - 1:
                 if j == len(self.checkpoints):
                     self.checkpoints = np.resize(self.checkpoints, (2 * j, len(col)))
                 self.checkpoints[j] = col
+            before, word = word, after
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.
@@ -440,7 +492,10 @@ class ViterbiState:
         start = i
         while spans and spans[-1].end >= i:
             start = min(start, spans.pop().start)
-        spans.extend(extract_entities(tags, tokens, start))
+        spans.extend(
+            EntitySpan(etype, " ".join([word_parts(t, lowercase).word for t in tokens[i:j]]), i, j, 1.0)
+            for etype, i, j in _runs(tags, start)
+        )
 
 
 class SequenceEntityTagger(Component):
@@ -474,9 +529,8 @@ class SequenceEntityTagger(Component):
         if self.model is None:
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
         if self._state is None:
-            self._state = ViterbiState(self.model)
-        tokens = board.annotations.get(TOKENS, [])
-        self._state.update(_Lowered(tokens) if self.params["lowercase"] else tokens)
+            self._state = ViterbiState(self.model, self.params["lowercase"])
+        self._state.update(board.annotations.get(TOKENS, []))
         board.write(self.name, ENTITIES, list(self._state.spans))
 
     def new_utterance(self) -> None:

@@ -43,6 +43,16 @@ class TestIuBuffer:
             with pytest.raises(InvalidPayloadError):
                 buf.add(bad)
 
+    def test_every_unicode_space_is_refused_and_a_zero_width_space_is_not(self):
+        # No-break, em, ideographic, file-separator and next-line characters
+        # are all str.isspace(); the zero-width space U+200B is not.
+        buf = IuBuffer()
+        for bad in ["a\u00a0b", "a\u2003b", "a\u3000b", "a\x1cb", "a\x85b", "\u3000"]:
+            with pytest.raises(InvalidPayloadError):
+                buf.add(bad)
+        assert buf.add("a\u200bb").word == "a\u200bb"
+        assert buf.hypothesis() == ["a\u200bb"]
+
     @given(st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "c"])), max_size=40))
     def test_edit_log_replays_to_the_live_units(self, script):
         # The edit log is the only history: replaying it onto an empty stack

@@ -449,6 +449,40 @@ def _check(session, model, stack):
     assert view == _clean_entities(session, stack)
 
 
+_CASED_WORDS = _WORDS + ["BOSTON", "Denver", "Jazz", "Rain", "ZUBAT"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_MODELS)),
+    st.lists(st.one_of(st.sampled_from(_CASED_WORDS), st.none()), max_size=40),
+)
+def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(model_name, script):
+    """The tokenizer publishes "Boston" as it is; the tagger must read it as
+    "boston", in its scores and in its span values, after every ADD (a
+    word) and REVOKE (None), over revoke runs deeper than the checkpoints."""
+    model = _MODELS[model_name]
+    with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
+        tagger = SequenceEntityTagger({"lowercase": True})
+        tagger.model = model
+        session = IncrementalInterpreter(
+            default_config(), [WhitespaceTokenizer({"lowercase": False}), tagger]
+        )
+        stack: list[str] = []
+        for step in script:
+            if step is None:
+                if not stack:
+                    continue
+                stack.pop()
+                session.parse_incremental(EditType.REVOKE)
+            else:
+                stack.append(step)
+                session.parse_incremental(EditType.ADD, step)
+            assert session.board.annotations[TOKENS] == stack
+            lowered = [w.lower() for w in stack]
+            assert _entities(session) == extract_entities(decode(model, lowered), lowered)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(_MODELS)),
@@ -466,7 +500,7 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, scrip
     init, pair = model.transition_matrix()
     n_tags = len(model.tags)
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
-        state = tagging.ViterbiState(model)
+        state = tagging.ViterbiState(model, True)
         tokens: list[str] = []
         for step in script:
             if step is None:
@@ -489,7 +523,7 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, scrip
                 if i < 0:
                     continue
                 best = init if i == 0 else (columns[i - 1][:, None] + pair).max(axis=0)
-                feats = tagging.tag_features(tokens, i)[:tagging._HEAD_FEATURES]
+                feats = [f for f in tagging.tag_features(tokens, i) if f != "digit" and f[:3] != "nw="]
                 head = tagging._emission(model.weights, feats, np.zeros(n_tags))
                 assert np.array_equal(state.parts[2 * p], best)
                 assert np.array_equal(state.parts[2 * p + 1], head)
@@ -522,11 +556,19 @@ def _counting(real, calls):
 
 
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
-    """At 1000 words an ADD computes one column (it finalises the one before
-    without recomputing it), a REVOKE right after an ADD none and no intent
-    ranking, and any REVOKE at most CHECKPOINT_EVERY + 1 columns."""
+    """At 1000 words an ADD computes one column (one predecessor step; it
+    finalises the one before without recomputing it), a REVOKE right after
+    an ADD none and no intent ranking, and any REVOKE at most
+    CHECKPOINT_EVERY + 1 columns. No edit builds a feature string. A REVOKE
+    that empties the prefix ranks no intent once the model has ranked the
+    empty prefix."""
     calls = {}
-    for module, name in ((tagging, "tag_features"), (intent_bow, "predict"), (sium, "classify")):
+    for module, name in (
+        (tagging, "_predecessors"),
+        (tagging, "tag_features"),
+        (intent_bow, "predict"),
+        (sium, "classify"),
+    ):
         calls[name] = []
         monkeypatch.setattr(module, name, _counting(getattr(module, name), calls[name]))
     rng = random.Random(11)
@@ -538,17 +580,64 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         for made in calls.values():
             made.clear()
         session.parse_incremental(edit, word)
-        return {name: len(made) for name, made in calls.items()}
+        made = {name: len(made) for name, made in calls.items()}
+        assert made.pop("tag_features") == 0
+        return made
 
     for _ in range(1000):
-        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
+        assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
     for _ in range(50):
-        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
-        assert cost(EditType.REVOKE) == {"tag_features": 0, "predict": 0, "classify": 0}
+        assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
+        assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
     for _ in range(3 * CHECKPOINT_EVERY):
-        assert cost(EditType.REVOKE)["tag_features"] <= CHECKPOINT_EVERY + 1
+        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY + 1
     for _ in range(10):
-        assert cost(EditType.ADD, rng.choice(_WORDS))["tag_features"] <= 1
+        assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
     tokens = [w.lower() for w in session.board.buffer.hypothesis()]
     assert len(tokens) == 1000 - 3 * CHECKPOINT_EVERY + 10
     assert _entities(session) == extract_entities(decode(tagger.model, tokens), tokens)
+
+    # The first such REVOKE on the model may rank the empty prefix; no
+    # later one does, in this session or another on the same models. cost()
+    # edits whichever session ``session`` names when it is called.
+    session.new_utterance()
+    cost(EditType.ADD, "play")
+    cost(EditType.REVOKE)
+    for session in (session, toy_interp.fresh_copy()):
+        session.new_utterance()
+        for word in ("play", "weather"):
+            cost(EditType.ADD, word)
+            assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+        cost(EditType.ADD, "play")
+        cost(EditType.ADD, "some")
+        cost(EditType.REVOKE)
+        assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+    assert session.current_result() == toy_interp.fresh_copy().refresh()
+
+
+def test_unseen_words_do_not_grow_the_shared_memo():
+    """The emission memo keeps the words the weights know, once each, and
+    only those: the 64 case variants of "boston" that a case-keeping
+    tokenizer publishes share one entry, and 10,000 distinct unseen words,
+    streamed through two sessions on the same model, add none."""
+    model = _random_model()
+    tagger = SequenceEntityTagger({"lowercase": True})
+    tagger.model = model
+    sessions = [
+        IncrementalInterpreter(default_config(), [WhitespaceTokenizer({"lowercase": False}), tagger])
+    ]
+    for cases in itertools.product(*(c.upper() + c for c in "boston")):  # "BOSTON" first
+        sessions[0].parse_incremental(EditType.ADD, "".join(cases))
+    assert set(model._memos[True]) == {"boston"} and not model._memos[False]
+    sessions += [_tagger_session(model), _tagger_session(model)]
+    for word in _WORDS:
+        for session in sessions[1:]:
+            session.parse_incremental(EditType.ADD, word)
+    memos = [dict(memo) for memo in model._memos]
+    assert set(memos[True]) == {w.lower() for w in _WORDS} and not memos[False]
+    for k in range(10_000):
+        sessions[1 + k % 2].parse_incremental(EditType.ADD, f"unseen{k}")
+    assert [dict(memo) for memo in model._memos] == memos
+    for session in sessions:
+        tokens = [w.lower() for w in session.board.annotations[TOKENS]]
+        assert _entities(session) == extract_entities(decode(model, tokens), tokens)
