@@ -22,7 +22,7 @@ from .iu import Blackboard, EditType
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
 
@@ -55,8 +55,10 @@ class IncrementalInterpreter:
     # -- training ------------------------------------------------------
 
     def train(self, dataset: TrainingDataset, seed: int = 13) -> None:
-        """Train every component in order. ``seed`` is only recorded, as the
-        manifest's ``training.seed``; components read their own ``seed`` param."""
+        """Train every component in order, then start a new utterance, as
+        training drops the components' session state. ``seed`` is only
+        recorded, as the manifest's ``training.seed``; components read their
+        own ``seed`` param."""
         if not dataset.examples:
             raise DataError("cannot train on an empty dataset")
         ctx = TrainingContext(dataset=dataset, seed=seed)
@@ -71,6 +73,7 @@ class IncrementalInterpreter:
             "intents": dataset.intents,
             "seed": seed,
         }
+        self.new_utterance()
 
     # -- parsing -------------------------------------------------------
 

@@ -1,5 +1,10 @@
 """Update-incremental Bayesian intent understanding.
 
+The model is a count model (Kennington, Kousidis & Schlangen, SIGDIAL 2013):
+training counts each word under its intent and its entity class, and a
+bundle stores those counts. One builder derives the smoothed log tables from
+them, after training and at load alike.
+
 Each incoming word multiplies per-intent word likelihoods into a running
 posterior, kept in log space. An add folds the word in once and pushes the
 scores it replaced; a revoke pops them back. So an add/revoke pair restores
@@ -19,7 +24,7 @@ last span, so the readout keeps the spans before it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,36 +36,67 @@ from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, REVOKE, TOKENS, Blackboard
 from .results import EntitySpan, rank_distribution
 
-OOV = "__OOV__"
-
 
 @dataclass
 class SiumModel:
     """Smoothed count model over words, conditioned on intent and entity class.
 
-    Likelihood tables hold one row per training word plus a final row for
-    unseen words; probabilities are add-alpha smoothed against the training
-    vocabulary size so every row is strictly positive.
+    The counts are the model's only record: ``intent_counts[intent][word]``
+    and ``entity_counts[cls][word]`` hold the nonzero training counts.
+    Building the model derives the rest, after training and at load alike:
+    uniform priors, and likelihood tables with one row per ``word_index``
+    entry plus a final row for unseen words, add-alpha smoothed against the
+    vocabulary size so every row is strictly positive. The build checks the
+    parameter ranges and that every table column sums to one.
     """
 
     intents: list[str]
     entity_classes: list[str]
     word_index: dict[str, int]
+    intent_counts: dict[str, dict[str, int]]
+    entity_counts: dict[str, dict[str, int]]
     alpha: float
     entity_threshold: float
     lowercase: bool
-    log_word_given_intent: np.ndarray
-    log_word_given_entity: np.ndarray
-    log_intent_prior: np.ndarray
-    log_entity_prior: np.ndarray
 
     def __post_init__(self) -> None:
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError(f"smoothing alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.entity_threshold <= 1.0:
+            raise ParameterError(f"entity_threshold must be in [0, 1], got {self.entity_threshold}")
+        self.log_word_given_intent = self._smoothed_log_table(self.intent_counts, self.intents)
+        self.log_word_given_entity = self._smoothed_log_table(
+            self.entity_counts, self.entity_classes
+        )
+        self.log_intent_prior = np.full(len(self.intents), -math.log(len(self.intents)))
+        n_classes = len(self.entity_classes)
+        self.log_entity_prior = np.full(n_classes, -math.log(n_classes))
         # Entity pick per likelihood row, filled on first use: at most V+1
         # entries, shared by every session on this model. Not fields, so a
         # copy made through ``dataclasses.replace`` starts memos of its own.
         self._picks: dict[int, tuple[str, float] | None] = {}
         # The empty prefix's ranking, kept by KeepsRanking on first use.
         self.empty_ranking: tuple[tuple[str, float], ...] | None = None
+
+    def _smoothed_log_table(
+        self, counts: dict[str, dict[str, int]], labels: list[str]
+    ) -> np.ndarray:
+        """Rows are words (last row unseen), columns labels, entries log probs.
+        Each column must sum to one."""
+        word_index, alpha = self.word_index, self.alpha
+        n_rows = len(word_index) + 1
+        table = np.zeros((n_rows, len(labels)), dtype=np.float64)
+        for col, label in enumerate(labels):
+            label_counts = counts.get(label, {})
+            total = sum(label_counts.values())
+            denom = total + alpha * (len(word_index) + 1)
+            for word, idx in word_index.items():
+                table[idx, col] = math.log((label_counts.get(word, 0) + alpha) / denom)
+            table[n_rows - 1, col] = math.log(alpha / denom)
+        sums = np.exp(table).sum(axis=0)
+        if not np.allclose(sums, 1.0, atol=1e-9):
+            raise ConsistencyError(f"likelihood table for {labels} does not normalize: {sums}")
+        return table
 
     def row(self, word: str) -> int:
         if self.lowercase:
@@ -93,41 +129,20 @@ class SiumModel:
             return pick
 
 
-def _smoothed_log_table(
-    counts: dict[str, dict[str, int]],
-    labels: list[str],
-    word_index: dict[str, int],
-    alpha: float,
-) -> np.ndarray:
-    """Rows are words (last row unseen), columns labels, entries log probs."""
-    n_rows = len(word_index) + 1
-    table = np.zeros((n_rows, len(labels)), dtype=np.float64)
-    for col, label in enumerate(labels):
-        label_counts = counts.get(label, {})
-        total = sum(label_counts.values())
-        denom = total + alpha * (len(word_index) + 1)
-        for word, idx in word_index.items():
-            table[idx, col] = math.log((label_counts.get(word, 0) + alpha) / denom)
-        table[n_rows - 1, col] = math.log(alpha / denom)
-    return table
-
-
 def train_sium(
     dataset: TrainingDataset,
     alpha: float = 1.0,
     entity_threshold: float = 0.6,
     lowercase: bool = True,
 ) -> SiumModel:
-    if not 0 < alpha < math.inf:
-        raise ParameterError(f"smoothing alpha must be positive and finite, got {alpha}")
-    if not 0.0 <= entity_threshold <= 1.0:
-        raise ParameterError(f"entity_threshold must be in [0, 1], got {entity_threshold}")
+    """Count each training token under its example's intent and its own
+    entity class, and build the model from those counts."""
     if not dataset.examples:
         raise DataError("cannot train on an empty dataset")
 
     word_index: dict[str, int] = {}
-    intent_counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    entity_counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+    intent_counts: dict[str, Counter] = defaultdict(Counter)
+    entity_counts: dict[str, Counter] = defaultdict(Counter)
     for ex in dataset.examples:
         tokens, classes = token_entity_classes(ex.text, ex.entities, lowercase=lowercase)
         for token, cls in zip(tokens, classes):
@@ -136,30 +151,16 @@ def train_sium(
             intent_counts[ex.intent][token] += 1
             entity_counts[cls][token] += 1
 
-    intents = dataset.intents
-    entity_classes = dataset.entity_types + [NO_ENTITY]
-    model = SiumModel(
-        intents=intents,
-        entity_classes=entity_classes,
+    return SiumModel(
+        intents=dataset.intents,
+        entity_classes=dataset.entity_types + [NO_ENTITY],
         word_index=word_index,
+        intent_counts=dict(intent_counts),
+        entity_counts=dict(entity_counts),
         alpha=alpha,
         entity_threshold=entity_threshold,
         lowercase=lowercase,
-        log_word_given_intent=_smoothed_log_table(intent_counts, intents, word_index, alpha),
-        log_word_given_entity=_smoothed_log_table(entity_counts, entity_classes, word_index, alpha),
-        log_intent_prior=np.full(len(intents), -math.log(len(intents))),
-        log_entity_prior=np.full(len(entity_classes), -math.log(len(entity_classes))),
     )
-    for table, labels in (
-        (model.log_word_given_intent, intents),
-        (model.log_word_given_entity, entity_classes),
-    ):
-        sums = np.exp(table).sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise ConsistencyError(
-                f"likelihood table for {labels} does not normalize: {sums}"
-            )
-    return model
 
 
 @dataclass
@@ -275,6 +276,10 @@ def sium_entities(state: SiumState) -> list[EntitySpan]:
     return list(spans)
 
 
+# Each count section of a persisted model, with the labels its lines use.
+_COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_classes"))
+
+
 class SiumIntent(KeepsRanking, Component):
     """Update-incremental intent and entity component."""
 
@@ -344,21 +349,14 @@ class SiumIntent(KeepsRanking, Component):
         lines.extend(model.entity_classes)
         lines.append("[vocabulary]")
         lines.extend(f"{w}\t{i}" for w, i in sorted(model.word_index.items()))
-        lines.append("[word_given_intent]")
-        lines.extend(self._table_lines(model.log_word_given_intent, model.intents, model))
-        lines.append("[word_given_entity]")
-        lines.extend(self._table_lines(model.log_word_given_entity, model.entity_classes, model))
+        for section, labels in _COUNT_SECTIONS:
+            lines.append(f"[{section}]")
+            for label in getattr(model, labels):
+                counts = getattr(model, section).get(label, {})
+                lines.extend(
+                    f"{label}\t{w}\t{counts[w]}" for w in sorted(counts, key=model.word_index.get)
+                )
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @staticmethod
-    def _table_lines(table: np.ndarray, labels: list[str], model: SiumModel) -> list[str]:
-        rows = {idx: word for word, idx in model.word_index.items()}
-        rows[len(model.word_index)] = OOV
-        out = []
-        for col, label in enumerate(labels):
-            for idx in range(table.shape[0]):
-                out.append(f"{label}\t{rows[idx]}\t{float(table[idx, col])!r}")
-        return out
 
     @classmethod
     def load(cls, directory: Path, params) -> "SiumIntent":
@@ -372,32 +370,27 @@ class SiumIntent(KeepsRanking, Component):
                 sections[current] = []
             elif line:
                 sections[current].append(line)
-        intents = sections["intents"]
-        entity_classes = sections["entity_classes"]
         word_index = {}
         for line in sections["vocabulary"]:
             word, _, idx = line.partition("\t")
             word_index[word] = int(idx)
-
-        def read_table(name: str, labels: list[str]) -> np.ndarray:
-            table = np.zeros((len(word_index) + 1, len(labels)), dtype=np.float64)
-            cols = {label: i for i, label in enumerate(labels)}
-            for line in sections[name]:
-                label, word, value = line.split("\t")
-                idx = len(word_index) if word == OOV else word_index[word]
-                table[idx, cols[label]] = float(value)
-            return table
-
+        if sorted(word_index.values()) != list(range(len(word_index))):
+            raise ValueError("[vocabulary] indices are not 0 to n-1, once each")
+        counts: dict[str, dict[str, dict[str, int]]] = {}
+        for section, labels in _COUNT_SECTIONS:
+            table = counts[section] = {label: {} for label in sections[labels]}
+            for line in sections[section]:
+                label, word, count = line.split("\t")
+                table[label][word] = n = int(count)
+                if word not in word_index or n < 1:
+                    raise ValueError(f"[{section}] {line!r}: unknown word or count below 1")
         comp.model = SiumModel(
-            intents=intents,
-            entity_classes=entity_classes,
+            intents=sections["intents"],
+            entity_classes=sections["entity_classes"],
             word_index=word_index,
             alpha=comp.params["alpha"],
             entity_threshold=comp.params["entity_threshold"],
             lowercase=comp.params["lowercase"],
-            log_word_given_intent=read_table("word_given_intent", intents),
-            log_word_given_entity=read_table("word_given_entity", entity_classes),
-            log_intent_prior=np.full(len(intents), -math.log(len(intents))),
-            log_entity_prior=np.full(len(entity_classes), -math.log(len(entity_classes))),
+            **counts,
         )
         return comp

@@ -1,8 +1,9 @@
 import pytest
 
-from incnlu import ConsistencyError, IncrementalInterpreter, ParameterError
+from incnlu import ConsistencyError, IncrementalInterpreter, ParameterError, evaluation
 from incnlu.evaluation import (
     BOW,
+    NOISE_RATES,
     REFERENCE_F1,
     SIUM,
     TAGGER,
@@ -191,7 +192,8 @@ class TestEvaluateEndToEnd:
 
     def test_each_utterance_is_streamed_once_per_pass(self, toy_interp, toy_dataset, monkeypatch):
         # One clean pass, one word-streamed pass against it, one pass per
-        # noise rate; the clean pass also feeds the F1 scores.
+        # noise rate other than 0.0, whose pass is the word-streamed one; the
+        # clean pass also feeds the F1 scores.
         calls = 0
         new_utterance = IncrementalInterpreter.new_utterance
 
@@ -202,4 +204,24 @@ class TestEvaluateEndToEnd:
 
         monkeypatch.setattr(IncrementalInterpreter, "new_utterance", counting)
         evaluate(toy_interp.fresh_copy(), toy_dataset, noise_rates=(0.0, 0.5))
-        assert calls == (2 + 2) * len(toy_dataset)
+        assert calls == (2 + 1) * len(toy_dataset)
+
+    @pytest.mark.parametrize("rates, passes", [(NOISE_RATES, 3), ((0.4,), 2), ((0.0,), 1)])
+    def test_rate_zero_reuses_the_equivalence_pass(
+        self, toy_interp, toy_dataset, monkeypatch, rates, passes
+    ):
+        # At rate 0.0 no noise is drawn, so its pass would make the
+        # equivalence pass's edits again; every other rate streams anew.
+        calls = []
+        check_streams = evaluation._check_streams
+
+        def counting(interp, test, clean, noise):
+            calls.append(noise.insertion_rate)
+            return check_streams(interp, test, clean, noise)
+
+        monkeypatch.setattr(evaluation, "_check_streams", counting)
+        report = evaluate(toy_interp.fresh_copy(), toy_dataset, noise_rates=rates)
+        assert len(calls) == passes
+        assert sorted(report.noise_results) == sorted(rates)
+        if 0.0 in rates:
+            assert report.noise_results[0.0] == (report.equivalence_exact, len(toy_dataset))

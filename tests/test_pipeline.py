@@ -247,6 +247,31 @@ class TestInterpreter:
         reference = toy_interp.fresh_copy().parse_full("play some jazz")
         assert replay == reference
 
+    def test_training_starts_a_new_utterance(self, toy_dataset):
+        # Training drops every component's session state, so the board must
+        # drop its words too, or a REVOKE after it would reach a component
+        # that holds no word.
+        interp = train_pipeline(default_config(), toy_dataset)
+        interp.parse_incremental(EditType.ADD, "play")
+        interp.parse_incremental(EditType.ADD, "jazz")
+        interp.train(toy_dataset)
+        board = interp.board
+        assert len(board.buffer) == 0 and board.edit_log == []
+        assert board.annotations == board.component_annotations == {}
+
+        def views():
+            names = [c.name for c in interp.components]
+            return interp.current_result(), [interp.component_result(n) for n in names]
+
+        before = views()
+        with pytest.raises(BufferUnderflowError):
+            interp.parse_incremental(EditType.REVOKE)
+        assert views() == before
+        interp.parse_incremental(EditType.ADD, "now")
+        reference = interp.fresh_copy()
+        reference.parse_incremental(EditType.ADD, "now")
+        assert _views(interp) == _views(reference)
+
     def test_empty_utterance_still_produces_a_distribution(self, toy_interp):
         interp = toy_interp.fresh_copy()
         result = interp.parse_full("")
@@ -415,15 +440,31 @@ def _set_field(line_no, field, value):
     return edit
 
 
+def _set_sium_field(section, field, value):
+    """Edit that overwrites one field of the first line under ``[section]``
+    in SIUM's model file."""
+
+    def edit(text):
+        line_no = text.split("\n").index(f"[{section}]") + 1
+        return _set_field(line_no, field, value)(text)
+
+    return edit
+
+
+_SIUM = "intent_sium/model.tsv"
+
 # One edit per case, each leaving a bundle whose checksum is valid again
 # (None deletes the file).
 _MALFORMED = {
     "tagger-weight-not-a-float": ("entity_tagger_sequence/model.tsv", _set_field(1, -1, "heavy")),
     "tagger-tag-unknown": ("entity_tagger_sequence/model.tsv", _set_field(1, -2, "B-nosuch")),
-    "sium-section-missing": (
-        "intent_sium/model.tsv",
-        lambda text: text[: text.index("[word_given_entity]")],
-    ),
+    "sium-section-missing": (_SIUM, lambda text: text[: text.index("[entity_counts]")]),
+    "sium-count-not-an-int": (_SIUM, _set_sium_field("intent_counts", 2, "2.5")),
+    # A count of 0 would still normalise, and load silently.
+    "sium-count-below-one": (_SIUM, _set_sium_field("intent_counts", 2, "0")),
+    "sium-word-not-in-vocabulary": (_SIUM, _set_sium_field("intent_counts", 1, "nosuchword")),
+    "sium-label-unknown": (_SIUM, _set_sium_field("intent_counts", 0, "NoSuchIntent")),
+    "sium-vocabulary-index-out-of-range": (_SIUM, _set_sium_field("vocabulary", 1, "-1")),
     "vocabulary-index-not-an-int": (
         "featurizer_count_vectors/vocabulary.tsv",
         _set_field(0, 1, "first"),
@@ -461,8 +502,9 @@ class TestBundles:
     def test_wrong_schema_version_names_the_expected_one(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        # Schema 1 kept parameters in per-component params.tsv files.
-        for version in (999, 1):
+        # Schema 1 kept parameters in per-component params.tsv files, and
+        # schema 2 kept SIUM's log tables instead of its counts.
+        for version in (999, 1, 2):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):

@@ -10,7 +10,6 @@ from incnlu import ConsistencyError, ParameterError
 from incnlu.data import NO_ENTITY, TrainingDataset, TrainingExample
 from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, Blackboard, EditType
 from incnlu.sium import (
-    OOV,
     SiumIntent,
     SiumModel,
     SiumState,
@@ -56,23 +55,37 @@ def test_smoothed_likelihoods_match_hand_computation():
 
 
 def test_single_word_posterior_update():
-    # Uniform prior over two intents, likelihoods 0.3 and 0.1 for the word:
-    # posterior must be (0.75, 0.25).
+    # Vocabulary {w, x} plus the unseen bucket; A saw w twice, B saw x twice.
+    # With alpha=1, P(w | A) = (2 + 1) / (2 + 3) = 0.6 and P(w | B) = 1 / 5 =
+    # 0.2, so from a uniform prior the posterior must be (0.75, 0.25).
     model = SiumModel(
         intents=["A", "B"],
         entity_classes=[NO_ENTITY],
-        word_index={"w": 0},
+        word_index={"w": 0, "x": 1},
+        intent_counts={"A": {"w": 2}, "B": {"x": 2}},
+        entity_counts={NO_ENTITY: {"w": 2, "x": 2}},
         alpha=1.0,
         entity_threshold=0.6,
         lowercase=True,
-        log_word_given_intent=np.log([[0.3, 0.1], [0.7, 0.9]]),
-        log_word_given_entity=np.zeros((2, 1)),
-        log_intent_prior=np.log([0.5, 0.5]),
-        log_entity_prior=np.log([1.0]),
     )
+    np.testing.assert_allclose(np.exp(model.intent_loglik("w")), [0.6, 0.2], rtol=1e-12)
     state = SiumState(model)
     state.add("w")
     np.testing.assert_allclose(classify(state), [0.75, 0.25], rtol=0, atol=1e-12)
+
+
+def test_rebuilding_from_the_fields_gives_bit_equal_tables(toy_dataset):
+    # editbench's counting model is built this way, from the trained
+    # model's fields, and must read the same numbers.
+    model = train_sium(toy_dataset)
+    copy = SiumModel(**{f.name: getattr(model, f.name) for f in dataclasses.fields(SiumModel)})
+    for name in (
+        "log_word_given_intent",
+        "log_word_given_entity",
+        "log_intent_prior",
+        "log_entity_prior",
+    ):
+        assert np.array_equal(getattr(copy, name), getattr(model, name))
 
 
 def test_empty_state_returns_the_prior():
@@ -351,8 +364,20 @@ class TestSiumComponent:
         assert loaded.model.word_index == comp.model.word_index
         assert np.array_equal(loaded.model.log_word_given_intent, comp.model.log_word_given_intent)
         assert np.array_equal(loaded.model.log_word_given_entity, comp.model.log_word_given_entity)
+        # The file holds counts only: every line under a count section ends
+        # in a positive integer.
         text = (tmp_path / "model.tsv").read_text(encoding="utf-8")
-        assert OOV in text
+        section = None
+        count_lines = 0
+        for line in text.splitlines():
+            if line.startswith("["):
+                section = line
+            elif section in ("[intent_counts]", "[entity_counts]"):
+                count = line.split("\t")[-1]
+                assert count.isdigit() and int(count) >= 1, line
+                count_lines += 1
+        tables = (comp.model.intent_counts, comp.model.entity_counts)
+        assert count_lines == sum(len(words) for table in tables for words in table.values())
 
     def test_use_before_training_is_an_error(self):
         comp = SiumIntent()
