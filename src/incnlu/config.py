@@ -11,8 +11,10 @@ The accepted grammar is deliberately tiny:
 Top-level scalar keys, one ``pipeline:`` list whose items each start with a
 ``- name:`` line, and indented ``key: value`` parameter lines under an item.
 Values are quoted strings, booleans, integers, or floats. Blank lines and
-``#`` comments are ignored. Anything else is an error with a line number;
-a full YAML parser would accept far more than this format means.
+``#`` comments are ignored. A top-level key or a parameter of one item
+given twice is an error, as a later line would otherwise silently win or
+extend the first. Anything else is an error with a line number; a full
+YAML parser would accept far more than this format means.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def _parse_scalar(raw: str, lineno: int) -> object:
 
 def parse_config(text: str) -> PipelineConfig:
     language = None
+    top_level: set[str] = set()  # the top-level keys read so far
     components: list[ComponentSpec] = []
     in_pipeline = False
     item_indent = None
@@ -91,6 +94,9 @@ def parse_config(text: str) -> PipelineConfig:
         if indent == 0:
             in_pipeline = False
             item_indent = None
+            if key in top_level:
+                raise ConfigError(f"line {lineno}: top-level key {key!r} given twice")
+            top_level.add(key)
             if key == "pipeline":
                 if raw_value:
                     raise ConfigError(f"line {lineno}: pipeline takes a list, not a value")
@@ -106,7 +112,10 @@ def parse_config(text: str) -> PipelineConfig:
         # Indented line: a parameter of the current component entry.
         if not in_pipeline or not components or item_indent is None or indent <= item_indent:
             raise ConfigError(f"line {lineno}: parameter line with no component entry")
-        components[-1].params[key] = _parse_scalar(raw_value, lineno)
+        params = components[-1].params
+        if key in params:
+            raise ConfigError(f"line {lineno}: parameter {key!r} of {components[-1].name!r} given twice")
+        params[key] = _parse_scalar(raw_value, lineno)
     if language is None:
         raise ConfigError("missing required key 'language'")
     if not components:

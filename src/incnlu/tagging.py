@@ -11,16 +11,17 @@ are sums of each word's parts (:class:`WordParts`), which depend only on
 the word: the model memoises them per known word on first use, lowered if
 the component lowercases, and every session shares the memo, so the
 lattice builds no feature string. An ADD computes one new column, and
-finalises the one before it by adding the ``nw=`` weights to the parts of
-it kept when it was the last. Those parts are kept for the two most recent
-positions, so a REVOKE right after an ADD rebuilds the new last column
-from them; a deeper REVOKE recomputes it from a checkpoint, the final
-column kept at every CHECKPOINT_EVERY-th position. The traceback stops
-where it meets the previous best path (partial traceback, Brown, Spohrer,
-Hochschild & Baker, ICASSP 1982), and spans are re-extracted from there
-on. Every column is computed by the same float operations as in the batch
-:func:`decode`, which stays on feature strings, so the entity output is
-still exactly that of a restart over the current prefix.
+finalises the one before it from the best-predecessor scores kept of it
+when it was the last. Those scores are kept for the KEPT_PREDECESSORS most
+recent positions, so up to KEPT_PREDECESSORS - 1 REVOKEs in a row rebuild
+the new last column from them; a deeper REVOKE recomputes it from a
+checkpoint, the final column kept at every CHECKPOINT_EVERY-th position.
+The traceback stops where it meets the previous best path (partial
+traceback, Brown, Spohrer, Hochschild & Baker, ICASSP 1982), and spans are
+re-extracted from there on. Every column is computed by the same float
+operations as in the batch :func:`decode`, which stays on feature strings,
+so the entity output is still exactly that of a restart over the current
+prefix.
 
 Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
@@ -49,6 +50,10 @@ _NEG_INF = float("-inf")
 # A session's lattice keeps the final score column of every CHECKPOINT_EVERY-th
 # position; a revoke recomputes at most this many columns.
 CHECKPOINT_EVERY = 16
+# It also keeps the best-predecessor scores of its KEPT_PREDECESSORS most
+# recent positions, so up to KEPT_PREDECESSORS - 1 revokes in a row recompute
+# no column.
+KEPT_PREDECESSORS = 4
 
 
 def tag_features(tokens: list[str], i: int) -> list[str]:
@@ -113,8 +118,10 @@ class TaggerModel:
         self._transitions = _transition_scores(self.weights, self.tags, _transition_mask(self.tags))
         # Row b: the pairwise scores into tag b, for ViterbiState's _predecessors.
         self._incoming = np.ascontiguousarray(self._transitions[1].T)
-        for scores in (*self._transitions, self._incoming):
-            scores.flags.writeable = False
+        # Each tag's index, with which _predecessors gathers the best scores.
+        self._tag_index = np.arange(len(self.tags))
+        for table in (*self._transitions, self._incoming, self._tag_index):
+            table.flags.writeable = False
         self._start_pw = self.weights.get(f"pw={START}")
         self._end_nw = self.weights.get(f"nw={END}")
         self._digit = self.weights.get("digit")
@@ -190,22 +197,25 @@ def _back_dtype(n_tags: int) -> np.dtype:
     return np.min_scalar_type(n_tags - 1)
 
 
-def _predecessors(delta: np.ndarray, incoming: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _predecessors(delta: np.ndarray, incoming: np.ndarray,
+                  tag_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Viterbi column step before its emission is added: back-pointers
     into ``delta`` and each tag's best-predecessor score. ``incoming`` is
     the transposed pairwise matrix, row b holding the scores into tag b;
-    the argmax takes the first maximum."""
+    ``tag_index`` is ``arange`` over the tags. The argmax takes the first
+    maximum."""
     scores = incoming + delta
     back = scores.argmax(axis=1)
-    return back, scores[np.arange(len(delta)), back]
+    return back, scores[tag_index, back]
 
 
-def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray, tags: list[str]) -> list[str]:
+def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray, tag_index: np.ndarray,
+             tags: list[str]) -> list[str]:
     n_pos, n_tags = em.shape
     delta = em[0] + init
     back = np.zeros((n_pos, n_tags), dtype=_back_dtype(n_tags))
     for i in range(1, n_pos):
-        back[i], best = _predecessors(delta, incoming)
+        back[i], best = _predecessors(delta, incoming, tag_index)
         delta = best + em[i]
     best = int(np.argmax(delta))
     path = [best]
@@ -222,7 +232,7 @@ def decode(model: TaggerModel, tokens: list[str]) -> list[str]:
         return []
     feats = [tag_features(tokens, i) for i in range(len(tokens))]
     em = _emissions(model.weights, len(model.tags), feats)
-    return _viterbi(em, model.transition_matrix()[0], model._incoming, model.tags)
+    return _viterbi(em, model.transition_matrix()[0], model._incoming, model._tag_index, model.tags)
 
 
 def _tag_set(dataset: TrainingDataset) -> list[str]:
@@ -279,6 +289,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     tags = _tag_set(dataset)
     tag_idx = {t: i for i, t in enumerate(tags)}
     mask = _transition_mask(tags)
+    tag_index = np.arange(len(tags))
 
     sentences = []
     for ex in dataset.examples:
@@ -303,7 +314,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             if transitions is None:
                 init, pair = _transition_scores(acc.weights, tags, mask)
                 transitions = init, np.ascontiguousarray(pair.T)
-            pred = _viterbi(_emissions(acc.weights, len(tags), feats), *transitions, tags)
+            pred = _viterbi(_emissions(acc.weights, len(tags), feats), *transitions, tag_index, tags)
             if pred == gold:
                 clean[idx] = acc.step
                 continue
@@ -368,20 +379,20 @@ class ViterbiState:
     token i+1 is known, as only ``nw=`` reads past token i. A back-pointer
     row only reads the final column before it, so every row is final and
     all are kept, one byte per tag. Final score columns are kept as
-    checkpoints, at every CHECKPOINT_EVERY-th position. Two parts of a
-    column are kept too: its best-predecessor scores and its emission
-    summed up to ``pw=``. They read no token past their own, so they stay
-    valid while the column survives; they are kept for the two most recent
-    positions. Adding ``nw=`` and ``digit`` to a copy of the sum, and the
-    result to the scores, gives the column again: final on an ADD, which
-    then computes one new column, and the last on a REVOKE right after an
-    ADD, which so computes none. Any other column is recomputed forward
-    from the nearest checkpoint. Every column so gets the sums ``decode``
-    makes of its ``_predecessors`` and ``_emission`` rows, in the same
-    order, so it has the same bits.
+    checkpoints, at every CHECKPOINT_EVERY-th position. A column's
+    best-predecessor scores read no token past its own, so they stay valid
+    while the column survives; they are kept for the KEPT_PREDECESSORS most
+    recent positions. Adding them to the column's emission, summed anew
+    from its word's parts and its neighbours', gives the column again:
+    final on an ADD, which then computes one new column, and the last on a
+    run of up to KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so
+    computes none. Any other column is recomputed forward from the nearest
+    checkpoint. Every column so gets the sums ``decode`` makes of its
+    ``_predecessors`` and ``_emission`` rows, in the same order, so it has
+    the same bits.
     """
 
-    __slots__ = ("model", "lowercase", "n", "back", "checkpoints", "parts", "parted", "tags", "spans")
+    __slots__ = ("model", "lowercase", "n", "back", "checkpoints", "preds", "parted", "tags", "spans")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
@@ -390,10 +401,11 @@ class ViterbiState:
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         self.checkpoints = np.zeros((1, n_tags))  # row j: final column j * CHECKPOINT_EVERY
-        # Rows 2p and 2p+1: the best-predecessor scores and head emission of
-        # the most recent column computed at a position of parity p.
-        self.parts = np.zeros((4, n_tags))
-        self.parted = (-1, -1)  # their positions, for p = 0 and 1; -1 for none
+        # Row i % KEPT_PREDECESSORS: the best-predecessor scores of position i,
+        # the most recent position computed in that slot; parted holds the
+        # slots' positions, -1 for none.
+        self.preds = np.zeros((KEPT_PREDECESSORS, n_tags))
+        self.parted = [-1] * KEPT_PREDECESSORS
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
 
@@ -401,33 +413,32 @@ class ViterbiState:
                 word: WordParts, after: WordParts | None) -> np.ndarray:
         """Score column i of ``word``, between ``before`` and ``after`` (None
         past either end), from final column i-1; records back-pointer row i
-        and keeps the parts :meth:`_finalise` reads."""
+        and keeps the predecessor scores :meth:`_finalise` reads."""
         model = self.model
-        row = 2 * (i % 2)
-        head = self.parts[row + 1]
-        pw = model._start_pw if before is None else before.pw
-        if pw is None:
-            head[:] = word.head
-        else:
-            np.add(word.head, pw, out=head)
+        slot = i % len(self.parted)
         if i == 0:
-            self.parts[row] = model.transition_matrix()[0]
+            self.preds[slot] = model.transition_matrix()[0]
         else:
             if i == len(self.back):
                 self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-            self.back[i], self.parts[row] = _predecessors(prev, model._incoming)
-        self.parted = (self.parted[0], i) if row else (i, self.parted[1])
-        return self._finalise(i, word, after)
+            self.back[i], self.preds[slot] = _predecessors(prev, model._incoming, model._tag_index)
+        self.parted[slot] = i
+        return self._finalise(i, before, word, after)
 
-    def _finalise(self, i: int, word: WordParts, after: WordParts | None) -> np.ndarray:
-        """Column i of ``word`` from the parts :meth:`_column` kept of it:
-        final if ``after`` is a word, else the last."""
-        row = 2 * (i % 2)
-        nw = self.model._end_nw if after is None else after.nw
-        em = self.parts[row + 1] + nw if nw is not None else self.parts[row + 1].copy()
+    def _finalise(self, i: int, before: WordParts | None, word: WordParts,
+                  after: WordParts | None) -> np.ndarray:
+        """Column i of ``word`` from the predecessor scores kept of it: final
+        if ``after`` is a word, else the last. The emission adds the head,
+        ``pw=``, ``nw=`` and ``digit`` in :func:`tag_features` order."""
+        model = self.model
+        pw = model._start_pw if before is None else before.pw
+        em = word.head + pw if pw is not None else word.head.copy()
+        nw = model._end_nw if after is None else after.nw
+        if nw is not None:
+            em += nw
         if word.digit is not None:
             em += word.digit
-        return self.parts[row] + em
+        return np.add(self.preds[i % len(self.parted)], em, out=em)
 
     def update(self, tokens: Sequence[str]) -> None:
         """Follow the prefix to ``tokens``.
@@ -446,26 +457,28 @@ class ViterbiState:
             tags.clear()
             spans.clear()
             return
-        # Parts of columns up to kept-1 and checkpoints up to kept-2 saw only
-        # kept tokens. Resume from the newest column whose parts are held,
-        # or one past the newest checkpoint, whichever is later; make the
-        # columns up to n-2 final, then column n-1 the last.
-        p0, p1 = self.parted
-        self.parted = (p0 if p0 < kept else -1, p1 if p1 < kept else -1)
-        first, col = max(*self.parted, 0), None
+        # Predecessor scores up to position kept-1 and checkpoints up to
+        # kept-2 saw only kept tokens. Resume from the newest position whose
+        # scores are held, or one past the newest checkpoint, whichever is
+        # later; make the columns up to n-2 final, then column n-1 the last.
+        parted = self.parted
+        first = max(parted)
+        while first >= kept:  # drop the newest until every held position is kept
+            parted[first % len(parted)] = -1
+            first = max(parted)
+        first, col = max(first, 0), None
         if kept >= 2:
             j = (kept - 2) // CHECKPOINT_EVERY
             if j * CHECKPOINT_EVERY >= first:
                 first, col = j * CHECKPOINT_EVERY + 1, self.checkpoints[j]
         word_parts, lowercase = self.model.word_parts, self.lowercase
-        before, word = None, word_parts(tokens[first], lowercase)
+        before = word_parts(tokens[first - 1], lowercase) if first else None
+        word = word_parts(tokens[first], lowercase)
         for i in range(first, n):
             after = word_parts(tokens[i + 1], lowercase) if i + 1 < n else None
-            if i in self.parted:
-                col = self._finalise(i, word, after)
+            if parted[i % len(parted)] == i:
+                col = self._finalise(i, before, word, after)
             else:
-                if before is None and i > 0:
-                    before = word_parts(tokens[i - 1], lowercase)
                 col = self._column(i, col, before, word, after)
             j, off = divmod(i, CHECKPOINT_EVERY)
             if off == 0 and i < n - 1:

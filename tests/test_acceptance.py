@@ -38,6 +38,7 @@ from incnlu.intent_bow import loss_and_grad
 from incnlu.interpreter import load as load_bundle, train_pipeline
 from incnlu.iu import EditType
 from incnlu.features import tokenize
+from incnlu.tagging import CHECKPOINT_EVERY
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -54,6 +55,10 @@ GRAD_TOL = 1e-5
 NORM_TOL = 1e-9
 ISOLATION_PAIRS = 200
 ROUND_TRIP_UTTERANCES = 50
+# Deep noise: test utterances joined into sessions of more than this many
+# words, and the depths of its revoke runs, some past the checkpoint spacing.
+DEEP_NOISE_SESSION_WORDS = 3 * CHECKPOINT_EVERY
+DEEP_NOISE_DEPTHS = (1, 2, 3, 4, 5, CHECKPOINT_EVERY + 1, CHECKPOINT_EVERY + 7)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -274,6 +279,79 @@ def test_criterion_8_state_isolation(bundle):
         f"{ISOLATION_PAIRS} abandoned-prefix pairs, {mismatches} deviations from "
         "a fresh session",
     )
+
+
+def _stream_with_deep_noise(session, words, reference, vocabulary, rng):
+    """ADD ``words`` one by one on ``session``. After each true ADD, maybe
+    add a run of noise words and revoke it, or revoke a run of true words
+    and add them again, each re-added word maybe followed by a noise word
+    added and revoked. Every true ADD leaves the first k true words, whose
+    views must equal ``reference[k - 1]``. Returns (checks, mismatches,
+    deepest noise run, deepest true run)."""
+    checks = mismatches = deepest_noise = deepest_true = 0
+    k = 0
+
+    def add_true():
+        nonlocal k, checks, mismatches
+        session.parse_incremental(EditType.ADD, words[k])
+        k += 1
+        checks += 1
+        mismatches += _snapshot(session) != reference[k - 1]
+
+    while k < len(words):
+        add_true()
+        roll = rng.random()
+        if roll < 0.25:
+            depth = rng.choice(DEEP_NOISE_DEPTHS)
+            for _ in range(depth):
+                session.parse_incremental(EditType.ADD, rng.choice(vocabulary))
+            for _ in range(depth):
+                session.parse_incremental(EditType.REVOKE)
+            deepest_noise = max(deepest_noise, depth)
+        elif roll < 0.45:
+            depth = min(rng.choice(DEEP_NOISE_DEPTHS), k)
+            for _ in range(depth):
+                session.parse_incremental(EditType.REVOKE)
+            k -= depth
+            for _ in range(depth):
+                add_true()
+                if rng.random() < 0.3:
+                    session.parse_incremental(EditType.ADD, rng.choice(vocabulary))
+                    session.parse_incremental(EditType.REVOKE)
+            deepest_true = max(deepest_true, depth)
+    return checks, mismatches, deepest_noise, deepest_true
+
+
+def test_deep_noise_on_trained_weights_matches_a_fresh_run_of_the_survivors(bundle):
+    """The test split, joined into sessions longer than CHECKPOINT_EVERY
+    words, streamed with revoke runs 1 to 5 deep and past the checkpoint
+    spacing, of noise words and of true words added again. After every
+    true ADD the survivors are the session's first k true words, so every
+    view must equal that of a fresh session fed only them: a clean
+    ADD-only pass, snapshotted after each of its k ADDs."""
+    vocabulary = _noise_vocabulary(bundle.interp)
+    sessions, words = [], []
+    for ex in bundle.test.examples:
+        words += tokenize(ex.text, lowercase=False)
+        if len(words) > DEEP_NOISE_SESSION_WORDS:
+            sessions.append(words)
+            words = []
+    rng = random.Random(2016)
+    checks = mismatches = deepest_noise = deepest_true = 0
+    for words in sessions:
+        clean = bundle.interp.fresh_copy()
+        reference = []
+        for word in words:
+            clean.parse_incremental(EditType.ADD, word)
+            reference.append(_snapshot(clean))
+        got = _stream_with_deep_noise(bundle.interp.fresh_copy(), words, reference, vocabulary, rng)
+        checks += got[0]
+        mismatches += got[1]
+        deepest_noise, deepest_true = max(deepest_noise, got[2]), max(deepest_true, got[3])
+    print(f"deep noise: {len(sessions)} sessions, {checks} true ADDs checked, {mismatches} mismatches; "
+          f"deepest runs: {deepest_noise} noise, {deepest_true} true words")
+    assert mismatches == 0
+    assert min(deepest_noise, deepest_true) > CHECKPOINT_EVERY
 
 
 def test_criterion_9_persistence(bundle, tmp_path_factory):

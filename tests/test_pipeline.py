@@ -90,6 +90,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config('language: "en#x"\npipeline:\n- name: "tokenizer_whitespace"\n')
 
+    def test_repeated_parameter_is_an_error(self):
+        with pytest.raises(ConfigError, match=r"^line 5: parameter 'alpha' of 'intent_sium' given twice$"):
+            parse_config(
+                'language: "en"\npipeline:\n- name: "intent_sium"\n  alpha: 1.0\n  alpha: 2.0\n'
+            )
+
+    def test_repeated_language_is_an_error(self):
+        with pytest.raises(ConfigError, match=r"^line 4: top-level key 'language' given twice$"):
+            parse_config('language: "en"\npipeline:\n- name: "tokenizer_whitespace"\nlanguage: "de"\n')
+
+    def test_second_pipeline_section_is_an_error(self):
+        with pytest.raises(ConfigError, match=r"^line 4: top-level key 'pipeline' given twice$"):
+            parse_config(
+                'language: "en"\npipeline:\n- name: "tokenizer_whitespace"\npipeline:\n'
+                '- name: "featurizer_count_vectors"\n'
+            )
+
     def test_load_config_prefixes_the_path(self, tmp_path):
         path = tmp_path / "p.yml"
         path.write_text('language: "en"\n', encoding="utf-8")

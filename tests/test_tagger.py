@@ -23,6 +23,7 @@ from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, TOKENS, Blackboard, EditType
 from incnlu.tagging import (
     CHECKPOINT_EVERY,
+    KEPT_PREDECESSORS,
     SequenceEntityTagger,
     TaggerModel,
     decode,
@@ -128,7 +129,7 @@ def _train_decoding_everything(dataset, epochs, seed):
             acc.step += 1
             init, pair = tagging._transition_scores(acc.weights, tags, mask)
             em = tagging._emissions(acc.weights, len(tags), feats)
-            pred = tagging._viterbi(em, init, pair.T, tags)
+            pred = tagging._viterbi(em, init, pair.T, np.arange(len(tags)), tags)
             for i, (p, g) in enumerate(zip(pred, gold)):
                 prev_p = pred[i - 1] if i > 0 else tagging.START
                 prev_g = gold[i - 1] if i > 0 else tagging.START
@@ -486,20 +487,25 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(_MODELS)),
+    st.sampled_from([2, KEPT_PREDECESSORS]),
+    st.sampled_from([3, 5]),
     st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
 )
-def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, script):
+def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring, every, script):
     """After every ADD (a word) or REVOKE (None), each back-pointer row and
     checkpoint the lattice keeps has the bits of that row or column in a
-    plain forward pass over ``pair``, and each kept pair of parts of a
-    column has the bits of that column's best-predecessor scores and of its
-    emission summed up to ``pw=``. The reference reads ``pair`` down its
-    columns, so it also checks that ``_predecessors`` on the transposed
+    plain forward pass over ``pair``, and each held row of predecessor
+    scores, in its position's slot, has the bits of that position's
+    best-predecessor scores; the last position's are always held, and
+    ``_finalise`` rebuilds each held column with that column's bits. Rings of
+    2 and 4 rows over checkpoints every 3 or 5 positions wrap both below
+    and above the checkpoint interval. The reference reads ``pair`` down
+    its columns, so it also checks that ``_predecessors`` on the transposed
     matrix makes the same sums and takes the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
-    n_tags = len(model.tags)
-    with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
+    with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
+            mock.patch.object(tagging, "KEPT_PREDECESSORS", ring):
         state = tagging.ViterbiState(model, True)
         tokens: list[str] = []
         for step in script:
@@ -517,16 +523,17 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, scrip
                 scores = columns[-1][:, None] + pair
                 assert np.array_equal(state.back[i], scores.argmax(axis=0))
                 columns.append(scores.max(axis=0) + em[i])
-            for j in range((len(tokens) - 2) // 3 + 1):
-                assert np.array_equal(state.checkpoints[j], columns[j * 3])
-            for p, i in enumerate(state.parted):
+            for j in range((len(tokens) - 2) // every + 1):
+                assert np.array_equal(state.checkpoints[j], columns[j * every])
+            assert len(state.parted) == ring and len(tokens) - 1 in state.parted
+            parts = [None] + [model.word_parts(t, True) for t in tokens] + [None]
+            for slot, i in enumerate(state.parted):
                 if i < 0:
                     continue
+                assert i % ring == slot and i < len(tokens)
                 best = init if i == 0 else (columns[i - 1][:, None] + pair).max(axis=0)
-                feats = [f for f in tagging.tag_features(tokens, i) if f != "digit" and f[:3] != "nw="]
-                head = tagging._emission(model.weights, feats, np.zeros(n_tags))
-                assert np.array_equal(state.parts[2 * p], best)
-                assert np.array_equal(state.parts[2 * p + 1], head)
+                assert np.array_equal(state.preds[slot], best)
+                assert state._finalise(i, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
@@ -558,10 +565,10 @@ def _counting(real, calls):
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     """At 1000 words an ADD computes one column (one predecessor step; it
     finalises the one before without recomputing it), a REVOKE right after
-    an ADD none and no intent ranking, and any REVOKE at most
-    CHECKPOINT_EVERY + 1 columns. No edit builds a feature string. A REVOKE
-    that empties the prefix ranks no intent once the model has ranked the
-    empty prefix."""
+    an ADD none and no intent ranking, each of 3 REVOKEs in a row after 4
+    or more ADDs none, and any REVOKE at most CHECKPOINT_EVERY + 1 columns.
+    No edit builds a feature string. A REVOKE that empties the prefix ranks
+    no intent once the model has ranked the empty prefix."""
     calls = {}
     for module, name in (
         (tagging, "_predecessors"),
@@ -589,12 +596,21 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     for _ in range(50):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
         assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+    length = 1000
+    for _ in range(50):
+        adds = rng.randint(4, 8)
+        for _ in range(adds):
+            assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
+        for _ in range(3):
+            assert cost(EditType.REVOKE)["_predecessors"] == 0
+        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY + 1
+        length += adds - 4
     for _ in range(3 * CHECKPOINT_EVERY):
         assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY + 1
     for _ in range(10):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
     tokens = [w.lower() for w in session.board.buffer.hypothesis()]
-    assert len(tokens) == 1000 - 3 * CHECKPOINT_EVERY + 10
+    assert len(tokens) == length - 3 * CHECKPOINT_EVERY + 10
     assert _entities(session) == extract_entities(decode(tagger.model, tokens), tokens)
 
     # The first such REVOKE on the model may rank the empty prefix; no
