@@ -74,9 +74,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __contains__(self, token: str) -> bool:
-        return self.index_of(token) is not None
-
     def to_lines(self) -> list[str]:
         return [f"{word}\t{idx}" for word, idx in sorted(self.index.items())]
 

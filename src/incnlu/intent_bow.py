@@ -136,7 +136,9 @@ class BowIntentClassifier(KeepsRanking, Component):
 
     def __init__(self, params=None) -> None:
         super().__init__(params)
-        batch_size, epochs, lr, l2 = (self.params[k] for k in ("batch_size", "epochs", "lr", "l2"))
+        batch_size, epochs, lr, l2, seed = (
+            self.params[k] for k in ("batch_size", "epochs", "lr", "l2", "seed")
+        )
         if batch_size < 1:
             raise ParameterError(f"{self.name} batch_size must be at least 1, got {batch_size}")
         if epochs < 0:
@@ -145,6 +147,8 @@ class BowIntentClassifier(KeepsRanking, Component):
             raise ParameterError(f"{self.name} lr must be positive, got {lr}")
         if not l2 >= 0:
             raise ParameterError(f"{self.name} l2 must be at least 0, got {l2}")
+        if seed < 0:
+            raise ParameterError(f"{self.name} seed must be at least 0, got {seed}")
         self.model: LinearIntentModel | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
@@ -199,6 +203,8 @@ class BowIntentClassifier(KeepsRanking, Component):
             dtype=np.float64,
         )
         if weights.shape[1] != len(intents):
-            raise ConsistencyError("weight matrix width does not match intents header")
+            raise ValueError("weight matrix width does not match intents header")
+        if not np.isfinite(weights).all():
+            raise ValueError("weight matrix holds a value that is not finite")
         comp.model = LinearIntentModel(intents=intents, weights=weights)
         return comp

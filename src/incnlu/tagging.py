@@ -10,13 +10,14 @@ and computes only the columns an edit changes: the right-context feature
 are sums of each word's parts (:class:`WordParts`), which depend only on
 the word: the model memoises them per known word on first use, lowered if
 the component lowercases, and every session shares the memo, so the
-lattice builds no feature string. An ADD computes one new column, and
-finalises the one before it from the best-predecessor scores kept of it
-when it was the last. Those scores are kept for the KEPT_PREDECESSORS most
-recent positions, so up to KEPT_PREDECESSORS - 1 REVOKEs in a row rebuild
-the new last column from them; a deeper REVOKE recomputes it from a
-checkpoint, the final column kept at every CHECKPOINT_EVERY-th position.
-The traceback stops where it meets the previous best path (partial
+lattice builds no feature string. The lattice keeps one kind of row: a
+position's best-predecessor scores, held for every CHECKPOINT_EVERY-th
+position and the KEPT_PREDECESSORS newest. An ADD computes one new column,
+and finalises the one before it from the scores held of it when it was the
+last; up to KEPT_PREDECESSORS - 1 REVOKEs in a row rebuild the new last
+column from its held scores, and a deeper REVOKE resumes at the newest held
+position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back. The
+traceback stops where it meets the previous best path (partial
 traceback, Brown, Spohrer, Hochschild & Baker, ICASSP 1982), and spans are
 re-extracted from there on. Every column is computed by the same float
 operations as in the batch :func:`decode`, which stays on feature strings,
@@ -31,6 +32,7 @@ weights are bit for bit those of decoding every sentence in every epoch.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,12 +49,12 @@ from .results import EntitySpan
 START = "<s>"
 END = "</s>"
 _NEG_INF = float("-inf")
-# A session's lattice keeps the final score column of every CHECKPOINT_EVERY-th
-# position; a revoke recomputes at most this many columns.
+# A session's lattice holds the best-predecessor scores of every
+# CHECKPOINT_EVERY-th position; a revoke recomputes at most this many minus
+# one columns.
 CHECKPOINT_EVERY = 16
-# It also keeps the best-predecessor scores of its KEPT_PREDECESSORS most
-# recent positions, so up to KEPT_PREDECESSORS - 1 revokes in a row recompute
-# no column.
+# It also holds those of its KEPT_PREDECESSORS newest positions, so up to
+# KEPT_PREDECESSORS - 1 revokes in a row recompute no column.
 KEPT_PREDECESSORS = 4
 
 
@@ -334,14 +336,11 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     return TaggerModel(tags=tags, weights=acc.averaged())
 
 
-def extract_entities(tags: list[str], tokens: Sequence[str], start: int = 0) -> list[EntitySpan]:
-    """Turn maximal B-I runs from ``start`` on into spans; perceptron
-    confidence is fixed at 1.
+def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]:
+    """Turn maximal B-I runs into spans; perceptron confidence is fixed at 1.
 
     A stray I- with no compatible predecessor opens a new span; the decoder
-    never produces one, but hand-built tag lists may. A ``start`` inside a
-    run reads the run's rest as such a span, so callers start where a span
-    starts or at an "O".
+    never produces one, but hand-built tag lists may.
     """
     if len(tags) != len(tokens):
         raise ConsistencyError(
@@ -349,13 +348,14 @@ def extract_entities(tags: list[str], tokens: Sequence[str], start: int = 0) -> 
         )
     return [
         EntitySpan(type=etype, value=" ".join(tokens[i:j]), start=i, end=j, confidence=1.0)
-        for etype, i, j in _runs(tags, start)
+        for etype, i, j in _runs(tags, 0)
     ]
 
 
 def _runs(tags: list[str], start: int):
-    """(type, start, end) of each maximal B-I run from ``start`` on, for
-    :func:`extract_entities`; ``end`` is exclusive."""
+    """(type, start, end) of each maximal B-I run from ``start`` on; ``end``
+    is exclusive. A ``start`` inside a run reads the run's rest as a run of
+    its own, so callers start where a span starts or at an "O"."""
     i = start
     while i < len(tags):
         tag = tags[i]
@@ -378,21 +378,21 @@ class ViterbiState:
     ``lowercase``; it builds no feature string. Column i is final once
     token i+1 is known, as only ``nw=`` reads past token i. A back-pointer
     row only reads the final column before it, so every row is final and
-    all are kept, one byte per tag. Final score columns are kept as
-    checkpoints, at every CHECKPOINT_EVERY-th position. A column's
-    best-predecessor scores read no token past its own, so they stay valid
-    while the column survives; they are kept for the KEPT_PREDECESSORS most
-    recent positions. Adding them to the column's emission, summed anew
-    from its word's parts and its neighbours', gives the column again:
-    final on an ADD, which then computes one new column, and the last on a
-    run of up to KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so
-    computes none. Any other column is recomputed forward from the nearest
-    checkpoint. Every column so gets the sums ``decode`` makes of its
-    ``_predecessors`` and ``_emission`` rows, in the same order, so it has
-    the same bits.
+    all are kept, one byte per tag. Position i's best-predecessor scores
+    read no token past its own, so they stay valid while position i
+    survives. ``held`` maps positions to them in ascending order: position
+    0's are the initial transition scores, and it keeps every
+    CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS newest. Adding
+    them to the column's emission, summed anew from its word's parts and
+    its neighbours', gives the column again: final on an ADD, which then
+    computes one new column, and the last on a run of up to
+    KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so computes
+    none. Any other edit resumes at the newest held position. Every column
+    so gets the sums ``decode`` makes of its ``_predecessors`` and
+    ``_emission`` rows, in the same order, so it has the same bits.
     """
 
-    __slots__ = ("model", "lowercase", "n", "back", "checkpoints", "preds", "parted", "tags", "spans")
+    __slots__ = ("model", "lowercase", "n", "back", "held", "tags", "spans")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
@@ -400,35 +400,15 @@ class ViterbiState:
         self.n = 0
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
-        self.checkpoints = np.zeros((1, n_tags))  # row j: final column j * CHECKPOINT_EVERY
-        # Row i % KEPT_PREDECESSORS: the best-predecessor scores of position i,
-        # the most recent position computed in that slot; parted holds the
-        # slots' positions, -1 for none.
-        self.preds = np.zeros((KEPT_PREDECESSORS, n_tags))
-        self.parted = [-1] * KEPT_PREDECESSORS
+        self.held = {0: model.transition_matrix()[0]}
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
 
-    def _column(self, i: int, prev: np.ndarray | None, before: WordParts | None,
-                word: WordParts, after: WordParts | None) -> np.ndarray:
-        """Score column i of ``word``, between ``before`` and ``after`` (None
-        past either end), from final column i-1; records back-pointer row i
-        and keeps the predecessor scores :meth:`_finalise` reads."""
-        model = self.model
-        slot = i % len(self.parted)
-        if i == 0:
-            self.preds[slot] = model.transition_matrix()[0]
-        else:
-            if i == len(self.back):
-                self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-            self.back[i], self.preds[slot] = _predecessors(prev, model._incoming, model._tag_index)
-        self.parted[slot] = i
-        return self._finalise(i, before, word, after)
-
-    def _finalise(self, i: int, before: WordParts | None, word: WordParts,
+    def _finalise(self, preds: np.ndarray, before: WordParts | None, word: WordParts,
                   after: WordParts | None) -> np.ndarray:
-        """Column i of ``word`` from the predecessor scores kept of it: final
-        if ``after`` is a word, else the last. The emission adds the head,
+        """The column of ``word`` with best-predecessor scores ``preds``,
+        between ``before`` and ``after`` (None past either end): final if
+        ``after`` is a word, else the last. The emission adds the head,
         ``pw=``, ``nw=`` and ``digit`` in :func:`tag_features` order."""
         model = self.model
         pw = model._start_pw if before is None else before.pw
@@ -438,7 +418,7 @@ class ViterbiState:
             em += nw
         if word.digit is not None:
             em += word.digit
-        return np.add(self.preds[i % len(self.parted)], em, out=em)
+        return np.add(preds, em, out=em)
 
     def update(self, tokens: Sequence[str]) -> None:
         """Follow the prefix to ``tokens``.
@@ -448,43 +428,37 @@ class ViterbiState:
         changes the length by one, and a fresh state catches up in one call.
         """
         n = len(tokens)
-        kept = min(self.n, n)
         if n == self.n:
             return
+        kept = min(self.n, n)
         self.n = n
+        # Scores held of positions below kept saw only kept tokens; position
+        # 0's see none.
+        held = self.held
+        while next(reversed(held)) >= max(kept, 1):
+            held.popitem()
         tags, spans = self.tags, self.spans
         if n == 0:
             tags.clear()
             spans.clear()
             return
-        # Predecessor scores up to position kept-1 and checkpoints up to
-        # kept-2 saw only kept tokens. Resume from the newest position whose
-        # scores are held, or one past the newest checkpoint, whichever is
-        # later; make the columns up to n-2 final, then column n-1 the last.
-        parted = self.parted
-        first = max(parted)
-        while first >= kept:  # drop the newest until every held position is kept
-            parted[first % len(parted)] = -1
-            first = max(parted)
-        first, col = max(first, 0), None
-        if kept >= 2:
-            j = (kept - 2) // CHECKPOINT_EVERY
-            if j * CHECKPOINT_EVERY >= first:
-                first, col = j * CHECKPOINT_EVERY + 1, self.checkpoints[j]
-        word_parts, lowercase = self.model.word_parts, self.lowercase
+        # Resume at the newest held position: make the columns up to n-2
+        # final, then column n-1 the last.
+        first = next(reversed(held))
+        model, lowercase = self.model, self.lowercase
+        word_parts = model.word_parts
         before = word_parts(tokens[first - 1], lowercase) if first else None
-        word = word_parts(tokens[first], lowercase)
+        word, preds = word_parts(tokens[first], lowercase), held[first]
         for i in range(first, n):
             after = word_parts(tokens[i + 1], lowercase) if i + 1 < n else None
-            if parted[i % len(parted)] == i:
-                col = self._finalise(i, before, word, after)
-            else:
-                col = self._column(i, col, before, word, after)
-            j, off = divmod(i, CHECKPOINT_EVERY)
-            if off == 0 and i < n - 1:
-                if j == len(self.checkpoints):
-                    self.checkpoints = np.resize(self.checkpoints, (2 * j, len(col)))
-                self.checkpoints[j] = col
+            if i > first:
+                if i == len(self.back):
+                    self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
+                self.back[i], preds = _predecessors(col, model._incoming, model._tag_index)
+                held[i] = preds
+                if (i - KEPT_PREDECESSORS) % CHECKPOINT_EVERY:
+                    held.pop(i - KEPT_PREDECESSORS, None)
+            col = self._finalise(preds, before, word, after)
             before, word = word, after
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
@@ -567,18 +541,20 @@ class SequenceEntityTagger(Component):
     def load(cls, directory: Path, params) -> "SequenceEntityTagger":
         comp = cls(params)
         lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
-        header = lines[0].split("\t")
-        if header[0] != "#tags":
-            raise ConsistencyError("tagger model file missing tag-set header")
-        tags = header[1:]
+        header, *tags = lines[0].split("\t")
         tag_idx = {t: i for i, t in enumerate(tags)}
+        if header != "#tags" or not tags or "" in tags or len(tag_idx) < len(tags):
+            raise ValueError(f"{lines[0]!r} is not a tag-set header naming distinct tags")
         weights: dict[str, np.ndarray] = {}
         for line in lines[1:]:
             if not line:
                 continue
-            feat, tag, value = line.rsplit("\t", 2)
+            feat, tag, raw = line.rsplit("\t", 2)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"{line!r}: weight is not finite")
             if feat not in weights:
                 weights[feat] = np.zeros(len(tags))
-            weights[feat][tag_idx[tag]] = float(value)
+            weights[feat][tag_idx[tag]] = value
         comp.model = TaggerModel(tags=tags, weights=weights)
         return comp

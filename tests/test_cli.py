@@ -78,6 +78,15 @@ class TestTrain:
         assert captured.err.startswith("incnlu train: ")
         assert "batch_size" in captured.err
 
+    def test_negative_seed_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        code = main(["train", "--data", str(cli_env["data"]), "--out", str(tmp_path / "bundle"),
+                     "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("incnlu train: ")
+        assert "intent_classifier_bow seed" in captured.err
+
     @pytest.mark.parametrize(
         "component, line", [("intent_sium", "alpha: nan"), ("intent_classifier_bow", "l2: inf")]
     )

@@ -160,6 +160,7 @@ class TestPipelineAssembly:
             ("intent_sium", "alpha: inf"),
             ("intent_classifier_bow", "lr: inf"),
             ("intent_classifier_bow", "l2: inf"),
+            ("intent_classifier_bow", "seed: -5"),
         ],
     )
     def test_out_of_range_parameter_is_rejected(self, component, line):
@@ -469,12 +470,23 @@ def _set_sium_field(section, field, value):
 
 
 _SIUM = "intent_sium/model.tsv"
+_TAGGER = "entity_tagger_sequence/model.tsv"
+_BOW = "intent_classifier_bow/weights.tsv"
 
 # One edit per case, each leaving a bundle whose checksum is valid again
 # (None deletes the file).
 _MALFORMED = {
-    "tagger-weight-not-a-float": ("entity_tagger_sequence/model.tsv", _set_field(1, -1, "heavy")),
-    "tagger-tag-unknown": ("entity_tagger_sequence/model.tsv", _set_field(1, -2, "B-nosuch")),
+    "tagger-weight-not-a-float": (_TAGGER, _set_field(1, -1, "heavy")),
+    "tagger-tag-unknown": (_TAGGER, _set_field(1, -2, "B-nosuch")),
+    # Each of the next four loaded silently: a NaN weight parses to an intent
+    # with no entities, and an empty tag set fails on the first parse.
+    "tagger-weight-nan": (_TAGGER, _set_field(1, -1, "nan")),
+    "tagger-weight-infinite": (_TAGGER, _set_field(1, -1, "-inf")),
+    "tagger-tags-empty": (_TAGGER, lambda text: "#tags\n"),
+    "tagger-tag-repeated": (_TAGGER, lambda text: text.replace("\n", "\tO\n", 1)),
+    # This one, and a BoW matrix narrower than its header, raised a
+    # ConsistencyError that named no component.
+    "tagger-tags-header-missing": (_TAGGER, lambda text: text.split("\n", 1)[1]),
     "sium-section-missing": (_SIUM, lambda text: text[: text.index("[entity_counts]")]),
     "sium-count-not-an-int": (_SIUM, _set_sium_field("intent_counts", 2, "2.5")),
     # A count of 0 would still normalise, and load silently.
@@ -486,8 +498,12 @@ _MALFORMED = {
         "featurizer_count_vectors/vocabulary.tsv",
         _set_field(0, 1, "first"),
     ),
-    "bow-weight-not-a-float": ("intent_classifier_bow/weights.tsv", _set_field(1, 0, "heavy")),
-    "bow-weights-deleted": ("intent_classifier_bow/weights.tsv", None),
+    "bow-weight-not-a-float": (_BOW, _set_field(1, 0, "heavy")),
+    # A NaN weight parsed to a confidence of nan.
+    "bow-weight-nan": (_BOW, _set_field(1, 0, "nan")),
+    "bow-weight-infinite": (_BOW, _set_field(-2, -1, "inf")),
+    "bow-weight-matrix-too-narrow": (_BOW, lambda text: text.replace("\t", "\tx\t", 1)),
+    "bow-weights-deleted": (_BOW, None),
 }
 
 

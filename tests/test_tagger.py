@@ -492,16 +492,17 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
     st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
 )
 def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring, every, script):
-    """After every ADD (a word) or REVOKE (None), each back-pointer row and
-    checkpoint the lattice keeps has the bits of that row or column in a
-    plain forward pass over ``pair``, and each held row of predecessor
-    scores, in its position's slot, has the bits of that position's
-    best-predecessor scores; the last position's are always held, and
-    ``_finalise`` rebuilds each held column with that column's bits. Rings of
-    2 and 4 rows over checkpoints every 3 or 5 positions wrap both below
-    and above the checkpoint interval. The reference reads ``pair`` down
-    its columns, so it also checks that ``_predecessors`` on the transposed
-    matrix makes the same sums and takes the same first maximum."""
+    """After every ADD (a word) or REVOKE (None), each back-pointer row the
+    lattice keeps has the bits of that row in a plain forward pass over
+    ``pair``, and each held row of best-predecessor scores has the bits of
+    its position's. ``held`` is in ascending order of position; it holds
+    the last position and every multiple of the checkpoint spacing below
+    the length, and no more than those and ``ring`` others. ``_finalise``
+    rebuilds each held column with that column's bytes. Rings of 2 and 4
+    rows over checkpoints every 3 or 5 positions wrap both below and above
+    the checkpoint interval. The reference reads ``pair`` down its columns,
+    so it also checks that ``_predecessors`` on the transposed matrix makes
+    the same sums and takes the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
@@ -514,26 +515,25 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
             else:
                 tokens = tokens + [step.lower()]
             state.update(tokens)
-            if not tokens:
+            n = len(tokens)
+            if not n:
                 continue
-            feats = [tagging.tag_features(tokens, i) for i in range(len(tokens))]
+            feats = [tagging.tag_features(tokens, i) for i in range(n)]
             em = tagging._emissions(model.weights, len(model.tags), feats)
-            columns = [em[0] + init]
-            for i in range(1, len(tokens)):
+            columns, best = [em[0] + init], [init]
+            for i in range(1, n):
                 scores = columns[-1][:, None] + pair
                 assert np.array_equal(state.back[i], scores.argmax(axis=0))
-                columns.append(scores.max(axis=0) + em[i])
-            for j in range((len(tokens) - 2) // every + 1):
-                assert np.array_equal(state.checkpoints[j], columns[j * every])
-            assert len(state.parted) == ring and len(tokens) - 1 in state.parted
+                best.append(scores.max(axis=0))
+                columns.append(best[-1] + em[i])
+            held = list(state.held)
+            assert held == sorted(held) and held[-1] == n - 1
+            assert set(range(0, n, every)) <= set(held)
+            assert len(held) <= (n - 1) // every + 1 + ring
             parts = [None] + [model.word_parts(t, True) for t in tokens] + [None]
-            for slot, i in enumerate(state.parted):
-                if i < 0:
-                    continue
-                assert i % ring == slot and i < len(tokens)
-                best = init if i == 0 else (columns[i - 1][:, None] + pair).max(axis=0)
-                assert np.array_equal(state.preds[slot], best)
-                assert state._finalise(i, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
+            for i, preds in state.held.items():
+                assert np.array_equal(preds, best[i])
+                assert state._finalise(preds, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
@@ -566,7 +566,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     """At 1000 words an ADD computes one column (one predecessor step; it
     finalises the one before without recomputing it), a REVOKE right after
     an ADD none and no intent ranking, each of 3 REVOKEs in a row after 4
-    or more ADDs none, and any REVOKE at most CHECKPOINT_EVERY + 1 columns.
+    or more ADDs none, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
     No edit builds a feature string. A REVOKE that empties the prefix ranks
     no intent once the model has ranked the empty prefix."""
     calls = {}
@@ -603,10 +603,10 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
             assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
         for _ in range(3):
             assert cost(EditType.REVOKE)["_predecessors"] == 0
-        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY + 1
+        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY - 1
         length += adds - 4
     for _ in range(3 * CHECKPOINT_EVERY):
-        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY + 1
+        assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY - 1
     for _ in range(10):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
     tokens = [w.lower() for w in session.board.buffer.hypothesis()]
