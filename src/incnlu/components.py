@@ -102,6 +102,10 @@ class Component:
         """Rebuild from ``params`` and the model files ``persist`` wrote."""
         return cls(params)
 
+    def check_loaded(self, upstream: list["Component"]) -> None:
+        """Raise ValueError if the loaded model cannot read what the
+        components ahead of it in the bundle publish."""
+
     def fresh(self) -> "Component":
         """A state-free copy sharing this component's trained model."""
         clone = copy.copy(self)

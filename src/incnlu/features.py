@@ -80,13 +80,15 @@ class Vocabulary:
     @classmethod
     def from_lines(cls, lines: Iterable[str], lowercase: bool = True) -> "Vocabulary":
         index: dict[str, int] = {}
+        rows = 0
         for line in lines:
             if not line:
                 continue
             word, _, raw_idx = line.partition("\t")
             index[word] = int(raw_idx)
-        if sorted(index.values()) != list(range(len(index))):
-            raise DataError("vocabulary indices are not a dense permutation")
+            rows += 1
+        if len(index) < rows or sorted(index.values()) != list(range(rows)):
+            raise DataError("vocabulary words are not distinct with indices 0 to n-1, once each")
         return cls(index, lowercase=lowercase)
 
 

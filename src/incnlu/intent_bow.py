@@ -20,7 +20,7 @@ import numpy as np
 from .components import Component, KeepsRanking, TrainingContext
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
-from .features import Vocabulary, count_vector, tokenize
+from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
 from .iu import COUNT_VECTOR, INTENT_DISTRIBUTION, Blackboard
 from .results import rank_distribution
 
@@ -208,3 +208,12 @@ class BowIntentClassifier(KeepsRanking, Component):
             raise ValueError("weight matrix holds a value that is not finite")
         comp.model = LinearIntentModel(intents=intents, weights=weights)
         return comp
+
+    def check_loaded(self, upstream) -> None:
+        rows = self.model.weights.shape[0]
+        for comp in upstream:
+            if isinstance(comp, CountVectorsFeaturizer) and rows != len(comp.vocabulary) + 1:
+                raise ValueError(
+                    f"weight matrix has {rows} rows, not one per word of the "
+                    f"featurizer's {len(comp.vocabulary)} and a bias row"
+                )

@@ -186,11 +186,13 @@ def load(path: str | Path) -> IncrementalInterpreter:
         if spec.name not in REGISTRY:
             raise BundleError(f"bundle config names unknown component {spec.name!r}")
         try:
-            components.append(REGISTRY[spec.name].load(root / spec.name, spec.params))
-        except (ValueError, KeyError, IndexError, OSError) as exc:
+            comp = REGISTRY[spec.name].load(root / spec.name, spec.params)
+            comp.check_loaded(components)
+        except (ValueError, KeyError, IndexError, OSError, DataError) as exc:
             raise BundleError(
                 f"bundle component {spec.name!r}: unreadable model file ({type(exc).__name__}: {exc})"
             ) from exc
+        components.append(comp)
     interp = IncrementalInterpreter(config, components)
     interp.is_trained = True
     interp.training_info = dict(manifest.get("training", {}))

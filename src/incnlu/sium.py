@@ -82,17 +82,18 @@ class SiumModel:
         self, counts: dict[str, dict[str, int]], labels: list[str]
     ) -> np.ndarray:
         """Rows are words (last row unseen), columns labels, entries log probs.
-        Each column must sum to one."""
+        Each column must sum to one. A word with no count in a column, like
+        the unseen row, gets log(alpha / denom): (0 + alpha) is alpha."""
         word_index, alpha = self.word_index, self.alpha
         n_rows = len(word_index) + 1
-        table = np.zeros((n_rows, len(labels)), dtype=np.float64)
+        table = np.empty((n_rows, len(labels)), dtype=np.float64)
         for col, label in enumerate(labels):
             label_counts = counts.get(label, {})
             total = sum(label_counts.values())
             denom = total + alpha * (len(word_index) + 1)
-            for word, idx in word_index.items():
-                table[idx, col] = math.log((label_counts.get(word, 0) + alpha) / denom)
-            table[n_rows - 1, col] = math.log(alpha / denom)
+            table[:, col] = math.log(alpha / denom)
+            for word, count in label_counts.items():
+                table[word_index[word], col] = math.log((count + alpha) / denom)
         sums = np.exp(table).sum(axis=0)
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise ConsistencyError(f"likelihood table for {labels} does not normalize: {sums}")

@@ -14,15 +14,19 @@ lattice builds no feature string. The lattice keeps one kind of row: a
 position's best-predecessor scores, held for every CHECKPOINT_EVERY-th
 position and the KEPT_PREDECESSORS newest. An ADD computes one new column,
 and finalises the one before it from the scores held of it when it was the
-last; up to KEPT_PREDECESSORS - 1 REVOKEs in a row rebuild the new last
-column from its held scores, and a deeper REVOKE resumes at the newest held
-position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back. The
-traceback stops where it meets the previous best path (partial
+last. The traceback stops where it meets the previous best path (partial
 traceback, Brown, Spohrer, Hochschild & Baker, ICASSP 1982), and spans are
-re-extracted from there on. Every column is computed by the same float
-operations as in the batch :func:`decode`, which stays on feature strings,
-so the entity output is still exactly that of a restart over the current
-prefix.
+re-extracted from there on; a span that ends there is kept unless the new
+tag there continues it. A REVOKE right after an ADD gives back the prefix
+from before it, so it restores the tags and spans of then by pop, from a
+record of what the ADD changed kept one ADD deep: it computes no column,
+traces back nothing and builds no span. Up to KEPT_PREDECESSORS - 2 further
+REVOKEs in a row rebuild the new last column from its held scores, and a
+deeper REVOKE resumes at the newest held position, a checkpoint at most
+CHECKPOINT_EVERY - 1 columns back. Every column is computed by the same
+float operations as in the batch :func:`decode`, which stays on feature
+strings, so the entity output is still exactly that of a restart over the
+current prefix.
 
 Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
@@ -390,9 +394,17 @@ class ViterbiState:
     none. Any other edit resumes at the newest held position. Every column
     so gets the sums ``decode`` makes of its ``_predecessors`` and
     ``_emission`` rows, in the same order, so it has the same bits.
+
+    ``undo`` records what the last ADD changed: the length before it, the
+    position where its traceback met the old path, the tags it overwrote
+    there on, how many spans it kept and the spans it popped, as tuples.
+    A REVOKE right after that ADD pops ``held`` as any REVOKE does and
+    restores ``tags`` and ``spans`` from the record, which are those
+    computed for the same prefix, so it needs no column. Any other edit
+    drops the record.
     """
 
-    __slots__ = ("model", "lowercase", "n", "back", "held", "tags", "spans")
+    __slots__ = ("model", "lowercase", "n", "back", "held", "tags", "spans", "undo")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
@@ -403,6 +415,7 @@ class ViterbiState:
         self.held = {0: model.transition_matrix()[0]}
         self.tags: list[str] = []
         self.spans: list[EntitySpan] = []
+        self.undo: tuple[int, int, tuple[str, ...], int, tuple[EntitySpan, ...]] | None = None
 
     def _finalise(self, preds: np.ndarray, before: WordParts | None, word: WordParts,
                   after: WordParts | None) -> np.ndarray:
@@ -438,6 +451,14 @@ class ViterbiState:
         while next(reversed(held)) >= max(kept, 1):
             held.popitem()
         tags, spans = self.tags, self.spans
+        undo, self.undo = self.undo, None
+        if undo is not None and undo[0] == n:
+            # A REVOKE right after an ADD gives back the prefix from before
+            # it, and so the path and spans decoded then.
+            _, i, overwritten, n_spans, popped = undo
+            tags[i:] = overwritten
+            spans[n_spans:] = popped
+            return
         if n == 0:
             tags.clear()
             spans.clear()
@@ -464,25 +485,33 @@ class ViterbiState:
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.
         names = self.model.tags
-        del tags[n:]
-        tags.extend([names[0]] * (n - len(tags)))  # placeholders; the traceback writes them all
         i, cur = n - 1, int(col.argmax())
-        tags[i] = names[cur]
+        path = [names[cur]]
         while i > 0:
             cur = int(self.back[i, cur])
             if i - 1 < kept and tags[i - 1] == names[cur]:
                 break
             i -= 1
-            tags[i] = names[cur]
+            path.append(names[cur])
+        overwritten = tuple(tags[i:kept]) if n > kept else ()
+        path.reverse()
+        tags[i:] = path
 
-        # Spans ending before i cannot change; one that reaches i may.
-        start = i
-        while spans and spans[-1].end >= i:
-            start = min(start, spans.pop().start)
+        # Spans ending before i cannot change, nor can one ending at i unless
+        # tag i continues it.
+        popped = ()
+        while spans:
+            span = spans[-1]
+            if span.end < i or span.end == i and tags[i] != "I-" + span.type:
+                break
+            popped = (spans.pop(), *popped)
+        n_spans = len(spans)
         spans.extend(
             EntitySpan(etype, " ".join([word_parts(t, lowercase).word for t in tokens[i:j]]), i, j, 1.0)
-            for etype, i, j in _runs(tags, start)
+            for etype, i, j in _runs(tags, min(i, popped[0].start) if popped else i)
         )
+        if n > kept:
+            self.undo = (kept, i, overwritten, n_spans, popped)
 
 
 class SequenceEntityTagger(Component):

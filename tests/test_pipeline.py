@@ -458,6 +458,17 @@ def _set_field(line_no, field, value):
     return edit
 
 
+def _delete_line(line_no):
+    """Edit that deletes one line."""
+
+    def edit(text):
+        lines = text.split("\n")
+        del lines[line_no]
+        return "\n".join(lines)
+
+    return edit
+
+
 def _set_sium_field(section, field, value):
     """Edit that overwrites one field of the first line under ``[section]``
     in SIUM's model file."""
@@ -472,6 +483,7 @@ def _set_sium_field(section, field, value):
 _SIUM = "intent_sium/model.tsv"
 _TAGGER = "entity_tagger_sequence/model.tsv"
 _BOW = "intent_classifier_bow/weights.tsv"
+_VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
 
 # One edit per case, each leaving a bundle whose checksum is valid again
 # (None deletes the file).
@@ -494,15 +506,19 @@ _MALFORMED = {
     "sium-word-not-in-vocabulary": (_SIUM, _set_sium_field("intent_counts", 1, "nosuchword")),
     "sium-label-unknown": (_SIUM, _set_sium_field("intent_counts", 0, "NoSuchIntent")),
     "sium-vocabulary-index-out-of-range": (_SIUM, _set_sium_field("vocabulary", 1, "-1")),
-    "vocabulary-index-not-an-int": (
-        "featurizer_count_vectors/vocabulary.tsv",
-        _set_field(0, 1, "first"),
+    "vocabulary-index-not-an-int": (_VOCABULARY, _set_field(0, 1, "first")),
+    # This one escaped as a DataError naming neither component nor bundle.
+    "vocabulary-index-repeated": (
+        _VOCABULARY,
+        lambda text: _set_field(1, 1, text.split("\n")[0].split("\t")[1])(text),
     ),
     "bow-weight-not-a-float": (_BOW, _set_field(1, 0, "heavy")),
     # A NaN weight parsed to a confidence of nan.
     "bow-weight-nan": (_BOW, _set_field(1, 0, "nan")),
     "bow-weight-infinite": (_BOW, _set_field(-2, -1, "inf")),
     "bow-weight-matrix-too-narrow": (_BOW, lambda text: text.replace("\t", "\tx\t", 1)),
+    # This one loaded, and every parse raised a ConsistencyError.
+    "bow-weight-row-missing": (_BOW, _delete_line(1)),
     "bow-weights-deleted": (_BOW, None),
 }
 

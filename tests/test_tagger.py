@@ -555,6 +555,90 @@ def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
     assert [s.value for s in a.component_result(name).entities] == ["boston", "denver"]
 
 
+# Scripts around a REVOKE right after an ADD, each run after a seeded prefix
+# of seeded words: "add" one more, "revoke", "refresh", "empty" (REVOKE down
+# to the empty prefix) or "new" (start a new utterance).
+_AROUND_A_RESTORE = {
+    "add-revoke-revoke": ["add", "revoke", "revoke"],
+    "add-refresh-revoke": ["add", "refresh", "revoke"],
+    "add-revoke-to-empty": ["add", "empty", "add", "revoke"],
+    "add-new-add-revoke": ["add", "new", "add", "revoke"],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("model_name", sorted(_MODELS))
+@pytest.mark.parametrize("script", list(_AROUND_A_RESTORE.values()), ids=list(_AROUND_A_RESTORE))
+def test_a_revoke_right_after_an_add_lands_on_a_fresh_run_of_the_survivors(
+    toy_interp, script, model_name, seed
+):
+    """After every edit, the pipeline result and every component's view
+    equal those of a fresh session fed only the surviving words: for a
+    REVOKE right after its ADD, across a refresh, down to the empty prefix
+    and after a new utterance, and for a REVOKE after another REVOKE."""
+    rng = random.Random(seed)
+    session = toy_interp.fresh_copy()
+    tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
+    tagger.model = _MODELS[model_name]
+    stack: list[str] = []
+
+    def check():
+        reference = session.fresh_copy()
+        reference.parse_full(" ".join(stack))
+        assert _views(session) == _views(reference)
+
+    for step in ["add"] * rng.randint(0, 6) + script:
+        if step == "new":
+            session.new_utterance()
+            stack.clear()
+        elif step == "refresh":
+            session.refresh()
+            check()
+        elif step == "add":
+            stack.append(rng.choice(_WORDS))
+            session.parse_incremental(EditType.ADD, stack[-1])
+            check()
+        else:  # "revoke" once, "empty" until no word is left
+            for _ in range(1 if step == "revoke" else len(stack)):
+                stack.pop()
+                session.parse_incremental(EditType.REVOKE)
+                check()
+
+
+def test_only_a_continued_span_is_rebuilt_and_a_revoke_gives_back_the_spans_it_had():
+    """An ADD pops a span that ends where its traceback meets the old path
+    only if the new tag there continues it: "york" extends "new" to "new
+    york", and "now" leaves "new york" as it was, the same object. A REVOKE
+    right after an ADD gives back the very spans it had before that ADD."""
+    rows = [
+        ("fly to new york", "Fly", [("new york", "city")]),
+        ("fly to new york now", "Fly", [("new york", "city")]),
+        ("fly to boston", "Fly", [("boston", "city")]),
+        ("fly to boston now", "Fly", [("boston", "city")]),
+    ]
+    state = tagging.ViterbiState(train_tagger(_dataset(rows)), True)
+    tokens = "fly to new york now".split()
+    for n in range(1, 4):
+        state.update(tokens[:n])
+    [new] = state.spans
+    state.update(tokens[:4])
+    [new_york] = state.spans
+    assert (new.value, new.start, new.end) == ("new", 2, 3)
+    assert (new_york.value, new_york.start, new_york.end) == ("new york", 2, 4)
+    state.update(tokens[:3])
+    assert state.spans[0] is new and state.tags == ["O", "O", "B-city"]
+    state.update(tokens[:4])
+    [new_york] = state.spans
+    state.update(tokens)
+    assert state.spans[0] is new_york and state.tags[-3:] == ["B-city", "I-city", "O"]
+    state.update(tokens[:4])
+    assert state.spans[0] is new_york and state.tags[-2:] == ["B-city", "I-city"]
+
+
+def _views(session):
+    return session.current_result(), [session.component_result(c.name) for c in session.components]
+
+
 def _counting(real, calls):
     def counting(*args):
         calls.append(args)
@@ -564,24 +648,29 @@ def _counting(real, calls):
 
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     """At 1000 words an ADD computes one column (one predecessor step; it
-    finalises the one before without recomputing it), a REVOKE right after
-    an ADD none and no intent ranking, each of 3 REVOKEs in a row after 4
-    or more ADDs none, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
+    finalises the one before without recomputing it), and a REVOKE right
+    after an ADD none: it finalises no column, extracts no span and ranks
+    no intent. Each of 3 REVOKEs in a row after 4 or more ADDs computes no
+    column, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
     No edit builds a feature string. A REVOKE that empties the prefix ranks
     no intent once the model has ranked the empty prefix."""
     calls = {}
-    for module, name in (
+    for owner, name in (
         (tagging, "_predecessors"),
         (tagging, "tag_features"),
+        (tagging.ViterbiState, "_finalise"),
+        (tagging, "_runs"),
         (intent_bow, "predict"),
         (sium, "classify"),
     ):
         calls[name] = []
-        monkeypatch.setattr(module, name, _counting(getattr(module, name), calls[name]))
+        monkeypatch.setattr(owner, name, _counting(getattr(owner, name), calls[name]))
     rng = random.Random(11)
     session = toy_interp.fresh_copy()
     tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
     tagger.model = _MODELS["random"]
+
+    restored = {"_predecessors": 0, "_finalise": 0, "_runs": 0, "predict": 0, "classify": 0}
 
     def cost(edit, word=None):
         for made in calls.values():
@@ -595,7 +684,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
     for _ in range(50):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
-        assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+        assert cost(EditType.REVOKE) == restored
     length = 1000
     for _ in range(50):
         adds = rng.randint(4, 8)
@@ -623,11 +712,11 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         session.new_utterance()
         for word in ("play", "weather"):
             cost(EditType.ADD, word)
-            assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+            assert cost(EditType.REVOKE) == restored
         cost(EditType.ADD, "play")
         cost(EditType.ADD, "some")
         cost(EditType.REVOKE)
-        assert cost(EditType.REVOKE) == {"_predecessors": 0, "predict": 0, "classify": 0}
+        assert cost(EditType.REVOKE) == restored
     assert session.current_result() == toy_interp.fresh_copy().refresh()
 
 
