@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigError, ParameterError
-from .iu import ADD, Blackboard, EditType
+from .iu import Blackboard, EditType
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import TrainingDataset
@@ -54,6 +54,14 @@ class Component:
     the component re-publishes the annotations of its current state. The
     interpreter uses this to produce a result for the empty utterance.
 
+    A component publishes only immutable values: tuples, and arrays that
+    are not writeable. The board is then the record of what it published,
+    and a component may compute its next output from its last one there.
+    A REVOKE right after an ADD gives back the board from before that ADD
+    and calls :meth:`undo_add` instead of ``process``; ``process`` must
+    still handle such a REVOKE, as a driver that runs every edit through it
+    may call it.
+
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.
     """
@@ -91,6 +99,12 @@ class Component:
     ) -> None:
         raise NotImplementedError
 
+    def undo_add(self, board: Blackboard, word: str) -> None:
+        """Follow a REVOKE of ``word`` right after its ADD, with the board
+        already back to what it published before that ADD: bring the
+        session state back to then, and publish nothing. A component whose
+        only state is on the board has nothing to do."""
+
     def new_utterance(self) -> None:
         pass
 
@@ -111,48 +125,6 @@ class Component:
         clone = copy.copy(self)
         clone.new_utterance()
         return clone
-
-
-class KeepsRanking:
-    """Mixin for a component that publishes an intent ranking: it keeps the
-    ranking it last published and, one deep, the one it published before
-    its last ADD.
-
-    A REVOKE right after that ADD gives the component back the input it had
-    before it, so the ranking would come out the same; it is republished
-    instead. A REVOKE that empties the prefix republishes the empty
-    prefix's ranking, which depends only on the model: the first such
-    REVOKE ranks it and keeps it on the model, as ``empty_ranking``, for
-    every session. Rankings are kept as tuples and published as new lists,
-    so no caller's edit of a published ranking reaches a later one.
-    """
-
-    _ranking: tuple[tuple[str, float], ...] | None = None
-    _before_add: tuple[tuple[str, float], ...] | None = None
-
-    def _publish_ranking(self, edit: EditType | None, rank, empty: bool) -> list[tuple[str, float]]:
-        """The ranking after ``edit``, which left the prefix ``empty`` or
-        not: a kept one on a REVOKE that empties the prefix or comes right
-        after an ADD, else ``rank()``. ``edit=None`` leaves the kept one alone."""
-        if edit is ADD:
-            self._before_add = self._ranking
-        elif edit is not None:  # a REVOKE
-            before, self._before_add = self._before_add, None
-            if empty:
-                before = self.model.empty_ranking
-                if before is None:
-                    before = self.model.empty_ranking = tuple(rank())
-            if before is not None:
-                self._ranking = before
-                return list(before)
-        ranking = rank()
-        self._ranking = tuple(ranking)
-        return ranking
-
-    def _forget_rankings(self) -> None:
-        # Reassign rather than reset in place: fresh() shallow-copies the
-        # component, and the copy must not clobber the original's state.
-        self._ranking = self._before_add = None
 
 
 def _same_kind(value: Any, default: Any) -> bool:

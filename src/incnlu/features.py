@@ -136,37 +136,38 @@ class WhitespaceTokenizer(Component):
     """Maintains the token sequence of the surviving hypothesis.
 
     Incremental adds carry exactly one token each (the buffer rejects
-    whitespace in payloads), so an add appends and a revoke pops. The board
-    gets a copy of the list, so a published value never changes afterwards.
+    whitespace in payloads), so an add appends to the tuple it published
+    last and a revoke drops that tuple's last token. It keeps no state of
+    its own: the board holds its last publication.
     """
 
     name = "tokenizer_whitespace"
     provides = (TOKENS,)
     defaults = {"lowercase": True}
 
-    def __init__(self, params=None) -> None:
-        super().__init__(params)
-        self._tokens: list[str] = []
-
     def train(self, dataset, ctx: TrainingContext) -> None:
         lowercase = self.params["lowercase"]
         ctx.tokens = [tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples]
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
+        tokens = board.component_annotations.get((self.name, TOKENS), ())
         if edit is ADD:
-            self._tokens.append(word.lower() if self.params["lowercase"] else word)
+            # One copy; (*tokens, token) would make two.
+            tokens = tokens + (word.lower() if self.params["lowercase"] else word,)
         elif edit is REVOKE:
-            if not self._tokens:
+            if not tokens:
                 raise ConsistencyError("token list empty on revoke")
-            self._tokens.pop()
-        board.write(self.name, TOKENS, list(self._tokens))
-
-    def new_utterance(self) -> None:
-        self._tokens = []
+            tokens = tokens[:-1]
+        board.write(self.name, TOKENS, tokens)
 
 
 class CountVectorsFeaturizer(Component):
-    """Bag-of-words featurizer with exact add/revoke updates; publishes copies."""
+    """Bag-of-words featurizer with exact add/revoke updates.
+
+    An edit applies to a copy of the vector it published last, which the
+    board holds; it publishes the result read-only and keeps no state of
+    its own.
+    """
 
     name = "featurizer_count_vectors"
     provides = (COUNT_VECTOR,)
@@ -176,7 +177,6 @@ class CountVectorsFeaturizer(Component):
     def __init__(self, params=None) -> None:
         super().__init__(params)
         self.vocabulary: Vocabulary | None = None
-        self._vec: np.ndarray | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
         if ctx.tokens is None:
@@ -192,14 +192,12 @@ class CountVectorsFeaturizer(Component):
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         vocab = self._require_vocab()
-        if self._vec is None:
-            self._vec = np.zeros(len(vocab), dtype=np.int64)
+        vec = board.component_annotations.get((self.name, COUNT_VECTOR))
+        vec = np.zeros(len(vocab), dtype=np.int64) if vec is None else vec.copy()
         if edit is not None:
-            vector_apply(self._vec, vocab, word, edit)
-        board.write(self.name, COUNT_VECTOR, self._vec.copy())
-
-    def new_utterance(self) -> None:
-        self._vec = None
+            vector_apply(vec, vocab, word, edit)
+        vec.flags.writeable = False
+        board.write(self.name, COUNT_VECTOR, vec)
 
     def persist(self, directory: Path) -> None:
         vocab = self._require_vocab()

@@ -4,9 +4,9 @@ Multinomial logistic regression, trained by mini-batch gradient descent from
 a zero initialization (the objective is convex, so the start point is not a
 modelling choice). Every edit reclassifies the current prefix vector as if it
 were a finished utterance, which is exactly what makes its final incremental
-output equal the non-incremental one. The one exception gives the same
-result: a REVOKE right after an ADD leaves the count vector of before the
-ADD, so the classifier republishes the ranking it kept from then.
+output equal the non-incremental one. The classifier keeps no session
+state, so a REVOKE right after an ADD, on which the interpreter gives back
+the board from before the ADD, leaves it nothing to do.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, KeepsRanking, TrainingContext
+from .components import Component, TrainingContext
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
@@ -31,11 +31,6 @@ log = logging.getLogger(__name__)
 class LinearIntentModel:
     intents: list[str]
     weights: np.ndarray  # (vocab size + 1, intent count); last row is the bias
-
-    def __post_init__(self) -> None:
-        # The empty prefix's ranking, kept by KeepsRanking on first use. Not
-        # a field, so a copy made through ``dataclasses.replace`` starts without it.
-        self.empty_ranking: tuple[tuple[str, float], ...] | None = None
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -125,9 +120,9 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]
     return rank_distribution(model.intents, probs)
 
 
-class BowIntentClassifier(KeepsRanking, Component):
-    """Per-edit reclassification of the prefix count vector. Its only state
-    is the rankings :class:`KeepsRanking` keeps for a REVOKE right after an ADD."""
+class BowIntentClassifier(Component):
+    """Per-edit reclassification of the prefix count vector; it keeps no
+    session state."""
 
     name = "intent_classifier_bow"
     provides = (INTENT_DISTRIBUTION,)
@@ -152,7 +147,6 @@ class BowIntentClassifier(KeepsRanking, Component):
         self.model: LinearIntentModel | None = None
 
     def train(self, dataset, ctx: TrainingContext) -> None:
-        self._forget_rankings()
         if ctx.vocabulary is None:
             raise ConfigError(
                 "intent_classifier_bow needs featurizer_count_vectors earlier in the pipeline"
@@ -176,13 +170,7 @@ class BowIntentClassifier(KeepsRanking, Component):
                 "no count vector on the blackboard; is featurizer_count_vectors "
                 "ahead of intent_classifier_bow?"
             )
-        ranking = self._publish_ranking(
-            edit, lambda: predict(self.model, np.asarray(vec)), not board.buffer.units
-        )
-        board.write(self.name, INTENT_DISTRIBUTION, ranking)
-
-    def new_utterance(self) -> None:
-        self._forget_rankings()
+        board.write(self.name, INTENT_DISTRIBUTION, tuple(predict(self.model, np.asarray(vec))))
 
     def persist(self, directory: Path) -> None:
         model = self.model
@@ -198,6 +186,8 @@ class BowIntentClassifier(KeepsRanking, Component):
         comp = cls(params)
         lines = (directory / "weights.tsv").read_text(encoding="utf-8").splitlines()
         intents = lines[0].split("\t")
+        if len(set(intents)) < len(intents):
+            raise ValueError(f"{lines[0]!r} is not an intents header naming distinct intents")
         weights = np.array(
             [[float(v) for v in line.split("\t")] for line in lines[1:] if line],
             dtype=np.float64,

@@ -4,6 +4,12 @@ One interpreter is one utterance session over a trained component chain.
 Every edit is pushed through all components in pipeline order before the
 next edit is accepted, so downstream components always see upstream
 annotations for the current hypothesis, never a stale one.
+
+Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
+EACL 2009), so a REVOKE right after an ADD gives back what was published
+before that ADD. The interpreter keeps that one ADD deep: the board it
+published before the ADD, which it restores without running any
+component's ``process``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .config import ComponentSpec, PipelineConfig, build_components, config_text
 from .data import TrainingDataset
 from .errors import BundleError, DataError
 from .features import tokenize
-from .iu import Blackboard, EditType
+from .iu import ADD, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
@@ -48,6 +54,9 @@ class IncrementalInterpreter:
         self.components = components if components is not None else build_components(config)
         self.board = Blackboard()
         self.board.set_owners(key_owners(self.components))
+        # (unit, board.published()) of the last edit if it was an ADD of
+        # that unit onto a board that held annotations.
+        self._before_add: tuple[IncrementalUnit, tuple[dict, dict]] | None = None
         self.is_trained = False
         self.training_timings: list[tuple[str, float]] = []
         self.training_info: dict = {}
@@ -78,16 +87,31 @@ class IncrementalInterpreter:
     # -- parsing -------------------------------------------------------
 
     def parse_incremental(self, edit: EditType, word: str | None = None) -> NluResult:
-        """Apply one edit, run every component on it, return the result."""
-        unit = self.board.apply_edit(edit, word)
-        self.board.begin_cycle()
-        for comp in self.components:
-            # On REVOKE the affected word is the revoked unit's, not the
-            # caller's (REVOKE takes no payload).
-            comp.process(self.board, edit, unit.word)
+        """Apply one edit, run every component on it, return the result.
+
+        A REVOKE of the unit the last edit added restores the board from
+        before that ADD instead, and calls each component's ``undo_add``.
+        """
+        board = self.board
+        kept, self._before_add = self._before_add, None
+        unit = board.apply_edit(edit, word)
+        if kept is not None and kept[0] is unit:  # a REVOKE of the unit just added
+            board.republish(kept[1])
+            for comp in self.components:
+                comp.undo_add(board, unit.word)
+        else:
+            published = board.published() if edit is ADD and board.annotations else None
+            board.begin_cycle()
+            for comp in self.components:
+                # On REVOKE the affected word is the revoked unit's, not the
+                # caller's (REVOKE takes no payload).
+                comp.process(board, edit, unit.word)
+            if published is not None:
+                self._before_add = unit, published
         return self.current_result()
 
     def new_utterance(self) -> None:
+        self._before_add = None
         self.board.clear()
         for comp in self.components:
             comp.new_utterance()

@@ -86,6 +86,11 @@ class Blackboard:
     owning component. Ownership is configured once per pipeline via
     :meth:`set_owners`; with no owners configured every writer passes
     through.
+
+    The two maps are the record of what the pipeline published. Published
+    values are immutable (tuples, and arrays that are not writeable), so
+    :meth:`published` keeps the record by copying the maps alone, and
+    :meth:`republish` gives it back.
     """
 
     def __init__(self) -> None:
@@ -136,6 +141,14 @@ class Blackboard:
             )
         self._cycle_writers[key] = component
         self.annotations[key] = value
+
+    def published(self) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
+        """Shallow copies of both annotation maps, for :meth:`republish`."""
+        return dict(self.annotations), dict(self.component_annotations)
+
+    def republish(self, kept: tuple[dict[str, Any], dict[tuple[str, str], Any]]) -> None:
+        """Make the maps :meth:`published` kept the board's own again."""
+        self.annotations, self.component_annotations = kept
 
     def component_view(self, component: str) -> dict[str, Any]:
         """All annotations a single component has written this utterance."""

@@ -9,9 +9,9 @@ Each incoming word multiplies per-intent word likelihoods into a running
 posterior, kept in log space. An add folds the word in once and pushes the
 scores it replaced; a revoke pops them back. So an add/revoke pair restores
 the exact array from before the add, bit for bit, and neither edit touches
-the rest of the prefix. A revoke right after an add also republishes the
-ranking kept from before that add, as renormalising the restored scores
-would give it again.
+the rest of the prefix. On a revoke right after an add, the interpreter
+gives back the board from before the add and the component only pops:
+renormalising the restored scores would publish the same ranking again.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, KeepsRanking, TrainingContext
+from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, REVOKE, TOKENS, Blackboard
@@ -75,8 +75,6 @@ class SiumModel:
         # entries, shared by every session on this model. Not fields, so a
         # copy made through ``dataclasses.replace`` starts memos of its own.
         self._picks: dict[int, tuple[str, float] | None] = {}
-        # The empty prefix's ranking, kept by KeepsRanking on first use.
-        self.empty_ranking: tuple[tuple[str, float], ...] | None = None
 
     def _smoothed_log_table(
         self, counts: dict[str, dict[str, int]], labels: list[str]
@@ -281,8 +279,9 @@ def sium_entities(state: SiumState) -> list[EntitySpan]:
 _COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_classes"))
 
 
-class SiumIntent(KeepsRanking, Component):
-    """Update-incremental intent and entity component."""
+class SiumIntent(Component):
+    """Update-incremental intent and entity component. Its session state is
+    the :class:`SiumState`; it publishes its ranking and entities as tuples."""
 
     name = "intent_sium"
     provides = (INTENT_DISTRIBUTION, ENTITIES)
@@ -326,17 +325,17 @@ class SiumIntent(KeepsRanking, Component):
             state.add(word)
         elif edit is REVOKE:
             state.revoke(word)
-        ranking = self._publish_ranking(
-            edit, lambda: rank_distribution(self.model.intents, classify(state)), not state.tokens
-        )
-        board.write(self.name, INTENT_DISTRIBUTION, ranking)
-        board.write(self.name, ENTITIES, sium_entities(state))
+        ranking = rank_distribution(self.model.intents, classify(state))
+        board.write(self.name, INTENT_DISTRIBUTION, tuple(ranking))
+        board.write(self.name, ENTITIES, tuple(sium_entities(state)))
+
+    def undo_add(self, board: Blackboard, word: str) -> None:
+        self._state.revoke(word)
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the
         # component, and the copy must not clobber the original's state.
         self._state = None
-        self._forget_rankings()
 
     # -- persistence ---------------------------------------------------
 
@@ -380,6 +379,8 @@ class SiumIntent(KeepsRanking, Component):
         counts: dict[str, dict[str, dict[str, int]]] = {}
         for section, labels in _COUNT_SECTIONS:
             table = counts[section] = {label: {} for label in sections[labels]}
+            if len(table) < len(sections[labels]):
+                raise ValueError(f"[{labels}] names a label more than once")
             for line in sections[section]:
                 label, word, count = line.split("\t")
                 table[label][word] = n = int(count)

@@ -62,18 +62,20 @@ CHECKPOINT_EVERY = 16
 KEPT_PREDECESSORS = 4
 
 
+def _head_features(word: str) -> list[str]:
+    """The features of a position that read its own word alone, in the
+    order :func:`tag_features` lists them."""
+    return ["bias", f"w={word}", f"lw={word.lower()}", f"p3={word[:3]}", f"s3={word[-3:]}"]
+
+
 def tag_features(tokens: list[str], i: int) -> list[str]:
     """Static feature strings for position i (prev-tag added at decode time)."""
     word = tokens[i]
-    feats = [
-        "bias",
-        f"w={word}",
-        f"lw={word.lower()}",
-        f"p3={word[:3]}",
-        f"s3={word[-3:]}",
+    feats = _head_features(word)
+    feats += (
         f"pw={tokens[i - 1] if i > 0 else START}",
         f"nw={tokens[i + 1] if i + 1 < len(tokens) else END}",
-    ]
+    )
     if word.isdigit():
         feats.append("digit")
     return feats
@@ -183,8 +185,7 @@ class WordParts:
     def __init__(self, model: TaggerModel, word: str) -> None:
         weights = model.weights
         self.word = word
-        feats = ["bias", f"w={word}", f"lw={word.lower()}", f"p3={word[:3]}", f"s3={word[-3:]}"]
-        self.head = _emission(weights, feats, np.zeros(len(model.tags)))
+        self.head = _emission(weights, _head_features(word), np.zeros(len(model.tags)))
         self.head.flags.writeable = False
         self.pw = weights.get(f"pw={word}")
         self.nw = weights.get(f"nw={word}")
@@ -517,7 +518,7 @@ class ViterbiState:
 class SequenceEntityTagger(Component):
     """Restart-incremental entity path: each edit's output equals a full
     re-decode of the prefix, but only the lattice columns the edit changes
-    are computed (see :class:`ViterbiState`). Publishes copies of its spans.
+    are computed (see :class:`ViterbiState`). Publishes its spans as a tuple.
     """
 
     name = "entity_tagger_sequence"
@@ -546,8 +547,12 @@ class SequenceEntityTagger(Component):
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
         if self._state is None:
             self._state = ViterbiState(self.model, self.params["lowercase"])
-        self._state.update(board.annotations.get(TOKENS, []))
-        board.write(self.name, ENTITIES, list(self._state.spans))
+        self._state.update(board.annotations.get(TOKENS, ()))
+        board.write(self.name, ENTITIES, tuple(self._state.spans))
+
+    def undo_add(self, board: Blackboard, word: str) -> None:
+        # The tokens from before the ADD: the state restores by its undo record.
+        self._state.update(board.annotations.get(TOKENS, ()))
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the

@@ -117,13 +117,13 @@ class TestWhitespaceTokenizer:
         comp.process(board, EditType.ADD, "Play")
         board.apply_edit(EditType.ADD, "Jazz")
         comp.process(board, EditType.ADD, "Jazz")
-        assert board.annotations[TOKENS] == ["play", "jazz"]
+        assert board.annotations[TOKENS] == ("play", "jazz")
         unit = board.apply_edit(EditType.REVOKE, None)
         comp.process(board, EditType.REVOKE, unit.word)
-        assert board.annotations[TOKENS] == ["play"]
+        assert board.annotations[TOKENS] == ("play",)
         # edit=None re-publishes the current tokens without consuming an edit
         comp.process(board)
-        assert board.annotations[TOKENS] == ["play"]
+        assert board.annotations[TOKENS] == ("play",)
 
     def test_revoke_with_no_tokens_is_a_caller_bug(self):
         comp = WhitespaceTokenizer()
@@ -141,7 +141,7 @@ class TestWhitespaceTokenizer:
         board.clear()
         board.begin_cycle()
         comp.process(board)
-        assert board.annotations[TOKENS] == []
+        assert board.annotations[TOKENS] == ()
 
 
 class TestCountVectorsFeaturizer:

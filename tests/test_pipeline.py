@@ -220,6 +220,21 @@ class _Recorder(Component):
         pass
 
 
+class _Publisher(_Recorder):
+    """Recorder that publishes the hypothesis length, and raises on the ADD
+    of ``fail_on``."""
+
+    def __init__(self, name, calls, fail_on=None):
+        super().__init__(name, calls)
+        self.fail_on = fail_on
+
+    def process(self, board, edit=None, word=None):
+        super().process(board, edit, word)
+        if edit is EditType.ADD and word == self.fail_on:
+            raise RuntimeError(f"{self.name} refuses {word!r}")
+        board.write(self.name, f"length_{self.name}", len(board.buffer))
+
+
 class TestLockStep:
     def test_every_edit_visits_every_component_in_order(self, toy_dataset):
         calls = []
@@ -237,6 +252,27 @@ class TestLockStep:
         # and the revoked word is handed to them explicitly.
         assert calls[4] == ("a", EditType.REVOKE, "jazz", ("play",))
         assert calls[5] == ("b", EditType.REVOKE, "jazz", ("play",))
+
+    def test_an_add_that_raises_leaves_no_board_to_restore(self):
+        calls = []
+        config = PipelineConfig(components=[ComponentSpec("recorder_a"), ComponentSpec("recorder_b")])
+        interp = IncrementalInterpreter(
+            config, components=[_Publisher("a", calls), _Publisher("b", calls, fail_on="boom")]
+        )
+        interp.parse_incremental(EditType.ADD, "play")
+        interp.parse_incremental(EditType.ADD, "jazz")
+        calls.clear()
+        interp.parse_incremental(EditType.REVOKE)  # restores the board: no process runs
+        assert calls == []
+        with pytest.raises(RuntimeError, match="boom"):
+            interp.parse_incremental(EditType.ADD, "boom")
+        calls.clear()
+        interp.parse_incremental(EditType.REVOKE)
+        assert calls == [
+            ("a", EditType.REVOKE, "boom", ("play",)),
+            ("b", EditType.REVOKE, "boom", ("play",)),
+        ]
+        assert interp.board.component_view("b") == {"length_b": 1}
 
 
 class TestInterpreter:
@@ -337,7 +373,7 @@ class TestInterpreter:
 
         assert interp.refresh() == last
         assert {name: interp.component_result(name) for name in names} == views
-        assert interp.board.annotations["tokens"] == tokens == ["weather", "in", "boston"]
+        assert interp.board.annotations["tokens"] == tokens == ("weather", "in", "boston")
         assert np.array_equal(interp.board.annotations["count_vector"], counts)
         assert interp.board.edit_log == edits
 
@@ -350,25 +386,64 @@ class TestInterpreter:
         interp.parse_incremental(EditType.ADD, "some")
         interp.parse_incremental(EditType.REVOKE)
         interp.parse_incremental(EditType.ADD, "jazz")
-        assert tokens == ["play"]
+        assert tokens == ("play",)
         assert counts.sum() == 1
 
-        # A caller that empties every published ranking, before an ADD and
-        # between it and its REVOKE, changes nothing the REVOKE publishes.
+        # Every published value is immutable, so no caller's edit of one can
+        # reach a later result: clearing a returned ranking between an ADD
+        # and its REVOKE changes nothing the REVOKE publishes.
         rankers = ("intent_sium", "intent_classifier_bow")
         expected = interp.current_result(), [interp.component_result(n) for n in rankers]
 
-        def clear_published():
-            for name in rankers:
-                interp.board.component_view(name)["intent_distribution"].clear()
+        def assert_immutable():
+            for comp in interp.components:
+                for value in interp.board.component_view(comp.name).values():
+                    assert isinstance(value, tuple) or not value.flags.writeable
 
-        clear_published()
-        result = interp.parse_incremental(EditType.ADD, "tonight")
-        result.intent_ranking.clear()
-        clear_published()
+        assert_immutable()
+        interp.parse_incremental(EditType.ADD, "tonight").intent_ranking.clear()
+        assert_immutable()
         interp.parse_incremental(EditType.REVOKE)
+        assert_immutable()
         assert (interp.current_result(), [interp.component_result(n) for n in rankers]) == expected
         assert len(expected[0].intent_ranking) == 3
+
+    def test_a_revoke_right_after_an_add_restores_the_board_and_runs_no_process(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        interp.parse_full("play some")
+        names = [c.name for c in interp.components]
+        before = {name: interp.board.component_view(name) for name in names}
+        annotations = dict(interp.board.annotations)
+        interp.parse_incremental(EditType.ADD, "jazz")
+        calls = []
+        for comp in interp.components:
+            comp.process = lambda *args, name=comp.name: calls.append(name)
+        interp.parse_incremental(EditType.REVOKE)
+        assert calls == []
+        for name in names:
+            after = interp.board.component_view(name)
+            assert after.keys() == before[name].keys()
+            assert all(after[key] is value for key, value in before[name].items())
+        assert interp.board.annotations.keys() == annotations.keys()
+        assert all(interp.board.annotations[key] is value for key, value in annotations.items())
+
+    def test_tokenizer_featurizer_and_bow_keep_no_session_state(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        stateless = [c for c in interp.components if c.name in (
+            "tokenizer_whitespace", "featurizer_count_vectors", "intent_classifier_bow"
+        )]
+        before = [dict(vars(comp)) for comp in stateless]
+        interp.parse_full("play some jazz")
+        interp.parse_incremental(EditType.ADD, "tonight")
+        for _ in range(2):
+            interp.parse_incremental(EditType.REVOKE)
+        interp.refresh()
+        interp.new_utterance()
+        interp.parse_incremental(EditType.ADD, "weather")
+        assert len(stateless) == 3
+        for comp, attrs in zip(stateless, before):
+            assert vars(comp).keys() == attrs.keys()
+            assert all(vars(comp)[key] is value for key, value in attrs.items())
 
     def test_training_on_empty_dataset_is_an_error(self):
         with pytest.raises(DataError):
@@ -480,6 +555,18 @@ def _set_sium_field(section, field, value):
     return edit
 
 
+def _repeat_sium_label(section):
+    """Edit that repeats the first label under ``[section]`` in SIUM's model file."""
+
+    def edit(text):
+        lines = text.split("\n")
+        line_no = lines.index(f"[{section}]") + 1
+        lines.insert(line_no, lines[line_no])
+        return "\n".join(lines)
+
+    return edit
+
+
 _SIUM = "intent_sium/model.tsv"
 _TAGGER = "entity_tagger_sequence/model.tsv"
 _BOW = "intent_classifier_bow/weights.tsv"
@@ -506,6 +593,10 @@ _MALFORMED = {
     "sium-word-not-in-vocabulary": (_SIUM, _set_sium_field("intent_counts", 1, "nosuchword")),
     "sium-label-unknown": (_SIUM, _set_sium_field("intent_counts", 0, "NoSuchIntent")),
     "sium-vocabulary-index-out-of-range": (_SIUM, _set_sium_field("vocabulary", 1, "-1")),
+    # These three loaded, and published a ranking with a label twice.
+    "sium-intent-repeated": (_SIUM, _repeat_sium_label("intents")),
+    "sium-entity-class-repeated": (_SIUM, _repeat_sium_label("entity_classes")),
+    "bow-intent-repeated": (_BOW, lambda text: _set_field(0, 1, text.split("\t", 1)[0])(text)),
     "vocabulary-index-not-an-int": (_VOCABULARY, _set_field(0, 1, "first")),
     # This one escaped as a DataError naming neither component nor bundle.
     "vocabulary-index-repeated": (
