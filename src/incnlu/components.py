@@ -60,7 +60,10 @@ class Component:
     A REVOKE right after an ADD gives back the board from before that ADD
     and calls :meth:`undo_add` instead of ``process``; ``process`` must
     still handle such a REVOKE, as a driver that runs every edit through it
-    may call it.
+    may call it. A component that computes its next output from its last
+    one on the board, as the tokenizer, the featurizer and the tagger do,
+    has nothing to roll back: SIUM is the only one with session state that
+    :meth:`undo_add` brings back.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.
@@ -103,7 +106,8 @@ class Component:
         """Follow a REVOKE of ``word`` right after its ADD, with the board
         already back to what it published before that ADD: bring the
         session state back to then, and publish nothing. A component whose
-        only state is on the board has nothing to do."""
+        next output depends only on the board and on state that the next
+        ``process`` call can bring up to date has nothing to do."""
 
     def new_utterance(self) -> None:
         pass

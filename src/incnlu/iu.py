@@ -5,8 +5,8 @@ A word entering the system becomes an :class:`IncrementalUnit`. The
 a REVOKE pops the newest. The :class:`Blackboard` carries that stack, the
 utterance's edit log (its only record of every ADD and REVOKE; replayed
 onto an empty stack it gives the buffer), and named annotations (tokens,
-count vector, entities, intent distribution) through which components
-communicate.
+count vector, BIO tags, entities, intent distribution) through which
+components communicate.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import BufferUnderflowError, ConsistencyError, InvalidPayloadError
 # pipeline; see Blackboard.write for how ownership is enforced.
 TOKENS = "tokens"
 COUNT_VECTOR = "count_vector"
+TAGS = "tags"
 ENTITIES = "entities"
 INTENT_DISTRIBUTION = "intent_distribution"
 

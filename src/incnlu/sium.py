@@ -115,12 +115,9 @@ class SiumModel:
         probs = np.exp(score)
         return probs / probs.sum()
 
-    def pick(self, word: str) -> tuple[str, float] | None:
-        """:func:`entity_pick` of the word's class posterior, memoised per row."""
-        return self.row_pick(self.row(word))
-
     def row_pick(self, row: int) -> tuple[str, float] | None:
-        """:meth:`pick` of a word whose likelihood row is ``row``."""
+        """:func:`entity_pick` of the class posterior of a word whose
+        likelihood row is ``row``, memoised per row."""
         try:
             return self._picks[row]
         except KeyError:

@@ -14,19 +14,19 @@ lattice builds no feature string. The lattice keeps one kind of row: a
 position's best-predecessor scores, held for every CHECKPOINT_EVERY-th
 position and the KEPT_PREDECESSORS newest. An ADD computes one new column,
 and finalises the one before it from the scores held of it when it was the
-last. The traceback stops where it meets the previous best path (partial
-traceback, Brown, Spohrer, Hochschild & Baker, ICASSP 1982), and spans are
-re-extracted from there on; a span that ends there is kept unless the new
-tag there continues it. A REVOKE right after an ADD gives back the prefix
-from before it, so it restores the tags and spans of then by pop, from a
-record of what the ADD changed kept one ADD deep: it computes no column,
-traces back nothing and builds no span. Up to KEPT_PREDECESSORS - 2 further
-REVOKEs in a row rebuild the new last column from its held scores, and a
-deeper REVOKE resumes at the newest held position, a checkpoint at most
-CHECKPOINT_EVERY - 1 columns back. Every column is computed by the same
-float operations as in the batch :func:`decode`, which stays on feature
-strings, so the entity output is still exactly that of a restart over the
-current prefix.
+last. The component publishes its BIO path and its spans as tuples and
+keeps neither: each edit reads the last ones back from the board. The
+traceback stops where it meets that path (partial traceback, Brown,
+Spohrer, Hochschild & Baker, ICASSP 1982), and spans are re-extracted from
+there on; a span that ends there is kept unless the new tag there
+continues it. A REVOKE right after an ADD gets back the board from before
+that ADD, tags and spans included, so the tagger does nothing on it. Up
+to KEPT_PREDECESSORS - 2 further REVOKEs in a row rebuild the new last
+column from its held scores, and a deeper REVOKE resumes at the newest
+held position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back.
+Every column is computed by the same float operations as in the batch
+:func:`decode`, which stays on feature strings, so the entity output is
+still exactly that of a restart over the current prefix.
 
 Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
@@ -47,7 +47,7 @@ import numpy as np
 from .components import Component, TrainingContext
 from .data import TrainingDataset, bio_tags
 from .errors import ConsistencyError, ParameterError
-from .iu import ENTITIES, TOKENS, Blackboard
+from .iu import ENTITIES, TAGS, TOKENS, Blackboard
 from .results import EntitySpan
 
 START = "<s>"
@@ -180,11 +180,10 @@ class WordParts:
     makes of its feature strings, in the same order, so it has the same bits.
     """
 
-    __slots__ = ("word", "head", "pw", "nw", "digit")
+    __slots__ = ("head", "pw", "nw", "digit")
 
     def __init__(self, model: TaggerModel, word: str) -> None:
         weights = model.weights
-        self.word = word
         self.head = _emission(weights, _head_features(word), np.zeros(len(model.tags)))
         self.head.flags.writeable = False
         self.pw = weights.get(f"pw={word}")
@@ -357,7 +356,7 @@ def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]
     ]
 
 
-def _runs(tags: list[str], start: int):
+def _runs(tags: Sequence[str], start: int):
     """(type, start, end) of each maximal B-I run from ``start`` on; ``end``
     is exclusive. A ``start`` inside a run reads the run's rest as a run of
     its own, so callers start where a span starts or at an "O"."""
@@ -376,7 +375,7 @@ def _runs(tags: list[str], start: int):
 
 
 class ViterbiState:
-    """One session's Viterbi lattice over the prefix, with its best path and spans.
+    """One session's Viterbi lattice over the prefix.
 
     The state reads the published tokens as they are and takes each one's
     emission parts from :meth:`TaggerModel.word_parts`, which lowers it if
@@ -396,27 +395,20 @@ class ViterbiState:
     so gets the sums ``decode`` makes of its ``_predecessors`` and
     ``_emission`` rows, in the same order, so it has the same bits.
 
-    ``undo`` records what the last ADD changed: the length before it, the
-    position where its traceback met the old path, the tags it overwrote
-    there on, how many spans it kept and the spans it popped, as tuples.
-    A REVOKE right after that ADD pops ``held`` as any REVOKE does and
-    restores ``tags`` and ``spans`` from the record, which are those
-    computed for the same prefix, so it needs no column. Any other edit
-    drops the record.
+    The best path and its spans are not kept here: :meth:`update` is given
+    the last ones the tagger published and returns the new ones. A prefix
+    the board gives back without an update leaves the scores held of its
+    revoked positions; the next update pops them.
     """
 
-    __slots__ = ("model", "lowercase", "n", "back", "held", "tags", "spans", "undo")
+    __slots__ = ("model", "lowercase", "back", "held")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
         self.lowercase = lowercase
-        self.n = 0
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         self.held = {0: model.transition_matrix()[0]}
-        self.tags: list[str] = []
-        self.spans: list[EntitySpan] = []
-        self.undo: tuple[int, int, tuple[str, ...], int, tuple[EntitySpan, ...]] | None = None
 
     def _finalise(self, preds: np.ndarray, before: WordParts | None, word: WordParts,
                   after: WordParts | None) -> np.ndarray:
@@ -434,36 +426,27 @@ class ViterbiState:
             em += word.digit
         return np.add(preds, em, out=em)
 
-    def update(self, tokens: Sequence[str]) -> None:
-        """Follow the prefix to ``tokens``.
+    def update(self, tokens: Sequence[str], tags: tuple[str, ...],
+               spans: tuple[EntitySpan, ...]) -> tuple[tuple[str, ...], tuple[EntitySpan, ...]]:
+        """The best path and spans over ``tokens``, from ``tags`` and
+        ``spans``, those of the prefix last decoded.
 
-        The state trusts that the first min(old, new) tokens are the ones it
-        has seen, as the lock-step pipeline guarantees; one ADD or REVOKE
-        changes the length by one, and a fresh state catches up in one call.
+        The state trusts that the first min(len(tags), len(tokens)) tokens
+        are the ones it has seen, as the lock-step pipeline guarantees; one
+        ADD or REVOKE changes the length by one, and a fresh state catches
+        up in one call.
         """
         n = len(tokens)
-        if n == self.n:
-            return
-        kept = min(self.n, n)
-        self.n = n
+        if n == len(tags):
+            return tags, spans
+        kept = min(len(tags), n)
         # Scores held of positions below kept saw only kept tokens; position
         # 0's see none.
         held = self.held
         while next(reversed(held)) >= max(kept, 1):
             held.popitem()
-        tags, spans = self.tags, self.spans
-        undo, self.undo = self.undo, None
-        if undo is not None and undo[0] == n:
-            # A REVOKE right after an ADD gives back the prefix from before
-            # it, and so the path and spans decoded then.
-            _, i, overwritten, n_spans, popped = undo
-            tags[i:] = overwritten
-            spans[n_spans:] = popped
-            return
         if n == 0:
-            tags.clear()
-            spans.clear()
-            return
+            return (), ()
         # Resume at the newest held position: make the columns up to n-2
         # final, then column n-1 the last.
         first = next(reversed(held))
@@ -485,7 +468,7 @@ class ViterbiState:
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.
-        names = self.model.tags
+        names = model.tags
         i, cur = n - 1, int(col.argmax())
         path = [names[cur]]
         while i > 0:
@@ -494,35 +477,33 @@ class ViterbiState:
                 break
             i -= 1
             path.append(names[cur])
-        overwritten = tuple(tags[i:kept]) if n > kept else ()
         path.reverse()
-        tags[i:] = path
+        tags = tags[:i] + tuple(path)
 
         # Spans ending before i cannot change, nor can one ending at i unless
         # tag i continues it.
-        popped = ()
-        while spans:
-            span = spans[-1]
+        k = len(spans)
+        while k:
+            span = spans[k - 1]
             if span.end < i or span.end == i and tags[i] != "I-" + span.type:
                 break
-            popped = (spans.pop(), *popped)
-        n_spans = len(spans)
-        spans.extend(
-            EntitySpan(etype, " ".join([word_parts(t, lowercase).word for t in tokens[i:j]]), i, j, 1.0)
-            for etype, i, j in _runs(tags, min(i, popped[0].start) if popped else i)
+            k -= 1
+        return tags, spans[:k] + tuple(
+            EntitySpan(etype, " ".join([t.lower() if lowercase else t for t in tokens[i:j]]), i, j, 1.0)
+            for etype, i, j in _runs(tags, min(i, spans[k].start) if k < len(spans) else i)
         )
-        if n > kept:
-            self.undo = (kept, i, overwritten, n_spans, popped)
 
 
 class SequenceEntityTagger(Component):
     """Restart-incremental entity path: each edit's output equals a full
     re-decode of the prefix, but only the lattice columns the edit changes
-    are computed (see :class:`ViterbiState`). Publishes its spans as a tuple.
+    are computed (see :class:`ViterbiState`). Publishes its BIO path and
+    spans as tuples, and computes the next ones from those on the board;
+    its session state is the lattice alone.
     """
 
     name = "entity_tagger_sequence"
-    provides = (ENTITIES,)
+    provides = (TAGS, ENTITIES)
     requires = (TOKENS,)
     defaults = {"epochs": 10, "seed": 13, "lowercase": True}
 
@@ -547,12 +528,14 @@ class SequenceEntityTagger(Component):
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
         if self._state is None:
             self._state = ViterbiState(self.model, self.params["lowercase"])
-        self._state.update(board.annotations.get(TOKENS, ()))
-        board.write(self.name, ENTITIES, tuple(self._state.spans))
-
-    def undo_add(self, board: Blackboard, word: str) -> None:
-        # The tokens from before the ADD: the state restores by its undo record.
-        self._state.update(board.annotations.get(TOKENS, ()))
+        published = board.component_annotations
+        tags, spans = self._state.update(
+            board.annotations.get(TOKENS, ()),
+            published.get((self.name, TAGS), ()),
+            published.get((self.name, ENTITIES), ()),
+        )
+        board.write(self.name, TAGS, tags)
+        board.write(self.name, ENTITIES, spans)
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -478,6 +479,17 @@ def _views(interp):
     )
 
 
+def _process_every_edit(interp, edit, word=None):
+    """One edit as a caller that runs every edit through ``process`` makes
+    it: ``apply_edit``, ``begin_cycle`` and each component's ``process``,
+    so no board is given back."""
+    board = interp.board
+    unit = board.apply_edit(edit, word)
+    board.begin_cycle()
+    for comp in interp.components:
+        comp.process(board, edit, unit.word)
+
+
 @settings(deadline=None)
 @given(script=st.lists(_STEPS, max_size=30))
 def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, script):
@@ -485,28 +497,34 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
     result, every component's view, the tokens and the count vector equal
     those of a fresh session fed only the surviving words. A REVOKE right
     after an ADD, refreshes between them aside, gives back the results from
-    before that ADD."""
-    session = toy_interp.fresh_copy()
-    session.parse_full("")
+    before that ADD. A second session runs every edit through ``process``,
+    a REVOKE right after an ADD too, and lands on the same views."""
+    sessions = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+    edits = sessions[0].parse_incremental, partial(_process_every_edit, sessions[1])
+    for session in sessions:
+        session.parse_full("")
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []
     before_add = None  # the results before the last edit, if it was an ADD
     for step in script:
         if step == "refresh":
-            session.refresh()
+            for session in sessions:
+                session.refresh()
         elif isinstance(step, int):
             for _ in range(step):
                 if not stack:
-                    before = _views(session)
-                    with pytest.raises(BufferUnderflowError):
-                        session.parse_incremental(EditType.REVOKE)
-                    assert _views(session) == before
+                    for session, edit in zip(sessions, edits):
+                        before = _views(session)
+                        with pytest.raises(BufferUnderflowError):
+                            edit(EditType.REVOKE)
+                        assert _views(session) == before
                     break
                 revoked.append(stack.pop())
-                session.parse_incremental(EditType.REVOKE)
+                for edit in edits:
+                    edit(EditType.REVOKE)
                 if before_add is not None:
-                    assert _views(session)[:2] == before_add
+                    assert _views(sessions[0])[:2] == before_add
                     before_add = None
         else:
             if step == "readd":
@@ -514,10 +532,12 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
                     continue
                 step = revoked.pop()
             stack.append(step)
-            before_add = _views(session)[:2]
-            session.parse_incremental(EditType.ADD, step)
+            before_add = _views(sessions[0])[:2]
+            for edit in edits:
+                edit(EditType.ADD, step)
         reference.parse_full(" ".join(stack))
-        assert _views(session) == _views(reference)
+        for session in sessions:
+            assert _views(session) == _views(reference)
 
 
 def _set_field(line_no, field, value):

@@ -410,7 +410,7 @@ class TestPickMemo:
         for word in words:
             state.add(word)
             assert state.picks[-1] == entity_pick(loose, loose.entity_posterior(word))
-        strict = [model.pick(word) for word in words]
+        strict = [entity_pick(model, model.entity_posterior(word)) for word in words]
         assert state.picks != strict
 
     def test_fresh_sessions_share_one_memo(self, toy_interp):

@@ -20,7 +20,7 @@ from incnlu import (
 from incnlu import intent_bow, sium, tagging
 from incnlu.data import TrainingDataset, bio_tags
 from incnlu.features import WhitespaceTokenizer
-from incnlu.iu import ENTITIES, TOKENS, Blackboard, EditType
+from incnlu.iu import ENTITIES, TAGS, TOKENS, Blackboard, EditType
 from incnlu.tagging import (
     CHECKPOINT_EVERY,
     KEPT_PREDECESSORS,
@@ -492,29 +492,32 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
     st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
 )
 def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring, every, script):
-    """After every ADD (a word) or REVOKE (None), each back-pointer row the
-    lattice keeps has the bits of that row in a plain forward pass over
-    ``pair``, and each held row of best-predecessor scores has the bits of
-    its position's. ``held`` is in ascending order of position; it holds
-    the last position and every multiple of the checkpoint spacing below
-    the length, and no more than those and ``ring`` others. ``_finalise``
-    rebuilds each held column with that column's bytes. Rings of 2 and 4
-    rows over checkpoints every 3 or 5 positions wrap both below and above
-    the checkpoint interval. The reference reads ``pair`` down its columns,
-    so it also checks that ``_predecessors`` on the transposed matrix makes
-    the same sums and takes the same first maximum."""
+    """After every ADD (a word) or REVOKE (None), the path is that of
+    ``decode``, each back-pointer row the lattice keeps has the bits of that
+    row in a plain forward pass over ``pair``, and each held row of
+    best-predecessor scores has the bits of its position's. ``held`` is in
+    ascending order of position; it holds the last position and every
+    multiple of the checkpoint spacing below the length, and no more than
+    those and ``ring`` others. ``_finalise`` rebuilds each held column with
+    that column's bytes. Rings of 2 and 4 rows over checkpoints every 3 or 5
+    positions wrap both below and above the checkpoint interval. The
+    reference reads ``pair`` down its columns, so it also checks that
+    ``_predecessors`` on the transposed matrix makes the same sums and takes
+    the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
             mock.patch.object(tagging, "KEPT_PREDECESSORS", ring):
         state = tagging.ViterbiState(model, True)
         tokens: list[str] = []
+        tags, spans = (), ()
         for step in script:
             if step is None:
                 tokens = tokens[:-1]
             else:
                 tokens = tokens + [step.lower()]
-            state.update(tokens)
+            tags, spans = state.update(tokens, tags, spans)
+            assert list(tags) == decode(model, tokens)
             n = len(tokens)
             if not n:
                 continue
@@ -609,30 +612,39 @@ def test_only_a_continued_span_is_rebuilt_and_a_revoke_gives_back_the_spans_it_h
     """An ADD pops a span that ends where its traceback meets the old path
     only if the new tag there continues it: "york" extends "new" to "new
     york", and "now" leaves "new york" as it was, the same object. A REVOKE
-    right after an ADD gives back the very spans it had before that ADD."""
+    right after an ADD gives back the very tags and spans the board held
+    before that ADD."""
     rows = [
         ("fly to new york", "Fly", [("new york", "city")]),
         ("fly to new york now", "Fly", [("new york", "city")]),
         ("fly to boston", "Fly", [("boston", "city")]),
         ("fly to boston now", "Fly", [("boston", "city")]),
     ]
-    state = tagging.ViterbiState(train_tagger(_dataset(rows)), True)
+    model = train_tagger(_dataset(rows))
+    state = tagging.ViterbiState(model, True)
     tokens = "fly to new york now".split()
+    tags, spans = (), ()
     for n in range(1, 4):
-        state.update(tokens[:n])
-    [new] = state.spans
-    state.update(tokens[:4])
-    [new_york] = state.spans
+        tags, spans = state.update(tokens[:n], tags, spans)
+    [new] = spans
+    assert tags == ("O", "O", "B-city")
+    tags, spans = state.update(tokens[:4], tags, spans)
+    [new_york] = spans
     assert (new.value, new.start, new.end) == ("new", 2, 3)
     assert (new_york.value, new_york.start, new_york.end) == ("new york", 2, 4)
-    state.update(tokens[:3])
-    assert state.spans[0] is new and state.tags == ["O", "O", "B-city"]
-    state.update(tokens[:4])
-    [new_york] = state.spans
-    state.update(tokens)
-    assert state.spans[0] is new_york and state.tags[-3:] == ["B-city", "I-city", "O"]
-    state.update(tokens[:4])
-    assert state.spans[0] is new_york and state.tags[-2:] == ["B-city", "I-city"]
+    tags, spans = state.update(tokens, tags, spans)
+    assert spans[0] is new_york and tags[-3:] == ("B-city", "I-city", "O")
+
+    session = _tagger_session(model)
+    session.refresh()
+    board = session.board
+    for word in tokens:
+        before = board.annotations.get(TAGS), board.annotations.get(ENTITIES)
+        session.parse_incremental(EditType.ADD, word)
+        session.parse_incremental(EditType.REVOKE)
+        assert board.annotations.get(TAGS) is before[0] and board.annotations.get(ENTITIES) is before[1]
+        session.parse_incremental(EditType.ADD, word)
+    assert board.annotations[TAGS] == tags and board.annotations[ENTITIES] == spans
 
 
 def _views(session):
@@ -649,9 +661,9 @@ def _counting(real, calls):
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     """At 1000 words an ADD computes one column (one predecessor step; it
     finalises the one before without recomputing it), and a REVOKE right
-    after an ADD none: it finalises no column, extracts no span and ranks
-    no intent. Each of 3 REVOKEs in a row after 4 or more ADDs computes no
-    column, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
+    after an ADD none: the tagger does not update its lattice, and no
+    intent is ranked. Each of 3 REVOKEs in a row after 4 or more ADDs
+    computes no column, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
     No edit builds a feature string. A REVOKE right after an ADD that
     empties a prefix published before also ranks no intent."""
     calls = {}
@@ -659,6 +671,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         (tagging, "_predecessors"),
         (tagging, "tag_features"),
         (tagging.ViterbiState, "_finalise"),
+        (tagging.ViterbiState, "update"),
         (tagging, "_runs"),
         (intent_bow, "predict"),
         (sium, "classify"),
@@ -670,7 +683,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
     tagger.model = _MODELS["random"]
 
-    restored = {"_predecessors": 0, "_finalise": 0, "_runs": 0, "predict": 0, "classify": 0}
+    restored = {"_predecessors": 0, "_finalise": 0, "update": 0, "_runs": 0, "predict": 0, "classify": 0}
 
     def cost(edit, word=None):
         for made in calls.values():
