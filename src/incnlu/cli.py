@@ -87,7 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     interp.persist(args.out)
     print(f"trained on {len(dataset)} utterances, bundle at {args.out}")
     for name, seconds in interp.training_timings:
-        print(f"  {name:28s} {seconds:8.2f}s")
+        print(f"  {name:28s} {seconds * 1e3:8.1f} ms")
     return 0
 
 

@@ -42,26 +42,33 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(scores))
 
 
-def loss_and_grad(
-    weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy plus L2 on everything but the bias row.
-
-    inputs already carry the constant-1 bias column. Shared by training and
-    by the finite-difference check, so the gradient under test is the
-    gradient actually descended.
-    """
-    n = inputs.shape[0]
-    logp = _log_softmax(inputs @ weights)
-    loss = -float(logp[np.arange(n), labels].mean())
-    probs = np.exp(logp)
-    probs[np.arange(n), labels] -= 1.0
-    grad = inputs.T @ probs / n
+def _penalised(weights: np.ndarray) -> np.ndarray:
+    """The weights the L2 term reads: all but the bias row."""
     penalty = weights.copy()
     penalty[-1, :] = 0.0
-    loss += 0.5 * l2 * float((penalty ** 2).sum())
-    grad += l2 * penalty
-    return loss, grad
+    return penalty
+
+
+def gradient(weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray, l2: float) -> np.ndarray:
+    """Gradient of :func:`loss`, the function training descends.
+
+    inputs already carry the constant-1 bias column.
+    """
+    n = inputs.shape[0]
+    probs = np.exp(_log_softmax(inputs @ weights))
+    probs[np.arange(n), labels] -= 1.0
+    grad = inputs.T @ probs / n
+    grad += l2 * _penalised(weights)
+    return grad
+
+
+def loss(weights: np.ndarray, inputs: np.ndarray, labels: np.ndarray, l2: float) -> float:
+    """Mean cross-entropy plus L2 on everything but the bias row. Training
+    needs only its :func:`gradient`; the finite-difference check of that
+    gradient differences this."""
+    logp = _log_softmax(inputs @ weights)
+    value = -float(logp[np.arange(inputs.shape[0]), labels].mean())
+    return value + 0.5 * l2 * float((_penalised(weights) ** 2).sum())
 
 
 def _augment(matrix: np.ndarray) -> np.ndarray:
@@ -99,8 +106,7 @@ def train_classifier(
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             batch = order[lo:lo + batch_size]
-            _, grad = loss_and_grad(weights, inputs[batch], labels[batch], l2)
-            weights = weights - lr * grad
+            weights = weights - lr * gradient(weights, inputs[batch], labels[batch], l2)
 
     return LinearIntentModel(intents=intents, weights=weights)
 

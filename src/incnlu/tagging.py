@@ -32,6 +32,12 @@ Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
 skipped decode would give gold again and update nothing, so the averaged
 weights are bit for bit those of decoding every sentence in every epoch.
+It keeps its weights and averaging totals as dense arrays, one row per
+feature string. Until the final division by the step count every value
+is an integer held in a float, and while it stays below 2^53 every sum of
+them is exact in any order: a sentence's emissions are one gather and
+one reduction, and a wrong decode's updates land in one batch, yet the
+averaged weights have the bits of updating one cell at a time.
 """
 
 from __future__ import annotations
@@ -126,9 +132,9 @@ class TaggerModel:
         self._transitions = _transition_scores(self.weights, self.tags, _transition_mask(self.tags))
         # Row b: the pairwise scores into tag b, for ViterbiState's _predecessors.
         self._incoming = np.ascontiguousarray(self._transitions[1].T)
-        # Each tag's index, with which _predecessors gathers the best scores.
-        self._tag_index = np.arange(len(self.tags))
-        for table in (*self._transitions, self._incoming, self._tag_index):
+        # Each row's start in the flattened scores, for _predecessors.
+        self._offsets = _row_offsets(len(self.tags))
+        for table in (*self._transitions, self._incoming, self._offsets):
             table.flags.writeable = False
         self._start_pw = self.weights.get(f"pw={START}")
         self._end_nw = self.weights.get(f"nw={END}")
@@ -203,33 +209,40 @@ def _back_dtype(n_tags: int) -> np.dtype:
     return np.min_scalar_type(n_tags - 1)
 
 
-def _predecessors(delta: np.ndarray, incoming: np.ndarray,
-                  tag_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_offsets(n_tags: int) -> np.ndarray:
+    """Where each row of an (n_tags, n_tags) matrix starts once flattened."""
+    return np.arange(0, n_tags * n_tags, n_tags)
+
+
+def _predecessors(delta: np.ndarray, incoming: np.ndarray, offsets: np.ndarray,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One Viterbi column step before its emission is added: back-pointers
-    into ``delta`` and each tag's best-predecessor score. ``incoming`` is
-    the transposed pairwise matrix, row b holding the scores into tag b;
-    ``tag_index`` is ``arange`` over the tags. The argmax takes the first
-    maximum."""
-    scores = incoming + delta
+    into ``delta`` and each tag's best-predecessor score, a new array.
+    ``incoming`` is the transposed pairwise matrix, row b holding the scores
+    into tag b, and ``offsets`` its :func:`_row_offsets`. The scores are
+    summed into ``out`` if given. The argmax takes the first maximum."""
+    scores = np.add(incoming, delta, out=out)
     back = scores.argmax(axis=1)
-    return back, scores[tag_index, back]
+    return back, scores.take(back + offsets)
 
 
-def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray, tag_index: np.ndarray,
-             tags: list[str]) -> list[str]:
+def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray,
+             offsets: np.ndarray) -> list[int]:
+    """The best path's tag indices over emission rows ``em``."""
     n_pos, n_tags = em.shape
     delta = em[0] + init
     back = np.zeros((n_pos, n_tags), dtype=_back_dtype(n_tags))
+    scores = np.empty((n_tags, n_tags))
     for i in range(1, n_pos):
-        back[i], best = _predecessors(delta, incoming, tag_index)
-        delta = best + em[i]
-    best = int(np.argmax(delta))
+        back[i], delta = _predecessors(delta, incoming, offsets, scores)
+        delta += em[i]
+    best = int(delta.argmax())
     path = [best]
     for i in range(n_pos - 1, 0, -1):
         best = int(back[i, best])
         path.append(best)
     path.reverse()
-    return [tags[t] for t in path]
+    return path
 
 
 def decode(model: TaggerModel, tokens: list[str]) -> list[str]:
@@ -238,7 +251,8 @@ def decode(model: TaggerModel, tokens: list[str]) -> list[str]:
         return []
     feats = [tag_features(tokens, i) for i in range(len(tokens))]
     em = _emissions(model.weights, len(model.tags), feats)
-    return _viterbi(em, model.transition_matrix()[0], model._incoming, model._tag_index, model.tags)
+    path = _viterbi(em, model.transition_matrix()[0], model._incoming, model._offsets)
+    return [model.tags[t] for t in path]
 
 
 def _tag_set(dataset: TrainingDataset) -> list[str]:
@@ -247,35 +261,6 @@ def _tag_set(dataset: TrainingDataset) -> list[str]:
     for etype in dataset.entity_types:
         tags.extend((f"B-{etype}", f"I-{etype}"))
     return tags
-
-
-class _AveragedWeights:
-    """Perceptron weights with the lazily-updated averaging accumulators."""
-
-    def __init__(self, n_tags: int) -> None:
-        self.n_tags = n_tags
-        self.weights: dict[str, np.ndarray] = {}
-        self._totals: dict[str, np.ndarray] = {}
-        self._stamps: dict[str, np.ndarray] = {}
-        self.step = 0
-
-    def update(self, feat: str, tag_idx: int, delta: float) -> None:
-        if feat not in self.weights:
-            self.weights[feat] = np.zeros(self.n_tags)
-            self._totals[feat] = np.zeros(self.n_tags)
-            self._stamps[feat] = np.zeros(self.n_tags, dtype=np.int64)
-        self._totals[feat][tag_idx] += (self.step - self._stamps[feat][tag_idx]) * self.weights[feat][tag_idx]
-        self._stamps[feat][tag_idx] = self.step
-        self.weights[feat][tag_idx] += delta
-
-    def averaged(self) -> dict[str, np.ndarray]:
-        if self.step == 0:
-            return {f: v.copy() for f, v in self.weights.items()}
-        out = {}
-        for feat, vec in self.weights.items():
-            total = self._totals[feat] + (self.step - self._stamps[feat]) * vec
-            out[feat] = total / self.step
-        return out
 
 
 def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
@@ -289,55 +274,98 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     epoch; once every sentence is clean, the remaining epochs only count
     steps. The transition scores are rebuilt only after an update.
 
+    The weights, the averaging totals and their stamps are dense arrays
+    with one row per feature string, and each sentence's features are an
+    index array into them, padded with an all-zero row. Until the final
+    division by the step count every number is an integer held in a float:
+    weights move by 1.0 from 0.0, the BIO mask adds 0 or -inf, and the
+    totals add products of step counts and weights. While these stay below
+    2^53 every sum is exact in any order, so one gather and one reduction
+    make a sentence's emissions, a wrong decode's updates land in one
+    batch, and the averaged weights keep every bit. A step moves a weight
+    by at most its sentence's length, so a total stays below steps squared
+    times the longest sentence: on the bundled split at 50 epochs, 11,200^2
+    * 10 words, about 1.3e9.
+
     A dataset with no entity annotations still yields a valid model; its
     single tag is "O" and decoding is trivially all-"O".
     """
     tags = _tag_set(dataset)
+    n_tags = len(tags)
     tag_idx = {t: i for i, t in enumerate(tags)}
-    mask = _transition_mask(tags)
-    tag_index = np.arange(len(tags))
+    init_mask, pair_mask = _transition_mask(tags)
+    offsets = _row_offsets(n_tags)
 
+    # Each feature string's row: the training features, then the pt= ones.
+    rows: dict[str, int] = {}
     sentences = []
     for ex in dataset.examples:
         tokens, gold = bio_tags(ex.text, ex.entities, lowercase=lowercase)
         if tokens:
-            feats = [tag_features(tokens, i) for i in range(len(tokens))]
-            sentences.append((feats, gold))
+            feats = [[rows.setdefault(f, len(rows)) for f in tag_features(tokens, i)]
+                     for i in range(len(tokens))]
+            sentences.append((feats, [tag_idx[t] for t in gold]))
+    start_row = rows.setdefault(f"pt={START}", len(rows))
+    tag_rows = np.array([rows.setdefault(f"pt={tag}", len(rows)) for tag in tags])
+    pad = len(rows)  # the all-zero row that pads every position to its sentence's width
+    for n, (feats, gold) in enumerate(sentences):
+        index = np.full((max(map(len, feats)), len(feats)), pad)
+        for i, row in enumerate(feats):
+            index[:len(row), i] = row
+        sentences[n] = index, gold
 
-    acc = _AveragedWeights(len(tags))
+    weights = np.zeros((pad + 1, n_tags))
+    totals = np.zeros_like(weights)
+    stamps = np.zeros(weights.shape, dtype=np.int64)  # step each cell's total caught up to
+    # Flat views, which the updates index by cell.
+    flat_weights, flat_totals, flat_stamps = weights.ravel(), totals.ravel(), stamps.ravel()
     rng = random.Random(seed)
     order = list(range(len(sentences)))
     clean = [0] * len(sentences)  # step of each sentence's last decode to gold
+    step = 0
     updated = 0  # step of the last weight update
     transitions = None  # (initial, incoming) scores of the current weights
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            acc.step += 1
+            step += 1
             if clean[idx] > updated:
                 continue
-            feats, gold = sentences[idx]
+            index, gold = sentences[idx]
             if transitions is None:
-                init, pair = _transition_scores(acc.weights, tags, mask)
-                transitions = init, np.ascontiguousarray(pair.T)
-            pred = _viterbi(_emissions(acc.weights, len(tags), feats), *transitions, tag_index, tags)
+                transitions = (weights[start_row] + init_mask,
+                               np.ascontiguousarray((weights[tag_rows] + pair_mask).T))
+            pred = _viterbi(weights[index].sum(axis=0), *transitions, offsets)
             if pred == gold:
-                clean[idx] = acc.step
+                clean[idx] = step
                 continue
             # A wrong decode always updates some pt= weight: the transition scores go stale.
-            updated, transitions = acc.step, None
-            for i, (p, g) in enumerate(zip(pred, gold)):
-                prev_p = pred[i - 1] if i > 0 else START
-                prev_g = gold[i - 1] if i > 0 else START
-                if p == g and prev_p == prev_g:
-                    continue
-                for feat in feats[i]:
-                    acc.update(feat, tag_idx[g], 1.0)
-                    acc.update(feat, tag_idx[p], -1.0)
-                acc.update(f"pt={prev_g}", tag_idx[g], 1.0)
-                acc.update(f"pt={prev_p}", tag_idx[p], -1.0)
+            updated, transitions = step, None
+            # A position is wrong if its tag or the one before it is: its
+            # features and the previous tag's pt= feature move toward gold.
+            pred, gold = np.array(pred), np.array(gold)
+            prev_pred = np.append(start_row, tag_rows[pred[:-1]])
+            prev_gold = np.append(start_row, tag_rows[gold[:-1]])
+            wrong = (pred != gold) | (prev_pred != prev_gold)
+            feats = index[:, wrong]
+            up = np.vstack((feats, prev_gold[wrong])) * n_tags + gold[wrong]
+            down = np.vstack((feats, prev_pred[wrong])) * n_tags + pred[wrong]
+            cells = np.concatenate((up.ravel(), down.ravel()))
+            deltas = np.repeat((1.0, -1.0), up.size)
+            real = cells < pad * n_tags  # the padding row stays zero
+            cells, deltas = cells[real], deltas[real]
+            # Each touched cell's total catches up to this step once: a
+            # repeated index assigns the same sum again.
+            flat_totals[cells] += (step - flat_stamps[cells]) * flat_weights[cells]
+            flat_stamps[cells] = step
+            np.add.at(flat_weights, cells, deltas)
 
-    return TaggerModel(tags=tags, weights=acc.averaged())
+    # The model keeps every feature that ever had an update, and only those:
+    # the rows with a cell stamped at a step.
+    kept = np.flatnonzero(stamps.any(axis=1))
+    averaged = (totals[kept] + (step - stamps[kept]) * weights[kept]) / step
+    names = list(rows)
+    return TaggerModel(tags=tags, weights={names[r]: vec for r, vec in zip(kept, averaged)})
 
 
 def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]:
@@ -459,7 +487,7 @@ class ViterbiState:
             if i > first:
                 if i == len(self.back):
                     self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-                self.back[i], preds = _predecessors(col, model._incoming, model._tag_index)
+                self.back[i], preds = _predecessors(col, model._incoming, model._offsets)
                 held[i] = preds
                 if (i - KEPT_PREDECESSORS) % CHECKPOINT_EVERY:
                     held.pop(i - KEPT_PREDECESSORS, None)

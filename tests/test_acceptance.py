@@ -34,7 +34,7 @@ from incnlu.evaluation import (
     run_noise_protocol,
 )
 from incnlu.features import count_vector, vector_apply
-from incnlu.intent_bow import loss_and_grad
+from incnlu.intent_bow import gradient, loss
 from incnlu.interpreter import load as load_bundle, train_pipeline
 from incnlu.iu import EditType
 from incnlu.features import tokenize
@@ -203,15 +203,15 @@ def test_criterion_6_gradient_check():
         )
         labels = rng.integers(0, n_intents, size=n)
         weights = rng.normal(scale=0.5, size=(vocab_size + 1, n_intents))
-        _, grad = loss_and_grad(weights, inputs, labels, l2=1e-4)
+        grad = gradient(weights, inputs, labels, l2=1e-4)
         fd = np.zeros_like(weights)
         h = 1e-6
         for idx in np.ndindex(weights.shape):
             bumped = weights.copy()
             bumped[idx] += h
-            hi, _ = loss_and_grad(bumped, inputs, labels, 1e-4)
+            hi = loss(bumped, inputs, labels, 1e-4)
             bumped[idx] -= 2 * h
-            lo, _ = loss_and_grad(bumped, inputs, labels, 1e-4)
+            lo = loss(bumped, inputs, labels, 1e-4)
             fd[idx] = (hi - lo) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(grad) + np.abs(fd))
         worst = max(worst, float(rel.max()))

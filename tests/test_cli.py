@@ -37,6 +37,10 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 0
         assert "trained on 14 utterances" in captured.out
+        # One row per component, in pipeline order, with its milliseconds.
+        rows = [re.fullmatch(r"  (\S+) +\d+\.\d ms", line) for line in captured.out.splitlines()[1:]]
+        assert all(rows)
+        assert [row[1] for row in rows] == [c.name for c in load_bundle(out).components]
         assert (out / "manifest.json").exists()
         assert (out / "config.yml").exists()
         assert (out / "intent_sium" / "model.tsv").exists()

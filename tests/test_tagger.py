@@ -108,28 +108,79 @@ def test_same_seed_reproduces_identical_weights(toy_dataset):
         assert np.array_equal(a.weights[feat], b.weights[feat])
 
 
+class _AveragedWeights:
+    """Perceptron weights, one array over tags per feature string, with
+    lazily updated averaging totals: one cell at a time."""
+
+    def __init__(self, n_tags):
+        self.n_tags = n_tags
+        self.weights, self._totals, self._stamps = {}, {}, {}
+        self.step = 0
+
+    def update(self, feat, tag_idx, delta):
+        if feat not in self.weights:
+            self.weights[feat] = np.zeros(self.n_tags)
+            self._totals[feat] = np.zeros(self.n_tags)
+            self._stamps[feat] = np.zeros(self.n_tags, dtype=np.int64)
+        self._totals[feat][tag_idx] += (self.step - self._stamps[feat][tag_idx]) * self.weights[feat][tag_idx]
+        self._stamps[feat][tag_idx] = self.step
+        self.weights[feat][tag_idx] += delta
+
+    def averaged(self):
+        return {
+            feat: (self._totals[feat] + (self.step - self._stamps[feat]) * vec) / self.step
+            for feat, vec in self.weights.items()
+        }
+
+
+def _plain_viterbi(em, init, pair):
+    """Viterbi down the columns of ``pair``, best scores gathered by ``np.arange``."""
+    n_pos, n_tags = em.shape
+    delta, back = em[0] + init, []
+    for i in range(1, n_pos):
+        scores = delta[:, None] + pair
+        back.append(scores.argmax(axis=0))
+        delta = scores[back[-1], np.arange(n_tags)] + em[i]
+    path = [int(delta.argmax())]
+    for row in reversed(back):
+        path.append(int(row[path[-1]]))
+    return path[::-1]
+
+
 def _train_decoding_everything(dataset, epochs, seed):
-    """The averaged perceptron with no decode skipped: every sentence is
-    decoded in every epoch, against transition scores built anew for it."""
+    """The averaged perceptron with no decode skipped and no array shared
+    between features: every sentence is decoded in every epoch, against
+    transition scores built anew for it, and each update is applied one
+    cell at a time."""
     tags = tagging._tag_set(dataset)
     tag_idx = {t: i for i, t in enumerate(tags)}
-    mask = tagging._transition_mask(tags)
     sentences = []
     for ex in dataset.examples:
         tokens, gold = bio_tags(ex.text, ex.entities)
         if tokens:
             sentences.append(([tagging.tag_features(tokens, i) for i in range(len(tokens))], gold))
-    acc = tagging._AveragedWeights(len(tags))
+    acc = _AveragedWeights(len(tags))
     rng = random.Random(seed)
     order = list(range(len(sentences)))
+    zero = np.zeros(len(tags))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
             feats, gold = sentences[idx]
             acc.step += 1
-            init, pair = tagging._transition_scores(acc.weights, tags, mask)
-            em = tagging._emissions(acc.weights, len(tags), feats)
-            pred = tagging._viterbi(em, init, pair.T, np.arange(len(tags)), tags)
+            init = acc.weights.get(f"pt={tagging.START}", zero).copy()
+            pair = np.array([acc.weights.get(f"pt={tag}", zero) for tag in tags])
+            for b, tag in enumerate(tags):
+                if tag.startswith("I-"):
+                    init[b] = -np.inf
+                    for a, prev in enumerate(tags):
+                        if prev not in ("B-" + tag[2:], tag):
+                            pair[a, b] = -np.inf
+            em = np.zeros((len(feats), len(tags)))
+            for i, row in enumerate(feats):
+                for feat in row:
+                    em[i] += acc.weights.get(feat, zero)
+            pred = [tags[t] for t in _plain_viterbi(em, init, pair)]
             for i, (p, g) in enumerate(zip(pred, gold)):
                 prev_p = pred[i - 1] if i > 0 else tagging.START
                 prev_g = gold[i - 1] if i > 0 else tagging.START
@@ -201,7 +252,8 @@ def test_skipped_decodes_leave_the_bundled_split_bit_for_bit():
 
 def test_no_decode_runs_once_training_has_converged(monkeypatch):
     """On the bundled split every sentence decodes to gold within 10
-    epochs, so 40 more epochs only count steps."""
+    epochs, so 40 more epochs only count steps: 1,602 decodes either way,
+    out of 5,600 sentence steps at 10 epochs."""
     dataset = load_dataset(_SNIPS_TRAIN)
     decodes = []
     monkeypatch.setattr(tagging, "_viterbi", _counting(tagging._viterbi, decodes))
@@ -210,8 +262,7 @@ def test_no_decode_runs_once_training_has_converged(monkeypatch):
         decodes.clear()
         train_tagger(dataset, epochs=epochs)
         counts.append(len(decodes))
-    assert counts[0] == counts[1]
-    assert counts[0] < 10 * len(dataset)
+    assert counts == [1602, 1602]
 
 
 def test_transition_scores_are_built_once_and_read_only(toy_dataset):
