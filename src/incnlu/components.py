@@ -56,14 +56,13 @@ class Component:
 
     A component publishes only immutable values: tuples, and arrays that
     are not writeable. The board is then the record of what it published,
-    and a component may compute its next output from its last one there.
-    A REVOKE right after an ADD gives back the board from before that ADD
-    and calls :meth:`undo_add` instead of ``process``; ``process`` must
-    still handle such a REVOKE, as a driver that runs every edit through it
-    may call it. A component that computes its next output from its last
-    one on the board, as the tokenizer, the featurizer and the tagger do,
-    has nothing to roll back: SIUM is the only one with session state that
-    :meth:`undo_add` brings back.
+    and a component computes its next output from the board. A REVOKE
+    right after an ADD gives back the board from before that ADD and calls
+    no component; ``process`` must still handle such a REVOKE, as a driver
+    that runs every edit through it may call it. So session state a
+    component keeps must stay valid for every prefix still on the board,
+    as the tagger's lattice and SIUM's prefix scores do, and the next
+    ``process`` call brings it in line with the board.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.
@@ -101,13 +100,6 @@ class Component:
         self, board: Blackboard, edit: EditType | None = None, word: str | None = None
     ) -> None:
         raise NotImplementedError
-
-    def undo_add(self, board: Blackboard, word: str) -> None:
-        """Follow a REVOKE of ``word`` right after its ADD, with the board
-        already back to what it published before that ADD: bring the
-        session state back to then, and publish nothing. A component whose
-        next output depends only on the board and on state that the next
-        ``process`` call can bring up to date has nothing to do."""
 
     def new_utterance(self) -> None:
         pass

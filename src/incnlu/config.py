@@ -129,6 +129,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         return parse_config(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -78,19 +78,28 @@ def _validate_example(text: str, intent: str, entities: list[EntityAnnotation], 
             )
 
 
-def load_json(path: str | Path) -> TrainingDataset:
-    """Read the JSON training format, validating spans against the text."""
-    path = Path(path)
+def _read_text(path: Path) -> str:
     if not path.exists():
         raise DataError(f"training file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc})") from None
+
+
+def load_json(path: str | Path) -> TrainingDataset:
+    """Read the JSON training format, validating spans against the text."""
+    path = Path(path)
+    try:
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     try:
         raw_examples = payload["rasa_nlu_data"]["common_examples"]
     except (TypeError, KeyError):
         raise DataError(f"{path}: expected rasa_nlu_data.common_examples") from None
+    if not isinstance(raw_examples, list):
+        raise DataError(f"{path}: rasa_nlu_data.common_examples is not a list")
     examples = []
     for i, raw in enumerate(raw_examples):
         where = f"{path} example {i}"
@@ -98,19 +107,21 @@ def load_json(path: str | Path) -> TrainingDataset:
             raise DataError(f"{where}: not an object")
         text = raw.get("text")
         intent = raw.get("intent")
+        raw_entities = raw.get("entities", [])
+        if not isinstance(raw_entities, list):
+            raise DataError(f"{where}: entities is not a list")
         entities = []
-        for raw_ann in raw.get("entities", []):
+        for raw_ann in raw_entities:
             try:
-                entities.append(
-                    EntityAnnotation(
-                        start=int(raw_ann["start"]),
-                        end=int(raw_ann["end"]),
-                        value=raw_ann["value"],
-                        type=raw_ann["entity"],
-                    )
-                )
-            except (TypeError, KeyError, ValueError):
+                ann = EntityAnnotation(raw_ann["start"], raw_ann["end"], raw_ann["value"], raw_ann["entity"])
+            except (TypeError, KeyError):
                 raise DataError(f"{where}: malformed entity annotation {raw_ann!r}") from None
+            # A JSON integer, not a bool or a float that would load as one.
+            if type(ann.start) is not int or type(ann.end) is not int:
+                raise DataError(f"{where}: entity offsets are not integers in {raw_ann!r}")
+            if not isinstance(ann.type, str) or not ann.type:
+                raise DataError(f"{where}: entity type is not a non-empty string in {raw_ann!r}")
+            entities.append(ann)
         if text is None or intent is None:
             raise DataError(f"{where}: missing text or intent")
         _validate_example(text, intent, entities, where)
@@ -153,11 +164,9 @@ def _parse_md_item(line: str) -> tuple[str, list[EntityAnnotation]]:
 def load_markdown(path: str | Path) -> TrainingDataset:
     """Read the markdown training format, reporting errors by line number."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"training file not found: {path}")
     examples = []
     intent = None
-    for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw_line in enumerate(_read_text(path).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("<!--"):
             continue

@@ -8,8 +8,9 @@ annotations for the current hypothesis, never a stale one.
 Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
 EACL 2009), so a REVOKE right after an ADD gives back what was published
 before that ADD. The interpreter keeps that one ADD deep: the board it
-published before the ADD, which it restores without running any
-component's ``process``.
+published before the ADD, which it restores without calling any
+component: each one's session state stays valid for every prefix still on
+the board, and its next ``process`` call brings it in line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from pathlib import Path
 
 from .components import Component, TrainingContext
-from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, parse_config
+from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, load_config
 from .data import TrainingDataset
 from .errors import BundleError, DataError
 from .features import tokenize
@@ -90,15 +91,13 @@ class IncrementalInterpreter:
         """Apply one edit, run every component on it, return the result.
 
         A REVOKE of the unit the last edit added restores the board from
-        before that ADD instead, and calls each component's ``undo_add``.
+        before that ADD instead, and calls no component.
         """
         board = self.board
         kept, self._before_add = self._before_add, None
         unit = board.apply_edit(edit, word)
         if kept is not None and kept[0] is unit:  # a REVOKE of the unit just added
             board.republish(kept[1])
-            for comp in self.components:
-                comp.undo_add(board, unit.word)
         else:
             published = board.published() if edit is ADD and board.annotations else None
             board.begin_cycle()
@@ -189,8 +188,13 @@ def load(path: str | Path) -> IncrementalInterpreter:
         raise BundleError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise BundleError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise BundleError(f"{manifest_path}: not a JSON object")
+    training = manifest.get("training", {})
+    if not isinstance(training, dict):
+        raise BundleError(f"{manifest_path}: its 'training' is not a JSON object")
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise BundleError(
@@ -201,7 +205,7 @@ def load(path: str | Path) -> IncrementalInterpreter:
     if stored != actual:
         raise BundleError(f"bundle files do not match manifest checksum in {root}")
 
-    config = parse_config((root / CONFIG_NAME).read_text(encoding="utf-8"))
+    config = load_config(root / CONFIG_NAME)
     names = [spec.name for spec in config.components]
     if names != manifest.get("components"):
         raise BundleError("manifest component list does not match bundle config")
@@ -219,7 +223,7 @@ def load(path: str | Path) -> IncrementalInterpreter:
         components.append(comp)
     interp = IncrementalInterpreter(config, components)
     interp.is_trained = True
-    interp.training_info = dict(manifest.get("training", {}))
+    interp.training_info = dict(training)
     return interp
 
 

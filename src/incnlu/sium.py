@@ -6,12 +6,14 @@ bundle stores those counts. One builder derives the smoothed log tables from
 them, after training and at load alike.
 
 Each incoming word multiplies per-intent word likelihoods into a running
-posterior, kept in log space. An add folds the word in once and pushes the
-scores it replaced; a revoke pops them back. So an add/revoke pair restores
-the exact array from before the add, bit for bit, and neither edit touches
-the rest of the prefix. On a revoke right after an add, the interpreter
-gives back the board from before the add and the component only pops:
-renormalising the restored scores would publish the same ranking again.
+posterior, kept in log space as one row of scores per prefix length: an
+add folds the word into the row before it once, and a revoke drops the
+word and reads nothing back, as the row before it is still there. So an
+add/revoke pair gets back the exact scores from before the add, bit for
+bit, and neither edit touches the rest of the prefix. The rows stay valid
+for every word still on the board, so the component follows the published
+tokens: each edit first drops the words the board no longer holds, such
+as the one a restore of the board from before an add took back.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
-from .errors import ConsistencyError, DataError, ParameterError
+from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, REVOKE, TOKENS, Blackboard
 from .results import EntitySpan, rank_distribution
 
@@ -161,26 +163,25 @@ def train_sium(
 
 @dataclass
 class SiumState:
-    """Running posterior over one utterance, with one undo entry per word.
+    """Running posterior over one utterance, one row of scores per prefix.
 
-    Row i of ``replaced`` holds the scores word i's add replaced; rows past
-    ``len(tokens)`` are spare room. ``spans`` caches the merged picks of the
-    first ``merged`` words for :func:`sium_entities`.
+    Row i of ``scores`` holds the log prior plus the likelihood rows of the
+    first i words, so row 0 is the prior; rows past ``len(tokens)`` are
+    spare room, which the next add overwrites. ``spans`` caches the merged
+    picks of the first ``merged`` words for :func:`sium_entities`.
     """
 
     model: SiumModel
     tokens: list[str] = field(default_factory=list)
-    log_scores: np.ndarray = None
+    scores: np.ndarray = None
     picks: list[tuple[str, float] | None] = field(default_factory=list)
-    replaced: np.ndarray = None
     spans: list[EntitySpan] = field(default_factory=list)
     merged: int = 0
 
     def __post_init__(self) -> None:
-        if self.log_scores is None:
-            self.log_scores = self.model.log_intent_prior.copy()
-        if self.replaced is None:
-            self.replaced = np.empty((8, len(self.log_scores)))
+        if self.scores is None:
+            self.scores = np.empty((8, len(self.model.intents)))
+            self.scores[0] = self.model.log_intent_prior
 
     def add(self, word: str) -> None:
         model = self.model
@@ -188,11 +189,10 @@ class SiumState:
             word = word.lower()
         row = model.word_index.get(word, len(model.word_index))  # model.row(word), lowercased once
         n = len(self.tokens)
-        if n == len(self.replaced):
-            self.replaced = np.resize(self.replaced, (2 * n, self.replaced.shape[1]))
-        self.replaced[n] = self.log_scores
+        if n + 1 == len(self.scores):
+            self.scores = np.resize(self.scores, (2 * len(self.scores), self.scores.shape[1]))
+        np.add(self.scores[n], model.log_word_given_intent[row], out=self.scores[n + 1])
         self.tokens.append(word)
-        self.log_scores = self.log_scores + model.log_word_given_intent[row]
         self.picks.append(model.row_pick(row))
 
     def revoke(self, word: str) -> None:
@@ -203,11 +203,13 @@ class SiumState:
         top = self.tokens[-1]
         if top != word:
             raise ConsistencyError(f"revoke of {word!r} but last accumulated word was {top!r}")
-        self.tokens.pop()
-        self.picks.pop()
-        n = len(self.tokens)
-        self.log_scores = self.replaced[n].copy()
-        self.merged = min(self.merged, n)
+        self.truncate(len(self.tokens) - 1)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first ``n`` words, if there are more."""
+        if n < len(self.tokens):
+            del self.tokens[n:], self.picks[n:]
+            self.merged = min(self.merged, n)
 
 
 def _normalize(log_scores: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def _normalize(log_scores: np.ndarray) -> np.ndarray:
 
 def classify(state: SiumState) -> np.ndarray:
     """Posterior over intents, normalized to sum to one."""
-    return _normalize(state.log_scores)
+    return _normalize(state.scores[len(state.tokens)])
 
 
 def batch_posterior(model: SiumModel, words: list[str]) -> np.ndarray:
@@ -278,7 +280,8 @@ _COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_class
 
 class SiumIntent(Component):
     """Update-incremental intent and entity component. Its session state is
-    the :class:`SiumState`; it publishes its ranking and entities as tuples."""
+    the :class:`SiumState`, which follows the published tokens; it
+    publishes its ranking and entities as tuples."""
 
     name = "intent_sium"
     provides = (INTENT_DISTRIBUTION, ENTITIES)
@@ -313,11 +316,20 @@ class SiumIntent(Component):
         return self._state
 
     def posterior(self) -> np.ndarray:
-        """Current normalized intent posterior, aligned to model.intents."""
+        """Normalized intent posterior of the prefix the last ``process``
+        call saw, aligned to model.intents. A restore of the board calls no
+        component, so until the next call this still counts the word that
+        the restore took back."""
         return classify(self._require_state())
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         state = self._require_state()
+        tokens = board.annotations.get(TOKENS)
+        if tokens is None:
+            raise ConfigError("no tokens on the blackboard; is a tokenizer ahead of intent_sium?")
+        # Drop what the state holds past the prefix this edit started from:
+        # after a restore of the board, the word the restore took back.
+        state.truncate(len(tokens) - (edit is ADD) + (edit is REVOKE))
         if edit is ADD:
             state.add(word)
         elif edit is REVOKE:
@@ -325,9 +337,6 @@ class SiumIntent(Component):
         ranking = rank_distribution(self.model.intents, classify(state))
         board.write(self.name, INTENT_DISTRIBUTION, tuple(ranking))
         board.write(self.name, ENTITIES, tuple(sium_entities(state)))
-
-    def undo_add(self, board: Blackboard, word: str) -> None:
-        self._state.revoke(word)
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the

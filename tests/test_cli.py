@@ -123,6 +123,16 @@ class TestTrain:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        config = tmp_path / "latin1.yml"
+        config.write_bytes('language: "en"\n# café\npipeline:\n- name: "tokenizer_whitespace"\n'.encode("latin-1"))
+        code = main(["train", "--config", str(config), "--data", str(cli_env["data"]),
+                     "--out", str(tmp_path / "bundle")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("incnlu train: ") and "not UTF-8" in captured.err
+
 
 class TestParse:
     def test_parses_a_file_of_utterances(self, cli_env, tmp_path, capsys):

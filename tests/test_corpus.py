@@ -121,6 +121,47 @@ class TestJsonFormat:
         with pytest.raises(DataError, match="not found"):
             load_json(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("examples", [5, "examples", {"text": "hi", "intent": "X"}])
+    def test_common_examples_that_are_not_a_list_are_an_error(self, tmp_path, examples):
+        path = _write_json(tmp_path / "d.json", examples)
+        with pytest.raises(DataError, match="common_examples is not a list"):
+            load_json(path)
+
+    _BOSTON = {"start": 11, "end": 17, "value": "boston", "entity": "city"}
+
+    @pytest.mark.parametrize(
+        "entities, message",
+        [
+            (5, "entities is not a list"),
+            ({"start": 11}, "entities is not a list"),
+            ([{**_BOSTON, "entity": 3}], "entity type is not a non-empty string"),
+            ([{**_BOSTON, "entity": ""}], "entity type is not a non-empty string"),
+            ([{**_BOSTON, "entity": None}], "entity type is not a non-empty string"),
+            ([{**_BOSTON, "start": True}], "entity offsets are not integers"),
+            ([{**_BOSTON, "end": 16.9}], "entity offsets are not integers"),
+            ([{**_BOSTON, "end": 17.0}], "entity offsets are not integers"),
+            ([{**_BOSTON, "start": "11"}], "entity offsets are not integers"),
+            ([{"start": 11, "end": 17, "entity": "city"}], "malformed entity annotation"),
+            (["boston"], "malformed entity annotation"),
+        ],
+    )
+    def test_malformed_entities_are_an_error_naming_the_example(self, tmp_path, entities, message):
+        path = _write_json(
+            tmp_path / "d.json",
+            [
+                {"text": "play jazz", "intent": "PlayMusic"},
+                {"text": "weather in boston", "intent": "GetWeather", "entities": entities},
+            ],
+        )
+        with pytest.raises(DataError, match=rf"d\.json example 1: {message}"):
+            load_json(path)
+
+    def test_file_that_is_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"rasa_nlu_data": {"common_examples": [{"text": "caf\xe9"}]}}')
+        with pytest.raises(DataError, match=r"d\.json: not UTF-8"):
+            load_json(path)
+
 
 class TestMarkdownFormat:
     def test_parses_headings_and_inline_entities(self, tmp_path):
@@ -146,6 +187,12 @@ class TestMarkdownFormat:
         path = tmp_path / "d.md"
         path.write_text("## intent:A\n- ok line\nrogue text\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"d\.md:3"):
+            load_markdown(path)
+
+    def test_file_that_is_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "d.md"
+        path.write_bytes(b"## intent:X\n- caf\xe9 au lait\n")
+        with pytest.raises(DataError, match=r"d\.md: not UTF-8"):
             load_markdown(path)
 
     def test_utterance_before_heading_is_an_error(self, tmp_path):

@@ -116,6 +116,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.yml")
 
+    def test_config_file_that_is_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "p.yml"
+        path.write_bytes(b'language: "en"\n# caf\xe9\npipeline:\n- name: "tokenizer_whitespace"\n')
+        with pytest.raises(ConfigError, match=r"p\.yml: not UTF-8"):
+            load_config(path)
+
 
 class TestPipelineAssembly:
     def test_unknown_component_lists_the_known_ones(self):
@@ -418,7 +424,10 @@ class TestInterpreter:
         interp.parse_incremental(EditType.ADD, "jazz")
         calls = []
         for comp in interp.components:
-            comp.process = lambda *args, name=comp.name: calls.append(name)
+            methods = [m for m in dir(comp) if not m.startswith("__") and callable(getattr(comp, m))]
+            assert "process" in methods
+            for method in methods:
+                setattr(comp, method, lambda *args, call=(comp.name, method), **kw: calls.append(call))
         interp.parse_incremental(EditType.REVOKE)
         assert calls == []
         for name in names:
@@ -659,6 +668,28 @@ class TestBundles:
         with pytest.raises(BundleError, match="JSON"):
             load(root)
 
+    def test_manifest_that_is_not_utf8_is_an_error(self, toy_interp, tmp_path):
+        root = toy_interp.persist(tmp_path / "bundle")
+        (root / "manifest.json").write_bytes(b'{"schema_version": "\xff"}')
+        with pytest.raises(BundleError, match="JSON"):
+            load(root)
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"manifest"', "null"])
+    def test_manifest_that_is_not_an_object_is_an_error(self, toy_interp, tmp_path, text):
+        root = toy_interp.persist(tmp_path / "bundle")
+        (root / "manifest.json").write_text(text, encoding="utf-8")
+        with pytest.raises(BundleError, match="not a JSON object"):
+            load(root)
+
+    @pytest.mark.parametrize("training", [5, [], "seed 13", None])
+    def test_manifest_training_that_is_not_an_object_is_an_error(self, toy_interp, tmp_path, training):
+        root = toy_interp.persist(tmp_path / "bundle")
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        manifest["training"] = training
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(BundleError, match="'training' is not a JSON object"):
+            load(root)
+
     def test_wrong_schema_version_names_the_expected_one(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -757,6 +788,14 @@ class TestBundles:
         path.write_text(text.replace("alpha: 1.0", "alpha: nan"), encoding="utf-8")
         reseal(root)
         with pytest.raises(ParameterError, match="intent_sium.*alpha"):
+            load(root)
+
+    def test_bundle_config_that_is_not_utf8_is_a_config_error(self, toy_interp, tmp_path):
+        root = toy_interp.persist(tmp_path / "bundle")
+        path = root / "config.yml"
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        reseal(root)
+        with pytest.raises(ConfigError, match=r"config\.yml: not UTF-8"):
             load(root)
 
     def test_wrongly_typed_bundle_parameter_is_a_config_error(self, toy_interp, tmp_path):

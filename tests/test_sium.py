@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from incnlu import ConsistencyError, ParameterError
+from incnlu import ConfigError, ConsistencyError, ParameterError
 from incnlu.data import NO_ENTITY, TrainingDataset, TrainingExample
+from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, Blackboard, EditType
 from incnlu.sium import (
     SiumIntent,
@@ -105,11 +106,11 @@ def test_add_then_revoke_restores_state_bit_for_bit(toy_dataset):
     state = SiumState(model)
     for w in ["weather", "in"]:
         state.add(w)
-    snapshot = state.log_scores.copy()
+    snapshot = state.scores[len(state.tokens)].copy()
     state.add("boston")
     state.revoke("boston")
     # Bit-identical, not merely close: equality over float arrays on purpose.
-    assert np.array_equal(state.log_scores, snapshot)
+    assert np.array_equal(state.scores[len(state.tokens)], snapshot)
     assert state.tokens == ["weather", "in"]
 
 
@@ -150,7 +151,7 @@ def test_randomized_streams_track_the_batch_oracle(script):
         for word in stack:
             clean.add(word)
         # Bit-equal, not merely close: a revoke restores the earlier array.
-        assert np.array_equal(state.log_scores, clean.log_scores)
+        assert np.array_equal(state.scores[len(state.tokens)], clean.scores[len(clean.tokens)])
         assert state.tokens == clean.tokens
         assert state.picks == clean.picks
         assert sium_entities(state) == sium_entities(clean)
@@ -200,7 +201,7 @@ def test_revoke_must_match_the_last_word(toy_dataset):
     # A refused revoke changes nothing, so the right word still pops cleanly.
     assert state.tokens == ["play"]
     state.revoke("play")
-    assert np.array_equal(state.log_scores, model.log_intent_prior)
+    assert np.array_equal(state.scores[len(state.tokens)], model.log_intent_prior)
     assert state.picks == []
 
 
@@ -305,55 +306,90 @@ class TestEntityReadout:
 
 
 class TestSiumComponent:
+    """SIUM behind a tokenizer, on a board that carries the tokens it follows."""
+
     def _trained(self, dataset):
         comp = SiumIntent()
         comp.train(dataset, ctx=None)
         return comp
 
+    def _stream(self, comp, edits):
+        """Apply each (edit, word) to a new board and run the tokenizer,
+        then ``comp``, on it, as the lock-step pipeline does."""
+        board = Blackboard()
+        tokenizer = WhitespaceTokenizer()
+        for edit, word in edits:
+            unit = board.apply_edit(edit, word if edit is EditType.ADD else None)
+            board.begin_cycle()
+            tokenizer.process(board, edit, unit.word)
+            comp.process(board, edit, unit.word)
+        return board
+
     def test_writes_distribution_and_entities(self, toy_dataset):
         comp = self._trained(toy_dataset)
-        board = Blackboard()
-        board.begin_cycle()
-        for w in ["play", "some", "jazz"]:
-            board.apply_edit(EditType.ADD, w)
-            comp.process(board, EditType.ADD, w)
+        board = self._stream(comp, [(EditType.ADD, w) for w in ["play", "some", "jazz"]])
         dist = board.annotations[INTENT_DISTRIBUTION]
         assert dist[0][0] == "PlayMusic"
         assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
         assert [s.value for s in board.annotations[ENTITIES]] == ["jazz"]
+        assert comp._state.tokens == ["play", "some", "jazz"]
 
     def test_revoked_stream_equals_clean_stream(self, toy_dataset):
         comp = self._trained(toy_dataset)
-        board = Blackboard()
-        board.begin_cycle()
-        for edit, word in [
+        self._stream(comp, [
             (EditType.ADD, "book"),
             (EditType.ADD, "a"),
             (EditType.ADD, "spot"),
             (EditType.REVOKE, "spot"),
             (EditType.ADD, "table"),
-        ]:
-            comp.process(board, edit, word)
-        noisy = comp.posterior()
+        ])
         clean = self._trained(toy_dataset)
-        cboard = Blackboard()
-        cboard.begin_cycle()
-        for w in ["book", "a", "table"]:
-            clean.process(cboard, EditType.ADD, w)
-        assert np.array_equal(noisy, clean.posterior())
+        self._stream(clean, [(EditType.ADD, w) for w in ["book", "a", "table"]])
+        assert comp._state.tokens == clean._state.tokens == ["book", "a", "table"]
+        assert np.array_equal(comp.posterior(), clean.posterior())
+
+    @pytest.mark.parametrize("after", [
+        [(EditType.ADD, "table")],
+        [(EditType.REVOKE, None)],
+        [(EditType.REVOKE, None), (EditType.ADD, "the")],
+        [],
+    ])
+    def test_state_follows_a_restored_board(self, toy_interp, after):
+        """A restore calls no component, so SIUM still holds the word it took
+        back; the next edit, or a refresh, drops it and lands bit for bit
+        where a session that never saw the word lands."""
+        noisy, clean = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+        noisy.parse_full("book a")
+        noisy.parse_incremental(EditType.ADD, "spot")
+        noisy.parse_incremental(EditType.REVOKE)
+        sium = next(c for c in noisy.components if c.name == "intent_sium")
+        assert sium._state.tokens == ["book", "a", "spot"]
+        clean.parse_full("book a")
+        for session in (noisy, clean):
+            for edit, word in after:
+                session.parse_incremental(edit, word)
+            session.refresh()
+        clean_sium = next(c for c in clean.components if c.name == "intent_sium")
+        assert sium._state.tokens == clean_sium._state.tokens
+        assert np.array_equal(sium.posterior(), clean_sium.posterior())
+        assert noisy.component_result("intent_sium") == clean.component_result("intent_sium")
+
+    def test_a_board_without_tokens_is_a_config_error(self, toy_dataset):
+        comp = self._trained(toy_dataset)
+        board = Blackboard()
+        board.apply_edit(EditType.ADD, "play")
+        board.begin_cycle()
+        with pytest.raises(ConfigError):
+            comp.process(board, EditType.ADD, "play")
 
     def test_fresh_copy_does_not_share_mutable_state(self, toy_dataset):
         comp = self._trained(toy_dataset)
-        board = Blackboard()
-        board.begin_cycle()
-        comp.process(board, EditType.ADD, "weather")
+        self._stream(comp, [(EditType.ADD, "weather")])
         clone = comp.fresh()
-        cboard = Blackboard()
-        cboard.begin_cycle()
-        clone.process(cboard, EditType.ADD, "play")
+        self._stream(clone, [(EditType.ADD, "play")])
         # The original's accumulated state must be untouched by the clone.
-        state = comp._state
-        assert state.tokens == ["weather"]
+        assert comp._state.tokens == ["weather"]
+        assert clone._state.tokens == ["play"]
 
     def test_persist_load_round_trip(self, toy_dataset, tmp_path):
         comp = self._trained(toy_dataset)

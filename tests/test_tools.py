@@ -1,4 +1,4 @@
-"""The corpus generator and the demos, run as scripts the way a user runs them."""
+"""The tools and the demos, run as scripts the way a user runs them."""
 
 import os
 import subprocess
@@ -37,3 +37,28 @@ def test_demo_runs_to_completion(script):
     done = _run(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+# A comment line.
+import os  # a trailing comment counts as its code line
+
+
+def f(x):
+    """Function docstring."""
+    text = """a string
+that spans two lines"""
+    return (x +
+            1)
+'''
+
+
+def test_loc_counts_lines_holding_code_tokens(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text(_SNIPPET, encoding="utf-8")
+    done = _run("tools/loc.py", str(path))
+    assert done.returncode == 0, done.stderr
+    # import, def, the two lines of the assigned string, and the two of the return.
+    assert done.stdout.splitlines() == [f"     6  {path}", "     6  total"]
