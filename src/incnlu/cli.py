@@ -4,7 +4,8 @@ Exit codes are part of the contract: 0 for success, 1 for usage, config,
 or data problems, 2 when an evaluation consistency check fails. The stream
 mode is line-oriented so it can sit at the end of a shell pipe: one word
 per line to add, ``<REVOKE>`` to retract, a blank line to end the
-utterance; every edit answers with one tab-separated result line.
+utterance; every edit answers with one tab-separated result line. Input
+text, from a file or standard input, is read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import interpreter as interp_mod
 from .config import default_config, load_config
 from .data import load_dataset
-from .errors import BufferUnderflowError, IncnluError, InvalidPayloadError, ParameterError
+from .errors import BufferUnderflowError, DataError, IncnluError, InvalidPayloadError, ParameterError
 from .evaluation import NOISE_RATES, evaluate
 from .iu import EditType
 from .registry import REGISTRY
@@ -104,13 +105,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0 if report.all_checks_pass() else CONSISTENCY_EXIT
 
 
+def _stdin_lines():
+    """Standard input's lines, read as UTF-8 whatever the locale says."""
+    if hasattr(sys.stdin, "reconfigure"):  # not on a stream that holds text already
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    try:
+        yield from sys.stdin
+    except UnicodeDecodeError as exc:
+        raise DataError(f"standard input: not UTF-8 ({exc})") from None
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
     interp = interp_mod.load(args.model)
-    lines = (
-        Path(args.input).read_text(encoding="utf-8").splitlines()
-        if args.input
-        else sys.stdin
-    )
+    if args.input:
+        try:
+            lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.input}: not UTF-8 ({exc})") from None
+    else:
+        lines = _stdin_lines()
     for line in lines:
         text = line.strip()
         if not text:
@@ -123,7 +136,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     interp = interp_mod.load(args.model)
     interp.new_utterance()
-    for line in sys.stdin:
+    for line in _stdin_lines():
         token = line.strip()
         if not token:
             interp.new_utterance()

@@ -56,13 +56,18 @@ class Component:
 
     A component publishes only immutable values: tuples, and arrays that
     are not writeable. The board is then the record of what it published,
-    and a component computes its next output from the board. A REVOKE
-    right after an ADD gives back the board from before that ADD and calls
-    no component; ``process`` must still handle such a REVOKE, as a driver
-    that runs every edit through it may call it. So session state a
-    component keeps must stay valid for every prefix still on the board,
-    as the tagger's lattice and SIUM's prefix scores do, and the next
-    ``process`` call brings it in line with the board.
+    and a component computes its next output from the board. The
+    interpreter gives back boards without calling any component: a REVOKE
+    right after an ADD restores the board from before that ADD, and an ADD
+    of the word a REVOKE just took back republishes the board that REVOKE
+    took. ``process`` must still handle such edits, as a caller that runs
+    every edit through it may call it. A component's session state so lags
+    the board either way: it may still hold words the board took back, or
+    lack words a redo put back. It must stay valid for every prefix still
+    on the board, as the tagger's lattice and SIUM's prefix scores do, and
+    the next ``process`` call brings it in line with the board: it drops
+    the words the board no longer holds and computes those it lacks, as the
+    tagger does from its newest held position and SIUM from the buffer.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.

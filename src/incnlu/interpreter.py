@@ -9,8 +9,17 @@ Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
 EACL 2009), so a REVOKE right after an ADD gives back what was published
 before that ADD. The interpreter keeps that one ADD deep: the board it
 published before the ADD, which it restores without calling any
-component: each one's session state stays valid for every prefix still on
-the board, and its next ``process`` call brings it in line.
+component. Incremental ASR also often revokes a word only to put the same
+word back (Baumann, Atterer & Schlangen, NAACL-HLT 2009), so each REVOKE
+parks the board it takes back, with its word, on a redo stack at most
+REDO_DEPTH deep. An ADD of the top record's word republishes that board,
+again calling no component; any other ADD, and a new utterance, clear the
+stack. Every output is a function of the surviving words, and a record is
+reachable only while every word below it is unchanged, so both give back
+exactly what the components would publish. Components may so lag the
+board in either direction: each one's session state stays valid for every
+prefix still on the board, or catches up from it, and its next
+``process`` call brings it in line.
 """
 
 from __future__ import annotations
@@ -25,13 +34,16 @@ from .config import ComponentSpec, PipelineConfig, build_components, config_text
 from .data import TrainingDataset
 from .errors import BundleError, DataError
 from .features import tokenize
-from .iu import ADD, Blackboard, EditType, IncrementalUnit
+from .iu import ADD, REVOKE, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
 SCHEMA_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
+# Records the redo stack keeps; a deeper REVOKE run drops the oldest, and
+# the ADDs that reach past them run the components.
+REDO_DEPTH = 4
 
 
 def _bundle_checksum(root: Path) -> str:
@@ -55,9 +67,12 @@ class IncrementalInterpreter:
         self.components = components if components is not None else build_components(config)
         self.board = Blackboard()
         self.board.set_owners(key_owners(self.components))
-        # (unit, board.published()) of the last edit if it was an ADD of
+        # (unit, board from before it) of the last edit if it was an ADD of
         # that unit onto a board that held annotations.
         self._before_add: tuple[IncrementalUnit, tuple[dict, dict]] | None = None
+        # (word, board it took back) of each REVOKE since the last ADD that
+        # was no redo, the newest last and at most REDO_DEPTH.
+        self._redo: list[tuple[str, tuple[dict, dict]]] = []
         self.is_trained = False
         self.training_timings: list[tuple[str, float]] = []
         self.training_info: dict = {}
@@ -91,26 +106,50 @@ class IncrementalInterpreter:
         """Apply one edit, run every component on it, return the result.
 
         A REVOKE of the unit the last edit added restores the board from
-        before that ADD instead, and calls no component.
+        before that ADD instead, and an ADD of the word the last parked
+        REVOKE took back republishes the board it took; neither calls a
+        component.
         """
-        board = self.board
+        board, redo = self.board, self._redo
         kept, self._before_add = self._before_add, None
+        if edit is ADD:
+            if redo and redo[-1][0] == word:  # a redo
+                unit = board.apply_edit(edit, word)
+                before = board.annotations, board.component_annotations
+                board.republish(redo.pop()[1])
+                self._before_add = unit, before
+                return self.current_result()
+            redo.clear()
         unit = board.apply_edit(edit, word)
+        # ``before`` is the board from before this edit.
         if kept is not None and kept[0] is unit:  # a REVOKE of the unit just added
+            before = board.annotations, board.component_annotations
             board.republish(kept[1])
         else:
-            published = board.published() if edit is ADD and board.annotations else None
+            before = board.published() if edit is REVOKE or board.annotations else None
             board.begin_cycle()
-            for comp in self.components:
-                # On REVOKE the affected word is the revoked unit's, not the
-                # caller's (REVOKE takes no payload).
-                comp.process(board, edit, unit.word)
-            if published is not None:
-                self._before_add = unit, published
+            try:
+                for comp in self.components:
+                    # On REVOKE the affected word is the revoked unit's, not
+                    # the caller's (REVOKE takes no payload).
+                    comp.process(board, edit, unit.word)
+            except BaseException:
+                # The words below each record have changed.
+                redo.clear()
+                raise
+            if edit is ADD:
+                if before is not None:
+                    self._before_add = unit, before
+                return self.current_result()
+        # A REVOKE parks the board it took back.
+        if len(redo) == REDO_DEPTH:
+            del redo[0]
+        redo.append((unit.word, before))
         return self.current_result()
 
     def new_utterance(self) -> None:
         self._before_add = None
+        self._redo.clear()
         self.board.clear()
         for comp in self.components:
             comp.new_utterance()

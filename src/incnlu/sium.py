@@ -11,9 +11,10 @@ add folds the word into the row before it once, and a revoke drops the
 word and reads nothing back, as the row before it is still there. So an
 add/revoke pair gets back the exact scores from before the add, bit for
 bit, and neither edit touches the rest of the prefix. The rows stay valid
-for every word still on the board, so the component follows the published
-tokens: each edit first drops the words the board no longer holds, such
-as the one a restore of the board from before an add took back.
+for every word still on the board, so the component follows the board's
+words: each edit first drops the words the board no longer holds, such as
+the one a restore of the board from before an add took back, then adds
+those it lacks, such as the edit's own or the ones a redo put back.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
@@ -35,7 +36,7 @@ import numpy as np
 from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
-from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, REVOKE, TOKENS, Blackboard
+from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard
 from .results import EntitySpan, rank_distribution
 
 
@@ -280,7 +281,7 @@ _COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_class
 
 class SiumIntent(Component):
     """Update-incremental intent and entity component. Its session state is
-    the :class:`SiumState`, which follows the published tokens; it
+    the :class:`SiumState`, which follows the board's words; it
     publishes its ranking and entities as tuples."""
 
     name = "intent_sium"
@@ -315,25 +316,19 @@ class SiumIntent(Component):
             self._state = SiumState(self.model)
         return self._state
 
-    def posterior(self) -> np.ndarray:
-        """Normalized intent posterior of the prefix the last ``process``
-        call saw, aligned to model.intents. A restore of the board calls no
-        component, so until the next call this still counts the word that
-        the restore took back."""
-        return classify(self._require_state())
-
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         state = self._require_state()
-        tokens = board.annotations.get(TOKENS)
-        if tokens is None:
+        if TOKENS not in board.annotations:
             raise ConfigError("no tokens on the blackboard; is a tokenizer ahead of intent_sium?")
-        # Drop what the state holds past the prefix this edit started from:
-        # after a restore of the board, the word the restore took back.
-        state.truncate(len(tokens) - (edit is ADD) + (edit is REVOKE))
-        if edit is ADD:
-            state.add(word)
-        elif edit is REVOKE:
-            state.revoke(word)
+        # Drop what the state holds past the prefix this edit started from,
+        # such as the word a restore of the board took back, then add the
+        # buffer's words it lacks: this ADD's, or those a redo put back. The
+        # buffer holds them as the ADDs handed them over; a tokenizer that
+        # lowercases publishes them changed.
+        units = board.buffer.units
+        state.truncate(len(units) - (edit is ADD))
+        for unit in units[len(state.tokens):]:
+            state.add(unit.word)
         ranking = rank_distribution(self.model.intents, classify(state))
         board.write(self.name, INTENT_DISTRIBUTION, tuple(ranking))
         board.write(self.name, ENTITIES, tuple(sium_entities(state)))

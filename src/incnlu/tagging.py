@@ -20,10 +20,12 @@ traceback stops where it meets that path (partial traceback, Brown,
 Spohrer, Hochschild & Baker, ICASSP 1982), and spans are re-extracted from
 there on; a span that ends there is kept unless the new tag there
 continues it. A REVOKE right after an ADD gets back the board from before
-that ADD, tags and spans included, so the tagger does nothing on it. Up
-to KEPT_PREDECESSORS - 2 further REVOKEs in a row rebuild the new last
-column from its held scores, and a deeper REVOKE resumes at the newest
-held position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back.
+that ADD, tags and spans included, so the tagger does nothing on it, nor
+on an ADD that puts back the word a REVOKE just took. Up to
+KEPT_PREDECESSORS - 2 further REVOKEs in a row rebuild the new last
+column from its held scores, and a deeper REVOKE, or the first ADD after
+such a redo, resumes at the newest held position, a checkpoint at most
+CHECKPOINT_EVERY - 1 columns back.
 Every column is computed by the same float operations as in the batch
 :func:`decode`, which stays on feature strings, so the entity output is
 still exactly that of a restart over the current prefix.
@@ -426,7 +428,9 @@ class ViterbiState:
     The best path and its spans are not kept here: :meth:`update` is given
     the last ones the tagger published and returns the new ones. A prefix
     the board gives back without an update leaves the scores held of its
-    revoked positions; the next update pops them.
+    revoked positions; the next update pops them. Words a redo puts back
+    without an update may find the scores of their positions popped; the
+    next update resumes at the newest held position below them.
     """
 
     __slots__ = ("model", "lowercase", "back", "held")

@@ -37,6 +37,16 @@ def toy_rows():
     return list(_TOY_ROWS)
 
 
+def spy_process(interp):
+    """Record the name of every component whose ``process`` runs, on the
+    session's own component copies."""
+    calls = []
+    for comp in interp.components:
+        real = comp.process
+        comp.process = lambda *args, real=real, name=comp.name: (calls.append(name), real(*args))
+    return calls
+
+
 def reseal(root):
     """Recompute a bundle's manifest checksum after editing its files, so
     that load gets past the integrity check to the edited file."""

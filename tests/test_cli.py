@@ -10,6 +10,8 @@ from incnlu.interpreter import load as load_bundle
 
 from conftest import make_example, reseal, toy_rows
 
+UTF8_LINE = "play café jazz\n".encode("utf-8")
+LATIN1_LINE = "play café jazz\n".encode("latin-1")
 WIRE_RE = re.compile(r"^\S*\t\d\.\d{6}\t(\S+:\S+:\d+:\d+(;\S+:\S+:\d+:\d+)*)?$")
 
 
@@ -156,6 +158,35 @@ class TestParse:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("GetWeather\t")
+
+    def test_input_file_that_is_not_utf8_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
+        batch = tmp_path / "latin1.txt"
+        batch.write_bytes(LATIN1_LINE)
+        code = main(["parse", "--model", str(cli_env["bundle"]), "--input", str(batch)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"incnlu parse: {batch}: not UTF-8")
+
+    def test_stdin_is_read_as_utf8_whatever_its_encoding(self, cli_env, tmp_path, capsys, monkeypatch):
+        batch = tmp_path / "utf8.txt"
+        batch.write_bytes(UTF8_LINE)
+        assert main(["parse", "--model", str(cli_env["bundle"]), "--input", str(batch)]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(UTF8_LINE), encoding="ascii"))
+        assert main(["parse", "--model", str(cli_env["bundle"])]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", ["parse", "stream"])
+    def test_stdin_that_is_not_utf8_exits_one_with_a_one_line_error(self, cli_env, capsys, monkeypatch,
+                                                                    command):
+        """Even where the locale names Latin-1."""
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(LATIN1_LINE), encoding="latin-1"))
+        code = main([command, "--model", str(cli_env["bundle"])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"incnlu {command}: standard input: not UTF-8")
 
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = main(["parse", "--model", str(tmp_path / "nothing"), "--input", "/dev/null"])

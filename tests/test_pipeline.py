@@ -28,11 +28,12 @@ from incnlu.config import (
     parse_config,
 )
 from incnlu.data import TrainingDataset
-from incnlu.interpreter import SCHEMA_VERSION
+from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
 from incnlu.iu import EditType
 from incnlu.registry import REGISTRY
+from incnlu.sium import batch_posterior
 
-from conftest import reseal, toy_rows
+from conftest import reseal, spy_process, toy_rows
 
 
 SAMPLE = """\
@@ -228,16 +229,17 @@ class _Recorder(Component):
 
 
 class _Publisher(_Recorder):
-    """Recorder that publishes the hypothesis length, and raises on the ADD
-    of ``fail_on``."""
+    """Recorder that publishes the hypothesis length, and raises on the
+    ``fail_edit`` of ``fail_on``."""
 
-    def __init__(self, name, calls, fail_on=None):
+    def __init__(self, name, calls, fail_on=None, fail_edit=EditType.ADD):
         super().__init__(name, calls)
         self.fail_on = fail_on
+        self.fail_edit = fail_edit
 
     def process(self, board, edit=None, word=None):
         super().process(board, edit, word)
-        if edit is EditType.ADD and word == self.fail_on:
+        if edit is self.fail_edit and word == self.fail_on:
             raise RuntimeError(f"{self.name} refuses {word!r}")
         board.write(self.name, f"length_{self.name}", len(board.buffer))
 
@@ -465,6 +467,150 @@ class TestInterpreter:
         result = interp.parse_full("whatever words")
         assert result.intent == ""
         assert result.intent_ranking == []
+
+
+def _fresh_views(toy_interp, words):
+    reference = toy_interp.fresh_copy()
+    reference.parse_full(" ".join(words))
+    return _views(reference)
+
+
+class TestRedo:
+    """An ADD of the word the last REVOKE took back republishes the board
+    that REVOKE took, and runs no component."""
+
+    def test_re_adds_after_a_revoke_run_run_no_component(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        words = ["play", "some", "jazz"]
+        for word in words:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in words:
+            session.parse_incremental(EditType.REVOKE)
+        calls = spy_process(session)
+        for n, word in enumerate(words, 1):
+            session.parse_incremental(EditType.ADD, word)
+            assert calls == []
+            assert _views(session) == _fresh_views(toy_interp, words[:n])
+
+    def test_the_next_new_add_gives_sium_the_batch_posterior(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        words = ["weather", "in", "boston"]
+        for word in words:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in words:
+            session.parse_incremental(EditType.REVOKE)
+        for word in words:
+            session.parse_incremental(EditType.ADD, word)
+        session.parse_incremental(EditType.ADD, "today")
+        words.append("today")
+        assert _views(session) == _fresh_views(toy_interp, words)
+        sium = next(c for c in session.components if c.name == "intent_sium")
+        ranking = dict(session.component_result("intent_sium").intent_ranking)
+        streamed = np.array([ranking[intent] for intent in sium.model.intents])
+        assert np.abs(streamed - batch_posterior(sium.model, words)).max() <= 1e-12
+
+    def test_an_add_of_another_word_clears_the_stack(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        for word in ["play", "some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in range(2):
+            session.parse_incremental(EditType.REVOKE)
+        session.parse_incremental(EditType.ADD, "rock")
+        for _ in range(2):
+            session.parse_incremental(EditType.REVOKE)
+        for word in ["play", "rock"]:
+            session.parse_incremental(EditType.ADD, word)
+        # Had "rock" kept the records of "jazz" and "some", this ADD would
+        # republish the board of "play some".
+        calls = spy_process(session)
+        session.parse_incremental(EditType.ADD, "some")
+        assert calls == [c.name for c in session.components]
+        assert _views(session) == _fresh_views(toy_interp, ["play", "rock", "some"])
+
+    @pytest.mark.parametrize("word", ["jazz", "rock"])
+    def test_a_revoke_that_raises_leaves_no_record(self, word):
+        """A REVOKE a component refuses parks nothing and drops the records
+        it found: the words below them have changed."""
+        calls = []
+        config = PipelineConfig(components=[ComponentSpec("recorder_a"), ComponentSpec("recorder_b")])
+        interp = IncrementalInterpreter(config, components=[
+            _Publisher("a", calls), _Publisher("b", calls, fail_on="jazz", fail_edit=EditType.REVOKE)
+        ])
+        for added in ["play", "jazz", "rock"]:
+            interp.parse_incremental(EditType.ADD, added)
+        interp.parse_incremental(EditType.REVOKE)  # restores the board, parks "rock"
+        with pytest.raises(RuntimeError, match="jazz"):
+            interp.parse_incremental(EditType.REVOKE)
+        calls.clear()
+        interp.parse_incremental(EditType.ADD, word)
+        assert [c[0] for c in calls] == ["a", "b"]
+        assert interp.board.component_view("b") == {"length_b": 2}
+
+    def test_an_underflowing_revoke_keeps_the_records(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        session.parse_incremental(EditType.ADD, "play")
+        session.parse_incremental(EditType.REVOKE)
+        with pytest.raises(BufferUnderflowError):
+            session.parse_incremental(EditType.REVOKE)
+        calls = spy_process(session)
+        session.parse_incremental(EditType.ADD, "play")
+        assert calls == []
+        assert _views(session) == _fresh_views(toy_interp, ["play"])
+
+    def test_a_revoke_run_deeper_than_the_bound_stays_exact(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        words = ["book", "a", "table", "for", "two", "tonight", "in", "boston"]
+        for word in words:
+            session.parse_incremental(EditType.ADD, word)
+        depth = REDO_DEPTH + 3
+        for _ in range(depth):
+            session.parse_incremental(EditType.REVOKE)
+        calls = spy_process(session)
+        for n in range(len(words) - depth + 1, len(words) + 1):
+            calls.clear()
+            session.parse_incremental(EditType.ADD, words[n - 1])
+            redo = n <= len(words) - depth + REDO_DEPTH
+            assert calls == ([] if redo else [c.name for c in session.components])
+            assert _views(session) == _fresh_views(toy_interp, words[:n])
+        session.parse_incremental(EditType.ADD, "please")
+        assert _views(session) == _fresh_views(toy_interp, words + ["please"])
+
+    def test_a_revoke_right_after_a_redo_restores(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        for word in ["play", "some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in range(2):
+            session.parse_incremental(EditType.REVOKE)
+        before = dict(session.board.component_annotations)
+        calls = spy_process(session)
+        session.parse_incremental(EditType.ADD, "some")
+        session.parse_incremental(EditType.REVOKE)
+        assert calls == []
+        after = session.board.component_annotations
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+        for word in ["some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)
+        assert calls == []
+        session.parse_incremental(EditType.ADD, "tonight")
+        assert _views(session) == _fresh_views(toy_interp, ["play", "some", "jazz", "tonight"])
+
+    def test_sium_catches_up_on_the_words_as_given(self, toy_dataset):
+        """SIUM adds the words a redo put back as it adds an ADD's word, as
+        the ADDs handed them over, so a case-keeping SIUM behind a
+        lowercasing tokenizer still lands on a fresh run."""
+        config = default_config()
+        next(s for s in config.components if s.name == "intent_sium").params["lowercase"] = False
+        interp = train_pipeline(config, toy_dataset)
+        session = interp.fresh_copy()
+        words = ["Weather", "in", "Boston"]
+        for word in words:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in words:
+            session.parse_incremental(EditType.REVOKE)
+        for word in words + ["today"]:
+            session.parse_incremental(EditType.ADD, word)
+        assert _views(session) == _fresh_views(interp, words + ["today"])
 
 
 # Toy words, an unseen word, and a capitalised one that lowercases onto a

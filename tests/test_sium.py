@@ -336,7 +336,7 @@ class TestSiumComponent:
 
     def test_revoked_stream_equals_clean_stream(self, toy_dataset):
         comp = self._trained(toy_dataset)
-        self._stream(comp, [
+        board = self._stream(comp, [
             (EditType.ADD, "book"),
             (EditType.ADD, "a"),
             (EditType.ADD, "spot"),
@@ -344,9 +344,9 @@ class TestSiumComponent:
             (EditType.ADD, "table"),
         ])
         clean = self._trained(toy_dataset)
-        self._stream(clean, [(EditType.ADD, w) for w in ["book", "a", "table"]])
+        clean_board = self._stream(clean, [(EditType.ADD, w) for w in ["book", "a", "table"]])
         assert comp._state.tokens == clean._state.tokens == ["book", "a", "table"]
-        assert np.array_equal(comp.posterior(), clean.posterior())
+        assert board.annotations[INTENT_DISTRIBUTION] == clean_board.annotations[INTENT_DISTRIBUTION]
 
     @pytest.mark.parametrize("after", [
         [(EditType.ADD, "table")],
@@ -371,7 +371,7 @@ class TestSiumComponent:
             session.refresh()
         clean_sium = next(c for c in clean.components if c.name == "intent_sium")
         assert sium._state.tokens == clean_sium._state.tokens
-        assert np.array_equal(sium.posterior(), clean_sium.posterior())
+        # The published rankings and entities.
         assert noisy.component_result("intent_sium") == clean.component_result("intent_sium")
 
     def test_a_board_without_tokens_is_a_config_error(self, toy_dataset):

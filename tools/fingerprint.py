@@ -9,7 +9,8 @@ writes, and digests:
 - ``stream``: one fixed, seeded edit script over the test split, streamed
   through the loaded bundle twice: once through ``parse_incremental``, and
   once with every edit run through each component's ``process``, as a
-  caller that never takes the interpreter's REVOKE-after-ADD restore does.
+  caller that never takes the interpreter's REVOKE-after-ADD restore or
+  its redo of a revoked word does.
   After each edit it digests the ``repr`` of ``current_result()`` and of
   every ``component_result()``;
 - ``report``: ``incnlu eval --report`` on the test split, without its
