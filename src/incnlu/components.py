@@ -3,7 +3,10 @@
 Components are trained once, sequentially, each seeing what earlier
 components derived from the training data (via :class:`TrainingContext`).
 At parse time they run in lock-step: each edit is pushed through every
-component, in pipeline order, before the next edit enters the pipeline.
+eager component, in pipeline order, before the next edit enters the
+pipeline. A component that declares keys and owns none of them is
+shadowed: it runs when its view is read, and its view is then the one a
+lock-step run publishes, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ class Component:
 
     ``process`` is called once per edit with the edit type and the raw word
     involved (the added word, or the word just revoked). The lock-step
-    pipeline hands every edit to every component, so a component's state
-    always matches the buffer. A call with ``edit=None`` consumes no edit:
-    the component re-publishes the annotations of its current state. The
-    interpreter uses this to produce a result for the empty utterance.
+    pipeline hands every edit to every eager component: one that declares
+    no key, or owns at least one of those it declares (the last provider
+    of a key owns it). A shadowed component, whose every key a later one
+    provides, is instead called with ``edit=None`` when its view is read,
+    on a board it may lag by any number of edits. A call with
+    ``edit=None`` consumes no edit: the component publishes the
+    annotations of the board's prefix. The interpreter uses this to
+    produce a result for the empty utterance.
 
     A component publishes only immutable values: tuples, and arrays that
     are not writeable. The board is then the record of what it published,
@@ -67,7 +74,8 @@ class Component:
     on the board, as the tagger's lattice and SIUM's prefix scores do, and
     the next ``process`` call brings it in line with the board: it drops
     the words the board no longer holds and computes those it lacks, as the
-    tagger does from its newest held position and SIUM from the buffer.
+    tagger does from its newest held position and SIUM from the buffer,
+    which it follows by unit identity at any lag.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.

@@ -1,9 +1,16 @@
 """The incremental interpreter: train, stream edits, persist, reload.
 
 One interpreter is one utterance session over a trained component chain.
-Every edit is pushed through all components in pipeline order before the
-next edit is accepted, so downstream components always see upstream
-annotations for the current hypothesis, never a stale one.
+Every edit is pushed through the eager components in pipeline order before
+the next edit is accepted, so downstream components always see upstream
+annotations for the current hypothesis, never a stale one. A component
+that declares keys and owns none of them, as SIUM beside the BoW
+classifier and the tagger in the default pipeline, is shadowed: no caller
+of ``parse_incremental`` sees its outputs, so it runs when its view is
+read (:meth:`IncrementalInterpreter.component_result`), not on every edit.
+Its state follows the buffer at any lag, and each processed edit drops its
+view from the board, so a board holds a shadowed view only for its own
+prefix, bit-equal to a lock-step run's.
 
 Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
 EACL 2009), so a REVOKE right after an ADD gives back what was published
@@ -16,10 +23,10 @@ REDO_DEPTH deep. An ADD of the top record's word republishes that board,
 again calling no component; any other ADD, and a new utterance, clear the
 stack. Every output is a function of the surviving words, and a record is
 reachable only while every word below it is unchanged, so both give back
-exactly what the components would publish. Components may so lag the
-board in either direction: each one's session state stays valid for every
-prefix still on the board, or catches up from it, and its next
-``process`` call brings it in line.
+exactly what the components would publish, a shadowed view too if the
+board held one. Components may so lag the board in either direction:
+each one's session state stays valid for every prefix still on the board,
+or catches up from it, and its next ``process`` call brings it in line.
 """
 
 from __future__ import annotations
@@ -60,13 +67,25 @@ def _bundle_checksum(root: Path) -> str:
 
 
 class IncrementalInterpreter:
-    """Lock-step pipeline runner over a blackboard."""
+    """Lock-step pipeline runner over a blackboard; shadowed components run
+    when their view is read."""
 
     def __init__(self, config: PipelineConfig, components: list[Component] | None = None) -> None:
         self.config = config
         self.components = components if components is not None else build_components(config)
         self.board = Blackboard()
-        self.board.set_owners(key_owners(self.components))
+        owners = key_owners(self.components)
+        self.board.set_owners(owners)
+        # A component that declares keys and owns none of them is shadowed:
+        # it runs when its view is read. The others run on every edit.
+        shadowed = [
+            c for c in self.components
+            if c.provides and all(owners[key] != c.name for key in c.provides)
+        ]
+        self._eager = tuple(c for c in self.components if c not in shadowed)
+        # Each shadowed component with its first key, and all their keys.
+        self._shadowed = tuple((c, (c.name, c.provides[0])) for c in shadowed)
+        self._shadowed_keys = tuple((c.name, key) for c in shadowed for key in c.provides)
         # (unit, board from before it) of the last edit if it was an ADD of
         # that unit onto a board that held annotations.
         self._before_add: tuple[IncrementalUnit, tuple[dict, dict]] | None = None
@@ -103,12 +122,13 @@ class IncrementalInterpreter:
     # -- parsing -------------------------------------------------------
 
     def parse_incremental(self, edit: EditType, word: str | None = None) -> NluResult:
-        """Apply one edit, run every component on it, return the result.
+        """Apply one edit, run every eager component on it, return the result.
 
-        A REVOKE of the unit the last edit added restores the board from
-        before that ADD instead, and an ADD of the word the last parked
-        REVOKE took back republishes the board it took; neither calls a
-        component.
+        The edit drops the shadowed components' views from the board, and
+        none of them runs. A REVOKE of the unit the last edit added restores
+        the board from before that ADD instead, and an ADD of the word the
+        last parked REVOKE took back republishes the board it took; neither
+        calls a component.
         """
         board, redo = self.board, self._redo
         kept, self._before_add = self._before_add, None
@@ -128,8 +148,9 @@ class IncrementalInterpreter:
         else:
             before = board.published() if edit is REVOKE or board.annotations else None
             board.begin_cycle()
+            self._drop_shadowed_views()
             try:
-                for comp in self.components:
+                for comp in self._eager:
                     # On REVOKE the affected word is the revoked unit's, not
                     # the caller's (REVOKE takes no payload).
                     comp.process(board, edit, unit.word)
@@ -166,21 +187,39 @@ class IncrementalInterpreter:
         return result
 
     def refresh(self) -> NluResult:
-        """Re-publish every component's current annotations, consuming no edit.
+        """Re-publish every eager component's current annotations, consuming
+        no edit, and drop the shadowed ones' views, as an edit does.
 
         Mid-utterance that repeats the last edit's result.
         """
         self.board.begin_cycle()
-        for comp in self.components:
+        self._drop_shadowed_views()
+        for comp in self._eager:
             comp.process(self.board)
         return self.current_result()
+
+    def _drop_shadowed_views(self) -> None:
+        notes = self.board.component_annotations
+        for key in self._shadowed_keys:
+            notes.pop(key, None)
 
     def current_result(self) -> NluResult:
         return result_from_annotations(self.board.annotations)
 
     def component_result(self, name: str) -> NluResult:
-        """One component's own view, regardless of annotation ownership."""
-        return result_from_annotations(self.board.component_view(name))
+        """One component's own view, regardless of annotation ownership.
+
+        A shadowed component first runs on the board if that holds no view
+        of it yet, unless no edit has published the board: a new
+        utterance's board gives the empty view. The view is then the one a
+        lock-step run publishes for the board's prefix, bit for bit.
+        """
+        board = self.board
+        for comp, key in self._shadowed:
+            # A component writes its keys together, and an edit drops them so.
+            if comp.name == name and key not in board.component_annotations and board.annotations:
+                comp.process(board)
+        return result_from_annotations(board.component_view(name))
 
     def fresh_copy(self) -> "IncrementalInterpreter":
         """New session over the same trained models, no shared mutable state."""

@@ -11,10 +11,13 @@ add folds the word into the row before it once, and a revoke drops the
 word and reads nothing back, as the row before it is still there. So an
 add/revoke pair gets back the exact scores from before the add, bit for
 bit, and neither edit touches the rest of the prefix. The rows stay valid
-for every word still on the board, so the component follows the board's
-words: each edit first drops the words the board no longer holds, such as
-the one a restore of the board from before an add took back, then adds
-those it lacks, such as the edit's own or the ones a redo put back.
+for every word still on the board, so the component follows the buffer,
+at any lag: it keeps the units it added, and each call keeps the longest
+run of them that are still the buffer's very units, drops the words past
+that run and adds the buffer's words past it. So it catches up alike
+after an edit, after a restore or a redo of a board, and after any number
+of edits it did not see, as when the interpreter runs it only when its
+view is read.
 
 Entities are read off per token: on its add, a word whose entity-class
 posterior clears a confidence threshold is labelled with its argmax class.
@@ -36,7 +39,7 @@ import numpy as np
 from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
-from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard
+from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, IncrementalUnit
 from .results import EntitySpan, rank_distribution
 
 
@@ -281,8 +284,8 @@ _COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_class
 
 class SiumIntent(Component):
     """Update-incremental intent and entity component. Its session state is
-    the :class:`SiumState`, which follows the board's words; it
-    publishes its ranking and entities as tuples."""
+    the :class:`SiumState` and the units it added, by which it follows the
+    buffer at any lag; it publishes its ranking and entities as tuples."""
 
     name = "intent_sium"
     provides = (INTENT_DISTRIBUTION, ENTITIES)
@@ -299,6 +302,7 @@ class SiumIntent(Component):
             )
         self.model: SiumModel | None = None
         self._state: SiumState | None = None
+        self._units: list[IncrementalUnit] = []
 
     def train(self, dataset, ctx: TrainingContext) -> None:
         self.new_utterance()
@@ -320,15 +324,20 @@ class SiumIntent(Component):
         state = self._require_state()
         if TOKENS not in board.annotations:
             raise ConfigError("no tokens on the blackboard; is a tokenizer ahead of intent_sium?")
-        # Drop what the state holds past the prefix this edit started from,
-        # such as the word a restore of the board took back, then add the
-        # buffer's words it lacks: this ADD's, or those a redo put back. The
-        # buffer holds them as the ADDs handed them over; a tokenizer that
-        # lowercases publishes them changed.
-        units = board.buffer.units
-        state.truncate(len(units) - (edit is ADD))
-        for unit in units[len(state.tokens):]:
+        # Keep the longest run of the units added that are still the
+        # buffer's own. A unit can sit at its position only if nothing below
+        # it was popped, so the first match down from the shorter length
+        # ends that run. Then add the buffer's words past it, as the ADDs
+        # handed them over; a tokenizer that lowercases publishes them changed.
+        units, held = board.buffer.units, self._units
+        kept = min(len(units), len(held))
+        while kept and held[kept - 1] is not units[kept - 1]:
+            kept -= 1
+        state.truncate(kept)
+        del held[kept:]
+        for unit in units[kept:]:
             state.add(unit.word)
+            held.append(unit)
         ranking = rank_distribution(self.model.intents, classify(state))
         board.write(self.name, INTENT_DISTRIBUTION, tuple(ranking))
         board.write(self.name, ENTITIES, tuple(sium_entities(state)))
@@ -337,6 +346,7 @@ class SiumIntent(Component):
         # Reassign rather than reset in place: fresh() shallow-copies the
         # component, and the copy must not clobber the original's state.
         self._state = None
+        self._units = []
 
     # -- persistence ---------------------------------------------------
 

@@ -421,19 +421,26 @@ class ViterbiState:
     its neighbours', gives the column again: final on an ADD, which then
     computes one new column, and the last on a run of up to
     KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so computes
-    none. Any other edit resumes at the newest held position. Every column
-    so gets the sums ``decode`` makes of its ``_predecessors`` and
-    ``_emission`` rows, in the same order, so it has the same bits.
+    none. Any other edit resumes at the newest held position below its
+    length. Every column so gets the sums ``decode`` makes of its
+    ``_predecessors`` and ``_emission`` rows, in the same order, so it has
+    the same bits.
+
+    A REVOKE keeps the scores held of the positions it drops, as ``seen``
+    keeps the longest run of tokens they were computed from: an update
+    drops them from the first position whose token differs from the one
+    seen there. So the first ADD after words a redo put back, with or
+    without an update between, resumes at the newest held position below
+    it, as after a plain ADD. Only an update that computes a column below
+    positions still held (a REVOKE deeper than the newest held positions)
+    drops the ones above, so the positions held past the checkpoints stay
+    the KEPT_PREDECESSORS newest of one run, in ascending order.
 
     The best path and its spans are not kept here: :meth:`update` is given
-    the last ones the tagger published and returns the new ones. A prefix
-    the board gives back without an update leaves the scores held of its
-    revoked positions; the next update pops them. Words a redo puts back
-    without an update may find the scores of their positions popped; the
-    next update resumes at the newest held position below them.
+    the last ones the tagger published and returns the new ones.
     """
 
-    __slots__ = ("model", "lowercase", "back", "held")
+    __slots__ = ("model", "lowercase", "back", "held", "seen")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
@@ -441,6 +448,7 @@ class ViterbiState:
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         self.held = {0: model.transition_matrix()[0]}
+        self.seen: tuple[str, ...] = ()
 
     def _finalise(self, preds: np.ndarray, before: WordParts | None, word: WordParts,
                   after: WordParts | None) -> np.ndarray:
@@ -464,24 +472,37 @@ class ViterbiState:
         ``spans``, those of the prefix last decoded.
 
         The state trusts that the first min(len(tags), len(tokens)) tokens
-        are the ones it has seen, as the lock-step pipeline guarantees; one
-        ADD or REVOKE changes the length by one, and a fresh state catches
-        up in one call.
+        are the ones it has seen, as the lock-step pipeline guarantees, and
+        compares those past them with ``seen``. The lengths may differ by
+        any number of tokens: a fresh state catches up in one call.
         """
         n = len(tokens)
         if n == len(tags):
             return tags, spans
+        # Position i's held scores saw the tokens up to its own (position
+        # 0's see none), so they stay valid up to the first token that
+        # differs from the one seen there.
+        held, seen = self.held, self.seen
         kept = min(len(tags), n)
-        # Scores held of positions below kept saw only kept tokens; position
-        # 0's see none.
-        held = self.held
-        while next(reversed(held)) >= max(kept, 1):
-            held.popitem()
+        differs, top = kept, min(n, len(seen))
+        while differs < top and tokens[differs] == seen[differs]:
+            differs += 1
+        if differs < top:
+            while next(reversed(held)) >= max(differs, 1):
+                held.popitem()
+        if differs < top or n > len(seen):
+            self.seen = tuple(tokens)
         if n == 0:
             return (), ()
-        # Resume at the newest held position: make the columns up to n-2
-        # final, then column n-1 the last.
-        first = next(reversed(held))
+        # Resume at the newest held position below n: make the columns up to
+        # n-2 final, then column n-1 the last. Computing a column below a
+        # held position first drops those above it.
+        for first in reversed(held):
+            if first < n:
+                break
+        if first < n - 1:
+            while next(reversed(held)) > first:
+                held.popitem()
         model, lowercase = self.model, self.lowercase
         word_parts = model.word_parts
         before = word_parts(tokens[first - 1], lowercase) if first else None

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from incnlu import TrainingDataset, TrainingExample, EntityAnnotation, default_config, train_pipeline
+from incnlu import (
+    ComponentSpec,
+    EntityAnnotation,
+    PipelineConfig,
+    TrainingDataset,
+    TrainingExample,
+    default_config,
+    train_pipeline,
+)
 from incnlu.interpreter import _bundle_checksum
 
 # Small three-intent corpus for unit tests; entity values are single words
@@ -67,3 +75,12 @@ def toy_interp():
     for assertions on models, or use fresh_copy() for parsing."""
     dataset = TrainingDataset([make_example(*row) for row in _TOY_ROWS])
     return train_pipeline(default_config(), dataset, seed=13)
+
+
+@pytest.fixture(scope="session")
+def sium_interp():
+    """Tokenizer and SIUM, as ``configs/sium.yml`` wires them, trained once
+    on the toy corpus: SIUM owns its keys, so it runs on every edit."""
+    dataset = TrainingDataset([make_example(*row) for row in _TOY_ROWS])
+    config = PipelineConfig(components=[ComponentSpec("tokenizer_whitespace"), ComponentSpec("intent_sium")])
+    return train_pipeline(config, dataset, seed=13)

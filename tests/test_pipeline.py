@@ -31,6 +31,7 @@ from incnlu.data import TrainingDataset
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
 from incnlu.iu import EditType
 from incnlu.registry import REGISTRY
+from incnlu.results import NluResult
 from incnlu.sium import batch_posterior
 
 from conftest import reseal, spy_process, toy_rows
@@ -475,6 +476,11 @@ def _fresh_views(toy_interp, words):
     return _views(reference)
 
 
+# The default pipeline's components that run on every processed edit: SIUM
+# owns no key there, so it runs when its view is read.
+_EAGER = [s.name for s in default_config().components if s.name != "intent_sium"]
+
+
 class TestRedo:
     """An ADD of the word the last REVOKE took back republishes the board
     that REVOKE took, and runs no component."""
@@ -491,6 +497,7 @@ class TestRedo:
             session.parse_incremental(EditType.ADD, word)
             assert calls == []
             assert _views(session) == _fresh_views(toy_interp, words[:n])
+            calls.clear()  # reading SIUM's view may have run it
 
     def test_the_next_new_add_gives_sium_the_batch_posterior(self, toy_interp):
         session = toy_interp.fresh_copy()
@@ -524,7 +531,7 @@ class TestRedo:
         # republish the board of "play some".
         calls = spy_process(session)
         session.parse_incremental(EditType.ADD, "some")
-        assert calls == [c.name for c in session.components]
+        assert calls == _EAGER
         assert _views(session) == _fresh_views(toy_interp, ["play", "rock", "some"])
 
     @pytest.mark.parametrize("word", ["jazz", "rock"])
@@ -570,7 +577,7 @@ class TestRedo:
             calls.clear()
             session.parse_incremental(EditType.ADD, words[n - 1])
             redo = n <= len(words) - depth + REDO_DEPTH
-            assert calls == ([] if redo else [c.name for c in session.components])
+            assert calls == ([] if redo else _EAGER)
             assert _views(session) == _fresh_views(toy_interp, words[:n])
         session.parse_incremental(EditType.ADD, "please")
         assert _views(session) == _fresh_views(toy_interp, words + ["please"])
@@ -611,6 +618,88 @@ class TestRedo:
         for word in words + ["today"]:
             session.parse_incremental(EditType.ADD, word)
         assert _views(session) == _fresh_views(interp, words + ["today"])
+
+
+class TestShadowed:
+    """In the default pipeline SIUM owns none of the keys it declares, so
+    it runs when its view is read, not on every edit."""
+
+    def test_edits_and_refreshes_call_no_method_of_sium(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        sium = next(c for c in session.components if c.name == "intent_sium")
+        calls = []
+        for method in [m for m in dir(sium) if not m.startswith("__") and callable(getattr(sium, m))]:
+            setattr(sium, method, lambda *args, call=method, **kw: calls.append(call))
+        session.refresh()
+        for word in ["play", "some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)
+        session.parse_incremental(EditType.REVOKE)  # a restore
+        session.parse_incremental(EditType.REVOKE)  # runs the eager components
+        session.parse_incremental(EditType.ADD, "some")  # a redo
+        session.parse_incremental(EditType.ADD, "blues")
+        session.refresh()
+        assert calls == []
+        assert session.current_result() == _fresh_views(toy_interp, ["play", "some", "blues"])[0]
+
+    def test_a_sium_owning_pipeline_runs_sium_on_every_processed_edit(self, sium_interp):
+        session = sium_interp.fresh_copy()
+        calls = spy_process(session)
+        both = ["tokenizer_whitespace", "intent_sium"]
+        for edit, word, ran in [
+            (EditType.ADD, "play", both),
+            (EditType.ADD, "some", both),
+            (EditType.REVOKE, None, []),  # a restore
+            (EditType.REVOKE, None, both),
+            (EditType.ADD, "play", []),  # a redo
+            (EditType.ADD, "jazz", both),
+        ]:
+            calls.clear()
+            session.parse_incremental(edit, word)
+            assert calls == ran
+        calls.clear()
+        session.refresh()
+        assert calls == both
+        reference = sium_interp.fresh_copy()
+        reference.parse_full("play jazz")
+        assert session.current_result() == reference.current_result()
+
+    def test_a_board_runs_sium_once_and_a_restored_board_keeps_its_view(self, toy_interp):
+        """Two reads of one board run SIUM once. A processed edit drops
+        SIUM's view, and a restore or a redo gives back the board with the
+        view it held, so reading it again runs nothing."""
+        session = toy_interp.fresh_copy()
+        calls = spy_process(session)
+        for word in ["play", "some"]:
+            session.parse_incremental(EditType.ADD, word)
+        calls.clear()
+        first = session.component_result("intent_sium")
+        assert session.component_result("intent_sium") == first
+        assert calls == ["intent_sium"]
+        session.parse_incremental(EditType.ADD, "jazz")
+        assert ("intent_sium", "intent_distribution") not in session.board.component_annotations
+        calls.clear()
+        third = session.component_result("intent_sium")
+        assert calls == ["intent_sium"]
+        calls.clear()
+        session.parse_incremental(EditType.REVOKE)  # restores the board of "play some"
+        assert session.component_result("intent_sium") == first
+        session.parse_incremental(EditType.ADD, "jazz")  # redoes the board of "play some jazz"
+        assert session.component_result("intent_sium") == third
+        assert calls == []
+        assert third == _fresh_views(toy_interp, ["play", "some", "jazz"])[1][2]
+
+    def test_a_board_no_edit_published_gives_the_empty_view(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        calls = spy_process(session)
+        empty = NluResult(intent="")
+        assert session.component_result("intent_sium") == empty
+        session.parse_incremental(EditType.ADD, "play")
+        session.component_result("intent_sium")
+        session.new_utterance()
+        assert session.component_result("intent_sium") == empty
+        assert calls.count("intent_sium") == 1
+        session.refresh()
+        assert session.component_result("intent_sium") == _fresh_views(toy_interp, [])[1][2]
 
 
 # Toy words, an unseen word, and a capitalised one that lowercases onto a
@@ -693,6 +782,41 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
         reference.parse_full(" ".join(stack))
         for session in sessions:
             assert _views(session) == _views(reference)
+
+
+@settings(deadline=None)
+@given(script=st.lists(st.one_of(_STEPS, st.just("read")), max_size=40))
+def test_shadowed_views_read_after_any_edits_land_on_a_fresh_run(toy_interp, script):
+    """Reads of the views are a step of their own, so SIUM, which runs only
+    when its view is read, lags the board by any number of edits, restores
+    and redos between two reads. At each read, and at the end, every view
+    equals that of a fresh session fed only the surviving words."""
+    session = toy_interp.fresh_copy()
+    session.parse_full("")
+    reference = toy_interp.fresh_copy()
+    stack: list[str] = []
+    revoked: list[str] = []
+    for step in script + ["read"]:
+        if step == "read":
+            reference.parse_full(" ".join(stack))
+            assert _views(session) == _views(reference)
+        elif step == "refresh":
+            session.refresh()
+        elif isinstance(step, int):
+            for _ in range(step):
+                if not stack:
+                    with pytest.raises(BufferUnderflowError):
+                        session.parse_incremental(EditType.REVOKE)
+                    break
+                revoked.append(stack.pop())
+                session.parse_incremental(EditType.REVOKE)
+        else:
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = revoked.pop()
+            stack.append(step)
+            session.parse_incremental(EditType.ADD, step)
 
 
 def _set_field(line_no, field, value):

@@ -354,11 +354,12 @@ class TestSiumComponent:
         [(EditType.REVOKE, None), (EditType.ADD, "the")],
         [],
     ])
-    def test_state_follows_a_restored_board(self, toy_interp, after):
-        """A restore calls no component, so SIUM still holds the word it took
-        back; the next edit, or a refresh, drops it and lands bit for bit
-        where a session that never saw the word lands."""
-        noisy, clean = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+    def test_state_follows_a_restored_board(self, sium_interp, after):
+        """A restore calls no component, so SIUM, which owns its keys here
+        and so runs on every edit, still holds the word it took back; the
+        next edit, or a refresh, drops it and lands bit for bit where a
+        session that never saw the word lands."""
+        noisy, clean = sium_interp.fresh_copy(), sium_interp.fresh_copy()
         noisy.parse_full("book a")
         noisy.parse_incremental(EditType.ADD, "spot")
         noisy.parse_incremental(EditType.REVOKE)
@@ -454,6 +455,7 @@ class TestPickMemo:
         sium_a, sium_b = (next(c for c in s.components if c.name == "intent_sium") for s in (a, b))
         assert sium_a.model._picks is sium_b.model._picks
         a.parse_incremental(EditType.ADD, "quasar")
+        a.component_result("intent_sium")  # SIUM runs when its view is read
         assert sium_b.model.row("quasar") in sium_b.model._picks
 
     def test_memo_is_empty_after_load(self, toy_dataset, tmp_path):

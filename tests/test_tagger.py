@@ -549,7 +549,10 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
     best-predecessor scores has the bits of its position's. ``held`` is in
     ascending order of position; it holds the last position and every
     multiple of the checkpoint spacing below the length, and no more than
-    those and ``ring`` others. ``_finalise`` rebuilds each held column with
+    those below its newest and ``ring`` others. Those past the last
+    position are the revoked positions of the longest run of tokens seen
+    since a token last differed, and have the bits of that run's forward
+    pass. ``_finalise`` rebuilds each held column below the length with
     that column's bytes. Rings of 2 and 4 rows over checkpoints every 3 or 5
     positions wrap both below and above the checkpoint interval. The
     reference reads ``pair`` down its columns, so it also checks that
@@ -557,37 +560,51 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
     the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
+
+    def forward(tokens):
+        feats = [tagging.tag_features(tokens, i) for i in range(len(tokens))]
+        em = tagging._emissions(model.weights, len(model.tags), feats)
+        columns, best, back = [em[0] + init], [init], [None]
+        for i in range(1, len(tokens)):
+            scores = columns[-1][:, None] + pair
+            back.append(scores.argmax(axis=0))
+            best.append(scores.max(axis=0))
+            columns.append(best[-1] + em[i])
+        return columns, best, back
+
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
             mock.patch.object(tagging, "KEPT_PREDECESSORS", ring):
         state = tagging.ViterbiState(model, True)
         tokens: list[str] = []
+        seen: list[str] = []
         tags, spans = (), ()
         for step in script:
             if step is None:
                 tokens = tokens[:-1]
             else:
                 tokens = tokens + [step.lower()]
+                if seen[len(tokens) - 1:len(tokens)] != tokens[-1:]:
+                    seen = tokens
             tags, spans = state.update(tokens, tags, spans)
             assert list(tags) == decode(model, tokens)
             n = len(tokens)
             if not n:
                 continue
-            feats = [tagging.tag_features(tokens, i) for i in range(n)]
-            em = tagging._emissions(model.weights, len(model.tags), feats)
-            columns, best = [em[0] + init], [init]
+            columns, best, back = forward(tokens)
             for i in range(1, n):
-                scores = columns[-1][:, None] + pair
-                assert np.array_equal(state.back[i], scores.argmax(axis=0))
-                best.append(scores.max(axis=0))
-                columns.append(best[-1] + em[i])
+                assert np.array_equal(state.back[i], back[i])
             held = list(state.held)
-            assert held == sorted(held) and held[-1] == n - 1
+            below = [i for i in held if i < n]
+            assert held == sorted(held) and below[-1] == n - 1 and held[-1] < len(seen)
             assert set(range(0, n, every)) <= set(held)
-            assert len(held) <= (n - 1) // every + 1 + ring
+            assert len(held) <= held[-1] // every + 1 + ring
+            seen_best = forward(seen)[1]
             parts = [None] + [model.word_parts(t, True) for t in tokens] + [None]
             for i, preds in state.held.items():
-                assert np.array_equal(preds, best[i])
-                assert state._finalise(preds, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
+                assert np.array_equal(preds, seen_best[i])
+                if i < n:
+                    assert np.array_equal(preds, best[i])
+                    assert state._finalise(preds, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
@@ -774,6 +791,52 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         cost(EditType.ADD, word)
         assert cost(EditType.REVOKE) == restored
     assert session.current_result() == toy_interp.fresh_copy().refresh()
+
+
+def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypatch, toy_interp):
+    """Of three REVOKEs after five ADDs, the two that run the tagger keep
+    the held scores of the positions they drop, so after the three redos
+    the next new ADD resumes right below it and computes two columns, as a
+    plain ADD does."""
+    columns = []
+    monkeypatch.setattr(tagging.ViterbiState, "_finalise",
+                        _counting(tagging.ViterbiState._finalise, columns))
+    words = ["book", "a", "table", "for", "two"]
+    plain, session = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+    for word in words:
+        plain.parse_incremental(EditType.ADD, word)
+        session.parse_incremental(EditType.ADD, word)
+    columns.clear()
+    plain.parse_incremental(EditType.ADD, "tonight")
+    assert len(columns) == 2
+    for _ in range(3):
+        session.parse_incremental(EditType.REVOKE)
+    columns.clear()
+    for word in words[2:]:
+        session.parse_incremental(EditType.ADD, word)
+    assert columns == []  # redos
+    session.parse_incremental(EditType.ADD, "tonight")
+    assert len(columns) <= 2
+    assert _views(session) == _views(plain)
+
+
+@pytest.mark.parametrize("position", [2, 3, 4])
+def test_a_different_word_put_back_drops_the_scores_held_from_it(toy_interp, position):
+    """After three REVOKEs, ADDs that put back the revoked words but one,
+    and a new ADD, land on a fresh run of the survivors."""
+    words = ["book", "a", "table", "for", "two"]
+    session = toy_interp.fresh_copy()
+    for word in words:
+        session.parse_incremental(EditType.ADD, word)
+    for _ in range(3):
+        session.parse_incremental(EditType.REVOKE)
+    survivors = words[:position] + ["boston"] + words[position + 1:] + ["tonight"]
+    for word in survivors[2:]:
+        session.parse_incremental(EditType.ADD, word)
+        fresh = toy_interp.fresh_copy()
+        fresh.parse_full(" ".join(session.board.buffer.hypothesis()))
+        assert _views(session) == _views(fresh)
+    assert session.board.buffer.hypothesis() == survivors
 
 
 def test_unseen_words_do_not_grow_the_shared_memo():

@@ -1,5 +1,7 @@
-"""The tools and the demos, run as scripts the way a user runs them."""
+"""The tools and the demos, run as scripts the way a user runs them; the A/B
+tool's summary is checked on fixed numbers."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,3 +64,33 @@ def test_loc_counts_lines_holding_code_tokens(tmp_path):
     assert done.returncode == 0, done.stderr
     # import, def, the two lines of the assigned string, and the two of the return.
     assert done.stdout.splitlines() == [f"     6  {path}", "     6  total"]
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_summary_on_fixed_numbers():
+    """Medians, quartiles, pairs won (ties for neither), the spread test and
+    the bound test, for a lower-is-better and a higher-is-better metric."""
+    ab = _load_tool("ab")
+    assert ab.parse_seeds("41-50") == list(range(41, 51))
+    assert ab.parse_seeds("41,43-44") == [41, 43, 44]
+    latency = {"name": "edit_us_p50", "unit": "us", "better": "lower", "bound": 0.15}
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0]
+    row = ab.summarize(latency, parent, [80.0, 104.0, 79.0, 81.0, 78.0])
+    assert (row["parent_median"], row["parent_q1"], row["parent_q3"]) == (100.0, 98.0, 102.0)
+    assert row["change_median"] == 80.0 and row["change_pct"] == -20.0
+    assert (row["wins"], row["pairs"]) == (4, 5)  # the tie at 104 counts for neither
+    assert row["beyond_spread"] and not row["worse_than_bound"]
+    row = ab.summarize(latency, parent, [116.0, 120.0, 110.0, 118.0, 112.0])
+    assert row["wins"] == 0 and row["beyond_spread"] and row["worse_than_bound"]
+    row = ab.summarize(latency, parent, [101.0, 103.0, 99.0, 97.0, 100.0])
+    assert not row["beyond_spread"] and not row["worse_than_bound"]
+    rate = {"name": "edits_per_s", "unit": "edits/s", "better": "higher", "bound": 0.15}
+    row = ab.summarize(rate, [1000.0, 1100.0, 900.0], [800.0, 1200.0, 700.0])
+    assert row["wins"] == 1 and row["change_pct"] == -20.0 and row["worse_than_bound"]
+    assert "won 1/3" in ab.format_row(row)
