@@ -122,7 +122,10 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]
     row = np.empty((1, vec.shape[0] + 1))
     row[0, :-1] = vec
     row[0, -1] = 1.0
-    probs = softmax(row @ model.weights)[0]
+    # softmax's steps on the one row of scores, with no keepdims: the same bits.
+    scores = (row @ model.weights)[0]
+    shifted = scores - scores.max()
+    probs = np.exp(shifted - np.log(np.exp(shifted).sum()))
     return rank_distribution(model.intents, probs)
 
 

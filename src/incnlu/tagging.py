@@ -40,11 +40,16 @@ is an integer held in a float, and while it stays below 2^53 every sum of
 them is exact in any order: a sentence's emissions are one gather and
 one reduction, and a wrong decode's updates land in one batch, yet the
 averaged weights have the bits of updating one cell at a time.
+
+So each averaged weight is an integer total divided by the step count,
+and the model file stores those: one line per nonzero total, holding the
+integer, and a last line holding the step count. Loading divides the
+table of totals by the step count once, the division training makes, so
+the loaded weights have the trained ones' bits.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -68,6 +73,9 @@ CHECKPOINT_EVERY = 16
 # It also holds those of its KEPT_PREDECESSORS newest positions, so up to
 # KEPT_PREDECESSORS - 1 revokes in a row recompute no column.
 KEPT_PREDECESSORS = 4
+# Every integer below this in magnitude is exact as a float: the bound on a
+# persisted total and step count.
+_EXACT_BELOW = 2**53
 
 
 def _head_features(word: str) -> list[str]:
@@ -120,6 +128,11 @@ def _transition_scores(
 class TaggerModel:
     """Finalized averaged weights, one vector over tags per feature string.
 
+    Each weight is an integer total divided by ``steps``, the number of
+    sentence steps training took (1 for weights given as they are, and for
+    a model that took no step, which has no weight). Training keeps no
+    feature whose weights are all zero, as the model file holds none.
+
     The streaming path reads a token's weights through :meth:`word_parts`,
     memoised per known word on first use and shared by every session on
     the model. Unseen words are not kept, so the memo is bounded by the
@@ -128,6 +141,7 @@ class TaggerModel:
 
     tags: list[str]
     weights: dict[str, np.ndarray]
+    steps: int = 1
 
     def __post_init__(self) -> None:
         # Built once, as the weights are final; read-only, as every session shares them.
@@ -289,6 +303,10 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     times the longest sentence: on the bundled split at 50 epochs, 11,200^2
     * 10 words, about 1.3e9.
 
+    The model gets the step count, and each weight is its total over the
+    steps divided by it, so the totals persist exactly as integers. It
+    keeps the features with a nonzero total, and only those.
+
     A dataset with no entity annotations still yields a valid model; its
     single tag is "O" and decoding is trivially all-"O".
     """
@@ -362,12 +380,12 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             flat_stamps[cells] = step
             np.add.at(flat_weights, cells, deltas)
 
-    # The model keeps every feature that ever had an update, and only those:
-    # the rows with a cell stamped at a step.
-    kept = np.flatnonzero(stamps.any(axis=1))
-    averaged = (totals[kept] + (step - stamps[kept]) * weights[kept]) / step
+    # Every total caught up to the last step; the padding row's stays zero.
+    totals += (step - stamps) * weights
+    kept = np.flatnonzero(totals.any(axis=1))
     names = list(rows)
-    return TaggerModel(tags=tags, weights={names[r]: vec for r, vec in zip(kept, averaged)})
+    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept] / step)),
+                       steps=max(step, 1))
 
 
 def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]:
@@ -599,12 +617,14 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
+        feats, steps = sorted(model.weights), model.steps
+        weights = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
+        totals = np.rint(weights * steps)
+        if not (np.abs(totals) < _EXACT_BELOW).all() or not np.array_equal(totals / steps, weights):
+            raise ConsistencyError(f"the tagger's weights are not integer totals over {steps} steps")
         lines = ["#tags\t" + "\t".join(model.tags)]
-        for feat in sorted(model.weights):
-            vec = model.weights[feat]
-            for t, tag in enumerate(model.tags):
-                if vec[t] != 0.0:
-                    lines.append(f"{feat}\t{tag}\t{float(vec[t])!r}")
+        lines += [f"{feats[r]}\t{model.tags[t]}\t{int(totals[r, t])}" for r, t in zip(*np.nonzero(totals))]
+        lines.append(f"#steps\t{steps}")
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -615,16 +635,28 @@ class SequenceEntityTagger(Component):
         tag_idx = {t: i for i, t in enumerate(tags)}
         if header != "#tags" or not tags or "" in tags or len(tag_idx) < len(tags):
             raise ValueError(f"{lines[0]!r} is not a tag-set header naming distinct tags")
-        weights: dict[str, np.ndarray] = {}
-        for line in lines[1:]:
+        label, _, raw = lines[-1].partition("\t")
+        steps = int(raw) if label == "#steps" and raw.isdecimal() else 0
+        if not 0 < steps < _EXACT_BELOW:
+            raise ValueError(f"the last line, {lines[-1]!r}, is not '#steps' and a positive step count")
+        # Each line's total goes to its (feature, tag) cell of one table.
+        rows: dict[str, int] = {}
+        cells, totals = [], []
+        for line in lines[1:-1]:
             if not line:
                 continue
             feat, tag, raw = line.rsplit("\t", 2)
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(f"{line!r}: weight is not finite")
-            if feat not in weights:
-                weights[feat] = np.zeros(len(tags))
-            weights[feat][tag_idx[tag]] = value
-        comp.model = TaggerModel(tags=tags, weights=weights)
+            try:
+                totals.append(int(raw))
+            except ValueError:
+                raise ValueError(f"{line!r}: total is not an integer") from None
+            cells.append(rows.setdefault(feat, len(rows)) * len(tags) + tag_idx[tag])
+        if len(set(cells)) < len(cells):
+            raise ValueError("a (feature, tag) cell has more than one line")
+        if totals and max(max(totals), -min(totals)) >= _EXACT_BELOW:
+            raise ValueError(f"a total is not below {_EXACT_BELOW} in magnitude")
+        table = np.zeros(len(rows) * len(tags))
+        table[cells] = totals
+        weights = table.reshape(len(rows), len(tags)) / steps
+        comp.model = TaggerModel(tags=tags, weights=dict(zip(rows, weights)), steps=steps)
         return comp

@@ -882,6 +882,15 @@ _MALFORMED = {
     "tagger-weight-infinite": (_TAGGER, _set_field(1, -1, "-inf")),
     "tagger-tags-empty": (_TAGGER, lambda text: "#tags\n"),
     "tagger-tag-repeated": (_TAGGER, lambda text: text.replace("\n", "\tO\n", 1)),
+    "tagger-total-not-an-int": (_TAGGER, _set_field(1, -1, "2.5")),
+    # A float holds every integer below 2^53 in magnitude exactly, and no more.
+    "tagger-total-too-large": (_TAGGER, _set_field(1, -1, str(2**53))),
+    # This one loaded, and the last of the repeated lines gave the weight.
+    "tagger-total-repeated": (_TAGGER, lambda text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1)),
+    "tagger-steps-missing": (_TAGGER, _delete_line(-2)),
+    "tagger-steps-not-an-int": (_TAGGER, _set_field(-2, -1, "5600.0")),
+    "tagger-steps-zero": (_TAGGER, _set_field(-2, -1, "0")),
+    "tagger-steps-negative": (_TAGGER, _set_field(-2, -1, "-1")),
     # This one, and a BoW matrix narrower than its header, raised a
     # ConsistencyError that named no component.
     "tagger-tags-header-missing": (_TAGGER, lambda text: text.split("\n", 1)[1]),
@@ -963,9 +972,10 @@ class TestBundles:
     def test_wrong_schema_version_names_the_expected_one(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        # Schema 1 kept parameters in per-component params.tsv files, and
-        # schema 2 kept SIUM's log tables instead of its counts.
-        for version in (999, 1, 2):
+        # Schema 1 kept parameters in per-component params.tsv files, schema
+        # 2 kept SIUM's log tables instead of its counts, and schema 3 kept
+        # the tagger's weights as decimals instead of its integer totals.
+        for version in (999, 1, 2, 3):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):

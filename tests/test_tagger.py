@@ -18,6 +18,7 @@ from incnlu import (
     load_dataset,
 )
 from incnlu import intent_bow, sium, tagging
+from incnlu.cli import main as cli
 from incnlu.data import TrainingDataset, bio_tags
 from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, TAGS, TOKENS, Blackboard, EditType
@@ -194,10 +195,13 @@ def _train_decoding_everything(dataset, epochs, seed):
 
 
 def _assert_same_bits(model, tags, weights):
+    """The model keeps the features of ``weights`` with a nonzero weight,
+    and only those, and every weight has the bits of its ``weights`` one."""
     assert model.tags == tags
-    assert set(model.weights) == set(weights)
+    assert set(model.weights) == {feat for feat, vec in weights.items() if vec.any()}
+    zero = np.zeros(len(tags))
     for feat, vec in weights.items():
-        assert model.weights[feat].tobytes() == vec.tobytes(), feat
+        assert model.weights.get(feat, zero).tobytes() == vec.tobytes(), feat
 
 
 def _labelled(words, labels):
@@ -378,7 +382,7 @@ class TestTaggerComponent:
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
         loaded = SequenceEntityTagger.load(tmp_path, {})
-        assert loaded.model.tags == comp.model.tags
+        _assert_same_bits(loaded.model, comp.model.tags, comp.model.weights)
         rng = random.Random(5)
         words = [w for row in toy_rows() for w in row[0].split()]
         for _ in range(40):
@@ -388,12 +392,50 @@ class TestTaggerComponent:
     def test_persisted_file_has_tag_header_and_no_zero_cells(self, toy_dataset, tmp_path):
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
-        lines = (tmp_path / "model.tsv").read_text(encoding="utf-8").splitlines()
-        assert lines[0].startswith("#tags\tO\t")
-        for line in lines[1:]:
-            feat, tag, value = line.rsplit("\t", 2)
-            assert tag in comp.model.tags
-            assert float(value) != 0.0
+        assert comp.model.steps == 10 * len(toy_dataset.examples)
+        _assert_integer_totals(tmp_path / "model.tsv", comp.model)
+
+    def test_a_tagger_that_took_no_step_persists_and_loads(self, toy_dataset, tmp_path):
+        comp = SequenceEntityTagger({"epochs": 0})
+        comp.train(toy_dataset, None)
+        comp.persist(tmp_path)
+        loaded = SequenceEntityTagger.load(tmp_path, {"epochs": 0}).model
+        assert (loaded.steps, loaded.weights) == (1, {})
+
+    def test_persisting_weights_that_are_not_totals_over_the_steps_is_a_bug(self, tmp_path):
+        comp = SequenceEntityTagger()
+        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": np.array([0.5, 1.0, 0.0])})
+        with pytest.raises(ConsistencyError, match="not integer totals over 1 steps"):
+            comp.persist(tmp_path)
+        comp.model.steps = 2
+        comp.persist(tmp_path)
+        assert SequenceEntityTagger.load(tmp_path, {}).model.weights["bias"].tolist() == [0.5, 1.0, 0.0]
+
+
+def _assert_integer_totals(path, model):
+    """The model file at ``path`` holds ``model``'s tags, then one line per
+    nonzero weight with its integer total over ``model.steps``, then the
+    step count."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "#tags\t" + "\t".join(model.tags)
+    assert lines[-1] == f"#steps\t{model.steps}"
+    for line in lines[1:-1]:
+        feat, tag, total = line.rsplit("\t", 2)
+        assert total == str(int(total)) != "0", line
+        assert int(total) / model.steps == model.weights[feat][model.tags.index(tag)], line
+    assert len(lines) - 2 == sum(np.count_nonzero(vec) for vec in model.weights.values())
+
+
+def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path):
+    """``incnlu train --seed 13`` on the bundled split: 560 sentences over
+    10 epochs are 5,600 steps, and the loaded weights are the trained ones."""
+    cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
+    trained = train_tagger(load_dataset(_SNIPS_TRAIN))
+    assert trained.steps == 5600
+    _assert_integer_totals(tmp_path / SequenceEntityTagger.name / "model.tsv", trained)
+    loaded = SequenceEntityTagger.load(tmp_path / SequenceEntityTagger.name, {}).model
+    assert loaded.steps == 5600
+    _assert_same_bits(loaded, trained.tags, trained.weights)
 
 
 def _random_model(seed=3):

@@ -94,3 +94,20 @@ def test_ab_summary_on_fixed_numbers():
     row = ab.summarize(rate, [1000.0, 1100.0, 900.0], [800.0, 1200.0, 700.0])
     assert row["wins"] == 1 and row["change_pct"] == -20.0 and row["worse_than_bound"]
     assert "won 1/3" in ab.format_row(row)
+
+
+def test_fingerprint_names_the_outputs_that_moved():
+    """An output moved if its exact or its rounded digest differs."""
+    fingerprint = _load_tool("fingerprint")
+    record = {kind: {"bundle": "b", "stream": "s", "report": "r"} for kind in ("exact", "rounded")}
+
+    def moved(**changed):
+        digests = {kind: dict(names) for kind, names in record.items()}
+        for name, kind in changed.items():
+            digests[kind][name] += "!"
+        return fingerprint.moved(digests, record)
+
+    assert moved() == "same as recorded"
+    assert moved(bundle="exact") == "bundle moved, stream and report unchanged"
+    assert moved(stream="rounded", report="exact") == "stream and report moved, bundle unchanged"
+    assert moved(bundle="exact", stream="exact", report="rounded") == "bundle, stream and report moved"

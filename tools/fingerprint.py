@@ -23,9 +23,11 @@ such as the ``eval`` report's posterior deviation of 2.2e-16, does not
 show there. The committed digests, with the
 Python and numpy versions and the platform they were made on, are in
 ``tests/fingerprint.json``; ``tests/test_fingerprint.py`` recomputes and
-compares them. Without ``--write`` the tool prints the digests and exits 1
-if they differ from the committed ones; with it, it rewrites the file. A
-change that moves outputs on purpose rewrites the file and says why.
+compares them. Without ``--write`` the tool prints the digests, names
+which of ``bundle``, ``stream`` and ``report`` moved (an exact or a rounded
+digest differs from the committed one), and exits 1 if any did; with it,
+it rewrites the file. A change that moves outputs on purpose rewrites the
+file and says why.
 """
 
 from __future__ import annotations
@@ -184,6 +186,22 @@ def recorded() -> dict:
     return json.loads(RECORD.read_text(encoding="utf-8"))
 
 
+def _listed(names: list[str]) -> str:
+    return " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+
+
+def moved(digests: dict, record: dict) -> str:
+    """Which of the digested outputs differ between ``digests`` and
+    ``record``, both as ``{"exact": ..., "rounded": ...}``, in words:
+    "bundle moved, stream and report unchanged"."""
+    names = list(record["exact"])
+    changed = [name for name in names if any(digests[kind][name] != record[kind][name] for kind in record)]
+    if not changed:
+        return "same as recorded"
+    kept = [name for name in names if name not in changed]
+    return f"{_listed(changed)} moved" + (f", {_listed(kept)} unchanged" if kept else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="digest the seed-13 pipeline's outputs")
     parser.add_argument("--write", action="store_true", help=f"rewrite {RECORD.relative_to(ROOT)}")
@@ -195,9 +213,9 @@ def main(argv=None) -> int:
         RECORD.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {RECORD}")
         return 0
-    same = digests == recorded()["digests"]
-    print("same as recorded" if same else f"differs from {RECORD}")
-    return 0 if same else 1
+    record = recorded()["digests"]
+    print(f"{moved(digests, record)}, against {RECORD.relative_to(ROOT)}")
+    return 0 if digests == record else 1
 
 
 if __name__ == "__main__":
