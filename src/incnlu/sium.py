@@ -111,23 +111,15 @@ class SiumModel:
     def intent_loglik(self, word: str) -> np.ndarray:
         return self.log_word_given_intent[self.row(word)]
 
-    def entity_posterior(self, word: str) -> np.ndarray:
-        """Normalized class posterior from this single word."""
-        return self._row_posterior(self.row(word))
-
-    def _row_posterior(self, row: int) -> np.ndarray:
-        score = self.log_entity_prior + self.log_word_given_entity[row]
-        score = score - score.max()
-        probs = np.exp(score)
-        return probs / probs.sum()
-
     def row_pick(self, row: int) -> tuple[str, float] | None:
         """:func:`entity_pick` of the class posterior of a word whose
         likelihood row is ``row``, memoised per row."""
         try:
             return self._picks[row]
         except KeyError:
-            pick = self._picks[row] = entity_pick(self, self._row_posterior(row))
+            score = self.log_entity_prior + self.log_word_given_entity[row]
+            probs = np.exp(score - score.max())
+            pick = self._picks[row] = entity_pick(self, probs / probs.sum())
             return pick
 
 

@@ -26,26 +26,19 @@ KEPT_PREDECESSORS - 2 further REVOKEs in a row rebuild the new last
 column from its held scores, and a deeper REVOKE, or the first ADD after
 such a redo, resumes at the newest held position, a checkpoint at most
 CHECKPOINT_EVERY - 1 columns back.
-Every column is computed by the same float operations as in the batch
-:func:`decode`, which stays on feature strings, so the entity output is
-still exactly that of a restart over the current prefix.
+Every score is an int64 sum of the model's integer totals, exact in any
+order, so every column equals the one the batch :func:`decode` makes of
+feature strings, and the entity output is exactly that of a restart over
+the current prefix.
 
 Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
 skipped decode would give gold again and update nothing, so the averaged
-weights are bit for bit those of decoding every sentence in every epoch.
-It keeps its weights and averaging totals as dense arrays, one row per
-feature string. Until the final division by the step count every value
-is an integer held in a float, and while it stays below 2^53 every sum of
-them is exact in any order: a sentence's emissions are one gather and
-one reduction, and a wrong decode's updates land in one batch, yet the
-averaged weights have the bits of updating one cell at a time.
-
-So each averaged weight is an integer total divided by the step count,
-and the model file stores those: one line per nonzero total, holding the
-integer, and a last line holding the step count. Loading divides the
-table of totals by the step count once, the division training makes, so
-the loaded weights have the trained ones' bits.
+weights are those of decoding every sentence in every epoch. An averaged
+weight is the weight's total over the sentence steps divided by the step
+count. Scaling every score by the same positive count moves no argmax, so
+the model keeps the totals and never divides, and the model file stores
+them: one line per nonzero total, and a last line holding the step count.
 """
 
 from __future__ import annotations
@@ -59,13 +52,15 @@ import numpy as np
 
 from .components import Component, TrainingContext
 from .data import TrainingDataset, bio_tags
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, TAGS, TOKENS, Blackboard
 from .results import EntitySpan
 
 START = "<s>"
 END = "</s>"
-_NEG_INF = float("-inf")
+# A move BIO forbids scores this plus its weight; see ViterbiState for why
+# no sum reaches it or overflows.
+_MASKED = -2**60
 # A session's lattice holds the best-predecessor scores of every
 # CHECKPOINT_EVERY-th position; a revoke recomputes at most this many minus
 # one columns.
@@ -73,9 +68,8 @@ CHECKPOINT_EVERY = 16
 # It also holds those of its KEPT_PREDECESSORS newest positions, so up to
 # KEPT_PREDECESSORS - 1 revokes in a row recompute no column.
 KEPT_PREDECESSORS = 4
-# Every integer below this in magnitude is exact as a float: the bound on a
-# persisted total and step count.
-_EXACT_BELOW = 2**53
+# Every total is below this in magnitude, trained or loaded.
+_TOTAL_BELOW = 2**31
 
 
 def _head_features(word: str) -> list[str]:
@@ -98,18 +92,18 @@ def tag_features(tokens: list[str], i: int) -> list[str]:
 
 
 def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(initial, pairwise) masks: 0 where allowed, -inf where BIO forbids."""
+    """(initial, pairwise) masks: 0 where allowed, _MASKED where BIO forbids."""
     n = len(tags)
-    init = np.zeros(n)
-    pair = np.zeros((n, n))
+    init = np.zeros(n, dtype=np.int64)
+    pair = np.zeros((n, n), dtype=np.int64)
     for b, tag in enumerate(tags):
         if not tag.startswith("I-"):
             continue
         etype = tag[2:]
-        init[b] = _NEG_INF
+        init[b] = _MASKED
         for a, prev in enumerate(tags):
             if prev not in (f"B-{etype}", f"I-{etype}"):
-                pair[a, b] = _NEG_INF
+                pair[a, b] = _MASKED
     return init, pair
 
 
@@ -118,7 +112,7 @@ def _transition_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(initial, pairwise) scores: the pt= weights plus the BIO mask."""
     init_mask, pair_mask = mask
-    zero = np.zeros(len(tags))
+    zero = np.zeros(len(tags), dtype=np.int64)
     init = weights.get(f"pt={START}", zero) + init_mask
     pair = np.array([weights.get(f"pt={tag}", zero) for tag in tags]) + pair_mask
     return init, pair
@@ -126,12 +120,15 @@ def _transition_scores(
 
 @dataclass
 class TaggerModel:
-    """Finalized averaged weights, one vector over tags per feature string.
+    """Averaged-perceptron weights, one int64 vector over tags per feature
+    string.
 
-    Each weight is an integer total divided by ``steps``, the number of
-    sentence steps training took (1 for weights given as they are, and for
-    a model that took no step, which has no weight). Training keeps no
-    feature whose weights are all zero, as the model file holds none.
+    Each weight is a total: the averaged weight times ``steps``, the number
+    of sentence steps training took (1 for weights given as they are, and
+    for a model that took no step, which has no weight). Every total is
+    below _TOTAL_BELOW in magnitude, or the model refuses to be built with
+    a DataError. Training keeps no feature whose totals are all zero, as
+    the model file holds none.
 
     The streaming path reads a token's weights through :meth:`word_parts`,
     memoised per known word on first use and shared by every session on
@@ -144,12 +141,18 @@ class TaggerModel:
     steps: int = 1
 
     def __post_init__(self) -> None:
+        n_tags = len(self.tags)
+        table = np.array([*self.weights.values()] or [np.zeros(n_tags, dtype=np.int64)])
+        if table.dtype != np.int64 or table.shape[1:] != (n_tags,) or not (
+                -_TOTAL_BELOW < table.min() <= table.max() < _TOTAL_BELOW):
+            raise DataError(f"tagger totals must be int64, {n_tags} a feature, "
+                            f"below {_TOTAL_BELOW} in magnitude")
         # Built once, as the weights are final; read-only, as every session shares them.
         self._transitions = _transition_scores(self.weights, self.tags, _transition_mask(self.tags))
         # Row b: the pairwise scores into tag b, for ViterbiState's _predecessors.
         self._incoming = np.ascontiguousarray(self._transitions[1].T)
         # Each row's start in the flattened scores, for _predecessors.
-        self._offsets = _row_offsets(len(self.tags))
+        self._offsets = _row_offsets(n_tags)
         for table in (*self._transitions, self._incoming, self._offsets):
             table.flags.writeable = False
         self._start_pw = self.weights.get(f"pw={START}")
@@ -182,7 +185,7 @@ class TaggerModel:
 
 
 def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray) -> np.ndarray:
-    """Add the weight vectors of ``feats`` into ``out``, in feature order."""
+    """Add the weight vectors of ``feats`` into ``out``."""
     for feat in feats:
         vec = weights.get(feat)
         if vec is not None:
@@ -194,19 +197,18 @@ class WordParts:
     """A word's share of the emission rows, as :func:`tag_features` names it.
 
     ``head`` is the sum of its ``bias``, ``w=``, ``lw=``, ``p3=`` and
-    ``s3=`` weights, added from zero in that order; ``pw`` and ``nw`` are
-    the weights its right and left neighbours read of it; ``digit`` is the
-    ``digit`` weights if it is a number. A weight the model lacks is None.
-    Column i's emission is then the head of word i, plus ``pw`` of word
-    i-1, ``nw`` of word i+1 and ``digit`` of word i: the sum ``decode``
-    makes of its feature strings, in the same order, so it has the same bits.
+    ``s3=`` weights; ``pw`` and ``nw`` are the weights its right and left
+    neighbours read of it; ``digit`` is the ``digit`` weights if it is a
+    number. A weight the model lacks is None. Column i's emission is then
+    the head of word i, plus ``pw`` of word i-1, ``nw`` of word i+1 and
+    ``digit`` of word i: the sum ``decode`` makes of its feature strings.
     """
 
     __slots__ = ("head", "pw", "nw", "digit")
 
     def __init__(self, model: TaggerModel, word: str) -> None:
         weights = model.weights
-        self.head = _emission(weights, _head_features(word), np.zeros(len(model.tags)))
+        self.head = _emission(weights, _head_features(word), np.zeros(len(model.tags), dtype=np.int64))
         self.head.flags.writeable = False
         self.pw = weights.get(f"pw={word}")
         self.nw = weights.get(f"nw={word}")
@@ -214,7 +216,7 @@ class WordParts:
 
 
 def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
-    em = np.zeros((len(feats), n_tags))
+    em = np.zeros((len(feats), n_tags), dtype=np.int64)
     for i, row in enumerate(feats):
         _emission(weights, row, em[i])
     return em
@@ -248,7 +250,7 @@ def _viterbi(em: np.ndarray, init: np.ndarray, incoming: np.ndarray,
     n_pos, n_tags = em.shape
     delta = em[0] + init
     back = np.zeros((n_pos, n_tags), dtype=_back_dtype(n_tags))
-    scores = np.empty((n_tags, n_tags))
+    scores = np.empty((n_tags, n_tags), dtype=np.int64)
     for i in range(1, n_pos):
         back[i], delta = _predecessors(delta, incoming, offsets, scores)
         delta += em[i]
@@ -285,27 +287,19 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
 
     A sentence is decoded only if a weight has changed since it last
     decoded to its gold tags: with the same weights it would decode to gold
-    again and update nothing. Its step still counts, so the averaged
-    weights are bit for bit those of decoding every sentence in every
-    epoch; once every sentence is clean, the remaining epochs only count
-    steps. The transition scores are rebuilt only after an update.
+    again and update nothing. Its step still counts, so the totals are
+    those of decoding every sentence in every epoch; once every sentence is
+    clean, the remaining epochs only count steps. The transition scores are
+    rebuilt only after an update.
 
-    The weights, the averaging totals and their stamps are dense arrays
-    with one row per feature string, and each sentence's features are an
-    index array into them, padded with an all-zero row. Until the final
-    division by the step count every number is an integer held in a float:
-    weights move by 1.0 from 0.0, the BIO mask adds 0 or -inf, and the
-    totals add products of step counts and weights. While these stay below
-    2^53 every sum is exact in any order, so one gather and one reduction
-    make a sentence's emissions, a wrong decode's updates land in one
-    batch, and the averaged weights keep every bit. A step moves a weight
-    by at most its sentence's length, so a total stays below steps squared
-    times the longest sentence: on the bundled split at 50 epochs, 11,200^2
-    * 10 words, about 1.3e9.
-
-    The model gets the step count, and each weight is its total over the
-    steps divided by it, so the totals persist exactly as integers. It
-    keeps the features with a nonzero total, and only those.
+    The weights and ``moved``, each cell's sum of step times change, are
+    dense int64 arrays with one row per feature string, and each sentence's
+    features are an index array into them, padded with an all-zero row. So
+    one gather and one reduction make a sentence's emissions, and a wrong
+    decode's updates land in one batch. A change d at step t counts in the
+    weight at each of the S - t later steps, so a cell's total over S steps
+    is S times its final weight minus its ``moved``. The model gets those
+    totals, of the features with a nonzero one, and the step count.
 
     A dataset with no entity annotations still yields a valid model; its
     single tag is "O" and decoding is trivially all-"O".
@@ -334,11 +328,10 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             index[:len(row), i] = row
         sentences[n] = index, gold
 
-    weights = np.zeros((pad + 1, n_tags))
-    totals = np.zeros_like(weights)
-    stamps = np.zeros(weights.shape, dtype=np.int64)  # step each cell's total caught up to
+    weights = np.zeros((pad + 1, n_tags), dtype=np.int64)
+    moved = np.zeros_like(weights)
     # Flat views, which the updates index by cell.
-    flat_weights, flat_totals, flat_stamps = weights.ravel(), totals.ravel(), stamps.ravel()
+    flat_weights, flat_moved = weights.ravel(), moved.ravel()
     rng = random.Random(seed)
     order = list(range(len(sentences)))
     clean = [0] * len(sentences)  # step of each sentence's last decode to gold
@@ -371,20 +364,16 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
             up = np.vstack((feats, prev_gold[wrong])) * n_tags + gold[wrong]
             down = np.vstack((feats, prev_pred[wrong])) * n_tags + pred[wrong]
             cells = np.concatenate((up.ravel(), down.ravel()))
-            deltas = np.repeat((1.0, -1.0), up.size)
+            deltas = np.repeat((1, -1), up.size)
             real = cells < pad * n_tags  # the padding row stays zero
             cells, deltas = cells[real], deltas[real]
-            # Each touched cell's total catches up to this step once: a
-            # repeated index assigns the same sum again.
-            flat_totals[cells] += (step - flat_stamps[cells]) * flat_weights[cells]
-            flat_stamps[cells] = step
             np.add.at(flat_weights, cells, deltas)
+            np.add.at(flat_moved, cells, step * deltas)
 
-    # Every total caught up to the last step; the padding row's stays zero.
-    totals += (step - stamps) * weights
+    totals = step * weights - moved
     kept = np.flatnonzero(totals.any(axis=1))
     names = list(rows)
-    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept] / step)),
+    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept])),
                        steps=max(step, 1))
 
 
@@ -440,9 +429,18 @@ class ViterbiState:
     computes one new column, and the last on a run of up to
     KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so computes
     none. Any other edit resumes at the newest held position below its
-    length. Every column so gets the sums ``decode`` makes of its
-    ``_predecessors`` and ``_emission`` rows, in the same order, so it has
-    the same bits.
+    length.
+
+    Scores are int64, and a move BIO forbids scores _MASKED, -2^60, plus
+    its weight. A position adds at most nine totals, each below
+    _TOTAL_BELOW (2^31) in magnitude: up to eight emission features and a
+    transition. An I- tag is reached through its B- one position back, so
+    every allowed score in a column is within 36 bounds, below 2^37, of the
+    column's best, and a forbidden move never wins: no best-predecessor
+    score holds the sentinel, and a candidate sum holds it at most twice,
+    from the initial and a pairwise mask. Over n positions no sum exceeds
+    2 * 2^60 + 9 * n * 2^31 in magnitude, below 2^63 while n is below
+    2^30 / 3, about 358 million.
 
     A REVOKE keeps the scores held of the positions it drops, as ``seen``
     keeps the longest run of tokens they were computed from: an update
@@ -472,8 +470,7 @@ class ViterbiState:
                   after: WordParts | None) -> np.ndarray:
         """The column of ``word`` with best-predecessor scores ``preds``,
         between ``before`` and ``after`` (None past either end): final if
-        ``after`` is a word, else the last. The emission adds the head,
-        ``pw=``, ``nw=`` and ``digit`` in :func:`tag_features` order."""
+        ``after`` is a word, else the last."""
         model = self.model
         pw = model._start_pw if before is None else before.pw
         em = word.head + pw if pw is not None else word.head.copy()
@@ -617,14 +614,11 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
-        feats, steps = sorted(model.weights), model.steps
-        weights = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
-        totals = np.rint(weights * steps)
-        if not (np.abs(totals) < _EXACT_BELOW).all() or not np.array_equal(totals / steps, weights):
-            raise ConsistencyError(f"the tagger's weights are not integer totals over {steps} steps")
+        feats = sorted(model.weights)
+        totals = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
         lines = ["#tags\t" + "\t".join(model.tags)]
-        lines += [f"{feats[r]}\t{model.tags[t]}\t{int(totals[r, t])}" for r, t in zip(*np.nonzero(totals))]
-        lines.append(f"#steps\t{steps}")
+        lines += [f"{feats[r]}\t{model.tags[t]}\t{totals[r, t]}" for r, t in zip(*np.nonzero(totals))]
+        lines.append(f"#steps\t{model.steps}")
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -637,7 +631,7 @@ class SequenceEntityTagger(Component):
             raise ValueError(f"{lines[0]!r} is not a tag-set header naming distinct tags")
         label, _, raw = lines[-1].partition("\t")
         steps = int(raw) if label == "#steps" and raw.isdecimal() else 0
-        if not 0 < steps < _EXACT_BELOW:
+        if steps < 1:
             raise ValueError(f"the last line, {lines[-1]!r}, is not '#steps' and a positive step count")
         # Each line's total goes to its (feature, tag) cell of one table.
         rows: dict[str, int] = {}
@@ -653,10 +647,9 @@ class SequenceEntityTagger(Component):
             cells.append(rows.setdefault(feat, len(rows)) * len(tags) + tag_idx[tag])
         if len(set(cells)) < len(cells):
             raise ValueError("a (feature, tag) cell has more than one line")
-        if totals and max(max(totals), -min(totals)) >= _EXACT_BELOW:
-            raise ValueError(f"a total is not below {_EXACT_BELOW} in magnitude")
-        table = np.zeros(len(rows) * len(tags))
-        table[cells] = totals
-        weights = table.reshape(len(rows), len(tags)) / steps
-        comp.model = TaggerModel(tags=tags, weights=dict(zip(rows, weights)), steps=steps)
+        # A total past int64 gives the table another type, which the model refuses.
+        values = np.array(totals)
+        table = np.zeros((len(rows), len(tags)), dtype=values.dtype)
+        table.ravel()[cells] = values
+        comp.model = TaggerModel(tags=tags, weights=dict(zip(rows, table)), steps=steps)
         return comp

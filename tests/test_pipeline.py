@@ -883,8 +883,9 @@ _MALFORMED = {
     "tagger-tags-empty": (_TAGGER, lambda text: "#tags\n"),
     "tagger-tag-repeated": (_TAGGER, lambda text: text.replace("\n", "\tO\n", 1)),
     "tagger-total-not-an-int": (_TAGGER, _set_field(1, -1, "2.5")),
-    # A float holds every integer below 2^53 in magnitude exactly, and no more.
-    "tagger-total-too-large": (_TAGGER, _set_field(1, -1, str(2**53))),
+    # The int64 lattice has headroom for totals below 2^31 in magnitude.
+    "tagger-total-too-large": (_TAGGER, _set_field(1, -1, str(2**31))),
+    "tagger-total-past-int64": (_TAGGER, _set_field(1, -1, str(-2**70))),
     # This one loaded, and the last of the repeated lines gave the weight.
     "tagger-total-repeated": (_TAGGER, lambda text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1)),
     "tagger-steps-missing": (_TAGGER, _delete_line(-2)),

@@ -38,6 +38,14 @@ def _plain(text, intent):
     return TrainingExample(text=text, intent=intent)
 
 
+def _entity_posterior(model, word):
+    """The reference class posterior of ``word`` alone: the log prior plus
+    its likelihood row, softmaxed."""
+    score = model.log_entity_prior + model.log_word_given_entity[model.row(word)]
+    probs = np.exp(score - score.max())
+    return probs / probs.sum()
+
+
 def test_smoothed_likelihoods_match_hand_computation():
     # Corpus: intent I1 says "a a b", intent I2 says "b". Vocabulary {a, b}
     # plus the unseen bucket gives 3 cells per intent; with alpha=1,
@@ -434,7 +442,7 @@ class TestPickMemo:
             state = SiumState(model)
             for word in words:
                 state.add(word)
-                assert state.picks[-1] == entity_pick(model, model.entity_posterior(word))
+                assert state.picks[-1] == entity_pick(model, _entity_posterior(model, word))
         assert len(model._picks) == len(model.word_index) + 1
 
     def test_replaced_model_follows_its_own_threshold(self, toy_dataset):
@@ -446,8 +454,8 @@ class TestPickMemo:
         state = SiumState(loose)
         for word in words:
             state.add(word)
-            assert state.picks[-1] == entity_pick(loose, loose.entity_posterior(word))
-        strict = [entity_pick(model, model.entity_posterior(word)) for word in words]
+            assert state.picks[-1] == entity_pick(loose, _entity_posterior(loose, word))
+        strict = [entity_pick(model, _entity_posterior(model, word)) for word in words]
         assert state.picks != strict
 
     def test_fresh_sessions_share_one_memo(self, toy_interp):

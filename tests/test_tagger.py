@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from incnlu import (
     BufferUnderflowError,
     ConsistencyError,
+    DataError,
     EntityAnnotation,
     IncrementalInterpreter,
     TrainingExample,
@@ -110,8 +111,8 @@ def test_same_seed_reproduces_identical_weights(toy_dataset):
 
 
 class _AveragedWeights:
-    """Perceptron weights, one array over tags per feature string, with
-    lazily updated averaging totals: one cell at a time."""
+    """Perceptron weights, one int64 array over tags per feature string,
+    with lazily updated totals over the steps: one cell at a time."""
 
     def __init__(self, n_tags):
         self.n_tags = n_tags
@@ -120,18 +121,34 @@ class _AveragedWeights:
 
     def update(self, feat, tag_idx, delta):
         if feat not in self.weights:
-            self.weights[feat] = np.zeros(self.n_tags)
-            self._totals[feat] = np.zeros(self.n_tags)
+            self.weights[feat] = np.zeros(self.n_tags, dtype=np.int64)
+            self._totals[feat] = np.zeros(self.n_tags, dtype=np.int64)
             self._stamps[feat] = np.zeros(self.n_tags, dtype=np.int64)
         self._totals[feat][tag_idx] += (self.step - self._stamps[feat][tag_idx]) * self.weights[feat][tag_idx]
         self._stamps[feat][tag_idx] = self.step
         self.weights[feat][tag_idx] += delta
 
-    def averaged(self):
+    def totals(self):
+        """Each weight summed over the steps: the averaged weight times the step count."""
         return {
-            feat: (self._totals[feat] + (self.step - self._stamps[feat]) * vec) / self.step
+            feat: self._totals[feat] + (self.step - self._stamps[feat]) * vec
             for feat, vec in self.weights.items()
         }
+
+
+def _float_transitions(weights, tags):
+    """(initial, pairwise) scores as floats: the pt= weights, with BIO's
+    forbidden moves at -inf."""
+    zero = np.zeros(len(tags))
+    init = weights.get(f"pt={tagging.START}", zero).astype(float)
+    pair = np.array([weights.get(f"pt={tag}", zero) for tag in tags], dtype=float)
+    for b, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            init[b] = -np.inf
+            for a, prev in enumerate(tags):
+                if prev not in ("B-" + tag[2:], tag):
+                    pair[a, b] = -np.inf
+    return init, pair
 
 
 def _plain_viterbi(em, init, pair):
@@ -149,10 +166,10 @@ def _plain_viterbi(em, init, pair):
 
 
 def _train_decoding_everything(dataset, epochs, seed):
-    """The averaged perceptron with no decode skipped and no array shared
-    between features: every sentence is decoded in every epoch, against
-    transition scores built anew for it, and each update is applied one
-    cell at a time."""
+    """The averaged perceptron's totals with no decode skipped and no array
+    shared between features: every sentence is decoded in every epoch, on
+    floats, against transition scores built anew for it, and each update is
+    applied one cell at a time."""
     tags = tagging._tag_set(dataset)
     tag_idx = {t: i for i, t in enumerate(tags)}
     sentences = []
@@ -169,14 +186,7 @@ def _train_decoding_everything(dataset, epochs, seed):
         for idx in order:
             feats, gold = sentences[idx]
             acc.step += 1
-            init = acc.weights.get(f"pt={tagging.START}", zero).copy()
-            pair = np.array([acc.weights.get(f"pt={tag}", zero) for tag in tags])
-            for b, tag in enumerate(tags):
-                if tag.startswith("I-"):
-                    init[b] = -np.inf
-                    for a, prev in enumerate(tags):
-                        if prev not in ("B-" + tag[2:], tag):
-                            pair[a, b] = -np.inf
+            init, pair = _float_transitions(acc.weights, tags)
             em = np.zeros((len(feats), len(tags)))
             for i, row in enumerate(feats):
                 for feat in row:
@@ -187,20 +197,21 @@ def _train_decoding_everything(dataset, epochs, seed):
                 prev_g = gold[i - 1] if i > 0 else tagging.START
                 if p != g or prev_p != prev_g:
                     for feat in feats[i]:
-                        acc.update(feat, tag_idx[g], 1.0)
-                        acc.update(feat, tag_idx[p], -1.0)
-                    acc.update(f"pt={prev_g}", tag_idx[g], 1.0)
-                    acc.update(f"pt={prev_p}", tag_idx[p], -1.0)
-    return tags, acc.averaged()
+                        acc.update(feat, tag_idx[g], 1)
+                        acc.update(feat, tag_idx[p], -1)
+                    acc.update(f"pt={prev_g}", tag_idx[g], 1)
+                    acc.update(f"pt={prev_p}", tag_idx[p], -1)
+    return tags, acc.totals()
 
 
-def _assert_same_bits(model, tags, weights):
-    """The model keeps the features of ``weights`` with a nonzero weight,
-    and only those, and every weight has the bits of its ``weights`` one."""
+def _assert_same_bits(model, tags, totals):
+    """The model keeps the features of ``totals`` with a nonzero total, and
+    only those, and every weight has the bits of its int64 total."""
     assert model.tags == tags
-    assert set(model.weights) == {feat for feat, vec in weights.items() if vec.any()}
-    zero = np.zeros(len(tags))
-    for feat, vec in weights.items():
+    assert set(model.weights) == {feat for feat, vec in totals.items() if vec.any()}
+    zero = np.zeros(len(tags), dtype=np.int64)
+    for feat, vec in totals.items():
+        assert vec.dtype == np.int64, feat
         assert model.weights.get(feat, zero).tobytes() == vec.tobytes(), feat
 
 
@@ -280,33 +291,35 @@ def test_transition_scores_are_built_once_and_read_only(toy_dataset):
     # The incremental lattice reads the same scores, transposed.
     assert not model._incoming.flags.writeable and np.array_equal(model._incoming, pair.T)
     with pytest.raises(ValueError):
-        pair[0, 0] = 0.0
-    # They equal the pt= weights with BIO's forbidden moves set to -inf.
+        pair[0, 0] = 0
+    # They equal the pt= totals with _MASKED added to BIO's forbidden moves.
     tags = model.tags
-    zero = np.zeros(len(tags))
+    zero = np.zeros(len(tags), dtype=np.int64)
     want_init = model.weights.get("pt=<s>", zero).copy()
     want_pair = np.array([model.weights.get(f"pt={tag}", zero) for tag in tags])
     for b, tag in enumerate(tags):
         if tag.startswith("I-"):
-            want_init[b] = -np.inf
+            want_init[b] += tagging._MASKED
             for a, prev in enumerate(tags):
                 if prev not in ("B-" + tag[2:], tag):
-                    want_pair[a, b] = -np.inf
+                    want_pair[a, b] += tagging._MASKED
+    assert init.dtype == pair.dtype == np.int64
     assert np.array_equal(init, want_init)
     assert np.array_equal(pair, want_pair)
 
 
 def test_viterbi_agrees_with_exhaustive_search():
-    """On random small models the decoded path must score as high as the
-    best path found by brute-force enumeration over all valid sequences."""
+    """On random small models the decoded path must be valid BIO and score
+    exactly as high as the best path found by brute-force enumeration over
+    all valid sequences."""
     rng = np.random.default_rng(92)
     tags = ["O", "B-x", "I-x"]
     words = ["a", "b", "c", "d"]
     for _ in range(25):
-        weights = {f"w={w}": rng.normal(size=3) for w in words}
-        weights["pt=<s>"] = rng.normal(size=3)
+        weights = {f"w={w}": rng.integers(-1000, 1001, size=3) for w in words}
+        weights["pt=<s>"] = rng.integers(-1000, 1001, size=3)
         for t in tags:
-            weights[f"pt={t}"] = rng.normal(size=3)
+            weights[f"pt={t}"] = rng.integers(-1000, 1001, size=3)
         model = TaggerModel(tags=tags, weights=weights)
         tokens = [words[i] for i in rng.integers(0, len(words), size=4)]
         init, pair = model.transition_matrix()
@@ -318,10 +331,11 @@ def test_viterbi_agrees_with_exhaustive_search():
                 total += pair[path[i - 1], path[i]] + em[i, path[i]]
             return total
 
-        best = max(score(p) for p in itertools.product(range(3), repeat=len(tokens)))
-        decoded = [tags.index(t) for t in decode(model, tokens)]
-        assert score(decoded) == pytest.approx(best, rel=1e-12)
-        assert np.isfinite(score(decoded))
+        valid = [p for p in itertools.product(range(3), repeat=len(tokens))
+                 if _is_valid_bio([tags[t] for t in p])]
+        decoded = decode(model, tokens)
+        assert _is_valid_bio(decoded)
+        assert score([tags.index(t) for t in decoded]) == max(map(score, valid))
 
 
 class TestExtractEntities:
@@ -346,6 +360,9 @@ class TestExtractEntities:
     def test_length_mismatch_is_a_caller_bug(self):
         with pytest.raises(ConsistencyError):
             extract_entities(["O"], ["two", "words"])
+
+
+_BOUND = tagging._TOTAL_BELOW
 
 
 class TestTaggerComponent:
@@ -402,33 +419,37 @@ class TestTaggerComponent:
         loaded = SequenceEntityTagger.load(tmp_path, {"epochs": 0}).model
         assert (loaded.steps, loaded.weights) == (1, {})
 
-    def test_persisting_weights_that_are_not_totals_over_the_steps_is_a_bug(self, tmp_path):
+    def test_totals_just_inside_the_bound_persist_and_load(self, tmp_path):
+        bound = tagging._TOTAL_BELOW
         comp = SequenceEntityTagger()
-        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": np.array([0.5, 1.0, 0.0])})
-        with pytest.raises(ConsistencyError, match="not integer totals over 1 steps"):
-            comp.persist(tmp_path)
-        comp.model.steps = 2
+        totals = np.array([bound - 1, 1 - bound, 0])
+        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": totals}, steps=7)
         comp.persist(tmp_path)
-        assert SequenceEntityTagger.load(tmp_path, {}).model.weights["bias"].tolist() == [0.5, 1.0, 0.0]
+        loaded = SequenceEntityTagger.load(tmp_path, {}).model
+        assert loaded.steps == 7 and loaded.weights["bias"].tobytes() == totals.tobytes()
+
+    @pytest.mark.parametrize("row", [[_BOUND, 0, 0], [0, -_BOUND, 0], [0.0, 1.0, 0.0], [1, 2]])
+    def test_a_model_refuses_totals_that_are_not_int64_below_the_bound(self, row):
+        with pytest.raises(DataError, match=f"must be int64, 3 a feature, below {_BOUND} in magnitude"):
+            TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": np.array(row)})
 
 
 def _assert_integer_totals(path, model):
     """The model file at ``path`` holds ``model``'s tags, then one line per
-    nonzero weight with its integer total over ``model.steps``, then the
-    step count."""
+    nonzero total with that integer, then the step count."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "#tags\t" + "\t".join(model.tags)
     assert lines[-1] == f"#steps\t{model.steps}"
     for line in lines[1:-1]:
         feat, tag, total = line.rsplit("\t", 2)
         assert total == str(int(total)) != "0", line
-        assert int(total) / model.steps == model.weights[feat][model.tags.index(tag)], line
+        assert int(total) == model.weights[feat][model.tags.index(tag)], line
     assert len(lines) - 2 == sum(np.count_nonzero(vec) for vec in model.weights.values())
 
 
 def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path):
     """``incnlu train --seed 13`` on the bundled split: 560 sentences over
-    10 epochs are 5,600 steps, and the loaded weights are the trained ones."""
+    10 epochs are 5,600 steps, and the loaded totals are the trained ones."""
     cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
     trained = train_tagger(load_dataset(_SNIPS_TRAIN))
     assert trained.steps == 5600
@@ -446,25 +467,40 @@ def _random_model(seed=3):
     heavily as the transitions, so a lost digit term shows in the tags."""
     rng = np.random.default_rng(seed)
     tags = ["O", "B-x", "I-x", "B-y", "I-y"]
-    weights = {"bias": rng.normal(size=5), "digit": 3 * rng.normal(size=5)}
+
+    def draw(scale=1):
+        return scale * rng.integers(-1000, 1001, size=5)
+
+    weights = {"bias": draw(), "digit": draw(3)}
     for word in _WORDS:
         word = word.lower()
         for feat in ("w=", "lw=", "pw=", "nw="):
-            weights[feat + word] = rng.normal(size=5)
-        weights["p3=" + word[:3]] = rng.normal(size=5)
-        weights["s3=" + word[-3:]] = rng.normal(size=5)
+            weights[feat + word] = draw()
+        weights["p3=" + word[:3]] = draw()
+        weights["s3=" + word[-3:]] = draw()
     for tag in ["<s>"] + tags:
-        weights[f"pt={tag}"] = 3 * rng.normal(size=5)
+        weights[f"pt={tag}"] = draw(3)
     for b in (1, 3):
-        weights[f"pt={tags[b]}"][b + 1] += 3.0
-        weights[f"pt={tags[b + 1]}"][b + 1] += 3.0
+        weights[f"pt={tags[b]}"][b + 1] += 3000
+        weights[f"pt={tags[b + 1]}"][b + 1] += 3000
     return TaggerModel(tags=tags, weights=weights)
+
+
+def _model_at_the_bound(seed=5):
+    """The random model's features, every total drawn from +-(bound - 1):
+    the largest sums any model may make."""
+    rng = np.random.default_rng(seed)
+    bound = tagging._TOTAL_BELOW - 1
+    model = _random_model()
+    weights = {feat: rng.choice([-bound, bound], size=len(model.tags)) for feat in model.weights}
+    return TaggerModel(tags=model.tags, weights=weights)
 
 
 _WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston", "7", "2019"]
 _MODELS = {
     "toy": train_tagger(TrainingDataset([make_example(*r) for r in toy_rows()])),
     "random": _random_model(),
+    "bound": _model_at_the_bound(),
     # No weights: every allowed predecessor ties, so the first maximum decides.
     "tied": TaggerModel(tags=["O", "B-x", "I-x", "B-y", "I-y"], weights={}),
 }
@@ -647,6 +683,53 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
                 if i < n:
                     assert np.array_equal(preds, best[i])
                     assert state._finalise(preds, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_MODELS)),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+    st.data(),
+)
+def test_a_column_is_the_same_whatever_order_its_parts_are_summed_in(model_name, words, data):
+    """A column is its best-predecessor scores plus the total of each
+    feature ``tag_features`` gives its word. Summed in any order, they make
+    the column ``_finalise`` makes of the word's parts and its neighbours',
+    even with scores up to 2^62, where a float sum would round."""
+    model = _MODELS[model_name]
+    tokens = [w.lower() for w in words]
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    n_tags = len(model.tags)
+    preds = np.array(data.draw(st.lists(st.integers(-2**62, 2**62), min_size=n_tags, max_size=n_tags)))
+    parts = [preds] + [model.weights[f] for f in tagging.tag_features(tokens, i) if f in model.weights]
+    column = np.zeros(n_tags, dtype=np.int64)
+    for k in data.draw(st.permutations(range(len(parts)))):
+        column += parts[k]
+    neighbours = [None] + [model.word_parts(t, True) for t in tokens] + [None]
+    finalised = tagging.ViterbiState(model, True)._finalise(preds, *neighbours[i:i + 3])
+    assert finalised.dtype == np.int64 and finalised.tobytes() == column.tobytes()
+
+
+def test_totals_at_the_bound_decode_a_long_stream_as_a_float_viterbi_does():
+    """Every total of the bound model is +-(bound - 1). A 10,000-word stream
+    decodes, through ``decode`` and word by word through a session, to the
+    tags of a float Viterbi over the same totals, which is exact here as no
+    sum reaches 2^53: the int64 lattice neither overflows nor lets a
+    forbidden move win."""
+    model = _MODELS["bound"]
+    rng = random.Random(17)
+    tokens = [rng.choice(_WORDS).lower() for _ in range(10_000)]
+    em = np.zeros((len(tokens), len(model.tags)))
+    for i in range(len(tokens)):
+        for feat in tagging.tag_features(tokens, i):
+            em[i] += model.weights.get(feat, 0)
+    want = [model.tags[t] for t in _plain_viterbi(em, *_float_transitions(model.weights, model.tags))]
+    assert set(want) == set(model.tags)
+    assert decode(model, tokens) == want
+    session = _tagger_session(model)
+    for word in tokens:
+        session.parse_incremental(EditType.ADD, word)
+    assert list(session.board.annotations[TAGS]) == want
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
