@@ -135,7 +135,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     interp = interp_mod.load(args.model)
-    interp.new_utterance()
     for line in _stdin_lines():
         token = line.strip()
         if not token:

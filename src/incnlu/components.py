@@ -58,8 +58,9 @@ class Component:
     provides, is instead called with ``edit=None`` when its view is read,
     on a board it may lag by any number of edits. A call with
     ``edit=None`` consumes no edit: the component publishes the
-    annotations of the board's prefix. The interpreter uses this to
-    produce a result for the empty utterance.
+    annotations of the board's prefix. The interpreter also calls every
+    eager component so when an utterance starts, to publish its empty
+    prefix.
 
     A component publishes only immutable values: tuples, and arrays that
     are not writeable. The board is then the record of what it published,

@@ -1,15 +1,17 @@
 """Evaluation harness: F1 scoring, equivalence runs, and the noise protocol.
 
-Three questions are answered about a trained bundle. Does the word-streamed
-path land on exactly the output of the whole-utterance path? Do inserted
-then immediately revoked words leave every output identical to a clean run?
-And how well do the two intent strategies and two entity paths actually
-score on held-out data?
+Three questions are answered about a trained bundle. Do two sessions that
+stream the same words end on exactly the same outputs, so that no state
+leaks between utterances or sessions? Do inserted then immediately revoked
+words leave every output identical to a clean run? And how well do the two
+intent strategies and two entity paths actually score on held-out data?
 
 Each test utterance is streamed once, clean, on a fresh session. Its final
-views give the F1 predictions and are the reference that the word-streamed
-run and every noise rate are compared against. SIUM's streamed posterior
-is also checked against a batch row-sum over the whole utterance.
+views give the F1 predictions and are the reference that a second,
+word-by-word stream of the same words on the given session and every noise
+rate are compared against. SIUM's streamed posterior is also checked
+against a batch row-sum over the whole utterance, the one reference here
+that does not stream.
 
 Entity scoring is span-exact: a predicted span counts only when its
 (type, start, end) triple equals a gold span's. Published reference scores
@@ -179,8 +181,8 @@ class EvalReport:
             tail = f"    {ref[1]:.2f} ({ref[0]})" if ref else ""
             lines.append(f"  {name:20s} {p:.3f} / {r:.3f} / {f1:.3f}{tail}")
         lines.append("")
-        lines.append("equivalence (streamed vs whole-utterance)")
-        lines.append(f"  exact result matches    {self.equivalence_exact}/{self.equivalence_total}")
+        lines.append("equivalence (two sessions stream the same words)")
+        lines.append(f"  identical final views   {self.equivalence_exact}/{self.equivalence_total}")
         lines.append(f"  max posterior deviation {self.sium_max_deviation:.3e}")
         if self.noise_results:
             lines.append("")
@@ -268,8 +270,6 @@ def _check_streams(
     for ex, clean_views in zip(test.examples, clean):
         words = tokenize(ex.text, lowercase=False)
         interp.new_utterance()
-        if not words:
-            interp.refresh()
         for word in words:
             if noise.insertion_rate > 0.0 and rng.random() < noise.insertion_rate:
                 interp.parse_incremental(EditType.ADD, rng.choice(noise.noise_vocabulary))
@@ -287,11 +287,13 @@ def _check_streams(
 
 
 def run_equivalence(interp: IncrementalInterpreter, test: TrainingDataset) -> dict:
-    """Word-streamed final outputs vs whole-utterance outputs, per utterance.
+    """Final views of two sessions that stream the same words, per utterance.
 
-    The whole-utterance side is one clean pass on a separate fresh session,
-    so no state can leak between the two paths. SIUM's streamed posterior
-    is also checked against a batch row-sum over the whole utterance.
+    One is a clean pass on a separate fresh session, the other streams on
+    ``interp``; both ADD the words one by one, so equal views show that no
+    state leaks between utterances or sessions, not that streamed output
+    equals a non-incremental one. SIUM's streamed posterior is also checked
+    against a batch row-sum over the whole utterance.
     """
     exact, max_dev = _check_streams(interp, test, _clean_views(interp, test), NoiseConfig(0.0))
     return {"total": len(test.examples), "exact": exact, "sium_max_deviation": max_dev}

@@ -1,8 +1,10 @@
 """The incremental interpreter: train, stream edits, persist, reload.
 
 One interpreter is one utterance session over a trained component chain.
-Every edit is pushed through the eager components in pipeline order before
-the next edit is accepted, so downstream components always see upstream
+Its board always holds what the components publish for the board's
+prefix: a new utterance publishes the empty prefix, and every edit is
+pushed through the eager components in pipeline order before the next
+edit is accepted, so downstream components always see upstream
 annotations for the current hypothesis, never a stale one. A component
 that declares keys and owns none of them, as SIUM beside the BoW
 classifier and the tagger in the default pipeline, is shadowed: no caller
@@ -14,19 +16,20 @@ prefix, bit-equal to a lock-step run's.
 
 Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
 EACL 2009), so a REVOKE right after an ADD gives back what was published
-before that ADD. The interpreter keeps that one ADD deep: the board it
-published before the ADD, which it restores without calling any
-component. Incremental ASR also often revokes a word only to put the same
-word back (Baumann, Atterer & Schlangen, NAACL-HLT 2009), so each REVOKE
-parks the board it takes back, with its word, on a redo stack at most
-REDO_DEPTH deep. An ADD of the top record's word republishes that board,
-again calling no component; any other ADD, and a new utterance, clear the
-stack. Every output is a function of the surviving words, and a record is
-reachable only while every word below it is unchanged, so both give back
-exactly what the components would publish, a shadowed view too if the
-board held one. Components may so lag the board in either direction:
-each one's session state stays valid for every prefix still on the board,
-or catches up from it, and its next ``process`` call brings it in line.
+before that ADD, the empty prefix's publication too. The annotation maps
+an edit replaces are its record. An ADD keeps its record one ADD deep,
+and a REVOKE of its unit restores it without calling any component.
+Incremental ASR also often revokes a word only to put the same word back
+(Baumann, Atterer & Schlangen, NAACL-HLT 2009), so each REVOKE parks its
+record, with its word, on a redo stack at most REDO_DEPTH deep. An ADD of
+the top record's word republishes that record, again calling no
+component; any other ADD, and a new utterance, clear the stack. Every
+output is a function of the surviving words, and a record is reachable
+only while every word below it is unchanged, so both give back exactly
+what the components would publish, a shadowed view too if the board held
+one. Components may so lag the board in either direction: each one's
+session state stays valid for every prefix still on the board, or catches
+up from it, and its next ``process`` call brings it in line.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .config import ComponentSpec, PipelineConfig, build_components, config_text
 from .data import TrainingDataset
 from .errors import BundleError, DataError
 from .features import tokenize
-from .iu import ADD, REVOKE, Blackboard, EditType, IncrementalUnit
+from .iu import ADD, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
@@ -86,15 +89,17 @@ class IncrementalInterpreter:
         # Each shadowed component with its first key, and all their keys.
         self._shadowed = tuple((c, (c.name, c.provides[0])) for c in shadowed)
         self._shadowed_keys = tuple((c.name, key) for c in shadowed for key in c.provides)
-        # (unit, board from before it) of the last edit if it was an ADD of
-        # that unit onto a board that held annotations.
+        # (unit, record) of the last edit if it was an ADD of that unit.
         self._before_add: tuple[IncrementalUnit, tuple[dict, dict]] | None = None
-        # (word, board it took back) of each REVOKE since the last ADD that
-        # was no redo, the newest last and at most REDO_DEPTH.
+        # (word, record) of each REVOKE since the last ADD that was no redo,
+        # the newest last and at most REDO_DEPTH.
         self._redo: list[tuple[str, tuple[dict, dict]]] = []
-        self.is_trained = False
+        # Components given are trained (loaded or copied); built ones are not.
+        self.is_trained = components is not None
         self.training_timings: list[tuple[str, float]] = []
         self.training_info: dict = {}
+        if self.is_trained:
+            self.refresh()
 
     # -- training ------------------------------------------------------
 
@@ -126,27 +131,23 @@ class IncrementalInterpreter:
 
         The edit drops the shadowed components' views from the board, and
         none of them runs. A REVOKE of the unit the last edit added restores
-        the board from before that ADD instead, and an ADD of the word the
-        last parked REVOKE took back republishes the board it took; neither
-        calls a component.
+        that ADD's record instead, and an ADD of the word the last parked
+        REVOKE took back republishes that REVOKE's record; neither calls a
+        component. An edit the board refuses keeps every record.
         """
         board, redo = self.board, self._redo
-        kept, self._before_add = self._before_add, None
-        if edit is ADD:
-            if redo and redo[-1][0] == word:  # a redo
-                unit = board.apply_edit(edit, word)
-                before = board.annotations, board.component_annotations
-                board.republish(redo.pop()[1])
-                self._before_add = unit, before
-                return self.current_result()
-            redo.clear()
         unit = board.apply_edit(edit, word)
-        # ``before`` is the board from before this edit.
-        if kept is not None and kept[0] is unit:  # a REVOKE of the unit just added
-            before = board.annotations, board.component_annotations
+        # The maps this edit replaces: its record.
+        record = board.annotations, board.component_annotations
+        kept, self._before_add = self._before_add, None
+        if edit is ADD and redo and redo[-1][0] == word:  # a redo
+            board.republish(redo.pop()[1])
+        elif kept is not None and kept[0] is unit:  # a REVOKE of the unit just added
             board.republish(kept[1])
         else:
-            before = board.published() if edit is REVOKE or board.annotations else None
+            if edit is ADD:
+                redo.clear()
+            board.republish(board.published())
             board.begin_cycle()
             self._drop_shadowed_views()
             try:
@@ -158,39 +159,37 @@ class IncrementalInterpreter:
                 # The words below each record have changed.
                 redo.clear()
                 raise
-            if edit is ADD:
-                if before is not None:
-                    self._before_add = unit, before
-                return self.current_result()
-        # A REVOKE parks the board it took back.
-        if len(redo) == REDO_DEPTH:
-            del redo[0]
-        redo.append((unit.word, before))
+        if edit is ADD:
+            self._before_add = unit, record
+        else:
+            if len(redo) == REDO_DEPTH:
+                del redo[0]
+            redo.append((unit.word, record))
         return self.current_result()
 
     def new_utterance(self) -> None:
+        """Drop the utterance and publish the empty prefix."""
         self._before_add = None
         self._redo.clear()
         self.board.clear()
         for comp in self.components:
             comp.new_utterance()
+        self.refresh()
 
     def parse_full(self, utterance: str) -> NluResult:
-        """Non-incremental reference path: stream all words of a fresh utterance."""
+        """Stream every word of ``utterance`` into a new utterance, as
+        ``parse_incremental`` ADDs, and return the result."""
         self.new_utterance()
-        words = tokenize(utterance, lowercase=False)
-        if not words:
-            return self.refresh()
-        result = None
-        for word in words:
-            result = self.parse_incremental(EditType.ADD, word)
-        return result
+        for word in tokenize(utterance, lowercase=False):
+            self.parse_incremental(ADD, word)
+        return self.current_result()
 
     def refresh(self) -> NluResult:
         """Re-publish every eager component's current annotations, consuming
         no edit, and drop the shadowed ones' views, as an edit does.
 
-        Mid-utterance that repeats the last edit's result.
+        The board already holds its prefix's publication, so this repeats
+        the last result.
         """
         self.board.begin_cycle()
         self._drop_shadowed_views()
@@ -210,21 +209,19 @@ class IncrementalInterpreter:
         """One component's own view, regardless of annotation ownership.
 
         A shadowed component first runs on the board if that holds no view
-        of it yet, unless no edit has published the board: a new
-        utterance's board gives the empty view. The view is then the one a
-        lock-step run publishes for the board's prefix, bit for bit.
+        of it yet. The view is then the one a lock-step run publishes for
+        the board's prefix, bit for bit, the empty prefix's too.
         """
         board = self.board
         for comp, key in self._shadowed:
             # A component writes its keys together, and an edit drops them so.
-            if comp.name == name and key not in board.component_annotations and board.annotations:
+            if comp.name == name and key not in board.component_annotations:
                 comp.process(board)
         return result_from_annotations(board.component_view(name))
 
     def fresh_copy(self) -> "IncrementalInterpreter":
         """New session over the same trained models, no shared mutable state."""
         clone = IncrementalInterpreter(self.config, [c.fresh() for c in self.components])
-        clone.is_trained = self.is_trained
         clone.training_info = dict(self.training_info)
         return clone
 
@@ -300,7 +297,6 @@ def load(path: str | Path) -> IncrementalInterpreter:
             ) from exc
         components.append(comp)
     interp = IncrementalInterpreter(config, components)
-    interp.is_trained = True
     interp.training_info = dict(training)
     return interp
 

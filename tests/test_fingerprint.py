@@ -31,10 +31,11 @@ def test_the_edit_script_takes_the_redo_path(toy_interp):
     with no component run, so the digests pin that path too: some of those
     ADDs republish the board a restore parked, some one a REVOKE that ran
     the components parked: of two redos in a row, at most one pops the
-    record of a restore, which only the first REVOKE of a run makes."""
+    record of a restore, which only the first REVOKE of a run makes. Some
+    REVOKEs that empty the prefix restore its publication, too."""
     session = toy_interp.fresh_copy()
     calls = spy_process(session)
-    redos = in_a_row = 0
+    redos = in_a_row = restored_empty = 0
     last = None  # the step before, and whether it ran a component
     for step in fingerprint.edit_script():
         calls.clear()
@@ -47,5 +48,6 @@ def test_the_edit_script_takes_the_redo_path(toy_interp):
         redo = step[0] is EditType.ADD and not calls
         redos += redo
         in_a_row += redo and last == (EditType.ADD, False)
+        restored_empty += step[0] is EditType.REVOKE and not calls and not session.board.buffer
         last = step[0], bool(calls)
-    assert redos > 0 and in_a_row > 0
+    assert redos > 0 and in_a_row > 0 and restored_empty > 0

@@ -12,6 +12,7 @@ from incnlu import (
     ConfigError,
     DataError,
     IncrementalInterpreter,
+    InvalidPayloadError,
     ParameterError,
     load,
     train_pipeline,
@@ -31,7 +32,6 @@ from incnlu.data import TrainingDataset
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
 from incnlu.iu import EditType
 from incnlu.registry import REGISTRY
-from incnlu.results import NluResult
 from incnlu.sium import batch_posterior
 
 from conftest import reseal, spy_process, toy_rows
@@ -253,15 +253,20 @@ class TestLockStep:
             config, components=[_Recorder("a", calls), _Recorder("b", calls)]
         )
         interp.train(toy_dataset)
-        interp.parse_incremental(EditType.ADD, "play")
-        interp.parse_incremental(EditType.ADD, "jazz")
+        # Construction and training each start an utterance: one sweep with
+        # no edit publishes its empty prefix.
+        assert calls == [("a", None, None, ()), ("b", None, None, ())] * 2
+        calls.clear()
+        for word in ["play", "jazz", "now"]:
+            interp.parse_incremental(EditType.ADD, word)
+        interp.parse_incremental(EditType.REVOKE)  # restores the board: no process runs
         interp.parse_incremental(EditType.REVOKE)
         names = [c[0] for c in calls]
-        assert names == ["a", "b"] * 3  # one full sweep per edit, a before b
+        assert names == ["a", "b"] * 4  # one full sweep per processed edit, a before b
         # Components always see the post-edit hypothesis, including on revoke,
         # and the revoked word is handed to them explicitly.
-        assert calls[4] == ("a", EditType.REVOKE, "jazz", ("play",))
-        assert calls[5] == ("b", EditType.REVOKE, "jazz", ("play",))
+        assert calls[6] == ("a", EditType.REVOKE, "jazz", ("play",))
+        assert calls[7] == ("b", EditType.REVOKE, "jazz", ("play",))
 
     def test_an_add_that_raises_leaves_no_board_to_restore(self):
         calls = []
@@ -314,14 +319,14 @@ class TestInterpreter:
     def test_training_starts_a_new_utterance(self, toy_dataset):
         # Training drops every component's session state, so the board must
         # drop its words too, or a REVOKE after it would reach a component
-        # that holds no word.
+        # that holds no word. It then holds the empty prefix's publication.
         interp = train_pipeline(default_config(), toy_dataset)
         interp.parse_incremental(EditType.ADD, "play")
         interp.parse_incremental(EditType.ADD, "jazz")
         interp.train(toy_dataset)
         board = interp.board
         assert len(board.buffer) == 0 and board.edit_log == []
-        assert board.annotations == board.component_annotations == {}
+        assert _views(interp) == _views(interp.fresh_copy())
 
         def views():
             names = [c.name for c in interp.components]
@@ -553,6 +558,23 @@ class TestRedo:
         assert [c[0] for c in calls] == ["a", "b"]
         assert interp.board.component_view("b") == {"length_b": 2}
 
+    def test_a_refused_add_keeps_the_records(self, toy_interp):
+        """An ADD the board refuses changes no word, so the REVOKE after it
+        still restores, and an ADD after that still redoes: neither runs a
+        component."""
+        session = toy_interp.fresh_copy()
+        for word in ["play", "some"]:
+            session.parse_incremental(EditType.ADD, word)
+        calls = spy_process(session)
+        with pytest.raises(InvalidPayloadError):
+            session.parse_incremental(EditType.ADD, "a b")
+        session.parse_incremental(EditType.REVOKE)  # restores the board of "play"
+        with pytest.raises(InvalidPayloadError):
+            session.parse_incremental(EditType.ADD, "a b")
+        session.parse_incremental(EditType.ADD, "some")  # redoes the board of "play some"
+        assert calls == []
+        assert _views(session) == _fresh_views(toy_interp, ["play", "some"])
+
     def test_an_underflowing_revoke_keeps_the_records(self, toy_interp):
         session = toy_interp.fresh_copy()
         session.parse_incremental(EditType.ADD, "play")
@@ -688,18 +710,25 @@ class TestShadowed:
         assert calls == []
         assert third == _fresh_views(toy_interp, ["play", "some", "jazz"])[1][2]
 
-    def test_a_board_no_edit_published_gives_the_empty_view(self, toy_interp):
+    def test_a_new_utterance_publishes_what_an_add_and_its_revoke_give_back(self, toy_interp):
+        """A new utterance's board holds the empty prefix's publication, as
+        a REVOKE of its first word gives it back: that REVOKE restores the
+        board, so it runs no component. Reading SIUM's view of the empty
+        prefix runs SIUM once."""
         session = toy_interp.fresh_copy()
-        calls = spy_process(session)
-        empty = NluResult(intent="")
-        assert session.component_result("intent_sium") == empty
-        session.parse_incremental(EditType.ADD, "play")
-        session.component_result("intent_sium")
+        session.parse_incremental(EditType.ADD, "weather")
         session.new_utterance()
-        assert session.component_result("intent_sium") == empty
-        assert calls.count("intent_sium") == 1
-        session.refresh()
-        assert session.component_result("intent_sium") == _fresh_views(toy_interp, [])[1][2]
+        calls = spy_process(session)
+        empty = _views(session)
+        assert session.component_result("intent_sium") == empty[1][2]
+        assert calls == ["intent_sium"]
+        assert empty[0].intent_ranking and empty[1][2].intent_ranking
+        for word in ["play", "weather"]:
+            session.parse_incremental(EditType.ADD, word)
+            calls.clear()
+            session.parse_incremental(EditType.REVOKE)
+            assert calls == []
+            assert _views(session) == empty
 
 
 # Toy words, an unseen word, and a capitalised one that lowercases onto a
@@ -735,24 +764,30 @@ def _process_every_edit(interp, edit, word=None):
 
 
 @settings(deadline=None)
-@given(script=st.lists(_STEPS, max_size=30))
+@given(script=st.lists(st.one_of(_STEPS, st.just("new")), max_size=30))
 def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, script):
-    """After every step of any ADD/REVOKE/refresh script, the pipeline
-    result, every component's view, the tokens and the count vector equal
-    those of a fresh session fed only the surviving words. A REVOKE right
-    after an ADD, refreshes between them aside, gives back the results from
-    before that ADD. A second session runs every edit through ``process``,
-    a REVOKE right after an ADD too, and lands on the same views."""
+    """After every step of any ADD/REVOKE/refresh/new-utterance script, the
+    pipeline result, every component's view, the tokens and the count
+    vector equal those of a fresh session fed only the surviving words,
+    after a new utterance those of ``parse_full("")``. A REVOKE right after
+    an ADD, refreshes between them aside, gives back the results from
+    before that ADD, the empty prefix's too. A second session runs every
+    edit through ``process``, a REVOKE right after an ADD too, and lands on
+    the same views."""
     sessions = toy_interp.fresh_copy(), toy_interp.fresh_copy()
     edits = sessions[0].parse_incremental, partial(_process_every_edit, sessions[1])
-    for session in sessions:
-        session.parse_full("")
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []
     before_add = None  # the results before the last edit, if it was an ADD
     for step in script:
-        if step == "refresh":
+        if step == "new":
+            for session in sessions:
+                session.new_utterance()
+            stack.clear()
+            revoked.clear()
+            before_add = None
+        elif step == "refresh":
             for session in sessions:
                 session.refresh()
         elif isinstance(step, int):
@@ -792,7 +827,6 @@ def test_shadowed_views_read_after_any_edits_land_on_a_fresh_run(toy_interp, scr
     and redos between two reads. At each read, and at the end, every view
     equals that of a fresh session fed only the surviving words."""
     session = toy_interp.fresh_copy()
-    session.parse_full("")
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []

@@ -776,6 +776,7 @@ def test_a_revoke_right_after_an_add_lands_on_a_fresh_run_of_the_survivors(
     session = toy_interp.fresh_copy()
     tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
     tagger.model = _MODELS[model_name]
+    session.new_utterance()  # the copy published its empty prefix with the old model
     stack: list[str] = []
 
     def check():
@@ -829,7 +830,6 @@ def test_only_a_continued_span_is_rebuilt_and_a_revoke_gives_back_the_spans_it_h
     assert spans[0] is new_york and tags[-3:] == ("B-city", "I-city", "O")
 
     session = _tagger_session(model)
-    session.refresh()
     board = session.board
     for word in tokens:
         before = board.annotations.get(TAGS), board.annotations.get(ENTITIES)
@@ -858,7 +858,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     intent is ranked. Each of 3 REVOKEs in a row after 4 or more ADDs
     computes no column, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
     No edit builds a feature string. A REVOKE right after an ADD that
-    empties a prefix published before also ranks no intent."""
+    empties the prefix also ranks no intent."""
     calls = {}
     for owner, name in (
         (tagging, "_predecessors"),
@@ -875,6 +875,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     session = toy_interp.fresh_copy()
     tagger = next(c for c in session.components if c.name == "entity_tagger_sequence")
     tagger.model = _MODELS["random"]
+    session.new_utterance()  # the copy published its empty prefix with the old model
 
     restored = {"_predecessors": 0, "_finalise": 0, "update": 0, "_runs": 0, "predict": 0, "classify": 0}
 
@@ -909,13 +910,12 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     assert _entities(session) == extract_entities(decode(tagger.model, tokens), tokens)
 
     # A REVOKE right after an ADD restores the board also where it empties
-    # a prefix the board published before.
+    # the prefix.
     session.new_utterance()
-    session.refresh()
     for word in ("play", "weather"):
         cost(EditType.ADD, word)
         assert cost(EditType.REVOKE) == restored
-    assert session.current_result() == toy_interp.fresh_copy().refresh()
+    assert session.current_result() == toy_interp.fresh_copy().current_result()
 
 
 def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypatch, toy_interp):

@@ -96,8 +96,9 @@ class Digest:
 
 def edit_script(seed: int = SCRIPT_SEED) -> list[tuple]:
     """The test split in sessions of SESSION_UTTERANCES utterances, as steps:
-    ("new",), ("refresh",), (ADD, word) and (REVOKE, None). Half the
-    sessions publish their empty prefix first.
+    ("new",), ("refresh",), (ADD, word) and (REVOKE, None). Every session
+    starts on the empty prefix's publication, which half of them refresh
+    first.
 
     Before a true word there may come a burst of wrong words, added and
     revoked with nesting up to three deep; after one, a redo (REVOKE, then
