@@ -111,7 +111,7 @@ def train_classifier(
     return LinearIntentModel(intents=intents, weights=weights)
 
 
-def predict(model: LinearIntentModel, vec: np.ndarray) -> list[tuple[str, float]]:
+def predict(model: LinearIntentModel, vec: np.ndarray) -> tuple[tuple[str, float], ...]:
     """Descending (intent, probability) ranking for one count vector."""
     if vec.shape != (model.weights.shape[0] - 1,):
         raise ConsistencyError(
@@ -179,7 +179,7 @@ class BowIntentClassifier(Component):
                 "no count vector on the blackboard; is featurizer_count_vectors "
                 "ahead of intent_classifier_bow?"
             )
-        board.write(self.name, INTENT_DISTRIBUTION, tuple(predict(self.model, np.asarray(vec))))
+        board.write(self.name, INTENT_DISTRIBUTION, predict(self.model, np.asarray(vec)))
 
     def persist(self, directory: Path) -> None:
         model = self.model

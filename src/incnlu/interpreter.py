@@ -42,7 +42,7 @@ from pathlib import Path
 from .components import Component, TrainingContext
 from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, load_config
 from .data import TrainingDataset
-from .errors import BundleError, DataError
+from .errors import BundleError, ConfigError, DataError
 from .features import tokenize
 from .iu import ADD, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
@@ -147,9 +147,7 @@ class IncrementalInterpreter:
         else:
             if edit is ADD:
                 redo.clear()
-            board.republish(board.published())
-            board.begin_cycle()
-            self._drop_shadowed_views()
+            board.begin_cycle(self._shadowed_keys)
             try:
                 for comp in self._eager:
                     # On REVOKE the affected word is the revoked unit's, not
@@ -191,16 +189,10 @@ class IncrementalInterpreter:
         The board already holds its prefix's publication, so this repeats
         the last result.
         """
-        self.board.begin_cycle()
-        self._drop_shadowed_views()
+        self.board.begin_cycle(self._shadowed_keys)
         for comp in self._eager:
             comp.process(self.board)
         return self.current_result()
-
-    def _drop_shadowed_views(self) -> None:
-        notes = self.board.component_annotations
-        for key in self._shadowed_keys:
-            notes.pop(key, None)
 
     def current_result(self) -> NluResult:
         return result_from_annotations(self.board.annotations)
@@ -210,8 +202,11 @@ class IncrementalInterpreter:
 
         A shadowed component first runs on the board if that holds no view
         of it yet. The view is then the one a lock-step run publishes for
-        the board's prefix, bit for bit, the empty prefix's too.
+        the board's prefix, bit for bit, the empty prefix's too. A name
+        outside the pipeline is a ConfigError.
         """
+        if all(comp.name != name for comp in self.components):
+            raise ConfigError(f"no component {name!r} in the pipeline")
         board = self.board
         for comp, key in self._shadowed:
             # A component writes its keys together, and an edit drops them so.

@@ -14,10 +14,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any, NamedTuple
 
-from .errors import BufferUnderflowError, ConsistencyError, InvalidPayloadError
+from .errors import BufferUnderflowError, InvalidPayloadError
 
-# Annotation keys components agree on. Each key has exactly one writer per
-# pipeline; see Blackboard.write for how ownership is enforced.
+# Annotation keys components agree on. Each key has exactly one owner per
+# pipeline (config.key_owners), and only the owner's value reaches the
+# pipeline-level map; see Blackboard.write.
 TOKENS = "tokens"
 COUNT_VECTOR = "count_vector"
 TAGS = "tags"
@@ -85,13 +86,15 @@ class Blackboard:
     component's output under ``(component, key)``, while ``annotations``
     holds the pipeline-level value for each key, written only by that key's
     owning component. Ownership is configured once per pipeline via
-    :meth:`set_owners`; with no owners configured every writer passes
-    through.
+    :meth:`set_owners`; a key with no owner configured takes every writer's
+    value.
 
     The two maps are the record of what the pipeline published. Published
-    values are immutable (tuples, and arrays that are not writeable), so
-    :meth:`published` keeps the record by copying the maps alone, and
-    :meth:`republish` gives it back.
+    values are immutable (tuples, and arrays that are not writeable), and
+    results hand them on as they are, never a copy. :meth:`begin_cycle`
+    starts each publication on copies of the maps alone, so the maps it
+    replaces stay the record of the last one, and :meth:`republish` gives a
+    record back.
     """
 
     def __init__(self) -> None:
@@ -100,7 +103,6 @@ class Blackboard:
         self.component_annotations: dict[tuple[str, str], Any] = {}
         self.edit_log: list[tuple[int, EditType, str]] = []  # (unit id, edit, word)
         self._owners: dict[str, str] = {}
-        self._cycle_writers: dict[str, str] = {}
 
     def set_owners(self, owners: dict[str, str]) -> None:
         self._owners = dict(owners)
@@ -120,35 +122,29 @@ class Blackboard:
         self.edit_log.append((unit.id, edit, unit.word))
         return unit
 
-    def begin_cycle(self) -> None:
-        self._cycle_writers = {}
+    def begin_cycle(self, drop: tuple[tuple[str, str], ...] = ()) -> None:
+        """Start the next publication on shallow copies of both maps, the
+        ``(component, key)`` views in ``drop`` left out of the copy. The maps
+        replaced are left as they are."""
+        self.annotations = dict(self.annotations)
+        notes = self.component_annotations = dict(self.component_annotations)
+        for key in drop:
+            notes.pop(key, None)
 
     def write(self, component: str, key: str, value: Any) -> None:
         """Store a component's annotation.
 
         The value is always recorded under ``(component, key)``. It is
         mirrored to the pipeline-level map only when ``component`` owns
-        ``key``; a second owner-level write of the same key in one cycle is
-        a wiring bug and raises.
+        ``key``, or no owner of ``key`` is configured.
         """
         self.component_annotations[(component, key)] = value
-        owner = self._owners.get(key, component)
-        if owner != component:
-            return
-        previous = self._cycle_writers.get(key)
-        if previous is not None and previous != component:
-            raise ConsistencyError(
-                f"annotation {key!r} written by both {previous!r} and {component!r}"
-            )
-        self._cycle_writers[key] = component
-        self.annotations[key] = value
-
-    def published(self) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
-        """Shallow copies of both annotation maps, for :meth:`republish`."""
-        return dict(self.annotations), dict(self.component_annotations)
+        if self._owners.get(key, component) == component:
+            self.annotations[key] = value
 
     def republish(self, kept: tuple[dict[str, Any], dict[tuple[str, str], Any]]) -> None:
-        """Make the maps :meth:`published` kept the board's own again."""
+        """Make a record, the two maps a publication replaced, the board's
+        own again."""
         self.annotations, self.component_annotations = kept
 
     def component_view(self, component: str) -> dict[str, Any]:
@@ -165,7 +161,6 @@ class Blackboard:
         self.annotations = {}
         self.component_annotations = {}
         self.edit_log = []
-        self._cycle_writers = {}
 
 
 def format_iu_line(unit_id: int, edit: EditType, word: str) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .iu import ENTITIES, INTENT_DISTRIBUTION
@@ -21,12 +21,15 @@ class EntitySpan:
 
 @dataclass
 class NluResult:
+    """One view of the pipeline's output. Its ranking and entities are the
+    tuples the components published, shared with the board, not copies."""
+
     intent: str
-    intent_ranking: list[tuple[str, float]] = field(default_factory=list)
-    entities: list[EntitySpan] = field(default_factory=list)
+    intent_ranking: tuple[tuple[str, float], ...] = ()
+    entities: tuple[EntitySpan, ...] = ()
 
 
-def rank_distribution(labels: list[str], probabilities) -> list[tuple[str, float]]:
+def rank_distribution(labels: list[str], probabilities) -> tuple[tuple[str, float], ...]:
     """Sort (label, probability) pairs descending; ties break on the label.
 
     ``probabilities`` is a 1-D numpy array. Every intent producer routes
@@ -34,12 +37,10 @@ def rank_distribution(labels: list[str], probabilities) -> list[tuple[str, float
     """
     pairs = sorted(zip(labels, probabilities.tolist()), key=itemgetter(0))
     pairs.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay in label order
-    return pairs
+    return tuple(pairs)
 
 
 def result_from_annotations(annotations: dict) -> NluResult:
-    """Assemble an NluResult from pipeline-level blackboard annotations."""
-    ranking = list(annotations.get(INTENT_DISTRIBUTION, []))
-    intent = ranking[0][0] if ranking else ""
-    entities = list(annotations.get(ENTITIES, []))
-    return NluResult(intent=intent, intent_ranking=ranking, entities=entities)
+    """An NluResult holding the published ranking and entities themselves."""
+    ranking = annotations.get(INTENT_DISTRIBUTION, ())
+    return NluResult(ranking[0][0] if ranking else "", ranking, annotations.get(ENTITIES, ()))

@@ -236,7 +236,7 @@ def entity_pick(model: SiumModel, probs: np.ndarray) -> tuple[str, float] | None
     return cls, conf
 
 
-def sium_entities(state: SiumState) -> list[EntitySpan]:
+def sium_entities(state: SiumState) -> tuple[EntitySpan, ...]:
     """Merge adjacent same-class picks; a span's confidence is its weakest word.
 
     Only a span that reaches the last merged word can change, so the merge
@@ -267,7 +267,7 @@ def sium_entities(state: SiumState) -> list[EntitySpan]:
         )
         i = j + 1
     state.merged = len(picks)
-    return list(spans)
+    return tuple(spans)
 
 
 # Each count section of a persisted model, with the labels its lines use.
@@ -330,9 +330,8 @@ class SiumIntent(Component):
         for unit in units[kept:]:
             state.add(unit.word)
             held.append(unit)
-        ranking = rank_distribution(self.model.intents, classify(state))
-        board.write(self.name, INTENT_DISTRIBUTION, tuple(ranking))
-        board.write(self.name, ENTITIES, tuple(sium_entities(state)))
+        board.write(self.name, INTENT_DISTRIBUTION, rank_distribution(self.model.intents, classify(state)))
+        board.write(self.name, ENTITIES, sium_entities(state))
 
     def new_utterance(self) -> None:
         # Reassign rather than reset in place: fresh() shallow-copies the

@@ -377,7 +377,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
                        steps=max(step, 1))
 
 
-def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]:
+def extract_entities(tags: Sequence[str], tokens: Sequence[str]) -> tuple[EntitySpan, ...]:
     """Turn maximal B-I runs into spans; perceptron confidence is fixed at 1.
 
     A stray I- with no compatible predecessor opens a new span; the decoder
@@ -387,10 +387,10 @@ def extract_entities(tags: list[str], tokens: Sequence[str]) -> list[EntitySpan]
         raise ConsistencyError(
             f"{len(tags)} tags for {len(tokens)} tokens"
         )
-    return [
+    return tuple(
         EntitySpan(type=etype, value=" ".join(tokens[i:j]), start=i, end=j, confidence=1.0)
         for etype, i, j in _runs(tags, 0)
-    ]
+    )
 
 
 def _runs(tags: Sequence[str], start: int):
@@ -549,17 +549,22 @@ class ViterbiState:
         tags = tags[:i] + tuple(path)
 
         # Spans ending before i cannot change, nor can one ending at i unless
-        # tag i continues it.
+        # tag i continues it. Such a span keeps its value and takes on the
+        # run from i; one holding position i is scanned again from its start.
         k = len(spans)
         while k:
             span = spans[k - 1]
             if span.end < i or span.end == i and tags[i] != "I-" + span.type:
                 break
             k -= 1
-        return tags, spans[:k] + tuple(
-            EntitySpan(etype, " ".join([t.lower() if lowercase else t for t in tokens[i:j]]), i, j, 1.0)
-            for etype, i, j in _runs(tags, min(i, spans[k].start) if k < len(spans) else i)
-        )
+        head = spans[k] if k < len(spans) else None
+        new = [
+            EntitySpan(etype, " ".join([t.lower() if lowercase else t for t in tokens[s:e]]), s, e, 1.0)
+            for etype, s, e in _runs(tags, min(i, head.start) if head is not None and head.end > i else i)
+        ]
+        if head is not None and head.end == i:
+            new[0] = EntitySpan(head.type, f"{head.value} {new[0].value}", head.start, new[0].end, 1.0)
+        return tags, spans[:k] + tuple(new)
 
 
 class SequenceEntityTagger(Component):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from incnlu import BufferUnderflowError, ConsistencyError, InvalidPayloadError
+from incnlu import BufferUnderflowError, InvalidPayloadError
 from incnlu.iu import (
     Blackboard,
     EditType,
@@ -152,12 +152,23 @@ class TestBlackboard:
         board.write("a", "intent", "PlayMusic")
         assert "intent" not in board.annotations
 
-    def test_two_unconfigured_writers_of_one_key_collide(self):
+    def test_begin_cycle_drops_views_from_the_copies_only(self):
         board = Blackboard()
-        board.begin_cycle()
-        board.write("a", "tokens", ["x"])
-        with pytest.raises(ConsistencyError):
-            board.write("b", "tokens", ["y"])
+        board.set_owners({"intent": "b"})
+        board.write("a", "intent", ("PlayMusic",))
+        board.write("b", "intent", ("GetWeather",))
+        board.write("b", "tokens", ("play",))
+        record = board.annotations, board.component_annotations
+        kept = dict(record[0]), dict(record[1])
+        board.begin_cycle((("a", "intent"), ("c", "absent")))
+        assert board.annotations == kept[0] and board.annotations is not record[0]
+        assert board.component_view("a") == {}
+        assert board.component_view("b") == {"intent": ("GetWeather",), "tokens": ("play",)}
+        board.write("b", "intent", ("BookRestaurant",))
+        board.write("a", "tokens", ("x",))
+        assert record == kept
+        board.republish(record)
+        assert board.component_view("a") == {"intent": ("PlayMusic",)}
 
     def test_same_writer_may_rewrite_within_a_cycle(self):
         board = Blackboard()

@@ -1,5 +1,6 @@
 import json
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +31,13 @@ from incnlu.config import (
 )
 from incnlu.data import TrainingDataset
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
-from incnlu.iu import EditType
+from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, EditType
 from incnlu.registry import REGISTRY
 from incnlu.sium import batch_posterior
 
 from conftest import reseal, spy_process, toy_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 SAMPLE = """\
@@ -346,7 +349,7 @@ class TestInterpreter:
         result = interp.parse_full("")
         assert len(result.intent_ranking) == 3
         assert sum(p for _, p in result.intent_ranking) == pytest.approx(1.0, abs=1e-9)
-        assert result.entities == []
+        assert result.entities == ()
 
     def test_revoked_stream_equals_clean_stream(self, toy_interp):
         noisy = toy_interp.fresh_copy()
@@ -404,9 +407,9 @@ class TestInterpreter:
         assert tokens == ("play",)
         assert counts.sum() == 1
 
-        # Every published value is immutable, so no caller's edit of one can
-        # reach a later result: clearing a returned ranking between an ADD
-        # and its REVOKE changes nothing the REVOKE publishes.
+        # Every published value is immutable, and a result hands on the
+        # published ranking itself, not a copy; the REVOKE of that ADD gives
+        # back what was published before it.
         rankers = ("intent_sium", "intent_classifier_bow")
         expected = interp.current_result(), [interp.component_result(n) for n in rankers]
 
@@ -416,7 +419,8 @@ class TestInterpreter:
                     assert isinstance(value, tuple) or not value.flags.writeable
 
         assert_immutable()
-        interp.parse_incremental(EditType.ADD, "tonight").intent_ranking.clear()
+        ranking = interp.parse_incremental(EditType.ADD, "tonight").intent_ranking
+        assert ranking is interp.board.annotations[INTENT_DISTRIBUTION]
         assert_immutable()
         interp.parse_incremental(EditType.REVOKE)
         assert_immutable()
@@ -472,7 +476,65 @@ class TestInterpreter:
         interp = train_pipeline(config, toy_dataset)
         result = interp.parse_full("whatever words")
         assert result.intent == ""
-        assert result.intent_ranking == []
+        assert result.intent_ranking == ()
+
+
+class TestSharedPublication:
+    """A result holds the tuples the board published, never a copy."""
+
+    def _assert_shared(self, interp):
+        board = interp.board
+        result = interp.current_result()
+        assert result.intent_ranking is board.annotations[INTENT_DISTRIBUTION]
+        assert result.entities is board.annotations[ENTITIES]
+        for name in ("intent_sium", "entity_tagger_sequence", "intent_classifier_bow"):
+            view = interp.component_result(name)
+            notes = board.component_annotations
+            assert view.intent_ranking is notes.get((name, INTENT_DISTRIBUTION), ())
+            assert view.entities is notes.get((name, ENTITIES), ())
+
+    def test_results_share_the_board_after_every_kind_of_edit(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        self._assert_shared(interp)
+        calls = spy_process(interp)
+        for word in ("weather", "in", "boston"):
+            interp.parse_incremental(EditType.ADD, word)
+        assert calls == _EAGER * 3
+        self._assert_shared(interp)
+        calls.clear()
+        interp.parse_incremental(EditType.REVOKE)
+        interp.parse_incremental(EditType.ADD, "boston")
+        assert calls == []  # a restored REVOKE, then a redo
+        self._assert_shared(interp)
+        interp.parse_incremental(EditType.REVOKE)
+        assert calls == []  # a REVOKE right after a redo restores too
+        self._assert_shared(interp)
+        calls.clear()
+        interp.parse_incremental(EditType.REVOKE)
+        assert calls == _EAGER  # a processed REVOKE
+        self._assert_shared(interp)
+
+    def test_an_add_and_its_revoke_give_back_the_very_tuples(self, toy_interp):
+        interp = toy_interp.fresh_copy()
+        interp.parse_full("book a table for")
+        names = [c.name for c in interp.components]
+        before = interp.current_result(), [interp.component_result(n) for n in names]
+        interp.parse_incremental(EditType.ADD, "two")
+        after = interp.parse_incremental(EditType.REVOKE), [interp.component_result(n) for n in names]
+        for old, new in zip([before[0], *before[1]], [after[0], *after[1]]):
+            assert new.intent_ranking is old.intent_ranking
+            assert new.entities is old.entities
+
+    def test_a_name_outside_the_pipeline_is_a_config_error(self, toy_interp, toy_dataset):
+        interp = toy_interp.fresh_copy()
+        interp.parse_incremental(EditType.ADD, "play")
+        with pytest.raises(ConfigError, match="intent_classifer_bow"):
+            interp.component_result("intent_classifer_bow")
+        restart = train_pipeline(load_config(ROOT / "configs" / "restart.yml"), toy_dataset)
+        restart.parse_incremental(EditType.ADD, "play")
+        with pytest.raises(ConfigError, match="intent_sium"):
+            restart.component_result("intent_sium")
+        assert restart.component_result("intent_classifier_bow").intent == "PlayMusic"
 
 
 def _fresh_views(toy_interp, words):

@@ -283,14 +283,14 @@ class TestEntityReadout:
     def test_threshold_is_strict(self):
         model = self._model(threshold=0.6)
         state = self._state_with(model, ["boston"], [("city", 0.6)])
-        assert sium_entities(state) == []
+        assert sium_entities(state) == ()
         state = self._state_with(model, ["boston"], [("city", 0.6000001)])
         assert len(sium_entities(state)) == 1
 
     def test_threshold_one_silences_extraction(self):
         model = self._model(threshold=1.0)
         state = self._state_with(model, ["boston"], [("city", 1.0)])
-        assert sium_entities(state) == []
+        assert sium_entities(state) == ()
 
     def test_gap_splits_spans(self):
         model = self._model()

@@ -556,7 +556,7 @@ def test_incremental_decoding_tracks_a_restart(model_name, every, script):
                         before = _entities(session)
                         with pytest.raises(BufferUnderflowError):
                             session.parse_incremental(EditType.REVOKE)
-                        assert _entities(session) == before == []
+                        assert _entities(session) == before == ()
                         break
                     revoked.append(stack.pop())
                     session.parse_incremental(EditType.REVOKE)
@@ -849,6 +849,30 @@ def _counting(real, calls):
         calls.append(args)
         return real(*args)
     return counting
+
+
+def test_an_add_that_continues_a_span_scans_the_tags_from_its_own_position(monkeypatch):
+    """A span the new tag continues keeps its value, so the ADD scans the
+    tags from the new position on, not from the span's start: a span that
+    grows by one word per ADD costs each ADD the same. The random model
+    tags a stream of unseen words as one growing I-y span."""
+    model = _random_model()
+    session = _tagger_session(model)
+    board = session.board
+    calls = []
+    monkeypatch.setattr(tagging, "_runs", _counting(tagging._runs, calls))
+    continued = 0
+    for n in range(200):
+        tags, spans = board.annotations[TAGS], board.annotations[ENTITIES]
+        calls.clear()
+        session.parse_incremental(EditType.ADD, f"unseen{n}")
+        grown = board.annotations[TAGS]
+        if grown[:n] == tags and spans and spans[-1].end == n and grown[n] == "I-" + spans[-1].type:
+            continued += 1
+            assert [start for _, start in calls] == [n]
+    assert continued > 150
+    tokens = list(session.board.annotations[TOKENS])
+    assert _entities(session) == extract_entities(decode(model, tokens), tokens)
 
 
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
