@@ -4,6 +4,12 @@ The count vector is updated exactly: an add increments one word count, a
 revoke decrements it, so after any balanced edit sequence the vector equals
 a from-scratch recount of the surviving hypothesis. Out-of-vocabulary words
 contribute nothing to the vector but still occupy a buffer position.
+
+The batch vector used in training is int64. The one a session publishes is
+a read-only unsigned array as narrow as its largest count allows: uint8 at
+the start of an utterance, widened to the next unsigned type by the add that
+would overflow it, and never narrowed. Equal counts give the classifier the
+same float row whatever their dtype.
 """
 
 from __future__ import annotations
@@ -112,23 +118,36 @@ def count_vector(vocab: Vocabulary, tokens: Iterable[str]) -> np.ndarray:
     return vec
 
 
-def vector_apply(vec: np.ndarray, vocab: Vocabulary, token: str, edit: EditType) -> np.ndarray:
-    """Apply one edit to a count vector in place and return it.
+# The next wider unsigned type, for an add that would overflow a count.
+_WIDER = {np.dtype(narrow): np.dtype(wide) for narrow, wide in
+          ((np.uint8, np.uint16), (np.uint16, np.uint32), (np.uint32, np.uint64))}
 
-    Out-of-vocabulary tokens are a no-op either way. A revoke that would
-    drive a count negative means the vector no longer tracks the buffer.
+
+def vector_apply(vec: np.ndarray, vocab: Vocabulary, token: str, edit: EditType) -> np.ndarray:
+    """The count vector after one edit, as a new read-only array.
+
+    ``vec`` is a published vector and is never written. An out-of-vocabulary
+    token returns ``vec`` itself. An add that would take a count past its
+    unsigned dtype's maximum returns a copy widened to the next unsigned
+    type. A revoke that would drive a count negative means the vector no
+    longer tracks the buffer.
     """
     idx = vocab.index_of(token)
     if idx is None:
         return vec
+    count = int(vec[idx])
     if edit is ADD:
-        vec[idx] += 1
+        count += 1
+    elif count < 1:
+        raise ConsistencyError(
+            f"revoke of {token!r} would drive its count below zero"
+        )
     else:
-        if vec[idx] < 1:
-            raise ConsistencyError(
-                f"revoke of {token!r} would drive its count below zero"
-            )
-        vec[idx] -= 1
+        count -= 1
+    # A count fits an unsigned type of n bytes if it has no bit above 8n.
+    vec = vec.astype(_WIDER[vec.dtype]) if count >> 8 * vec.itemsize else vec.copy()
+    vec[idx] = count
+    vec.flags.writeable = False
     return vec
 
 
@@ -164,9 +183,11 @@ class WhitespaceTokenizer(Component):
 class CountVectorsFeaturizer(Component):
     """Bag-of-words featurizer with exact add/revoke updates.
 
-    An edit applies to a copy of the vector it published last, which the
-    board holds; it publishes the result read-only and keeps no state of
-    its own.
+    A new utterance publishes a uint8 zero vector. An edit applies to the
+    vector it published last, which the board holds: ``vector_apply`` makes
+    the new read-only one, widened if a count outgrew its dtype, and an
+    out-of-vocabulary word or a republish shares the last one. It keeps no
+    state of its own.
     """
 
     name = "featurizer_count_vectors"
@@ -193,10 +214,11 @@ class CountVectorsFeaturizer(Component):
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         vocab = self._require_vocab()
         vec = board.component_annotations.get((self.name, COUNT_VECTOR))
-        vec = np.zeros(len(vocab), dtype=np.int64) if vec is None else vec.copy()
+        if vec is None:
+            vec = np.zeros(len(vocab), dtype=np.uint8)
+            vec.flags.writeable = False
         if edit is not None:
-            vector_apply(vec, vocab, word, edit)
-        vec.flags.writeable = False
+            vec = vector_apply(vec, vocab, word, edit)
         board.write(self.name, COUNT_VECTOR, vec)
 
     def persist(self, directory: Path) -> None:

@@ -36,7 +36,7 @@ from incnlu.evaluation import (
 from incnlu.features import count_vector, vector_apply
 from incnlu.intent_bow import gradient, loss
 from incnlu.interpreter import load as load_bundle, train_pipeline
-from incnlu.iu import EditType
+from incnlu.iu import COUNT_VECTOR, Blackboard, EditType
 from incnlu.features import tokenize
 from incnlu.tagging import CHECKPOINT_EVERY
 
@@ -166,20 +166,28 @@ def test_criterion_5_count_vector_oracle(bundle):
     featurizer = next(c for c in bundle.interp.components if c.name == "featurizer_count_vectors")
     vocab = featurizer.vocabulary
     words = sorted(vocab.index)[:80] + ["zzz_oov_1", "zzz_oov_2"]
+    # The featurizer's own empty-prefix vector, and the function it applies
+    # each edit with.
+    board = Blackboard()
+    board.begin_cycle()
+    featurizer.process(board)
+    empty = board.annotations[COUNT_VECTOR]
     rng = random.Random(2024)
     started = time.perf_counter()
     mismatches = 0
     for _ in range(EDIT_SEQUENCES):
-        vec = np.zeros(len(vocab), dtype=np.int64)
+        vec = empty
         stack = []
         for _ in range(rng.randrange(4, 14)):
             if stack and rng.random() < 0.4:
-                vector_apply(vec, vocab, stack.pop(), EditType.REVOKE)
+                vec = vector_apply(vec, vocab, stack.pop(), EditType.REVOKE)
             else:
                 word = rng.choice(words)
                 stack.append(word)
-                vector_apply(vec, vocab, word, EditType.ADD)
-        if not np.array_equal(vec, count_vector(vocab, stack)):
+                vec = vector_apply(vec, vocab, word, EditType.ADD)
+        if vec.flags.writeable or vec.dtype.kind != "u" or not np.array_equal(
+            vec, count_vector(vocab, stack)
+        ):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < EDIT_BUDGET_S

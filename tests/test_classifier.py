@@ -62,6 +62,24 @@ def test_zero_epochs_means_uniform_output():
     assert ranking[0][0] == "BookRestaurant"  # ties rank alphabetically
 
 
+def test_equal_counts_of_any_integer_dtype_rank_bit_for_bit_alike():
+    """The session publishes unsigned vectors as narrow as their counts
+    allow; predict casts each to the same float row as the int64 batch
+    vector, so the ranking keeps every bit."""
+    ds = _separable_dataset()
+    vocab = fit_vocabulary(ds)
+    model = train_classifier(ds, vocab, epochs=5)
+    rng = np.random.default_rng(30)
+    for top, dtypes in [
+        (255, (np.uint8, np.uint16, np.uint32, np.uint64, np.int32)),
+        (70_000, (np.uint32, np.uint64)),
+    ]:
+        counts = rng.integers(0, top + 1, size=len(vocab))
+        expected = predict(model, counts.astype(np.int64))
+        for dtype in dtypes:
+            assert predict(model, counts.astype(dtype)) == expected
+
+
 def test_predictions_normalize_and_rank_descending():
     ds = _separable_dataset()
     vocab = fit_vocabulary(ds)

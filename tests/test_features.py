@@ -65,28 +65,50 @@ def test_count_vector_counts_known_words_only(toy_dataset):
     assert vec.dtype == np.int64
 
 
+def _published(counts, dtype=np.uint8):
+    """A count vector as the featurizer publishes it: unsigned and read-only."""
+    vec = np.array(counts, dtype=dtype)
+    vec.flags.writeable = False
+    return vec
+
+
 def test_vector_apply_add_then_revoke_is_identity():
     vocab = Vocabulary.fit([["a", "b", "c"]])
-    vec = count_vector(vocab, ["a", "b"])
-    before = vec.copy()
-    vector_apply(vec, vocab, "c", EditType.ADD)
-    vector_apply(vec, vocab, "c", EditType.REVOKE)
-    assert np.array_equal(vec, before)
+    vec = _published([1, 1, 0])
+    added = vector_apply(vec, vocab, "c", EditType.ADD)
+    assert added.tolist() == [1, 1, 1] and vec.tolist() == [1, 1, 0]
+    back = vector_apply(added, vocab, "c", EditType.REVOKE)
+    assert back.tolist() == [1, 1, 0] and added.tolist() == [1, 1, 1]
+    for out in added, back:
+        assert out.dtype == np.uint8 and not out.flags.writeable
 
 
 def test_vector_apply_ignores_oov_both_ways():
     vocab = Vocabulary.fit([["a"]])
-    vec = np.zeros(1, dtype=np.int64)
-    vector_apply(vec, vocab, "zzz", EditType.ADD)
-    vector_apply(vec, vocab, "zzz", EditType.REVOKE)
-    assert vec.sum() == 0
+    vec = _published([0])
+    assert vector_apply(vec, vocab, "zzz", EditType.ADD) is vec
+    assert vector_apply(vec, vocab, "zzz", EditType.REVOKE) is vec
 
 
 def test_vector_apply_refuses_negative_counts():
     vocab = Vocabulary.fit([["a"]])
-    vec = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ConsistencyError):
-        vector_apply(vec, vocab, "a", EditType.REVOKE)
+    with pytest.raises(ConsistencyError, match="^revoke of 'a' would drive its count below zero$"):
+        vector_apply(_published([0]), vocab, "a", EditType.REVOKE)
+
+
+@pytest.mark.parametrize(
+    "narrow, wide", [(np.uint8, np.uint16), (np.uint16, np.uint32), (np.uint32, np.uint64)]
+)
+def test_an_add_past_the_dtype_maximum_widens_once_and_no_revoke_narrows(narrow, wide):
+    vocab = Vocabulary.fit([["a", "b"]])
+    top = int(np.iinfo(narrow).max)
+    vec = _published([top, 7], narrow)
+    widened = vector_apply(vec, vocab, "a", EditType.ADD)
+    assert widened.dtype == wide and widened.tolist() == [top + 1, 7]
+    assert not widened.flags.writeable and vec.tolist() == [top, 7]
+    assert vector_apply(vec, vocab, "b", EditType.ADD).dtype == narrow
+    back = vector_apply(widened, vocab, "a", EditType.REVOKE)
+    assert back.dtype == wide and back.tolist() == [top, 7]
 
 
 def test_random_edit_stream_matches_recount_oracle():
@@ -95,16 +117,16 @@ def test_random_edit_stream_matches_recount_oracle():
     rng = random.Random(118)
     vocab = Vocabulary.fit([["w%d" % i for i in range(12)]])
     words = list(vocab.index) + ["oov1", "oov2"]
-    vec = np.zeros(len(vocab), dtype=np.int64)
+    vec = _published(np.zeros(len(vocab)))
     stack = []
     for _ in range(800):
         if stack and rng.random() < 0.45:
             word = stack.pop()
-            vector_apply(vec, vocab, word, EditType.REVOKE)
+            vec = vector_apply(vec, vocab, word, EditType.REVOKE)
         else:
             word = rng.choice(words)
             stack.append(word)
-            vector_apply(vec, vocab, word, EditType.ADD)
+            vec = vector_apply(vec, vocab, word, EditType.ADD)
         assert np.array_equal(vec, count_vector(vocab, stack))
 
 
@@ -168,6 +190,52 @@ class TestCountVectorsFeaturizer:
         assert np.array_equal(
             board.annotations[COUNT_VECTOR], count_vector(vocab, ["book", "a"])
         )
+
+    def test_a_count_widens_on_its_256th_add_and_stays_wide(self, toy_dataset):
+        """The featurizer publishes uint8 up to a count of 255, uint16 from
+        the 256th ADD of a word on, with every other count as before, and
+        uint16 after a REVOKE back to 255. A REVOKE below zero is refused
+        with the same message at any width. An out-of-vocabulary ADD or
+        REVOKE, and a republish, share the last published array."""
+        feat = self._trained(toy_dataset)
+        vocab = feat.vocabulary
+        board = Blackboard()
+        board.begin_cycle()
+        feat.process(board)
+        assert board.annotations[COUNT_VECTOR].dtype == np.uint8
+        stack = []
+
+        def edit(kind, word):
+            if kind is EditType.ADD:
+                stack.append(word)
+            else:
+                stack.remove(word)
+            board.begin_cycle()
+            feat.process(board, kind, word)
+            return board.annotations[COUNT_VECTOR]
+
+        edit(EditType.ADD, "play")
+        for _ in range(255):
+            vec = edit(EditType.ADD, "jazz")
+        assert vec.dtype == np.uint8 and vec[vocab.index_of("jazz")] == 255
+        assert np.array_equal(vec, count_vector(vocab, stack))
+        vec = edit(EditType.ADD, "jazz")
+        assert vec.dtype == np.uint16 and vec[vocab.index_of("jazz")] == 256
+        assert np.array_equal(vec, count_vector(vocab, stack))
+        vec = edit(EditType.REVOKE, "jazz")
+        assert vec.dtype == np.uint16 and not vec.flags.writeable
+        assert np.array_equal(vec, count_vector(vocab, stack))
+        with pytest.raises(
+            ConsistencyError, match="^revoke of 'book' would drive its count below zero$"
+        ):
+            feat.process(board, EditType.REVOKE, "book")
+        for kind in EditType.ADD, EditType.REVOKE:
+            board.begin_cycle()
+            feat.process(board, kind, "quasar")
+            assert board.annotations[COUNT_VECTOR] is vec
+        board.begin_cycle()
+        feat.process(board)
+        assert board.annotations[COUNT_VECTOR] is vec
 
     def test_untrained_featurizer_refuses_to_run(self):
         feat = CountVectorsFeaturizer()

@@ -30,6 +30,8 @@ from incnlu.config import (
     parse_config,
 )
 from incnlu.data import TrainingDataset
+from incnlu.features import count_vector
+from incnlu.intent_bow import predict
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
 from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, EditType
 from incnlu.registry import REGISTRY
@@ -913,6 +915,61 @@ def test_shadowed_views_read_after_any_edits_land_on_a_fresh_run(toy_interp, scr
                 step = revoked.pop()
             stack.append(step)
             session.parse_incremental(EditType.ADD, step)
+
+
+def _published_bag(session, stack):
+    """The featurizer's published vector is read-only, unsigned and equal to
+    the batch count of the survivors; BoW's published ranking is, bit for
+    bit, ``predict`` on an int64 copy of it."""
+    comps = {c.name: c for c in session.components}
+    vec = session.board.component_view("featurizer_count_vectors")["count_vector"]
+    assert not vec.flags.writeable and vec.dtype.kind == "u"
+    assert np.array_equal(vec, count_vector(comps["featurizer_count_vectors"].vocabulary, stack))
+    ranking = session.component_result("intent_classifier_bow").intent_ranking
+    assert ranking == predict(comps["intent_classifier_bow"].model, vec.astype(np.int64))
+    return vec
+
+
+@settings(deadline=None)
+@given(script=st.lists(_STEPS, max_size=30))
+def test_the_published_bag_after_any_edits_is_the_batch_count(toy_interp, script):
+    """After every step of any ADD/REVOKE/refresh script, out-of-vocabulary
+    words included, the published count vector and BoW's ranking are those
+    of the surviving words (``_published_bag``)."""
+    session = toy_interp.fresh_copy()
+    stack: list[str] = []
+    revoked: list[str] = []
+    _published_bag(session, stack)
+    for step in script:
+        if step == "refresh":
+            session.refresh()
+        elif isinstance(step, int):
+            for _ in range(min(step, len(stack))):
+                revoked.append(stack.pop())
+                session.parse_incremental(EditType.REVOKE)
+                _published_bag(session, stack)
+            continue
+        else:
+            if step == "readd":
+                if not revoked:
+                    continue
+                step = revoked.pop()
+            stack.append(step)
+            session.parse_incremental(EditType.ADD, step)
+        _published_bag(session, stack)
+
+
+def test_a_widened_bag_ranks_as_its_batch_count(toy_interp):
+    """The 256th ADD of a word publishes a uint16 vector through the
+    pipeline, and BoW ranks it as the int64 batch count."""
+    session = toy_interp.fresh_copy()
+    stack = ["play"] + ["jazz"] * 255
+    for word in stack:
+        session.parse_incremental(EditType.ADD, word)
+    assert _published_bag(session, stack).dtype == np.uint8
+    stack.append("jazz")
+    session.parse_incremental(EditType.ADD, "jazz")
+    assert _published_bag(session, stack).dtype == np.uint16
 
 
 def _set_field(line_no, field, value):

@@ -75,7 +75,9 @@ def _load_tool(name):
 
 def test_ab_summary_on_fixed_numbers():
     """Medians, quartiles, pairs won (ties for neither), the spread test and
-    the bound test, for a lower-is-better and a higher-is-better metric."""
+    the two bound tests, for a lower-is-better and a higher-is-better
+    metric. A change better than the bound beats the parent's median by
+    more than the bound; one within it, such as -5.9% against 15%, is not."""
     ab = _load_tool("ab")
     assert ab.parse_seeds("41-50") == list(range(41, 51))
     assert ab.parse_seeds("41,43-44") == [41, 43, 44]
@@ -85,15 +87,22 @@ def test_ab_summary_on_fixed_numbers():
     assert (row["parent_median"], row["parent_q1"], row["parent_q3"]) == (100.0, 98.0, 102.0)
     assert row["change_median"] == 80.0 and row["change_pct"] == -20.0
     assert (row["wins"], row["pairs"]) == (4, 5)  # the tie at 104 counts for neither
-    assert row["beyond_spread"] and not row["worse_than_bound"]
+    assert row["beyond_spread"] and not row["worse_than_bound"] and row["better_than_bound"]
+    row = ab.summarize(latency, parent, [94.0, 95.0, 94.1, 93.9, 94.2])
+    assert row["wins"] == 5 and row["beyond_spread"] and not row["better_than_bound"]
+    assert "better than bound: no" in ab.format_row(row)
     row = ab.summarize(latency, parent, [116.0, 120.0, 110.0, 118.0, 112.0])
     assert row["wins"] == 0 and row["beyond_spread"] and row["worse_than_bound"]
+    assert not row["better_than_bound"]
     row = ab.summarize(latency, parent, [101.0, 103.0, 99.0, 97.0, 100.0])
     assert not row["beyond_spread"] and not row["worse_than_bound"]
     rate = {"name": "edits_per_s", "unit": "edits/s", "better": "higher", "bound": 0.15}
     row = ab.summarize(rate, [1000.0, 1100.0, 900.0], [800.0, 1200.0, 700.0])
     assert row["wins"] == 1 and row["change_pct"] == -20.0 and row["worse_than_bound"]
-    assert "won 1/3" in ab.format_row(row)
+    assert "won 1/3" in ab.format_row(row) and not row["better_than_bound"]
+    row = ab.summarize(rate, [1000.0, 1100.0, 900.0], [1200.0, 1300.0, 1100.0])
+    assert row["wins"] == 3 and row["better_than_bound"] and not row["worse_than_bound"]
+    assert "better than bound: yes" in ab.format_row(row)
 
 
 def test_fingerprint_names_the_outputs_that_moved():

@@ -12,7 +12,8 @@ standard output, one JSON object. For every end-to-end metric that
 - this checkout's median and its change in %;
 - the pairs (runs of one seed) this checkout won, ties counting for neither;
 - whether the medians differ by more than the parent's quartile spread;
-- whether this checkout is worse than the metric's bound.
+- whether this checkout is worse than the metric's bound, or better than it:
+  its median beats the parent's by more than the bound.
 
 It exits 1 if a run was not ``correct`` or had failed operations. It changes
 nothing under ``editbench/``; ``run.py`` still writes its own reports to
@@ -69,6 +70,7 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
         "pairs": len(parent),
         "beyond_spread": abs(changed - median) > q3 - q1,
         "worse_than_bound": worse > metric["bound"] * abs(median),
+        "better_than_bound": -worse > metric["bound"] * abs(median),
     }
 
 
@@ -78,7 +80,8 @@ def format_row(row: dict) -> str:
             f"change {row['change_median']:12.4f} ({row['change_pct']:+6.1f}%)  "
             f"won {row['wins']}/{row['pairs']}  "
             f"beyond spread: {'yes' if row['beyond_spread'] else 'no'}  "
-            f"worse than bound: {'YES' if row['worse_than_bound'] else 'no'}")
+            f"worse than bound: {'YES' if row['worse_than_bound'] else 'no'}  "
+            f"better than bound: {'yes' if row['better_than_bound'] else 'no'}")
 
 
 def main(argv=None) -> int:
