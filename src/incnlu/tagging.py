@@ -9,7 +9,8 @@ and computes only the columns an edit changes: the right-context feature
 ``nw=`` makes a column final once the next word is known. Its emission rows
 are sums of each word's parts (:class:`WordParts`), which depend only on
 the word: the model memoises them per known word on first use, lowered if
-the component lowercases, and every session shares the memo, so the
+the component lowercases, and those of any other word under the head
+features it knows of that word. Every session shares the memos, so the
 lattice builds no feature string. The lattice keeps one kind of row: a
 position's best-predecessor scores, held for every CHECKPOINT_EVERY-th
 position and the KEPT_PREDECESSORS newest. An ADD computes one new column,
@@ -38,7 +39,9 @@ weights are those of decoding every sentence in every epoch. An averaged
 weight is the weight's total over the sentence steps divided by the step
 count. Scaling every score by the same positive count moves no argmax, so
 the model keeps the totals and never divides, and the model file stores
-them: one line per nonzero total, and a last line holding the step count.
+them: after the tag-set header, one line per feature with a nonzero total,
+holding the feature and then a tag index and total for each of its nonzero
+totals, in ascending index; a last line holds the step count.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +136,8 @@ class TaggerModel:
 
     The streaming path reads a token's weights through :meth:`word_parts`,
     memoised per known word on first use and shared by every session on
-    the model. Unseen words are not kept, so the memo is bounded by the
-    model, not by the input.
+    the model. Unseen words are kept by the head features the model knows
+    of them, so every memo is bounded by the model, not by the input.
     """
 
     tags: list[str]
@@ -159,9 +163,11 @@ class TaggerModel:
         self._end_nw = self.weights.get(f"nw={END}")
         self._digit = self.weights.get("digit")
         # word_parts memos, for tokens read as they are and lowered: at most
-        # one entry per known word each. Not fields, so a copy made through
-        # ``dataclasses.replace`` starts its own.
+        # one entry per known word each; and one for the other words, keyed
+        # by the head features the model knows of them. Not fields, so a copy
+        # made through ``dataclasses.replace`` starts its own.
         self._memos: tuple[dict[str, WordParts], dict[str, WordParts]] = ({}, {})
+        self._unseen: dict[tuple[str | bool, ...], WordParts] = {}
 
     def transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         return self._transitions
@@ -170,17 +176,24 @@ class TaggerModel:
         """The emission parts of ``token`` as the lattice reads it: lowered
         if ``lowercase``. They are memoised under that word if the weights
         know it by its ``w=``, ``pw=`` or ``nw=`` feature, so "Boston" finds
-        the parts of "boston"; an unseen word's parts are summed anew on
-        each call."""
+        the parts of "boston". Any other word's parts are its ``lw=``,
+        ``p3=`` and ``s3=`` weights and its ``digit`` flag alone, so they
+        are memoised under the ones of those features the weights know and
+        that flag: a key the model bounds, however many words share it."""
         memo = self._memos[lowercase]
         parts = memo.get(token)  # with lowercase, every key is a word lowering leaves as it is
         if parts is None:
             word = token.lower() if lowercase else token
             parts = memo.get(word)
             if parts is None:
-                parts = WordParts(self, word)
-                if parts.pw is not None or parts.nw is not None or f"w={word}" in self.weights:
-                    memo[word] = parts
+                weights = self.weights
+                if f"w={word}" in weights or f"pw={word}" in weights or f"nw={word}" in weights:
+                    parts = memo[word] = WordParts(self, word)
+                else:
+                    key = (*[feat for feat in _head_features(word)[2:] if feat in weights], word.isdigit())
+                    parts = self._unseen.get(key)
+                    if parts is None:
+                        parts = self._unseen[key] = WordParts(self, word)
         return parts
 
 
@@ -619,10 +632,11 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
-        feats = sorted(model.weights)
-        totals = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
         lines = ["#tags\t" + "\t".join(model.tags)]
-        lines += [f"{feats[r]}\t{model.tags[t]}\t{totals[r, t]}" for r, t in zip(*np.nonzero(totals))]
+        for feat in sorted(model.weights):
+            pairs = [f"{t}\t{total}" for t, total in enumerate(model.weights[feat].tolist()) if total]
+            if pairs:
+                lines.append("\t".join([feat, *pairs]))
         lines.append(f"#steps\t{model.steps}")
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -631,30 +645,35 @@ class SequenceEntityTagger(Component):
         comp = cls(params)
         lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
         header, *tags = lines[0].split("\t")
-        tag_idx = {t: i for i, t in enumerate(tags)}
-        if header != "#tags" or not tags or "" in tags or len(tag_idx) < len(tags):
+        n_tags = len(tags)
+        if header != "#tags" or not tags or "" in tags or len(set(tags)) < n_tags:
             raise ValueError(f"{lines[0]!r} is not a tag-set header naming distinct tags")
         label, _, raw = lines[-1].partition("\t")
         steps = int(raw) if label == "#steps" and raw.isdecimal() else 0
         if steps < 1:
             raise ValueError(f"the last line, {lines[-1]!r}, is not '#steps' and a positive step count")
-        # Each line's total goes to its (feature, tag) cell of one table.
-        rows: dict[str, int] = {}
-        cells, totals = [], []
-        for line in lines[1:-1]:
-            if not line:
-                continue
-            feat, tag, raw = line.rsplit("\t", 2)
-            try:
-                totals.append(int(raw))
-            except ValueError:
-                raise ValueError(f"{line!r}: total is not an integer") from None
-            cells.append(rows.setdefault(feat, len(rows)) * len(tags) + tag_idx[tag])
-        if len(set(cells)) < len(cells):
-            raise ValueError("a (feature, tag) cell has more than one line")
-        # A total past int64 gives the table another type, which the model refuses.
-        values = np.array(totals)
-        table = np.zeros((len(rows), len(tags)), dtype=values.dtype)
-        table.ravel()[cells] = values
-        comp.model = TaggerModel(tags=tags, weights=dict(zip(rows, table)), steps=steps)
+        # Each feature line is the feature, then (tag index, total) pairs.
+        body = [line.split("\t") for line in lines[1:-1]]
+        feats = [fields[0] for fields in body]
+        widths = np.array([*map(len, body)], dtype=np.intp)
+        if (widths % 2 == 0).any() or (widths < 3).any():
+            raise ValueError("a feature line is not a feature and one or more (tag index, total) pairs")
+        if len(set(feats)) < len(feats):
+            raise ValueError("a feature has more than one line")
+        try:
+            numbers = np.fromiter(map(int, chain.from_iterable(fields[1:] for fields in body)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ValueError("a tag index or total is not an int64 integer") from None
+        index, totals = numbers[0::2], numbers[1::2]
+        if index.size and not 0 <= index.min() <= index.max() < n_tags:
+            raise ValueError(f"a tag index is outside 0..{n_tags - 1}")
+        if not totals.all():
+            raise ValueError("a total is zero")
+        # Each pair's total goes to its (feature, tag) cell of one table.
+        cells = np.repeat(np.arange(len(body)) * n_tags, widths // 2) + index
+        if np.unique(cells).size < cells.size:
+            raise ValueError("a feature line names a tag index twice")
+        table = np.zeros((len(body), n_tags), dtype=np.int64)
+        table.ravel()[cells] = totals
+        comp.model = TaggerModel(tags=tags, weights=dict(zip(feats, table)), steps=steps)
         return comp

@@ -972,17 +972,26 @@ def test_a_widened_bag_ranks_as_its_batch_count(toy_interp):
     assert _published_bag(session, stack).dtype == np.uint16
 
 
-def _set_field(line_no, field, value):
-    """Edit that overwrites one tab-separated field of one line."""
+def _edit_fields(line_no, change):
+    """Edit that replaces the tab-separated fields of one line with
+    ``change`` of them."""
 
     def edit(text):
         lines = text.split("\n")
-        parts = lines[line_no].split("\t")
-        parts[field] = value
-        lines[line_no] = "\t".join(parts)
+        lines[line_no] = "\t".join(change(lines[line_no].split("\t")))
         return "\n".join(lines)
 
     return edit
+
+
+def _set_field(line_no, field, value):
+    """Edit that overwrites one tab-separated field of one line."""
+
+    def change(parts):
+        parts[field] = value
+        return parts
+
+    return _edit_fields(line_no, change)
 
 
 def _delete_line(line_no):
@@ -1027,6 +1036,8 @@ _VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
 # One edit per case, each leaving a bundle whose checksum is valid again
 # (None deletes the file).
 _MALFORMED = {
+    # A tagger line is a feature, then (tag index, total) pairs: field -1 is
+    # the last pair's total and field -2 its tag index.
     "tagger-weight-not-a-float": (_TAGGER, _set_field(1, -1, "heavy")),
     "tagger-tag-unknown": (_TAGGER, _set_field(1, -2, "B-nosuch")),
     # Each of the next four loaded silently: a NaN weight parses to an intent
@@ -1041,6 +1052,18 @@ _MALFORMED = {
     "tagger-total-past-int64": (_TAGGER, _set_field(1, -1, str(-2**70))),
     # This one loaded, and the last of the repeated lines gave the weight.
     "tagger-total-repeated": (_TAGGER, lambda text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1)),
+    "tagger-total-zero": (_TAGGER, _set_field(1, -1, "0")),
+    "tagger-pair-incomplete": (_TAGGER, _edit_fields(1, lambda fields: fields[:-1])),
+    # The toy tagger has 7 tags.
+    "tagger-tag-index-out-of-range": (_TAGGER, _set_field(1, -2, "7")),
+    "tagger-tag-index-negative": (_TAGGER, _set_field(1, -2, "-1")),
+    "tagger-tag-index-repeated": (_TAGGER, _edit_fields(1, lambda fields: [*fields, *fields[1:3]])),
+    # The first pair stays on the line and the rest go to a new one.
+    "tagger-feature-on-two-lines": (
+        _TAGGER,
+        _edit_fields(1, lambda fields: ["\t".join(fields[:3]) + "\n" + fields[0], *fields[3:]]),
+    ),
+    "tagger-feature-without-pair": (_TAGGER, _edit_fields(1, lambda fields: fields[:1])),
     "tagger-steps-missing": (_TAGGER, _delete_line(-2)),
     "tagger-steps-not-an-int": (_TAGGER, _set_field(-2, -1, "5600.0")),
     "tagger-steps-zero": (_TAGGER, _set_field(-2, -1, "0")),
@@ -1127,9 +1150,10 @@ class TestBundles:
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         # Schema 1 kept parameters in per-component params.tsv files, schema
-        # 2 kept SIUM's log tables instead of its counts, and schema 3 kept
-        # the tagger's weights as decimals instead of its integer totals.
-        for version in (999, 1, 2, 3):
+        # 2 kept SIUM's log tables instead of its counts, schema 3 kept the
+        # tagger's weights as decimals instead of its integer totals, and
+        # schema 4 kept one tagger line per (feature, tag) cell, naming the tag.
+        for version in (999, 1, 2, 3, 4):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):

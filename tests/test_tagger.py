@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incnlu import (
@@ -436,15 +436,55 @@ class TestTaggerComponent:
 
 def _assert_integer_totals(path, model):
     """The model file at ``path`` holds ``model``'s tags, then one line per
-    nonzero total with that integer, then the step count."""
+    feature with a nonzero total: the feature, then a tag index and that
+    integer for each of its nonzero totals, in ascending index. Last comes
+    the step count."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "#tags\t" + "\t".join(model.tags)
     assert lines[-1] == f"#steps\t{model.steps}"
+    feats = []
     for line in lines[1:-1]:
-        feat, tag, total = line.rsplit("\t", 2)
-        assert total == str(int(total)) != "0", line
-        assert int(total) == model.weights[feat][model.tags.index(tag)], line
-    assert len(lines) - 2 == sum(np.count_nonzero(vec) for vec in model.weights.values())
+        feat, *fields = line.split("\t")
+        feats.append(feat)
+        index, totals = fields[0::2], fields[1::2]
+        assert index and len(index) == len(totals), line
+        assert index == [str(t) for t in np.flatnonzero(model.weights[feat])], line
+        assert totals == [str(model.weights[feat][int(t)]) for t in index], line
+    assert feats == sorted(feat for feat, vec in model.weights.items() if vec.any())
+
+
+_TAG_NAMES = st.text(st.characters(codec="ascii", categories=["L", "N", "P"]), min_size=1, max_size=6)
+_FEATURES = st.text(st.characters(exclude_categories=["Z", "Cc", "Cs"]), max_size=8).filter(
+    lambda feat: not any(c.isspace() for c in feat))
+
+
+@st.composite
+def _models(draw):
+    tags = draw(st.lists(_TAG_NAMES, min_size=1, max_size=6, unique=True))
+    total = st.integers(-_BOUND + 1, _BOUND - 1) | st.just(0)
+    weights = draw(st.dictionaries(_FEATURES, st.lists(total, min_size=len(tags), max_size=len(tags)),
+                                   max_size=12))
+    steps = draw(st.integers(1, 2**40))
+    return tags, {feat: np.array(row, dtype=np.int64) for feat, row in weights.items()}, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models())
+@example((["O"], {}, 1))
+def test_any_model_persists_and_loads_with_its_tags_steps_and_bits(tmp_path_factory, case):
+    """Any tag set, whitespace-free feature strings and int64 totals within
+    the bound, all-zero rows and a model with no weight included, come back
+    from the model file as they went in; a feature whose totals are all
+    zero is not written."""
+    tags, weights, steps = case
+    directory = tmp_path_factory.mktemp("tagger")
+    comp = SequenceEntityTagger()
+    comp.model = TaggerModel(tags=tags, weights=weights, steps=steps)
+    comp.persist(directory)
+    _assert_integer_totals(directory / "model.tsv", comp.model)
+    loaded = SequenceEntityTagger.load(directory, {}).model
+    assert loaded.steps == steps
+    _assert_same_bits(loaded, tags, weights)
 
 
 def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path):
@@ -988,11 +1028,34 @@ def test_a_different_word_put_back_drops_the_scores_held_from_it(toy_interp, pos
     assert session.board.buffer.hypothesis() == survivors
 
 
+def test_an_unseen_word_sums_its_parts_once_however_often_it_is_read():
+    """A word the weights know by no ``w=``, ``pw=`` or ``nw=`` feature has
+    its parts summed once, in the first session that reads it: neither the
+    up to three ADDs that read each of its positions, nor REVOKEs, redos,
+    its repeats or a second session sum them again, and "zubax" shares the
+    parts of "zubay", as the model knows of both only "p3=zub". Each known
+    word is summed once too, and the entities are those of a batch decode."""
+    model = _random_model()
+    assert not {"w=zubay", "pw=zubay", "nw=zubay", "lw=zubay", "s3=bay", "s3=bax"} & set(model.weights)
+    script = ["zubay", "zubay", "in", "zubay", "-", "-", "zubay", "zubay", "zubax", "zubay", "-", "boston"]
+    with mock.patch.object(tagging, "WordParts", wraps=tagging.WordParts) as spy:
+        for session in (_tagger_session(model), _tagger_session(model)):
+            for word in script:
+                if word == "-":
+                    session.parse_incremental(EditType.REVOKE)
+                else:
+                    session.parse_incremental(EditType.ADD, word)
+            tokens = list(session.board.annotations[TOKENS])
+            assert _entities(session) == extract_entities(decode(model, tokens), tokens)
+    assert sorted(call.args[1] for call in spy.call_args_list) == ["boston", "in", "zubay"]
+
+
 def test_unseen_words_do_not_grow_the_shared_memo():
     """The emission memo keeps the words the weights know, once each, and
     only those: the 64 case variants of "boston" that a case-keeping
     tokenizer publishes share one entry, and 10,000 distinct unseen words,
-    streamed through two sessions on the same model, add none."""
+    streamed through two sessions on the same model, add none; their parts
+    are kept under one of two keys."""
     model = _random_model()
     tagger = SequenceEntityTagger({"lowercase": True})
     tagger.model = model
@@ -1011,6 +1074,9 @@ def test_unseen_words_do_not_grow_the_shared_memo():
     for k in range(10_000):
         sessions[1 + k % 2].parse_incremental(EditType.ADD, f"unseen{k}")
     assert [dict(memo) for memo in model._memos] == memos
+    # Their parts are kept by the head features the model knows of them:
+    # none, or "s3=019" for the words ending as "2019" does.
+    assert set(model._unseen) == {(False,), ("s3=019", False)}
     for session in sessions:
         tokens = [w.lower() for w in session.board.annotations[TOKENS]]
         assert _entities(session) == extract_entities(decode(model, tokens), tokens)
