@@ -19,7 +19,6 @@ from .data import (
     load_json,
     load_markdown,
     save_json,
-    save_markdown,
     stratified_split,
 )
 from .errors import (
@@ -42,7 +41,7 @@ from .evaluation import (
     run_equivalence,
     run_noise_protocol,
 )
-from .features import Vocabulary, count_vector, fit_vocabulary, tokenize
+from .features import Vocabulary, count_vector, tokenize
 from .interpreter import IncrementalInterpreter, load, train_pipeline
 from .iu import Blackboard, EditType, IncrementalUnit, IuBuffer
 from .results import EntitySpan, NluResult
@@ -79,7 +78,6 @@ __all__ = [
     "evaluate",
     "f1_entities",
     "f1_intent",
-    "fit_vocabulary",
     "load",
     "load_config",
     "load_dataset",
@@ -89,7 +87,6 @@ __all__ = [
     "run_equivalence",
     "run_noise_protocol",
     "save_json",
-    "save_markdown",
     "stratified_split",
     "tokenize",
     "train_pipeline",

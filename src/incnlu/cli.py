@@ -1,11 +1,12 @@
 """Command-line front end: train, eval, parse, and a word-stream mode.
 
 Exit codes are part of the contract: 0 for success, 1 for usage, config,
-or data problems, 2 when an evaluation consistency check fails. The stream
-mode is line-oriented so it can sit at the end of a shell pipe: one word
-per line to add, ``<REVOKE>`` to retract, a blank line to end the
-utterance; every edit answers with one tab-separated result line. Input
-text, from a file or standard input, is read as UTF-8 whatever the locale.
+data or file-system problems, 2 when an evaluation consistency check
+fails. The stream mode is line-oriented so it can sit at the end of a
+shell pipe: one word per line to add, ``<REVOKE>`` to retract, a blank
+line to end the utterance; every edit answers with one tab-separated
+result line. Input text, from a file or standard input, is read as UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -163,10 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except IncnluError as exc:
-        print(f"incnlu {args.command}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except FileNotFoundError as exc:
+    except (IncnluError, OSError) as exc:
         print(f"incnlu {args.command}: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

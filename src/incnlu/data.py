@@ -60,12 +60,27 @@ class TrainingDataset:
         return len(self.examples)
 
 
+def _check_label(label: str, kind: str, where: str) -> None:
+    """Refuse a label that the bundle's line-per-entry files cannot hold."""
+    heading = label.startswith("[") and label.endswith("]")
+    if "\t" in label or label.splitlines() != [label] or heading:
+        raise DataError(
+            f"{where}: {kind} {label!r} holds a tab or a line break, or is a [section] heading"
+        )
+
+
 def _validate_example(text: str, intent: str, entities: list[EntityAnnotation], where: str) -> None:
     if not isinstance(text, str) or not text.strip():
         raise DataError(f"{where}: utterance text is empty")
     if not isinstance(intent, str) or not intent:
         raise DataError(f"{where}: missing intent label")
+    _check_label(intent, "intent", where)
     for ann in entities:
+        _check_label(ann.type, "entity type", where)
+        if ann.type == NO_ENTITY:
+            raise DataError(
+                f"{where}: entity type {NO_ENTITY!r} is reserved for words outside every entity"
+            )
         if not (0 <= ann.start < ann.end <= len(text)):
             raise DataError(
                 f"{where}: entity span [{ann.start}, {ann.end}) out of range for text of length {len(text)}"
@@ -218,27 +233,6 @@ def save_json(dataset: TrainingDataset, path: str | Path) -> None:
         }
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def save_markdown(dataset: TrainingDataset, path: str | Path) -> None:
-    """Write the markdown form, one heading per intent in sorted order."""
-    by_intent: dict[str, list[TrainingExample]] = defaultdict(list)
-    for ex in dataset.examples:
-        by_intent[ex.intent].append(ex)
-    lines = []
-    for intent in sorted(by_intent):
-        lines.append(f"## intent:{intent}")
-        for ex in by_intent[intent]:
-            pieces = []
-            cursor = 0
-            for ann in sorted(ex.entities, key=lambda a: a.start):
-                pieces.append(ex.text[cursor:ann.start])
-                pieces.append(f"[{ann.value}]({ann.type})")
-                cursor = ann.end
-            pieces.append(ex.text[cursor:])
-            lines.append("- " + "".join(pieces))
-        lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 def bio_tags(

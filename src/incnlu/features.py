@@ -98,16 +98,6 @@ class Vocabulary:
         return cls(index, lowercase=lowercase)
 
 
-def fit_vocabulary(dataset, lowercase: bool = True) -> Vocabulary:
-    """Fit a vocabulary over every utterance in a training dataset."""
-    if not dataset.examples:
-        raise DataError("cannot fit a vocabulary on an empty corpus")
-    return Vocabulary.fit(
-        (tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples),
-        lowercase=lowercase,
-    )
-
-
 def count_vector(vocab: Vocabulary, tokens: Iterable[str]) -> np.ndarray:
     """Batch word-count vector of a token sequence."""
     vec = np.zeros(len(vocab), dtype=np.int64)

@@ -71,13 +71,6 @@ class IuBuffer:
             raise BufferUnderflowError("revoke on an empty hypothesis")
         return self.units.pop()
 
-    def hypothesis(self) -> list[str]:
-        """Surviving words in add order."""
-        return [unit.word for unit in self.units]
-
-    def __len__(self) -> int:
-        return len(self.units)
-
 
 class Blackboard:
     """Shared per-utterance state bus.
@@ -161,26 +154,3 @@ class Blackboard:
         self.annotations = {}
         self.component_annotations = {}
         self.edit_log = []
-
-
-def format_iu_line(unit_id: int, edit: EditType, word: str) -> str:
-    """Render one edit event as a log line: ``<id>\\t<ADD|REVOKE>\\t<word>``."""
-    return f"{unit_id}\t{edit.value}\t{word}"
-
-
-def parse_iu_line(line: str) -> tuple[int, EditType, str]:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 3:
-        raise InvalidPayloadError(f"malformed unit line: {line!r}")
-    raw_id, raw_edit, word = parts
-    try:
-        unit_id = int(raw_id)
-        edit = EditType(raw_edit)
-    except ValueError as exc:
-        raise InvalidPayloadError(f"malformed unit line: {line!r}") from exc
-    return unit_id, edit, _check_word(word)
-
-
-def format_edit_log(board: Blackboard) -> str:
-    """Serialize a blackboard's edit history, one line per event."""
-    return "\n".join(format_iu_line(i, e, w) for i, e, w in board.edit_log)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from incnlu import ConsistencyError
 from incnlu.data import TrainingDataset, TrainingExample
-from incnlu.features import Vocabulary, count_vector, fit_vocabulary, tokenize
+from incnlu.features import Vocabulary, count_vector, tokenize
 from incnlu.intent_bow import (
     BowIntentClassifier,
     LinearIntentModel,
@@ -29,6 +29,10 @@ def _separable_dataset():
     return TrainingDataset(rows)
 
 
+def _fit_vocabulary(dataset):
+    return Vocabulary.fit(tokenize(ex.text) for ex in dataset.examples)
+
+
 def _fd_gradient(weights, inputs, labels, l2, h=1e-6):
     """Central finite differences over every weight entry."""
     grad = np.zeros_like(weights)
@@ -44,7 +48,7 @@ def _fd_gradient(weights, inputs, labels, l2, h=1e-6):
 
 def test_separable_toy_problem_is_fit_exactly():
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     model = train_classifier(ds, vocab)
     for text, intent in [("play music", "PlayMusic"), ("book table", "BookRestaurant")]:
         ranking = predict(model, count_vector(vocab, tokenize(text)))
@@ -55,7 +59,7 @@ def test_separable_toy_problem_is_fit_exactly():
 def test_zero_epochs_means_uniform_output():
     # Zero-initialized weights score every intent identically.
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     model = train_classifier(ds, vocab, epochs=0)
     ranking = predict(model, count_vector(vocab, tokenize("play music")))
     np.testing.assert_allclose([p for _, p in ranking], 0.5, rtol=0, atol=1e-12)
@@ -67,7 +71,7 @@ def test_equal_counts_of_any_integer_dtype_rank_bit_for_bit_alike():
     allow; predict casts each to the same float row as the int64 batch
     vector, so the ranking keeps every bit."""
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     model = train_classifier(ds, vocab, epochs=5)
     rng = np.random.default_rng(30)
     for top, dtypes in [
@@ -82,7 +86,7 @@ def test_equal_counts_of_any_integer_dtype_rank_bit_for_bit_alike():
 
 def test_predictions_normalize_and_rank_descending():
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     model = train_classifier(ds, vocab, epochs=5)
     rng = np.random.default_rng(8)
     for _ in range(30):
@@ -94,7 +98,7 @@ def test_predictions_normalize_and_rank_descending():
 
 
 _TOY = TrainingDataset([make_example(*row) for row in toy_rows()])
-_TOY_VOCAB = fit_vocabulary(_TOY)
+_TOY_VOCAB = _fit_vocabulary(_TOY)
 _TOY_MODEL = train_classifier(_TOY, _TOY_VOCAB, epochs=5)
 
 
@@ -113,7 +117,7 @@ def test_predict_is_bit_equal_to_the_training_path(counts):
 
 def test_dimension_mismatch_is_rejected():
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     model = train_classifier(ds, vocab, epochs=1)
     with pytest.raises(ConsistencyError):
         predict(model, np.zeros(len(vocab) + 3))
@@ -121,7 +125,7 @@ def test_dimension_mismatch_is_rejected():
 
 def test_training_is_deterministic():
     ds = _separable_dataset()
-    vocab = fit_vocabulary(ds)
+    vocab = _fit_vocabulary(ds)
     a = train_classifier(ds, vocab, seed=7)
     b = train_classifier(ds, vocab, seed=7)
     assert np.array_equal(a.weights, b.weights)
@@ -162,7 +166,7 @@ def test_l2_penalty_spares_the_bias_row():
 class TestBowComponent:
     def test_persist_load_round_trip(self, tmp_path):
         ds = _separable_dataset()
-        vocab = fit_vocabulary(ds)
+        vocab = _fit_vocabulary(ds)
         comp = BowIntentClassifier({"epochs": 10})
         from incnlu.components import TrainingContext
 
@@ -175,7 +179,7 @@ class TestBowComponent:
 
     def test_weight_file_is_byte_stable(self, tmp_path):
         ds = _separable_dataset()
-        vocab = fit_vocabulary(ds)
+        vocab = _fit_vocabulary(ds)
         blobs = []
         for run in range(2):
             comp = BowIntentClassifier({"epochs": 10})
@@ -193,7 +197,7 @@ class TestBowComponent:
         from incnlu.iu import Blackboard
 
         ds = _separable_dataset()
-        vocab = fit_vocabulary(ds)
+        vocab = _fit_vocabulary(ds)
         comp = BowIntentClassifier({"epochs": 1})
         from incnlu.components import TrainingContext
 
@@ -211,7 +215,7 @@ class TestBowComponent:
         from incnlu.components import TrainingContext
 
         ds = _separable_dataset()
-        vocab = fit_vocabulary(ds)
+        vocab = _fit_vocabulary(ds)
         comp = BowIntentClassifier()
         comp.train(ds, TrainingContext(dataset=ds, seed=0, vocabulary=vocab))
         board = Blackboard()

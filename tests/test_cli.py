@@ -15,6 +15,12 @@ LATIN1_LINE = "play café jazz\n".encode("latin-1")
 WIRE_RE = re.compile(r"^\S*\t\d\.\d{6}\t(\S+:\S+:\d+:\d+(;\S+:\S+:\d+:\d+)*)?$")
 
 
+def assert_one_line_error(capsys, command):
+    """The CLI's failure contract: one ``incnlu <command>: ...`` line on stderr."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"incnlu {command}: "), err
+
+
 @pytest.fixture(scope="session")
 def cli_env(tmp_path_factory):
     """A trained bundle plus the data files the CLI tests poke at."""
@@ -125,6 +131,24 @@ class TestTrain:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_out_naming_an_existing_file_exits_one(self, cli_env, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "train")
+
+    def test_out_under_a_file_exits_one(self, cli_env, tmp_path, capsys):
+        parent = tmp_path / "file"
+        parent.write_text("", encoding="utf-8")
+        assert main(["train", "--data", str(cli_env["data"]), "--out", str(parent / "b")]) == 1
+        assert_one_line_error(capsys, "train")
+
+    def test_data_naming_a_directory_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "x.json"
+        data.mkdir()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "b")]) == 1
+        assert_one_line_error(capsys, "train")
+
     def test_config_file_that_is_not_utf8_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
         config = tmp_path / "latin1.yml"
         config.write_bytes('language: "en"\n# café\npipeline:\n- name: "tokenizer_whitespace"\n'.encode("latin-1"))
@@ -187,6 +211,10 @@ class TestParse:
         assert code == 1
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"incnlu {command}: standard input: not UTF-8")
+
+    def test_input_naming_a_directory_exits_one(self, cli_env, tmp_path, capsys):
+        assert main(["parse", "--model", str(cli_env["bundle"]), "--input", str(tmp_path)]) == 1
+        assert_one_line_error(capsys, "parse")
 
     def test_missing_bundle_exits_one(self, tmp_path, capsys):
         code = main(["parse", "--model", str(tmp_path / "nothing"), "--input", "/dev/null"])
@@ -271,6 +299,19 @@ class TestEval:
         )
         assert code == 1
         assert "noise-rate" in capsys.readouterr().err
+
+    def test_report_naming_a_directory_exits_one(self, cli_env, tmp_path, capsys):
+        code = main(
+            [
+                "eval",
+                "--model", str(cli_env["bundle"]),
+                "--test", str(cli_env["data"]),
+                "--noise-rate", "0.0",
+                "--report", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "eval")
 
     def test_malformed_bundle_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
         bundle = tmp_path / "bundle"

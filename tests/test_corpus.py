@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,6 @@ from incnlu.data import (
     load_json,
     load_markdown,
     save_json,
-    save_markdown,
     stratified_split,
     token_entity_classes,
 )
@@ -208,11 +208,79 @@ class TestMarkdownFormat:
             load_markdown(path)
 
 
+# The toy corpus of conftest.py in the markdown form.
+_TOY_MARKDOWN = """\
+## intent:PlayMusic
+- play some [jazz](genre)
+- play some [blues](genre)
+- play [rock](genre) now
+- put on some [jazz](genre)
+- play some [jazz](genre) tonight
+- some [jazz](genre) please
+
+## intent:GetWeather
+- weather in [boston](city)
+- weather in [denver](city)
+- will it rain in [boston](city)
+- forecast for [denver](city) today
+
+## intent:BookRestaurant
+- book a table for [two](party_size)
+- book a table for [four](party_size)
+- book a spot for [six](party_size)
+- reserve a table for [two](party_size)
+"""
+
+
+# Labels a bundle cannot hold: SIUM's model.tsv keeps one label a line, under
+# [section] headings, and every component's file splits its lines at tabs.
+_BAD_LABELS = [
+    ("Play\tMusic", "genre"),
+    ("Play\nMusic", "genre"),
+    ("[intents]", "genre"),
+    ("PlayMusic", "gen\tre"),
+    ("PlayMusic", "[x]"),
+    ("PlayMusic", NO_ENTITY),
+]
+
+
+class TestLabels:
+    @pytest.mark.parametrize(("intent", "etype"), _BAD_LABELS)
+    def test_json_form_refuses_a_label_a_bundle_cannot_hold(self, tmp_path, intent, etype):
+        entity = {"start": 5, "end": 9, "value": "jazz", "entity": etype}
+        path = _write_json(
+            tmp_path / "d.json",
+            [{"text": "play jazz", "intent": intent, "entities": [entity]}],
+        )
+        label = re.escape(repr(etype if intent == "PlayMusic" else intent))
+        with pytest.raises(DataError, match=rf"d\.json example 0: (intent|entity type) {label}"):
+            load_json(path)
+
+    @pytest.mark.parametrize(("intent", "etype"), _BAD_LABELS)
+    def test_markdown_form_refuses_a_label_a_bundle_cannot_hold(self, tmp_path, intent, etype):
+        path = tmp_path / "d.md"
+        path.write_text(f"## intent:{intent}\n- play [jazz]({etype})\n", encoding="utf-8")
+        if "\n" in intent:
+            # A markdown label ends at its line, so the rest is a line of its own.
+            match = r"d\.md:2: expected a '- ' utterance line"
+        else:
+            label = re.escape(repr(etype if intent == "PlayMusic" else intent))
+            match = rf"d\.md:2: (intent|entity type) {label}"
+        with pytest.raises(DataError, match=match):
+            load_markdown(path)
+
+    def test_spaces_inner_brackets_and_non_ascii_are_kept(self, tmp_path):
+        path = tmp_path / "d.md"
+        path.write_text("## intent:Play [the] Música\n- play [jazz](gen re])\n", encoding="utf-8")
+        example = load_markdown(path).examples[0]
+        assert (example.intent, example.entities[0].type) == ("Play [the] Música", "gen re]")
+
+
 class TestRoundTrips:
     def test_json_and_markdown_forms_load_identically(self, tmp_path, toy_dataset):
         jp, mp = tmp_path / "d.json", tmp_path / "d.md"
         save_json(toy_dataset, jp)
-        save_markdown(toy_dataset, mp)
+        mp.write_text(_TOY_MARKDOWN, encoding="utf-8")
         from_json = load_dataset(jp)
         from_md = load_dataset(mp)
         key = lambda ds: sorted(

@@ -10,7 +10,6 @@ from incnlu.features import (
     Vocabulary,
     WhitespaceTokenizer,
     count_vector,
-    fit_vocabulary,
     tokenize,
     tokenize_with_spans,
     vector_apply,
@@ -57,7 +56,7 @@ def test_vocabulary_from_lines_rejects_gappy_indices():
 
 
 def test_count_vector_counts_known_words_only(toy_dataset):
-    vocab = fit_vocabulary(toy_dataset)
+    vocab = Vocabulary.fit(tokenize(ex.text) for ex in toy_dataset.examples)
     vec = count_vector(vocab, ["play", "play", "quasar", "jazz"])
     assert vec[vocab.index_of("play")] == 2
     assert vec[vocab.index_of("jazz")] == 1

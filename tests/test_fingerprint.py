@@ -48,6 +48,6 @@ def test_the_edit_script_takes_the_redo_path(toy_interp):
         redo = step[0] is EditType.ADD and not calls
         redos += redo
         in_a_row += redo and last == (EditType.ADD, False)
-        restored_empty += step[0] is EditType.REVOKE and not calls and not session.board.buffer
+        restored_empty += step[0] is EditType.REVOKE and not calls and not session.board.buffer.units
         last = step[0], bool(calls)
     assert redos > 0 and in_a_row > 0 and restored_empty > 0

@@ -5,14 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from incnlu import BufferUnderflowError, InvalidPayloadError
-from incnlu.iu import (
-    Blackboard,
-    EditType,
-    IuBuffer,
-    format_edit_log,
-    format_iu_line,
-    parse_iu_line,
-)
+from incnlu.iu import Blackboard, EditType, IuBuffer
+
+
+def _words(buf):
+    return [unit.word for unit in buf.units]
 
 
 class TestIuBuffer:
@@ -21,7 +18,7 @@ class TestIuBuffer:
         units = [buf.add(w) for w in ["play", "some", "jazz"]]
         assert [u.id for u in units] == [0, 1, 2]
         assert buf.units == units
-        assert buf.hypothesis() == ["play", "some", "jazz"]
+        assert _words(buf) == ["play", "some", "jazz"]
 
     def test_revoke_removes_most_recent_word(self):
         buf = IuBuffer()
@@ -30,7 +27,7 @@ class TestIuBuffer:
         revoked = buf.revoke()
         assert revoked == (2, "jazz")
         assert revoked not in buf.units
-        assert buf.hypothesis() == ["play", "some"]
+        assert _words(buf) == ["play", "some"]
 
     def test_revoke_on_empty_buffer_raises(self):
         buf = IuBuffer()
@@ -51,7 +48,7 @@ class TestIuBuffer:
             with pytest.raises(InvalidPayloadError):
                 buf.add(bad)
         assert buf.add("a\u200bb").word == "a\u200bb"
-        assert buf.hypothesis() == ["a\u200bb"]
+        assert _words(buf) == ["a\u200bb"]
 
     @given(st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "c"])), max_size=40))
     def test_edit_log_replays_to_the_live_units(self, script):
@@ -93,27 +90,7 @@ class TestIuBuffer:
                 w = rng.choice(words)
                 buf.add(w)
                 stack.append(w)
-            assert buf.hypothesis() == stack
-
-
-class TestLogLines:
-    def test_format_and_parse_round_trip(self):
-        board = Blackboard()
-        board.apply_edit(EditType.ADD, "play")
-        board.apply_edit(EditType.ADD, "jazz")
-        board.apply_edit(EditType.REVOKE, None)
-        lines = format_edit_log(board).splitlines()
-        assert lines == ["0\tADD\tplay", "1\tADD\tjazz", "1\tREVOKE\tjazz"]
-        for line, entry in zip(lines, board.edit_log):
-            assert parse_iu_line(line) == entry
-
-    def test_parse_rejects_malformed_lines(self):
-        for bad in ["", "0 ADD play", "x\tADD\tplay", "0\tDROP\tplay", "0\tADD", "0\tADD\t"]:
-            with pytest.raises(InvalidPayloadError):
-                parse_iu_line(bad)
-
-    def test_format_single_unit(self):
-        assert format_iu_line(7, EditType.REVOKE, "word") == "7\tREVOKE\tword"
+            assert _words(buf) == stack
 
 
 class TestBlackboard:
@@ -123,8 +100,12 @@ class TestBlackboard:
         board.apply_edit(EditType.ADD, "there")
         unit = board.apply_edit(EditType.REVOKE, None)
         assert unit.word == "there"
-        assert board.buffer.hypothesis() == ["hello"]
-        assert board.edit_log[-1] == (1, EditType.REVOKE, "there")
+        assert _words(board.buffer) == ["hello"]
+        assert board.edit_log == [
+            (0, EditType.ADD, "hello"),
+            (1, EditType.ADD, "there"),
+            (1, EditType.REVOKE, "there"),
+        ]
 
     def test_add_requires_word_and_revoke_forbids_it(self):
         board = Blackboard()
@@ -185,7 +166,7 @@ class TestBlackboard:
         board.write("a", "tokens", ["hello"])
         board.write("b", "tokens", ["HELLO"])
         board.clear()
-        assert board.buffer.hypothesis() == []
+        assert _words(board.buffer) == []
         assert board.annotations == {}
         assert board.component_view("a") == {}
         assert board.edit_log == []

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from incnlu.config import (
     load_config,
     parse_config,
 )
-from incnlu.data import TrainingDataset
+from incnlu.data import TrainingDataset, load_dataset, save_json
 from incnlu.features import count_vector
 from incnlu.intent_bow import predict
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
@@ -37,7 +38,7 @@ from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, EditType
 from incnlu.registry import REGISTRY
 from incnlu.sium import batch_posterior
 
-from conftest import reseal, spy_process, toy_rows
+from conftest import make_example, reseal, spy_process, toy_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -228,7 +229,7 @@ class _Recorder(Component):
         self.calls = calls
 
     def process(self, board, edit=None, word=None):
-        self.calls.append((self.name, edit, word, tuple(board.buffer.hypothesis())))
+        self.calls.append((self.name, edit, word, tuple(unit.word for unit in board.buffer.units)))
 
     def persist(self, directory):
         pass
@@ -247,7 +248,7 @@ class _Publisher(_Recorder):
         super().process(board, edit, word)
         if edit is self.fail_edit and word == self.fail_on:
             raise RuntimeError(f"{self.name} refuses {word!r}")
-        board.write(self.name, f"length_{self.name}", len(board.buffer))
+        board.write(self.name, f"length_{self.name}", len(board.buffer.units))
 
 
 class TestLockStep:
@@ -330,7 +331,7 @@ class TestInterpreter:
         interp.parse_incremental(EditType.ADD, "jazz")
         interp.train(toy_dataset)
         board = interp.board
-        assert len(board.buffer) == 0 and board.edit_log == []
+        assert board.buffer.units == [] and board.edit_log == []
         assert _views(interp) == _views(interp.fresh_copy())
 
         def views():
@@ -1099,6 +1100,11 @@ _MALFORMED = {
 }
 
 
+_LABELS = st.text(st.sampled_from("aZ09 _-.[]éß中"), min_size=1, max_size=8).filter(
+    lambda label: not (label.startswith("[") and label.endswith("]"))
+)
+
+
 class TestBundles:
     def test_round_trip_preserves_predictions(self, toy_interp, tmp_path):
         toy_interp.persist(tmp_path / "bundle")
@@ -1107,6 +1113,26 @@ class TestBundles:
             a = toy_interp.fresh_copy().parse_full(text)
             b = loaded.parse_full(text)
             assert a == b
+
+    @settings(max_examples=20, deadline=None)
+    @given(labels=st.lists(_LABELS, min_size=6, max_size=6, unique=True))
+    def test_every_label_the_loaders_accept_survives_the_bundle(self, labels):
+        """Spaces, brackets inside a label and non-ASCII letters pass the
+        loaders' label rule, so a bundle must hold them: the loaded pipeline
+        parses as the trained one did."""
+        intents = dict(zip(("PlayMusic", "GetWeather", "BookRestaurant"), labels))
+        etypes = dict(zip(("genre", "city", "party_size"), labels[3:]))
+        rows = [
+            (text, intents[intent], [(value, etypes[etype]) for value, etype in entities])
+            for text, intent, entities in toy_rows()
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.json"
+            save_json(TrainingDataset([make_example(*row) for row in rows]), data)
+            interp = train_pipeline(default_config(), load_dataset(data))
+            loaded = load(interp.persist(Path(tmp) / "bundle"))
+        for text, _, _ in rows:
+            assert loaded.parse_full(text) == interp.parse_full(text)
 
     def test_untrained_pipeline_refuses_to_persist(self, tmp_path):
         interp = IncrementalInterpreter(default_config())

@@ -969,7 +969,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         assert cost(EditType.REVOKE)["_predecessors"] <= CHECKPOINT_EVERY - 1
     for _ in range(10):
         assert cost(EditType.ADD, rng.choice(_WORDS))["_predecessors"] <= 1
-    tokens = [w.lower() for w in session.board.buffer.hypothesis()]
+    tokens = [unit.word.lower() for unit in session.board.buffer.units]
     assert len(tokens) == length - 3 * CHECKPOINT_EVERY + 10
     assert _entities(session) == extract_entities(decode(tagger.model, tokens), tokens)
 
@@ -1023,9 +1023,9 @@ def test_a_different_word_put_back_drops_the_scores_held_from_it(toy_interp, pos
     for word in survivors[2:]:
         session.parse_incremental(EditType.ADD, word)
         fresh = toy_interp.fresh_copy()
-        fresh.parse_full(" ".join(session.board.buffer.hypothesis()))
+        fresh.parse_full(" ".join(unit.word for unit in session.board.buffer.units))
         assert _views(session) == _views(fresh)
-    assert session.board.buffer.hypothesis() == survivors
+    assert [unit.word for unit in session.board.buffer.units] == survivors
 
 
 def test_an_unseen_word_sums_its_parts_once_however_often_it_is_read():

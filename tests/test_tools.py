@@ -1,6 +1,8 @@
 """The tools and the demos, run as scripts the way a user runs them; the A/B
-tool's summary is checked on fixed numbers."""
+tool's summary is checked on fixed numbers; the package is scanned for
+code that only the tests call."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -120,3 +122,46 @@ def test_fingerprint_names_the_outputs_that_moved():
     assert moved(bundle="exact") == "bundle moved, stream and report unchanged"
     assert moved(stream="rounded", report="exact") == "stream and report moved, bundle unchanged"
     assert moved(bundle="exact", stream="exact", report="rounded") == "bundle, stream and report moved"
+
+
+# Package definitions that nothing but the tests calls, each kept for a reason.
+_TEST_ONLY_KEPT = {
+    "softmax": "the reference that predict's one-row arithmetic is checked against, bit for bit",
+    "loss": "the objective that the gradient check differentiates by finite differences",
+}
+
+
+def _names_referenced(path, count_imports):
+    """Every name a ``Name``, an ``Attribute`` or an import alias in the
+    module at ``path`` refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and count_imports:
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    """A function, class or method of the package that no code in src/,
+    tools/ or editbench/ names is test-only code. The package's re-exports
+    in __init__.py do not count as a use."""
+    package = ROOT / "src" / "incnlu"
+    referenced = set()
+    for directory in ("src", "tools", "editbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            referenced |= _names_referenced(path, count_imports=path != package / "__init__.py")
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in referenced and name not in _TEST_ONLY_KEPT:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == [], "only the tests call: " + ", ".join(unused)
