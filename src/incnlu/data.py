@@ -60,8 +60,20 @@ class TrainingDataset:
         return len(self.examples)
 
 
+def _check_utf8(value: str, kind: str, where: str) -> None:
+    """Refuse a string with a lone surrogate, which a JSON escape such as
+    ``\\ud800`` gives: the bundle's UTF-8 files cannot hold it."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(
+            f"{where}: {kind} {value!r} holds a lone surrogate, which UTF-8 cannot encode"
+        ) from None
+
+
 def _check_label(label: str, kind: str, where: str) -> None:
     """Refuse a label that the bundle's line-per-entry files cannot hold."""
+    _check_utf8(label, kind, where)
     heading = label.startswith("[") and label.endswith("]")
     if "\t" in label or label.splitlines() != [label] or heading:
         raise DataError(
@@ -74,6 +86,7 @@ def _validate_example(text: str, intent: str, entities: list[EntityAnnotation], 
         raise DataError(f"{where}: utterance text is empty")
     if not isinstance(intent, str) or not intent:
         raise DataError(f"{where}: missing intent label")
+    _check_utf8(text, "utterance text", where)
     _check_label(intent, "intent", where)
     for ann in entities:
         _check_label(ann.type, "entity type", where)

@@ -10,6 +10,8 @@ a read-only unsigned array as narrow as its largest count allows: uint8 at
 the start of an utterance, widened to the next unsigned type by the add that
 would overflow it, and never narrowed. Equal counts give the classifier the
 same float row whatever their dtype.
+
+A bundle's ``vocabulary.tsv`` lists the words in index order, one a line.
 """
 
 from __future__ import annotations
@@ -81,20 +83,16 @@ class Vocabulary:
         return len(self.index)
 
     def to_lines(self) -> list[str]:
-        return [f"{word}\t{idx}" for word, idx in sorted(self.index.items())]
+        """The words in index order."""
+        return sorted(self.index, key=self.index.get)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], lowercase: bool = True) -> "Vocabulary":
-        index: dict[str, int] = {}
-        rows = 0
-        for line in lines:
-            if not line:
-                continue
-            word, _, raw_idx = line.partition("\t")
-            index[word] = int(raw_idx)
-            rows += 1
-        if len(index) < rows or sorted(index.values()) != list(range(rows)):
-            raise DataError("vocabulary words are not distinct with indices 0 to n-1, once each")
+        """The vocabulary whose words in index order are ``lines``."""
+        words = list(lines)
+        index = {word: i for i, word in enumerate(words)}
+        if len(index) < len(words) or "" in index:
+            raise DataError("vocabulary words are not distinct and non-empty")
         return cls(index, lowercase=lowercase)
 
 
@@ -214,7 +212,7 @@ class CountVectorsFeaturizer(Component):
     def persist(self, directory: Path) -> None:
         vocab = self._require_vocab()
         (directory / "vocabulary.tsv").write_text(
-            "\n".join(vocab.to_lines()) + "\n", encoding="utf-8"
+            "".join(f"{word}\n" for word in vocab.to_lines()), encoding="utf-8"
         )
 
     @classmethod

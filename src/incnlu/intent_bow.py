@@ -7,11 +7,19 @@ were a finished utterance, which is exactly what makes its final incremental
 output equal the non-incremental one. The classifier keeps no session
 state, so a REVOKE right after an ADD, on which the interpreter gives back
 the board from before the ADD, leaves it nothing to do.
+
+A bundle holds the intents as one tab-separated line, ``intents.tsv``, and
+the weight matrix as ``weights.npy``: a version 1.0 ``.npy`` file of
+little-endian float64, exactly the trained bits. Loading reads it without
+unpickling, and checks its header against the file's size before it
+allocates anything.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,6 +137,34 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> tuple[tuple[str, float
     return rank_distribution(model.intents, probs)
 
 
+def _read_weights(path: Path) -> np.ndarray:
+    """The matrix of a version 1.0 ``.npy`` file that holds one 2-D
+    little-endian float64 array and nothing else, or a ValueError.
+
+    The header's shape is checked against the bytes the file holds before
+    any array is allocated, so a crafted header cannot ask for more memory
+    than the file's own size.
+    """
+    with path.open("rb") as f:
+        # A ValueError for an empty file, an .npz or any other non-.npy.
+        version = np.lib.format.read_magic(f)
+        if version != (1, 0):
+            raise ValueError(f"{path.name} is .npy format version {version}, not (1, 0)")
+        shape, _, dtype = np.lib.format.read_array_header_1_0(f)
+        if dtype != np.dtype("<f8") or len(shape) != 2 or min(shape) < 0:
+            raise ValueError(
+                f"{path.name} holds a {dtype.str} array of shape {shape}, not a 2-D <f8 one"
+            )
+        needed = math.prod(shape) * 8
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if held != needed:
+            raise ValueError(
+                f"{path.name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds"
+            )
+        f.seek(0)
+        return np.lib.format.read_array(f, allow_pickle=False)
+
+
 class BowIntentClassifier(Component):
     """Per-edit reclassification of the prefix count vector; it keeps no
     session state."""
@@ -185,24 +221,22 @@ class BowIntentClassifier(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_classifier_bow")
-        lines = ["\t".join(model.intents)]
-        for row in model.weights:
-            lines.append("\t".join(repr(float(v)) for v in row))
-        (directory / "weights.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (directory / "intents.tsv").write_text("\t".join(model.intents) + "\n", encoding="utf-8")
+        with (directory / "weights.npy").open("wb") as f:
+            np.lib.format.write_array(
+                f, np.ascontiguousarray(model.weights, dtype="<f8"), version=(1, 0), allow_pickle=False
+            )
 
     @classmethod
     def load(cls, directory: Path, params) -> "BowIntentClassifier":
         comp = cls(params)
-        lines = (directory / "weights.tsv").read_text(encoding="utf-8").splitlines()
-        intents = lines[0].split("\t")
-        if len(set(intents)) < len(intents):
-            raise ValueError(f"{lines[0]!r} is not an intents header naming distinct intents")
-        weights = np.array(
-            [[float(v) for v in line.split("\t")] for line in lines[1:] if line],
-            dtype=np.float64,
-        )
+        lines = (directory / "intents.tsv").read_text(encoding="utf-8").splitlines()
+        intents = lines[0].split("\t") if lines else []
+        if len(lines) != 1 or len(set(intents)) < len(intents):
+            raise ValueError("intents.tsv is not one line naming distinct intents")
+        weights = _read_weights(directory / "weights.npy")
         if weights.shape[1] != len(intents):
-            raise ValueError("weight matrix width does not match intents header")
+            raise ValueError("weight matrix width does not match intents.tsv")
         if not np.isfinite(weights).all():
             raise ValueError("weight matrix holds a value that is not finite")
         comp.model = LinearIntentModel(intents=intents, weights=weights)

@@ -25,6 +25,10 @@ That pick depends only on the word's likelihood row, so the model memoises
 it per row on first use, and every session on the model shares the memo.
 Adjacent same-class words merge into one span. An edit can change only the
 last span, so the readout keeps the spans before it.
+
+A bundle's ``model.tsv`` holds the labels, then one line per label with
+counts: the label, then (word index, count) pairs in ascending index; and
+last the vocabulary, the words in index order, one a line.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from .components import Component, TrainingContext
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
+from .features import Vocabulary
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, IncrementalUnit
 from .results import EntitySpan, rank_distribution
 
@@ -345,49 +350,63 @@ class SiumIntent(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_sium")
-        lines = ["[intents]"]
-        lines.extend(model.intents)
-        lines.append("[entity_classes]")
-        lines.extend(model.entity_classes)
-        lines.append("[vocabulary]")
-        lines.extend(f"{w}\t{i}" for w, i in sorted(model.word_index.items()))
+        word_index = model.word_index
+        lines = ["[intents]", *model.intents, "[entity_classes]", *model.entity_classes]
         for section, labels in _COUNT_SECTIONS:
             lines.append(f"[{section}]")
+            table = getattr(model, section)
             for label in getattr(model, labels):
-                counts = getattr(model, section).get(label, {})
-                lines.extend(
-                    f"{label}\t{w}\t{counts[w]}" for w in sorted(counts, key=model.word_index.get)
-                )
+                pairs = sorted((word_index[w], n) for w, n in table.get(label, {}).items())
+                if pairs:
+                    lines.append("\t".join([label, *(f"{i}\t{n}" for i, n in pairs)]))
+        # Last, because a word may look like a [section] heading.
+        lines.append("[vocabulary]")
+        lines.extend(sorted(word_index, key=word_index.get))
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, directory: Path, params) -> "SiumIntent":
         comp = cls(params)
-        text = (directory / "model.tsv").read_text(encoding="utf-8")
+        lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
+        # Every line past the [vocabulary] heading is a word, in index order.
+        at = lines.index("[vocabulary]")
+        words = lines[at + 1:]
+        word_index = Vocabulary.from_lines(words).index
         sections: dict[str, list[str]] = {}
         current = None
-        for line in text.splitlines():
+        for line in lines[:at]:
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
                 sections[current] = []
             elif line:
                 sections[current].append(line)
-        word_index = {}
-        for line in sections["vocabulary"]:
-            word, _, idx = line.partition("\t")
-            word_index[word] = int(idx)
-        if sorted(word_index.values()) != list(range(len(word_index))):
-            raise ValueError("[vocabulary] indices are not 0 to n-1, once each")
         counts: dict[str, dict[str, dict[str, int]]] = {}
         for section, labels in _COUNT_SECTIONS:
             table = counts[section] = {label: {} for label in sections[labels]}
             if len(table) < len(sections[labels]):
                 raise ValueError(f"[{labels}] names a label more than once")
+            named = set()
+            # Each line is a label, then (word index, count) pairs.
             for line in sections[section]:
-                label, word, count = line.split("\t")
-                table[label][word] = n = int(count)
-                if word not in word_index or n < 1:
-                    raise ValueError(f"[{section}] {line!r}: unknown word or count below 1")
+                label, *pairs = line.split("\t")
+                if label not in table or label in named:
+                    raise ValueError(f"[{section}] {label!r}: an unknown label, or a second line for one")
+                named.add(label)
+                if len(pairs) % 2:
+                    raise ValueError(f"[{section}] {label!r}: a word index without its count")
+                try:
+                    numbers = [*map(int, pairs)]
+                except ValueError:
+                    raise ValueError(
+                        f"[{section}] {label!r}: a word index or count is not an integer"
+                    ) from None
+                index, totals = numbers[0::2], numbers[1::2]
+                # Strictly ascending, from 0 or more to below the vocabulary size.
+                if not all(a < b for a, b in zip([-1, *index], [*index, len(words)])):
+                    raise ValueError(f"[{section}] {label!r}: a word index out of range or out of order")
+                if any(n < 1 for n in totals):
+                    raise ValueError(f"[{section}] {label!r}: a count below 1")
+                table[label] = {words[i]: n for i, n in zip(index, totals)}
         comp.model = SiumModel(
             intents=sections["intents"],
             entity_classes=sections["entity_classes"],

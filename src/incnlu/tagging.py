@@ -96,18 +96,20 @@ def tag_features(tokens: list[str], i: int) -> list[str]:
 
 
 def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(initial, pairwise) masks: 0 where allowed, _MASKED where BIO forbids."""
-    n = len(tags)
-    init = np.zeros(n, dtype=np.int64)
-    pair = np.zeros((n, n), dtype=np.int64)
-    for b, tag in enumerate(tags):
-        if not tag.startswith("I-"):
-            continue
-        etype = tag[2:]
-        init[b] = _MASKED
-        for a, prev in enumerate(tags):
-            if prev not in (f"B-{etype}", f"I-{etype}"):
-                pair[a, b] = _MASKED
+    """(initial, pairwise) masks: 0 where allowed, _MASKED where BIO forbids.
+
+    An I- tag may follow only the B- or I- tag of its own entity type, and
+    may not start a sentence.
+    """
+    # Each B- or I- tag's entity type as a code, and -1 for every other tag.
+    codes: dict[str, int] = {}
+    types = np.array(
+        [codes.setdefault(tag[2:], len(codes)) if tag[:2] in ("B-", "I-") else -1 for tag in tags],
+        dtype=np.int64,
+    )
+    inside = np.array([tag.startswith("I-") for tag in tags], dtype=bool)
+    init = np.where(inside, _MASKED, 0).astype(np.int64)
+    pair = np.where(inside & (types[:, None] != types), _MASKED, 0).astype(np.int64)
     return init, pair
 
 

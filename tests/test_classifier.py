@@ -189,7 +189,7 @@ class TestBowComponent:
             out = tmp_path / f"run{run}"
             out.mkdir()
             comp.persist(out)
-            blobs.append((out / "weights.tsv").read_bytes())
+            blobs.append((out / "weights.npy").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_requires_a_count_vector_on_the_board(self):

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import shutil
 
@@ -136,6 +137,15 @@ class TestTrain:
         out.write_text("", encoding="utf-8")
         assert main(["train", "--data", str(cli_env["data"]), "--out", str(out)]) == 1
         assert_one_line_error(capsys, "train")
+
+    def test_a_lone_surrogate_in_the_data_exits_one_and_writes_no_bundle(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        examples = [{"text": "play jazz", "intent": "PlayMusic"}, {"text": "rain", "intent": "Get\ud800"}]
+        data.write_text(json.dumps({"rasa_nlu_data": {"common_examples": examples}}), encoding="utf-8")
+        out = tmp_path / "bundle"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "train")
+        assert not out.exists()
 
     def test_out_under_a_file_exits_one(self, cli_env, tmp_path, capsys):
         parent = tmp_path / "file"
@@ -316,10 +326,8 @@ class TestEval:
     def test_malformed_bundle_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(cli_env["bundle"], bundle)
-        weights = bundle / "intent_classifier_bow" / "weights.tsv"
-        lines = weights.read_text(encoding="utf-8").splitlines()
-        lines[1] = "heavy" + lines[1][lines[1].index("\t"):]
-        weights.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        weights = bundle / "intent_classifier_bow" / "weights.npy"
+        weights.write_bytes(weights.read_bytes()[:-8])
         reseal(bundle)
         code = main(["eval", "--model", str(bundle), "--test", str(cli_env["data"])])
         captured = capsys.readouterr()

@@ -269,6 +269,27 @@ class TestLabels:
         with pytest.raises(DataError, match=match):
             load_markdown(path)
 
+    # A lone surrogate, as the JSON escape \ud800 gives, in each field that
+    # reaches the bundle's UTF-8 files: training succeeded, and the persist
+    # raised a UnicodeEncodeError with the bundle half written.
+    def test_json_form_refuses_a_lone_surrogate_in_the_text(self, tmp_path):
+        path = _write_json(tmp_path / "d.json", [{"text": "play \ud800", "intent": "PlayMusic"}])
+        with pytest.raises(DataError, match=r"d\.json example 0: utterance text .*lone surrogate"):
+            load_json(path)
+
+    def test_json_form_refuses_a_lone_surrogate_in_the_intent(self, tmp_path):
+        path = _write_json(tmp_path / "d.json", [{"text": "play jazz", "intent": "Play\ud800"}])
+        with pytest.raises(DataError, match=r"d\.json example 0: intent .*lone surrogate"):
+            load_json(path)
+
+    def test_json_form_refuses_a_lone_surrogate_in_an_entity_type(self, tmp_path):
+        entity = {"start": 5, "end": 9, "value": "jazz", "entity": "gen\udfffre"}
+        path = _write_json(
+            tmp_path / "d.json", [{"text": "play jazz", "intent": "PlayMusic", "entities": [entity]}]
+        )
+        with pytest.raises(DataError, match=r"d\.json example 0: entity type .*lone surrogate"):
+            load_json(path)
+
     def test_spaces_inner_brackets_and_non_ascii_are_kept(self, tmp_path):
         path = tmp_path / "d.md"
         path.write_text("## intent:Play [the] Música\n- play [jazz](gen re])\n", encoding="utf-8")

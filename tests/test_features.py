@@ -46,13 +46,16 @@ def test_vocabulary_fit_rejects_empty_corpus():
 
 def test_vocabulary_line_round_trip():
     vocab = Vocabulary.fit([["gamma", "beta", "alpha", "beta"]])
+    # One word a line, in index order.
+    assert vocab.to_lines() == ["gamma", "beta", "alpha"]
     restored = Vocabulary.from_lines(vocab.to_lines())
     assert restored.index == vocab.index
 
 
-def test_vocabulary_from_lines_rejects_gappy_indices():
+@pytest.mark.parametrize("lines", [["a", "b", "a"], ["a", ""]])
+def test_vocabulary_from_lines_rejects_repeated_or_empty_words(lines):
     with pytest.raises(DataError):
-        Vocabulary.from_lines(["a\t0", "b\t2"])
+        Vocabulary.from_lines(lines)
 
 
 def test_count_vector_counts_known_words_only(toy_dataset):

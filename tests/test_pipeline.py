@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 from functools import partial
@@ -5,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from incnlu import (
     BufferUnderflowError,
@@ -31,12 +33,12 @@ from incnlu.config import (
     parse_config,
 )
 from incnlu.data import TrainingDataset, load_dataset, save_json
-from incnlu.features import count_vector
-from incnlu.intent_bow import predict
+from incnlu.features import CountVectorsFeaturizer, Vocabulary, count_vector
+from incnlu.intent_bow import BowIntentClassifier, LinearIntentModel, predict
 from incnlu.interpreter import REDO_DEPTH, SCHEMA_VERSION
 from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, EditType
 from incnlu.registry import REGISTRY
-from incnlu.sium import batch_posterior
+from incnlu.sium import SiumIntent, SiumModel, batch_posterior
 
 from conftest import make_example, reseal, spy_process, toy_rows
 
@@ -1006,19 +1008,30 @@ def _delete_line(line_no):
     return edit
 
 
-def _set_sium_field(section, field, value):
-    """Edit that overwrites one field of the first line under ``[section]``
-    in SIUM's model file."""
+def _edit_sium_line(section, change):
+    """Edit that replaces the fields of the first line under ``[section]``
+    in SIUM's model file with ``change`` of them."""
 
     def edit(text):
         line_no = text.split("\n").index(f"[{section}]") + 1
-        return _set_field(line_no, field, value)(text)
+        return _edit_fields(line_no, change)(text)
 
     return edit
 
 
+def _set_sium_field(section, field, value):
+    """Edit that overwrites one field of the first line under ``[section]``
+    in SIUM's model file."""
+
+    def change(fields):
+        fields[field] = value
+        return fields
+
+    return _edit_sium_line(section, change)
+
+
 def _repeat_sium_label(section):
-    """Edit that repeats the first label under ``[section]`` in SIUM's model file."""
+    """Edit that repeats the first line under ``[section]`` in SIUM's model file."""
 
     def edit(text):
         lines = text.split("\n")
@@ -1029,13 +1042,61 @@ def _repeat_sium_label(section):
     return edit
 
 
+def _sium_index_past_the_vocabulary(text):
+    """Point the last pair of SIUM's first count line at the word index one
+    past the vocabulary, whose words are the lines after its heading."""
+    size = len(text.split("[vocabulary]\n")[1].splitlines())
+    return _set_sium_field("intent_counts", -2, str(size))(text)
+
+
+def _npy(array, version=(1, 0)):
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, version=version, allow_pickle=True)
+    return out.getvalue()
+
+
+def _rewrite_weights(change):
+    """Edit of BoW's weights.npy that writes ``change`` of its matrix."""
+    return lambda data: _npy(change(np.load(io.BytesIO(data))))
+
+
+def _set_weight(row, col, value):
+    def change(weights):
+        weights[row, col] = value
+        return weights
+
+    return _rewrite_weights(change)
+
+
+def _weights_npz(data):
+    out = io.BytesIO()
+    np.savez(out, weights=np.load(io.BytesIO(data)))
+    return out.getvalue()
+
+
+def _reshape_header(shape):
+    """Edit of BoW's weights.npy that keeps its values under a header
+    naming ``shape`` of the matrix's own shape."""
+
+    def edit(data):
+        weights = np.load(io.BytesIO(data))
+        header = io.BytesIO()
+        fields = {"descr": "<f8", "fortran_order": False, "shape": shape(*weights.shape)}
+        np.lib.format.write_array_header_1_0(header, fields)
+        return header.getvalue() + weights.tobytes()
+
+    return edit
+
+
 _SIUM = "intent_sium/model.tsv"
 _TAGGER = "entity_tagger_sequence/model.tsv"
-_BOW = "intent_classifier_bow/weights.tsv"
+_BOW = "intent_classifier_bow/weights.npy"
+_BOW_INTENTS = "intent_classifier_bow/intents.tsv"
 _VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
 
 # One edit per case, each leaving a bundle whose checksum is valid again
-# (None deletes the file).
+# (None deletes the file). A .npy file's edit maps bytes to bytes, any
+# other file's text to text.
 _MALFORMED = {
     # A tagger line is a feature, then (tag index, total) pairs: field -1 is
     # the last pair's total and field -2 its tag index.
@@ -1072,36 +1133,75 @@ _MALFORMED = {
     # This one, and a BoW matrix narrower than its header, raised a
     # ConsistencyError that named no component.
     "tagger-tags-header-missing": (_TAGGER, lambda text: text.split("\n", 1)[1]),
-    "sium-section-missing": (_SIUM, lambda text: text[: text.index("[entity_counts]")]),
+    # A SIUM count line is a label, then (word index, count) pairs: field 1
+    # is the first pair's word index and field 2 its count.
+    "sium-section-missing": (
+        _SIUM,
+        lambda text: text[: text.index("[entity_counts]")] + text[text.index("[vocabulary]"):],
+    ),
+    "sium-vocabulary-missing": (_SIUM, lambda text: text[: text.index("[vocabulary]")]),
     "sium-count-not-an-int": (_SIUM, _set_sium_field("intent_counts", 2, "2.5")),
     # A count of 0 would still normalise, and load silently.
     "sium-count-below-one": (_SIUM, _set_sium_field("intent_counts", 2, "0")),
-    "sium-word-not-in-vocabulary": (_SIUM, _set_sium_field("intent_counts", 1, "nosuchword")),
     "sium-label-unknown": (_SIUM, _set_sium_field("intent_counts", 0, "NoSuchIntent")),
-    "sium-vocabulary-index-out-of-range": (_SIUM, _set_sium_field("vocabulary", 1, "-1")),
+    "sium-label-repeated": (_SIUM, _repeat_sium_label("entity_counts")),
+    "sium-pair-incomplete": (_SIUM, _edit_sium_line("intent_counts", lambda fields: fields[:-1])),
+    "sium-index-not-an-int": (_SIUM, _set_sium_field("intent_counts", 1, "first")),
+    "sium-index-negative": (_SIUM, _set_sium_field("intent_counts", 1, "-1")),
+    "sium-index-out-of-range": (_SIUM, _sium_index_past_the_vocabulary),
+    "sium-index-not-ascending": (
+        _SIUM,
+        _edit_sium_line("intent_counts", lambda fields: [fields[0], *fields[3:5], *fields[1:3], *fields[5:]]),
+    ),
+    "sium-index-repeated": (_SIUM, _edit_sium_line("intent_counts", lambda fields: [*fields, *fields[-2:]])),
+    "sium-vocabulary-word-repeated": (_SIUM, _repeat_sium_label("vocabulary")),
+    "sium-vocabulary-word-empty": (_SIUM, lambda text: text.replace("[vocabulary]\n", "[vocabulary]\n\n")),
     # These three loaded, and published a ranking with a label twice.
     "sium-intent-repeated": (_SIUM, _repeat_sium_label("intents")),
     "sium-entity-class-repeated": (_SIUM, _repeat_sium_label("entity_classes")),
-    "bow-intent-repeated": (_BOW, lambda text: _set_field(0, 1, text.split("\t", 1)[0])(text)),
-    "vocabulary-index-not-an-int": (_VOCABULARY, _set_field(0, 1, "first")),
-    # This one escaped as a DataError naming neither component nor bundle.
-    "vocabulary-index-repeated": (
-        _VOCABULARY,
-        lambda text: _set_field(1, 1, text.split("\n")[0].split("\t")[1])(text),
-    ),
-    "bow-weight-not-a-float": (_BOW, _set_field(1, 0, "heavy")),
+    "bow-intent-repeated": (_BOW_INTENTS, lambda text: _set_field(0, 1, text.split("\t", 1)[0])(text)),
+    "bow-intents-on-two-lines": (_BOW_INTENTS, lambda text: text.replace("\t", "\n", 1)),
+    "bow-intents-deleted": (_BOW_INTENTS, None),
+    "vocabulary-word-repeated": (_VOCABULARY, lambda text: text.split("\n", 1)[0] + "\n" + text),
+    "vocabulary-word-empty": (_VOCABULARY, lambda text: "\n" + text),
+    "bow-weights-big-endian": (_BOW, _rewrite_weights(lambda weights: weights.astype(">f8"))),
+    "bow-weights-float32": (_BOW, _rewrite_weights(lambda weights: weights.astype("<f4"))),
+    "bow-weights-one-dimensional": (_BOW, _rewrite_weights(np.ravel)),
+    "bow-weights-three-dimensional": (_BOW, _rewrite_weights(lambda weights: weights[None])),
+    # Its values are a pickle, which the load must not run.
+    "bow-weights-object-array": (_BOW, _rewrite_weights(lambda weights: weights.astype(object))),
+    "bow-weights-npz": (_BOW, _weights_npz),
+    "bow-weights-format-2": (_BOW, lambda data: _npy(np.load(io.BytesIO(data)), version=(2, 0))),
+    "bow-weights-empty": (_BOW, lambda data: b""),
+    "bow-weights-header-truncated": (_BOW, lambda data: data[:64]),
+    "bow-weights-truncated": (_BOW, lambda data: data[:-8]),
+    "bow-weights-trailing-bytes": (_BOW, lambda data: data + bytes(8)),
+    # np.load raised a MemoryError on this one, allocating 2**40 rows.
+    "bow-weights-shape-past-the-file": (_BOW, _reshape_header(lambda rows, cols: (2**40, cols))),
+    # Its size, rows times columns, is the file's own.
+    "bow-weights-shape-negative": (_BOW, _reshape_header(lambda rows, cols: (-rows, -cols))),
     # A NaN weight parsed to a confidence of nan.
-    "bow-weight-nan": (_BOW, _set_field(1, 0, "nan")),
-    "bow-weight-infinite": (_BOW, _set_field(-2, -1, "inf")),
-    "bow-weight-matrix-too-narrow": (_BOW, lambda text: text.replace("\t", "\tx\t", 1)),
+    "bow-weight-nan": (_BOW, _set_weight(0, 0, np.nan)),
+    "bow-weight-infinite": (_BOW, _set_weight(-1, -1, np.inf)),
+    "bow-weight-matrix-too-narrow": (_BOW, _rewrite_weights(lambda weights: weights[:, :-1])),
     # This one loaded, and every parse raised a ConsistencyError.
-    "bow-weight-row-missing": (_BOW, _delete_line(1)),
+    "bow-weight-row-missing": (_BOW, _rewrite_weights(lambda weights: weights[1:])),
     "bow-weights-deleted": (_BOW, None),
 }
 
 
 _LABELS = st.text(st.sampled_from("aZ09 _-.[]éß中"), min_size=1, max_size=8).filter(
     lambda label: not (label.startswith("[") and label.endswith("]"))
+)
+_MAX = np.finfo(np.float64).max
+
+# A word is a run of non-space characters, as the tokenizer cuts them;
+# some look like a [section] heading of SIUM's model file.
+_WORDS = st.one_of(
+    st.sampled_from(["[vocabulary]", "[intents]", "[intent_counts]", "[]"]),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6).filter(
+        lambda word: word.split() == [word]
+    ),
 )
 
 
@@ -1133,6 +1233,82 @@ class TestBundles:
             loaded = load(interp.persist(Path(tmp) / "bundle"))
         for text, _, _ in rows:
             assert loaded.parse_full(text) == interp.parse_full(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        labels=st.lists(_LABELS, min_size=6, max_size=6, unique=True),
+    )
+    @example(
+        # -0.0, the smallest subnormal and normal, and ±max.
+        weights=np.array([[-0.0, 5e-324], [-2.2250738585072014e-308, _MAX], [1.0, -_MAX]]),
+        labels=["a", "b", "c", "d", "e", "f"],
+    )
+    def test_any_finite_bow_matrix_survives_the_bundle_bit_for_bit(self, weights, labels):
+        comp = BowIntentClassifier()
+        comp.model = LinearIntentModel(intents=labels[: weights.shape[1]], weights=weights)
+        with tempfile.TemporaryDirectory() as tmp:
+            comp.persist(Path(tmp))
+            loaded = BowIntentClassifier.load(Path(tmp), {}).model
+        assert loaded.intents == comp.model.intents
+        assert loaded.weights.dtype == np.float64 and loaded.weights.shape == weights.shape
+        assert loaded.weights.tobytes() == weights.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        intents=st.lists(_LABELS, min_size=1, max_size=4, unique=True),
+        classes=st.lists(_LABELS, min_size=1, max_size=4, unique=True),
+        words=st.lists(_WORDS, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_any_sium_counts_survive_the_bundle(self, intents, classes, words, data):
+        """Words that look like a [section] heading included, the counts,
+        vocabulary and log tables load as they were persisted."""
+        counts = st.dictionaries(st.sampled_from(words), st.integers(1, 10**6)) if words else st.just({})
+
+        def table(labels):
+            named = data.draw(st.lists(st.sampled_from(labels), unique=True))
+            return {label: data.draw(counts) for label in named}
+
+        order = data.draw(st.permutations(range(len(words))))
+        model = SiumModel(
+            intents=intents,
+            entity_classes=classes,
+            word_index=dict(zip(words, order)),
+            intent_counts=table(intents),
+            entity_counts=table(classes),
+            alpha=1.0,
+            entity_threshold=0.6,
+            lowercase=True,
+        )
+        comp = SiumIntent()
+        comp.model = model
+        with tempfile.TemporaryDirectory() as tmp:
+            comp.persist(Path(tmp))
+            loaded = SiumIntent.load(Path(tmp), {}).model
+        assert (loaded.intents, loaded.entity_classes) == (intents, classes)
+        assert loaded.word_index == model.word_index
+        for name in ("intent_counts", "entity_counts"):
+            assert {k: v for k, v in getattr(loaded, name).items() if v} == {
+                k: v for k, v in getattr(model, name).items() if v
+            }
+        for name in ("log_word_given_intent", "log_word_given_entity"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(words=st.lists(_WORDS, max_size=10, unique=True), data=st.data())
+    def test_any_vocabulary_survives_the_bundle(self, words, data):
+        order = data.draw(st.permutations(range(len(words))))
+        comp = CountVectorsFeaturizer()
+        comp.vocabulary = Vocabulary(dict(zip(words, order)))
+        with tempfile.TemporaryDirectory() as tmp:
+            comp.persist(Path(tmp))
+            loaded = CountVectorsFeaturizer.load(Path(tmp), {})
+        assert loaded.vocabulary.index == comp.vocabulary.index
 
     def test_untrained_pipeline_refuses_to_persist(self, tmp_path):
         interp = IncrementalInterpreter(default_config())
@@ -1177,9 +1353,11 @@ class TestBundles:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         # Schema 1 kept parameters in per-component params.tsv files, schema
         # 2 kept SIUM's log tables instead of its counts, schema 3 kept the
-        # tagger's weights as decimals instead of its integer totals, and
-        # schema 4 kept one tagger line per (feature, tag) cell, naming the tag.
-        for version in (999, 1, 2, 3, 4):
+        # tagger's weights as decimals instead of its integer totals, schema
+        # 4 kept one tagger line per (feature, tag) cell, naming the tag, and
+        # schema 5 kept BoW's weights as decimal text and SIUM's counts and
+        # both vocabularies by word.
+        for version in (999, 1, 2, 3, 4, 5):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):
@@ -1187,7 +1365,7 @@ class TestBundles:
 
     def test_tampered_model_file_fails_the_checksum(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
-        target = root / "intent_classifier_bow" / "weights.tsv"
+        target = root / "intent_classifier_bow" / "weights.npy"
         target.write_bytes(target.read_bytes() + b"x")
         with pytest.raises(BundleError, match="checksum"):
             load(root)
@@ -1226,6 +1404,8 @@ class TestBundles:
         target = root / relpath
         if edit is None:
             target.unlink()
+        elif target.suffix == ".npy":
+            target.write_bytes(edit(target.read_bytes()))
         else:
             target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
         reseal(root)

@@ -409,20 +409,22 @@ class TestSiumComponent:
         assert loaded.model.word_index == comp.model.word_index
         assert np.array_equal(loaded.model.log_word_given_intent, comp.model.log_word_given_intent)
         assert np.array_equal(loaded.model.log_word_given_entity, comp.model.log_word_given_entity)
-        # The file holds counts only: every line under a count section ends
-        # in a positive integer.
+        # The file holds counts only: a line under a count section is a label,
+        # then (word index, count) pairs in ascending index, every count
+        # positive.
         text = (tmp_path / "model.tsv").read_text(encoding="utf-8")
         section = None
-        count_lines = 0
+        pairs = 0
         for line in text.splitlines():
             if line.startswith("["):
                 section = line
             elif section in ("[intent_counts]", "[entity_counts]"):
-                count = line.split("\t")[-1]
-                assert count.isdigit() and int(count) >= 1, line
-                count_lines += 1
+                label, *fields = line.split("\t")
+                index, counts = [*map(int, fields[0::2])], [*map(int, fields[1::2])]
+                assert index == sorted(set(index)) and min(counts) >= 1, line
+                pairs += len(counts)
         tables = (comp.model.intent_counts, comp.model.entity_counts)
-        assert count_lines == sum(len(words) for table in tables for words in table.values())
+        assert pairs == sum(len(words) for table in tables for words in table.values())
 
     def test_use_before_training_is_an_error(self):
         comp = SiumIntent()

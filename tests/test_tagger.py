@@ -308,6 +308,38 @@ def test_transition_scores_are_built_once_and_read_only(toy_dataset):
     assert np.array_equal(pair, want_pair)
 
 
+def _plain_transition_mask(tags):
+    """The BIO masks by a plain loop over tag pairs."""
+    init = np.zeros(len(tags), dtype=np.int64)
+    pair = np.zeros((len(tags), len(tags)), dtype=np.int64)
+    for b, tag in enumerate(tags):
+        if tag.startswith("I-"):
+            init[b] = tagging._MASKED
+            for a, prev in enumerate(tags):
+                if prev not in ("B-" + tag[2:], tag):
+                    pair[a, b] = tagging._MASKED
+    return init, pair
+
+
+@st.composite
+def _bio_tag_sets(draw):
+    """Some of "O" and the B- and I- tags of a few entity types, in any order."""
+    types = draw(st.lists(st.text("aI-", max_size=3), unique=True, max_size=5))
+    tags = ["O", *(f"{prefix}-{etype}" for etype in types for prefix in "BI")]
+    return draw(st.lists(st.sampled_from(tags), unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tags=_bio_tag_sets())
+@example(tags=["O"])
+@example(tags=[])
+def test_the_transition_mask_equals_a_plain_loop_over_tag_pairs(tags):
+    got, want = tagging._transition_mask(tags), _plain_transition_mask(tags)
+    for mask, plain in zip(got, want):
+        assert mask.dtype == np.int64 and mask.shape == plain.shape
+        assert np.array_equal(mask, plain)
+
+
 def test_viterbi_agrees_with_exhaustive_search():
     """On random small models the decoded path must be valid BIO and score
     exactly as high as the best path found by brute-force enumeration over

@@ -5,7 +5,8 @@ Usage: python3 tools/fingerprint.py [--write]
 Trains the bundle ``incnlu train --data data/snips_train.json --seed 13``
 writes, and digests:
 
-- ``bundle``: every file of that bundle, by relative path;
+- ``bundle``: every file of that bundle, by relative path, a ``.npy``
+  file as the text of its values;
 - ``stream``: one fixed, seeded edit script over the test split, streamed
   through the loaded bundle twice: once through ``parse_incremental``, and
   once with every edit run through each component's ``process``, as a
@@ -94,6 +95,15 @@ class Digest:
         self.sha.update(text.encode("utf-8") + b"\0")
 
 
+def _file_text(path: Path) -> str:
+    """A bundle file's text; a ``.npy`` file's is its values, one row a
+    line of tab-separated ``repr`` floats, so the rounded digest rounds them."""
+    if path.suffix != ".npy":
+        return path.read_text(encoding="utf-8")
+    rows = np.load(path, allow_pickle=False).tolist()
+    return "\n".join("\t".join(map(repr, row)) for row in rows)
+
+
 def edit_script(seed: int = SCRIPT_SEED) -> list[tuple]:
     """The test split in sessions of SESSION_UTTERANCES utterances, as steps:
     ("new",), ("refresh",), (ADD, word) and (REVOKE, None). Every session
@@ -176,7 +186,7 @@ def fingerprint(rounded: bool = False) -> dict[str, str]:
             cli(["eval", "--model", str(bundle), "--test", str(TEST), "--report", str(report)])
         for path in sorted(p for p in bundle.rglob("*") if p.is_file()):
             digests["bundle"].update(str(path.relative_to(bundle)))
-            digests["bundle"].update(path.read_text(encoding="utf-8"))
+            digests["bundle"].update(_file_text(path))
         lines = report.read_text(encoding="utf-8").splitlines()
         digests["report"].update("\n".join(l for l in lines if not l.startswith("runtime_seconds=")))
         stream(load(bundle), edit_script(), digests["stream"])
