@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .iu import Blackboard, EditType
@@ -141,3 +144,42 @@ def _same_kind(value: Any, default: Any) -> bool:
     if isinstance(value, bool) != isinstance(default, bool):
         return False
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def write_npy(path: Path, array: np.ndarray, dtype: str | np.dtype) -> None:
+    """Write ``array`` as ``dtype``, C-ordered, to a version 1.0 ``.npy`` file."""
+    with path.open("wb") as f:
+        np.lib.format.write_array(
+            f, np.ascontiguousarray(array, dtype=dtype), version=(1, 0), allow_pickle=False
+        )
+
+
+def read_npy(path: Path, dtype: str | np.dtype, ndim: int) -> np.ndarray:
+    """The array of a version 1.0 ``.npy`` file that holds one ``ndim``-D
+    array of exactly ``dtype`` and nothing else, or a ValueError.
+
+    The header's shape is checked against the bytes the file holds before
+    any array is allocated, so a crafted header cannot ask for more memory
+    than the file's own size. Nothing is unpickled.
+    """
+    dtype = np.dtype(dtype)
+    with path.open("rb") as f:
+        # A ValueError for an empty file, an .npz or any other non-.npy.
+        version = np.lib.format.read_magic(f)
+        if version != (1, 0):
+            raise ValueError(f"{path.name} is .npy format version {version}, not (1, 0)")
+        shape, fortran_order, found = np.lib.format.read_array_header_1_0(f)
+        if found != dtype or len(shape) != ndim or any(side < 0 for side in shape):
+            raise ValueError(
+                f"{path.name} holds a {found.str} array of shape {shape}, "
+                f"not a {ndim}-D {dtype.str} one"
+            )
+        count = math.prod(shape)
+        needed = count * dtype.itemsize
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if held != needed:
+            raise ValueError(
+                f"{path.name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds"
+            )
+        values = np.fromfile(f, dtype=dtype, count=count)
+    return values.reshape(shape, order="F" if fortran_order else "C")

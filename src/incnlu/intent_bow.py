@@ -18,14 +18,12 @@ allocates anything.
 from __future__ import annotations
 
 import logging
-import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, TrainingContext, read_npy, write_npy
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
@@ -137,34 +135,6 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> tuple[tuple[str, float
     return rank_distribution(model.intents, probs)
 
 
-def _read_weights(path: Path) -> np.ndarray:
-    """The matrix of a version 1.0 ``.npy`` file that holds one 2-D
-    little-endian float64 array and nothing else, or a ValueError.
-
-    The header's shape is checked against the bytes the file holds before
-    any array is allocated, so a crafted header cannot ask for more memory
-    than the file's own size.
-    """
-    with path.open("rb") as f:
-        # A ValueError for an empty file, an .npz or any other non-.npy.
-        version = np.lib.format.read_magic(f)
-        if version != (1, 0):
-            raise ValueError(f"{path.name} is .npy format version {version}, not (1, 0)")
-        shape, _, dtype = np.lib.format.read_array_header_1_0(f)
-        if dtype != np.dtype("<f8") or len(shape) != 2 or min(shape) < 0:
-            raise ValueError(
-                f"{path.name} holds a {dtype.str} array of shape {shape}, not a 2-D <f8 one"
-            )
-        needed = math.prod(shape) * 8
-        held = os.fstat(f.fileno()).st_size - f.tell()
-        if held != needed:
-            raise ValueError(
-                f"{path.name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds"
-            )
-        f.seek(0)
-        return np.lib.format.read_array(f, allow_pickle=False)
-
-
 class BowIntentClassifier(Component):
     """Per-edit reclassification of the prefix count vector; it keeps no
     session state."""
@@ -222,10 +192,7 @@ class BowIntentClassifier(Component):
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_classifier_bow")
         (directory / "intents.tsv").write_text("\t".join(model.intents) + "\n", encoding="utf-8")
-        with (directory / "weights.npy").open("wb") as f:
-            np.lib.format.write_array(
-                f, np.ascontiguousarray(model.weights, dtype="<f8"), version=(1, 0), allow_pickle=False
-            )
+        write_npy(directory / "weights.npy", model.weights, "<f8")
 
     @classmethod
     def load(cls, directory: Path, params) -> "BowIntentClassifier":
@@ -234,7 +201,7 @@ class BowIntentClassifier(Component):
         intents = lines[0].split("\t") if lines else []
         if len(lines) != 1 or len(set(intents)) < len(intents):
             raise ValueError("intents.tsv is not one line naming distinct intents")
-        weights = _read_weights(directory / "weights.npy")
+        weights = read_npy(directory / "weights.npy", "<f8", 2)
         if weights.shape[1] != len(intents):
             raise ValueError("weight matrix width does not match intents.tsv")
         if not np.isfinite(weights).all():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .iu import ADD, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
 # Records the redo stack keeps; a deeper REVOKE run drops the oldest, and
@@ -56,15 +57,27 @@ CONFIG_NAME = "config.yml"
 REDO_DEPTH = 4
 
 
+def _bundle_files(directory: str, parts: tuple[str, ...] = ()):
+    """(relative path parts, path) of every file below ``directory`` but a
+    manifest, unsorted. A symbolic link to a directory is not followed."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.is_dir():
+                if not entry.is_symlink():
+                    yield from _bundle_files(entry.path, (*parts, entry.name))
+            elif entry.name != MANIFEST_NAME:
+                yield (*parts, entry.name), entry.path
+
+
 def _bundle_checksum(root: Path) -> str:
-    """Digest over every persisted file except the manifest itself."""
+    """Digest over every persisted file except the manifest itself, in the
+    order of their relative paths' parts."""
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        if path.is_dir() or path.name == MANIFEST_NAME:
-            continue
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
+    for parts, path in sorted(_bundle_files(root)):
+        digest.update(os.path.join(*parts).encode("utf-8"))
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        with open(path, "rb") as f:
+            digest.update(f.read())
         digest.update(b"\0")
     return digest.hexdigest()
 

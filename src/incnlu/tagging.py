@@ -38,10 +38,16 @@ skipped decode would give gold again and update nothing, so the averaged
 weights are those of decoding every sentence in every epoch. An averaged
 weight is the weight's total over the sentence steps divided by the step
 count. Scaling every score by the same positive count moves no argmax, so
-the model keeps the totals and never divides, and the model file stores
-them: after the tag-set header, one line per feature with a nonzero total,
-holding the feature and then a tag index and total for each of its nonzero
-totals, in ascending index; a last line holds the step count.
+the model keeps the totals and never divides, and the bundle stores them.
+``model.tsv`` holds the tag-set header, then the name of each feature with
+a nonzero total, one a line, and last the step count. Three ``.npy`` files
+hold the nonzero totals themselves, feature by feature in that order:
+``widths.npy`` the count of each feature's nonzero totals, ``tags.npy``
+each total's tag index, ascending within its feature, both in the
+smallest unsigned type that holds them, and ``totals.npy`` the totals as
+little-endian int32, which holds every total below 2^31 exactly. Loading
+parses no number but the step count, and scatters the totals into one
+int64 table.
 """
 
 from __future__ import annotations
@@ -49,12 +55,11 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, TrainingContext, read_npy, write_npy
 from .data import TrainingDataset, bio_tags
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, TAGS, TOKENS, Blackboard
@@ -240,6 +245,12 @@ def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str
 def _back_dtype(n_tags: int) -> np.dtype:
     """Smallest unsigned type that holds a tag index: one byte up to 256 tags."""
     return np.min_scalar_type(n_tags - 1)
+
+
+def _file_dtypes(n_tags: int) -> tuple[np.dtype, np.dtype]:
+    """The little-endian types of the model file's widths and tag indices:
+    the smallest unsigned ones that hold n_tags and n_tags - 1."""
+    return np.min_scalar_type(n_tags).newbyteorder("<"), _back_dtype(n_tags).newbyteorder("<")
 
 
 def _row_offsets(n_tags: int) -> np.ndarray:
@@ -634,13 +645,16 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
-        lines = ["#tags\t" + "\t".join(model.tags)]
-        for feat in sorted(model.weights):
-            pairs = [f"{t}\t{total}" for t, total in enumerate(model.weights[feat].tolist()) if total]
-            if pairs:
-                lines.append("\t".join([feat, *pairs]))
-        lines.append(f"#steps\t{model.steps}")
+        n_tags = len(model.tags)
+        feats = sorted(feat for feat, vec in model.weights.items() if vec.any())
+        table = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), n_tags)
+        rows, index = np.nonzero(table)  # row by row, so each row's indices ascend
+        lines = ["#tags\t" + "\t".join(model.tags), *feats, f"#steps\t{model.steps}"]
         (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        width_dtype, index_dtype = _file_dtypes(n_tags)
+        write_npy(directory / "widths.npy", np.count_nonzero(table, axis=1), width_dtype)
+        write_npy(directory / "tags.npy", index, index_dtype)
+        write_npy(directory / "totals.npy", table[rows, index], "<i4")
 
     @classmethod
     def load(cls, directory: Path, params) -> "SequenceEntityTagger":
@@ -654,28 +668,32 @@ class SequenceEntityTagger(Component):
         steps = int(raw) if label == "#steps" and raw.isdecimal() else 0
         if steps < 1:
             raise ValueError(f"the last line, {lines[-1]!r}, is not '#steps' and a positive step count")
-        # Each feature line is the feature, then (tag index, total) pairs.
-        body = [line.split("\t") for line in lines[1:-1]]
-        feats = [fields[0] for fields in body]
-        widths = np.array([*map(len, body)], dtype=np.intp)
-        if (widths % 2 == 0).any() or (widths < 3).any():
-            raise ValueError("a feature line is not a feature and one or more (tag index, total) pairs")
+        feats = lines[1:-1]
         if len(set(feats)) < len(feats):
-            raise ValueError("a feature has more than one line")
-        try:
-            numbers = np.fromiter(map(int, chain.from_iterable(fields[1:] for fields in body)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            raise ValueError("a tag index or total is not an int64 integer") from None
-        index, totals = numbers[0::2], numbers[1::2]
-        if index.size and not 0 <= index.min() <= index.max() < n_tags:
+            raise ValueError("a feature is named twice")
+        width_dtype, index_dtype = _file_dtypes(n_tags)
+        widths = read_npy(directory / "widths.npy", width_dtype, 1)
+        index = read_npy(directory / "tags.npy", index_dtype, 1)
+        totals = read_npy(directory / "totals.npy", "<i4", 1)
+        if widths.size != len(feats):
+            raise ValueError(f"widths.npy has {widths.size} widths for {len(feats)} features")
+        if not widths.all():
+            raise ValueError("a feature has no nonzero total")
+        n_cells = int(widths.sum(dtype=np.int64))
+        if not n_cells == index.size == totals.size:
+            raise ValueError(f"the widths sum to {n_cells}, against {index.size} tag indices "
+                             f"and {totals.size} totals")
+        if index.size and index.max() >= n_tags:
             raise ValueError(f"a tag index is outside 0..{n_tags - 1}")
         if not totals.all():
             raise ValueError("a total is zero")
-        # Each pair's total goes to its (feature, tag) cell of one table.
-        cells = np.repeat(np.arange(len(body)) * n_tags, widths // 2) + index
-        if np.unique(cells).size < cells.size:
-            raise ValueError("a feature line names a tag index twice")
-        table = np.zeros((len(body), n_tags), dtype=np.int64)
+        # Each total goes to its (feature, tag) cell of one table. A feature's
+        # cells lie below the next feature's, so the cells ascend exactly
+        # when every feature's tag indices do.
+        cells = np.repeat(np.arange(len(feats)) * n_tags, widths) + index
+        if (np.diff(cells) <= 0).any():
+            raise ValueError("a feature's tag indices do not ascend")
+        table = np.zeros((len(feats), n_tags), dtype=np.int64)
         table.ravel()[cells] = totals
         comp.model = TaggerModel(tags=tags, weights=dict(zip(feats, table)), steps=steps)
         return comp

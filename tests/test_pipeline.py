@@ -1055,17 +1055,21 @@ def _npy(array, version=(1, 0)):
     return out.getvalue()
 
 
-def _rewrite_weights(change):
-    """Edit of BoW's weights.npy that writes ``change`` of its matrix."""
+def _rewrite_npy(change):
+    """Edit of a .npy file that writes ``change`` of its array."""
     return lambda data: _npy(change(np.load(io.BytesIO(data))))
 
 
-def _set_weight(row, col, value):
-    def change(weights):
-        weights[row, col] = value
-        return weights
+def _set_value(index, value, dtype=None):
+    """Edit of a .npy file that sets one value of its array, first cast to
+    ``dtype`` if given."""
 
-    return _rewrite_weights(change)
+    def change(array):
+        array = array.astype(dtype or array.dtype)
+        array[index] = value
+        return array
+
+    return _rewrite_npy(change)
 
 
 def _weights_npz(data):
@@ -1075,21 +1079,24 @@ def _weights_npz(data):
 
 
 def _reshape_header(shape):
-    """Edit of BoW's weights.npy that keeps its values under a header
-    naming ``shape`` of the matrix's own shape."""
+    """Edit of a .npy file that keeps its values under a header naming
+    ``shape`` of the array's own shape."""
 
     def edit(data):
-        weights = np.load(io.BytesIO(data))
+        array = np.load(io.BytesIO(data))
         header = io.BytesIO()
-        fields = {"descr": "<f8", "fortran_order": False, "shape": shape(*weights.shape)}
+        fields = {"descr": array.dtype.str, "fortran_order": False, "shape": shape(*array.shape)}
         np.lib.format.write_array_header_1_0(header, fields)
-        return header.getvalue() + weights.tobytes()
+        return header.getvalue() + array.tobytes()
 
     return edit
 
 
 _SIUM = "intent_sium/model.tsv"
 _TAGGER = "entity_tagger_sequence/model.tsv"
+_WIDTHS = "entity_tagger_sequence/widths.npy"
+_TAGS = "entity_tagger_sequence/tags.npy"
+_TOTALS = "entity_tagger_sequence/totals.npy"
 _BOW = "intent_classifier_bow/weights.npy"
 _BOW_INTENTS = "intent_classifier_bow/intents.tsv"
 _VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
@@ -1098,34 +1105,53 @@ _VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
 # (None deletes the file). A .npy file's edit maps bytes to bytes, any
 # other file's text to text.
 _MALFORMED = {
-    # A tagger line is a feature, then (tag index, total) pairs: field -1 is
-    # the last pair's total and field -2 its tag index.
-    "tagger-weight-not-a-float": (_TAGGER, _set_field(1, -1, "heavy")),
-    "tagger-tag-unknown": (_TAGGER, _set_field(1, -2, "B-nosuch")),
-    # Each of the next four loaded silently: a NaN weight parses to an intent
-    # with no entities, and an empty tag set fails on the first parse.
-    "tagger-weight-nan": (_TAGGER, _set_field(1, -1, "nan")),
-    "tagger-weight-infinite": (_TAGGER, _set_field(1, -1, "-inf")),
+    # The tagger's model.tsv names a feature a line; widths.npy holds each
+    # feature's count of nonzero totals, and tags.npy and totals.npy hold
+    # their tag indices and values, feature by feature. Its first feature,
+    # "bias", has more than one nonzero total.
+    "tagger-weight-not-a-float": (_TOTALS, _rewrite_npy(lambda totals: np.full(totals.shape, "heavy"))),
+    "tagger-tag-unknown": (_TAGS, _rewrite_npy(lambda tags: np.full(tags.shape, "B-nosuch"))),
+    "tagger-weight-nan": (_TOTALS, _set_value(0, np.nan, "<f8")),
+    "tagger-weight-infinite": (_TOTALS, _set_value(0, -np.inf, "<f8")),
+    # Each of the next two once loaded silently, and an empty tag set failed
+    # on the first parse.
     "tagger-tags-empty": (_TAGGER, lambda text: "#tags\n"),
     "tagger-tag-repeated": (_TAGGER, lambda text: text.replace("\n", "\tO\n", 1)),
-    "tagger-total-not-an-int": (_TAGGER, _set_field(1, -1, "2.5")),
+    "tagger-total-not-an-int": (_TOTALS, _set_value(0, 2.5, "<f8")),
     # The int64 lattice has headroom for totals below 2^31 in magnitude.
-    "tagger-total-too-large": (_TAGGER, _set_field(1, -1, str(2**31))),
-    "tagger-total-past-int64": (_TAGGER, _set_field(1, -1, str(-2**70))),
-    # This one loaded, and the last of the repeated lines gave the weight.
-    "tagger-total-repeated": (_TAGGER, lambda text: text.replace("\n", "\n" + text.split("\n")[1] + "\n", 1)),
-    "tagger-total-zero": (_TAGGER, _set_field(1, -1, "0")),
-    "tagger-pair-incomplete": (_TAGGER, _edit_fields(1, lambda fields: fields[:-1])),
-    # The toy tagger has 7 tags.
-    "tagger-tag-index-out-of-range": (_TAGGER, _set_field(1, -2, "7")),
-    "tagger-tag-index-negative": (_TAGGER, _set_field(1, -2, "-1")),
-    "tagger-tag-index-repeated": (_TAGGER, _edit_fields(1, lambda fields: [*fields, *fields[1:3]])),
-    # The first pair stays on the line and the rest go to a new one.
-    "tagger-feature-on-two-lines": (
-        _TAGGER,
-        _edit_fields(1, lambda fields: ["\t".join(fields[:3]) + "\n" + fields[0], *fields[3:]]),
+    "tagger-total-too-large": (_TOTALS, _set_value(0, 2**31, "<i8")),
+    "tagger-total-int32-min": (_TOTALS, _set_value(0, -2**31)),
+    # Its values are a pickle, which the load must not run.
+    "tagger-total-past-int64": (_TOTALS, _set_value(0, -2**70, object)),
+    "tagger-total-repeated": (_TOTALS, _rewrite_npy(lambda totals: np.insert(totals, 0, totals[0]))),
+    "tagger-total-zero": (_TOTALS, _set_value(0, 0)),
+    "tagger-totals-int64": (_TOTALS, _rewrite_npy(lambda totals: totals.astype("<i8"))),
+    "tagger-totals-big-endian": (_TOTALS, _rewrite_npy(lambda totals: totals.astype(">i4"))),
+    "tagger-totals-two-dimensional": (_TOTALS, _rewrite_npy(lambda totals: totals[None])),
+    "tagger-totals-empty": (_TOTALS, lambda data: b""),
+    "tagger-totals-truncated": (_TOTALS, lambda data: data[:-4]),
+    "tagger-totals-shape-past-the-file": (_TOTALS, _reshape_header(lambda size: (2**40,))),
+    "tagger-totals-deleted": (_TOTALS, None),
+    "tagger-pair-incomplete": (_TAGS, _rewrite_npy(lambda tags: tags[:-1])),
+    # The toy tagger has 7 tags, so its indices are one byte.
+    "tagger-tag-index-out-of-range": (_TAGS, _set_value(0, 7)),
+    "tagger-tag-index-negative": (_TAGS, _set_value(0, -1, "i1")),
+    "tagger-tag-index-repeated": (_TAGS, _rewrite_npy(lambda tags: tags[[0, 0, *range(2, tags.size)]])),
+    "tagger-tag-index-not-ascending": (_TAGS, _rewrite_npy(lambda tags: tags[[1, 0, *range(2, tags.size)]])),
+    "tagger-tags-two-bytes": (_TAGS, _rewrite_npy(lambda tags: tags.astype("<u2"))),
+    "tagger-tags-trailing-bytes": (_TAGS, lambda data: data + bytes(1)),
+    "tagger-tags-format-2": (_TAGS, lambda data: _npy(np.load(io.BytesIO(data)), version=(2, 0))),
+    "tagger-tags-deleted": (_TAGS, None),
+    "tagger-feature-on-two-lines": (_TAGGER, _edit_fields(1, lambda fields: [fields[0] + "\n" + fields[0]])),
+    "tagger-feature-name-missing": (_TAGGER, _delete_line(1)),
+    "tagger-feature-name-extra": (_TAGGER, lambda text: text.replace("\n", "\nw=extra\n", 1)),
+    "tagger-feature-without-pair": (
+        _WIDTHS,
+        _rewrite_npy(lambda widths: np.array([0, widths[0] + widths[1], *widths[2:]], dtype=widths.dtype)),
     ),
-    "tagger-feature-without-pair": (_TAGGER, _edit_fields(1, lambda fields: fields[:1])),
+    "tagger-widths-past-the-cells": (_WIDTHS, _rewrite_npy(lambda widths: np.append(widths[:-1], widths[-1] + 1))),
+    "tagger-widths-int64": (_WIDTHS, _rewrite_npy(lambda widths: widths.astype("<i8"))),
+    "tagger-widths-deleted": (_WIDTHS, None),
     "tagger-steps-missing": (_TAGGER, _delete_line(-2)),
     "tagger-steps-not-an-int": (_TAGGER, _set_field(-2, -1, "5600.0")),
     "tagger-steps-zero": (_TAGGER, _set_field(-2, -1, "0")),
@@ -1164,12 +1190,12 @@ _MALFORMED = {
     "bow-intents-deleted": (_BOW_INTENTS, None),
     "vocabulary-word-repeated": (_VOCABULARY, lambda text: text.split("\n", 1)[0] + "\n" + text),
     "vocabulary-word-empty": (_VOCABULARY, lambda text: "\n" + text),
-    "bow-weights-big-endian": (_BOW, _rewrite_weights(lambda weights: weights.astype(">f8"))),
-    "bow-weights-float32": (_BOW, _rewrite_weights(lambda weights: weights.astype("<f4"))),
-    "bow-weights-one-dimensional": (_BOW, _rewrite_weights(np.ravel)),
-    "bow-weights-three-dimensional": (_BOW, _rewrite_weights(lambda weights: weights[None])),
+    "bow-weights-big-endian": (_BOW, _rewrite_npy(lambda weights: weights.astype(">f8"))),
+    "bow-weights-float32": (_BOW, _rewrite_npy(lambda weights: weights.astype("<f4"))),
+    "bow-weights-one-dimensional": (_BOW, _rewrite_npy(np.ravel)),
+    "bow-weights-three-dimensional": (_BOW, _rewrite_npy(lambda weights: weights[None])),
     # Its values are a pickle, which the load must not run.
-    "bow-weights-object-array": (_BOW, _rewrite_weights(lambda weights: weights.astype(object))),
+    "bow-weights-object-array": (_BOW, _rewrite_npy(lambda weights: weights.astype(object))),
     "bow-weights-npz": (_BOW, _weights_npz),
     "bow-weights-format-2": (_BOW, lambda data: _npy(np.load(io.BytesIO(data)), version=(2, 0))),
     "bow-weights-empty": (_BOW, lambda data: b""),
@@ -1181,11 +1207,11 @@ _MALFORMED = {
     # Its size, rows times columns, is the file's own.
     "bow-weights-shape-negative": (_BOW, _reshape_header(lambda rows, cols: (-rows, -cols))),
     # A NaN weight parsed to a confidence of nan.
-    "bow-weight-nan": (_BOW, _set_weight(0, 0, np.nan)),
-    "bow-weight-infinite": (_BOW, _set_weight(-1, -1, np.inf)),
-    "bow-weight-matrix-too-narrow": (_BOW, _rewrite_weights(lambda weights: weights[:, :-1])),
+    "bow-weight-nan": (_BOW, _set_value((0, 0), np.nan)),
+    "bow-weight-infinite": (_BOW, _set_value((-1, -1), np.inf)),
+    "bow-weight-matrix-too-narrow": (_BOW, _rewrite_npy(lambda weights: weights[:, :-1])),
     # This one loaded, and every parse raised a ConsistencyError.
-    "bow-weight-row-missing": (_BOW, _rewrite_weights(lambda weights: weights[1:])),
+    "bow-weight-row-missing": (_BOW, _rewrite_npy(lambda weights: weights[1:])),
     "bow-weights-deleted": (_BOW, None),
 }
 
@@ -1257,6 +1283,15 @@ class TestBundles:
         assert loaded.intents == comp.model.intents
         assert loaded.weights.dtype == np.float64 and loaded.weights.shape == weights.shape
         assert loaded.weights.tobytes() == weights.tobytes()
+
+    def test_a_column_ordered_bow_matrix_loads_as_the_same_matrix(self, toy_interp, tmp_path):
+        """A .npy file may hold its values in Fortran (column) order, as its
+        header says; the load reads them so, as np.load does."""
+        path = toy_interp.persist(tmp_path / "bundle") / _BOW
+        weights = np.load(path)
+        path.write_bytes(_npy(np.asfortranarray(weights)))
+        loaded = BowIntentClassifier.load(path.parent, {}).model.weights
+        assert loaded.shape == weights.shape and loaded.tobytes() == weights.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -1354,10 +1389,11 @@ class TestBundles:
         # Schema 1 kept parameters in per-component params.tsv files, schema
         # 2 kept SIUM's log tables instead of its counts, schema 3 kept the
         # tagger's weights as decimals instead of its integer totals, schema
-        # 4 kept one tagger line per (feature, tag) cell, naming the tag, and
+        # 4 kept one tagger line per (feature, tag) cell, naming the tag,
         # schema 5 kept BoW's weights as decimal text and SIUM's counts and
-        # both vocabularies by word.
-        for version in (999, 1, 2, 3, 4, 5):
+        # both vocabularies by word, and schema 6 kept the tagger's tag
+        # indices and totals as decimal text.
+        for version in (999, 1, 2, 3, 4, 5, 6):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):
@@ -1367,6 +1403,14 @@ class TestBundles:
         root = toy_interp.persist(tmp_path / "bundle")
         target = root / "intent_classifier_bow" / "weights.npy"
         target.write_bytes(target.read_bytes() + b"x")
+        with pytest.raises(BundleError, match="checksum"):
+            load(root)
+
+    def test_a_file_added_in_a_nested_directory_fails_the_checksum(self, toy_interp, tmp_path):
+        root = toy_interp.persist(tmp_path / "bundle")
+        extra = root / "intent_sium" / "nested" / "deeper" / "extra.tsv"
+        extra.parent.mkdir(parents=True)
+        extra.write_text("x\n", encoding="utf-8")
         with pytest.raises(BundleError, match="checksum"):
             load(root)
 

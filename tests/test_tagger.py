@@ -442,7 +442,7 @@ class TestTaggerComponent:
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
         assert comp.model.steps == 10 * len(toy_dataset.examples)
-        _assert_integer_totals(tmp_path / "model.tsv", comp.model)
+        _assert_integer_totals(tmp_path, comp.model)
 
     def test_a_tagger_that_took_no_step_persists_and_loads(self, toy_dataset, tmp_path):
         comp = SequenceEntityTagger({"epochs": 0})
@@ -460,29 +460,62 @@ class TestTaggerComponent:
         loaded = SequenceEntityTagger.load(tmp_path, {}).model
         assert loaded.steps == 7 and loaded.weights["bias"].tobytes() == totals.tobytes()
 
+    @pytest.mark.parametrize("name, values, message", [
+        ("widths", [0, 3], "a feature has no nonzero total"),
+        ("tags", [3, 1, 2], r"a tag index is outside 0\.\.2"),
+    ])
+    def test_a_total_moved_into_the_next_feature_is_refused(self, tmp_path, name, values, message):
+        """Widths or a tag index that would move a total into the next
+        feature's cells are refused, though every cell still ascends."""
+        comp = SequenceEntityTagger()
+        weights = {"a": np.array([5, 0, 0]), "b": np.array([0, 6, 7])}
+        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights=weights)
+        comp.persist(tmp_path)
+        np.save(tmp_path / f"{name}.npy", np.array(values, dtype=np.uint8))
+        with pytest.raises(ValueError, match=message):
+            SequenceEntityTagger.load(tmp_path, {})
+
+    @pytest.mark.parametrize("n_tags", [255, 256, 257])
+    def test_a_tag_set_past_one_byte_persists_and_loads(self, tmp_path, n_tags):
+        """256 tags need two bytes a feature's count of nonzero totals, and
+        257 two bytes a tag index too; a feature whose every total is
+        nonzero has the largest count."""
+        tags = ["O", *(f"B-t{n}" for n in range(n_tags - 1))]
+        weights = {"bias": np.arange(1, n_tags + 1), "w=x": np.zeros(n_tags, dtype=np.int64)}
+        weights["w=x"][-1] = -3
+        comp = SequenceEntityTagger()
+        comp.model = TaggerModel(tags=tags, weights=weights, steps=3)
+        comp.persist(tmp_path)
+        _assert_integer_totals(tmp_path, comp.model)
+        loaded = SequenceEntityTagger.load(tmp_path, {}).model
+        assert loaded.steps == 3
+        _assert_same_bits(loaded, tags, weights)
+
     @pytest.mark.parametrize("row", [[_BOUND, 0, 0], [0, -_BOUND, 0], [0.0, 1.0, 0.0], [1, 2]])
     def test_a_model_refuses_totals_that_are_not_int64_below_the_bound(self, row):
         with pytest.raises(DataError, match=f"must be int64, 3 a feature, below {_BOUND} in magnitude"):
             TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": np.array(row)})
 
 
-def _assert_integer_totals(path, model):
-    """The model file at ``path`` holds ``model``'s tags, then one line per
-    feature with a nonzero total: the feature, then a tag index and that
-    integer for each of its nonzero totals, in ascending index. Last comes
-    the step count."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+def _assert_integer_totals(directory, model):
+    """The model files in ``directory`` hold ``model``'s tags, the name of
+    each feature with a nonzero total in sorted order, one a line, and last
+    the step count; then, feature by feature, the count of its nonzero
+    totals, their tag indices in ascending order and the totals as int32,
+    the counts and indices in the smallest unsigned type that holds them."""
+    lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "#tags\t" + "\t".join(model.tags)
     assert lines[-1] == f"#steps\t{model.steps}"
-    feats = []
-    for line in lines[1:-1]:
-        feat, *fields = line.split("\t")
-        feats.append(feat)
-        index, totals = fields[0::2], fields[1::2]
-        assert index and len(index) == len(totals), line
-        assert index == [str(t) for t in np.flatnonzero(model.weights[feat])], line
-        assert totals == [str(model.weights[feat][int(t)]) for t in index], line
+    feats = lines[1:-1]
     assert feats == sorted(feat for feat, vec in model.weights.items() if vec.any())
+    widths, index, totals = (np.load(directory / f"{name}.npy") for name in ("widths", "tags", "totals"))
+    assert widths.dtype == np.min_scalar_type(len(model.tags))
+    assert index.dtype == np.min_scalar_type(len(model.tags) - 1)
+    assert totals.dtype == np.dtype("<i4")
+    nonzero = [(feat, tag) for feat in feats for tag in np.flatnonzero(model.weights[feat])]
+    assert widths.tolist() == [np.count_nonzero(model.weights[feat]) for feat in feats]
+    assert index.tolist() == [tag for _, tag in nonzero]
+    assert totals.tolist() == [model.weights[feat][tag] for feat, tag in nonzero]
 
 
 _TAG_NAMES = st.text(st.characters(codec="ascii", categories=["L", "N", "P"]), min_size=1, max_size=6)
@@ -493,7 +526,7 @@ _FEATURES = st.text(st.characters(exclude_categories=["Z", "Cc", "Cs"]), max_siz
 @st.composite
 def _models(draw):
     tags = draw(st.lists(_TAG_NAMES, min_size=1, max_size=6, unique=True))
-    total = st.integers(-_BOUND + 1, _BOUND - 1) | st.just(0)
+    total = st.integers(-_BOUND + 1, _BOUND - 1) | st.sampled_from([0, _BOUND - 1, 1 - _BOUND])
     weights = draw(st.dictionaries(_FEATURES, st.lists(total, min_size=len(tags), max_size=len(tags)),
                                    max_size=12))
     steps = draw(st.integers(1, 2**40))
@@ -503,17 +536,22 @@ def _models(draw):
 @settings(max_examples=200, deadline=None)
 @given(_models())
 @example((["O"], {}, 1))
+@example((["O"], {"bias": np.array([_BOUND - 1]), "digit": np.array([1 - _BOUND])}, 2**40))
+@example((["O", "B-x", "I-x"], {"bias": np.array([_BOUND - 1, 1 - _BOUND, -1]),
+                                "": np.array([0, 0, 5]), "w=x": np.array([0, 0, 0])}, 7))
 def test_any_model_persists_and_loads_with_its_tags_steps_and_bits(tmp_path_factory, case):
     """Any tag set, whitespace-free feature strings and int64 totals within
     the bound, all-zero rows and a model with no weight included, come back
-    from the model file as they went in; a feature whose totals are all
-    zero is not written."""
+    from the model files as they went in, bit for bit; a feature whose
+    totals are all zero is not written. The examples hold the one-tag set,
+    totals of +-(2^31 - 1), the empty feature string and a feature whose
+    every total is nonzero."""
     tags, weights, steps = case
     directory = tmp_path_factory.mktemp("tagger")
     comp = SequenceEntityTagger()
     comp.model = TaggerModel(tags=tags, weights=weights, steps=steps)
     comp.persist(directory)
-    _assert_integer_totals(directory / "model.tsv", comp.model)
+    _assert_integer_totals(directory, comp.model)
     loaded = SequenceEntityTagger.load(directory, {}).model
     assert loaded.steps == steps
     _assert_same_bits(loaded, tags, weights)
@@ -525,7 +563,7 @@ def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path)
     cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
     trained = train_tagger(load_dataset(_SNIPS_TRAIN))
     assert trained.steps == 5600
-    _assert_integer_totals(tmp_path / SequenceEntityTagger.name / "model.tsv", trained)
+    _assert_integer_totals(tmp_path / SequenceEntityTagger.name, trained)
     loaded = SequenceEntityTagger.load(tmp_path / SequenceEntityTagger.name, {}).model
     assert loaded.steps == 5600
     _assert_same_bits(loaded, trained.tags, trained.weights)

@@ -6,7 +6,7 @@ Trains the bundle ``incnlu train --data data/snips_train.json --seed 13``
 writes, and digests:
 
 - ``bundle``: every file of that bundle, by relative path, a ``.npy``
-  file as the text of its values;
+  file as the text of its values, floats or integers;
 - ``stream``: one fixed, seeded edit script over the test split, streamed
   through the loaded bundle twice: once through ``parse_incremental``, and
   once with every edit run through each component's ``process``, as a
@@ -38,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
 import random
 import re
@@ -97,10 +98,12 @@ class Digest:
 
 def _file_text(path: Path) -> str:
     """A bundle file's text; a ``.npy`` file's is its values, one row a
-    line of tab-separated ``repr`` floats, so the rounded digest rounds them."""
+    line of tab-separated ``repr`` numbers (a 1-D array's row is one value),
+    so the rounded digest rounds the floats."""
     if path.suffix != ".npy":
         return path.read_text(encoding="utf-8")
-    rows = np.load(path, allow_pickle=False).tolist()
+    values = np.load(path, allow_pickle=False)
+    rows = values.reshape(values.shape[0], math.prod(values.shape[1:])).tolist()
     return "\n".join("\t".join(map(repr, row)) for row in rows)
 
 
