@@ -7,6 +7,10 @@ eager component, in pipeline order, before the next edit enters the
 pipeline. A component that declares keys and owns none of them is
 shadowed: it runs when its view is read, and its view is then the one a
 lock-step run publishes, bit for bit.
+
+Every model file of a bundle takes one of two forms, each written and read
+here: a names file, one entry a line, and a sparse integer table of three
+``.npy`` files.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import BundleError, ConfigError, ParameterError
 from .iu import Blackboard, EditType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -183,3 +187,75 @@ def read_npy(path: Path, dtype: str | np.dtype, ndim: int) -> np.ndarray:
             )
         values = np.fromfile(f, dtype=dtype, count=count)
     return values.reshape(shape, order="F" if fortran_order else "C")
+
+
+def _distinct(names: list[str]) -> bool:
+    return "" not in names and len(set(names)) == len(names)
+
+
+def write_names(path: Path, names: list[str]) -> None:
+    """Write ``names`` one a line, or raise a BundleError if they would not
+    read back as they are: non-empty, distinct and free of line breaks."""
+    text = "".join(f"{name}\n" for name in names)
+    if text.splitlines() != names or not _distinct(names):
+        raise BundleError(f"{path.name} cannot hold these names one a line: {names!r}")
+    path.write_text(text, encoding="utf-8")
+
+
+def read_names(path: Path) -> list[str]:
+    """The names of a file ``write_names`` wrote, or a ValueError if one is
+    empty or named twice."""
+    names = path.read_text(encoding="utf-8").splitlines()
+    if not _distinct(names):
+        raise ValueError(f"{path.name} names an entry twice, or an empty one")
+    return names
+
+
+def _index_dtype(n_cols: int) -> np.dtype:
+    """The smallest unsigned type that holds ``n_cols``: one byte up to 255."""
+    return np.min_scalar_type(n_cols).newbyteorder("<")
+
+
+def write_rows(directory: Path, table: np.ndarray) -> None:
+    """Write the nonzero cells of the 2-D integer ``table``, row by row, to
+    three ``.npy`` files: ``widths.npy`` the count of each row's cells,
+    ``index.npy`` each cell's column, ascending within its row, both in the
+    smallest unsigned type that holds the column count, and ``values.npy``
+    the values as little-endian int32. A value outside int32 is a
+    BundleError."""
+    if table.size and not -2**31 <= table.min() <= table.max() < 2**31:
+        raise BundleError(f"{directory.name}: a value is outside int32")
+    rows, index = np.nonzero(table)  # row by row, so each row's columns ascend
+    dtype = _index_dtype(table.shape[1])
+    write_npy(directory / "widths.npy", np.count_nonzero(table, axis=1), dtype)
+    write_npy(directory / "index.npy", index, dtype)
+    write_npy(directory / "values.npy", table[rows, index], "<i4")
+
+
+def read_rows(directory: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The int64 table of ``shape`` whose nonzero cells ``write_rows`` wrote
+    to ``directory``, or a ValueError if the files do not hold exactly one
+    such table."""
+    n_rows, n_cols = shape
+    dtype = _index_dtype(n_cols)
+    widths = read_npy(directory / "widths.npy", dtype, 1)
+    index = read_npy(directory / "index.npy", dtype, 1)
+    values = read_npy(directory / "values.npy", "<i4", 1)
+    if widths.size != n_rows:
+        raise ValueError(f"widths.npy has {widths.size} widths for {n_rows} rows")
+    n_cells = int(widths.sum(dtype=np.int64))
+    if not n_cells == index.size == values.size:
+        raise ValueError(f"the widths sum to {n_cells}, against {index.size} column indices "
+                         f"and {values.size} values")
+    if index.size and index.max() >= n_cols:
+        raise ValueError(f"a column index is outside 0..{n_cols - 1}")
+    if not values.all():
+        raise ValueError("a value is zero")
+    # Each value goes to its (row, column) cell. A row's cells lie below the
+    # next row's, so the cells ascend exactly when every row's columns do.
+    cells = np.repeat(np.arange(n_rows) * n_cols, widths) + index
+    if (np.diff(cells) <= 0).any():
+        raise ValueError("a row's column indices do not ascend")
+    table = np.zeros(shape, dtype=np.int64)
+    table.ravel()[cells] = values
+    return table

@@ -72,13 +72,11 @@ def _check_utf8(value: str, kind: str, where: str) -> None:
 
 
 def _check_label(label: str, kind: str, where: str) -> None:
-    """Refuse a label that the bundle's line-per-entry files cannot hold."""
+    """Refuse a label that the bundle's one-a-line names files, or the
+    tab-separated ``stream`` output, cannot hold."""
     _check_utf8(label, kind, where)
-    heading = label.startswith("[") and label.endswith("]")
-    if "\t" in label or label.splitlines() != [label] or heading:
-        raise DataError(
-            f"{where}: {kind} {label!r} holds a tab or a line break, or is a [section] heading"
-        )
+    if "\t" in label or label.splitlines() != [label]:
+        raise DataError(f"{where}: {kind} {label!r} holds a tab or a line break")
 
 
 def _validate_example(text: str, intent: str, entities: list[EntityAnnotation], where: str) -> None:

@@ -11,7 +11,8 @@ the start of an utterance, widened to the next unsigned type by the add that
 would overflow it, and never narrowed. Equal counts give the classifier the
 same float row whatever their dtype.
 
-A bundle's ``vocabulary.tsv`` lists the words in index order, one a line.
+A bundle's ``vocabulary.tsv`` lists the words in index order, one a line,
+as :func:`~incnlu.components.write_names` writes every names file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, TrainingContext, read_names, write_names
 from .errors import ConfigError, ConsistencyError, DataError
 from .iu import ADD, COUNT_VECTOR, REVOKE, TOKENS, Blackboard, EditType
 
@@ -85,15 +86,6 @@ class Vocabulary:
     def to_lines(self) -> list[str]:
         """The words in index order."""
         return sorted(self.index, key=self.index.get)
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str], lowercase: bool = True) -> "Vocabulary":
-        """The vocabulary whose words in index order are ``lines``."""
-        words = list(lines)
-        index = {word: i for i, word in enumerate(words)}
-        if len(index) < len(words) or "" in index:
-            raise DataError("vocabulary words are not distinct and non-empty")
-        return cls(index, lowercase=lowercase)
 
 
 def count_vector(vocab: Vocabulary, tokens: Iterable[str]) -> np.ndarray:
@@ -211,13 +203,11 @@ class CountVectorsFeaturizer(Component):
 
     def persist(self, directory: Path) -> None:
         vocab = self._require_vocab()
-        (directory / "vocabulary.tsv").write_text(
-            "".join(f"{word}\n" for word in vocab.to_lines()), encoding="utf-8"
-        )
+        write_names(directory / "vocabulary.tsv", vocab.to_lines())
 
     @classmethod
     def load(cls, directory: Path, params) -> "CountVectorsFeaturizer":
         comp = cls(params)
-        lines = (directory / "vocabulary.tsv").read_text(encoding="utf-8").splitlines()
-        comp.vocabulary = Vocabulary.from_lines(lines, lowercase=comp.params["lowercase"])
+        words = read_names(directory / "vocabulary.tsv")
+        comp.vocabulary = Vocabulary({word: i for i, word in enumerate(words)}, comp.params["lowercase"])
         return comp

@@ -8,7 +8,7 @@ output equal the non-incremental one. The classifier keeps no session
 state, so a REVOKE right after an ADD, on which the interpreter gives back
 the board from before the ADD, leaves it nothing to do.
 
-A bundle holds the intents as one tab-separated line, ``intents.tsv``, and
+A bundle names the intents in ``intents.tsv``, one a line, and holds
 the weight matrix as ``weights.npy``: a version 1.0 ``.npy`` file of
 little-endian float64, exactly the trained bits. Loading reads it without
 unpickling, and checks its header against the file's size before it
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_npy, write_npy
+from .components import Component, TrainingContext, read_names, read_npy, write_names, write_npy
 from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
@@ -191,18 +191,15 @@ class BowIntentClassifier(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_classifier_bow")
-        (directory / "intents.tsv").write_text("\t".join(model.intents) + "\n", encoding="utf-8")
+        write_names(directory / "intents.tsv", model.intents)
         write_npy(directory / "weights.npy", model.weights, "<f8")
 
     @classmethod
     def load(cls, directory: Path, params) -> "BowIntentClassifier":
         comp = cls(params)
-        lines = (directory / "intents.tsv").read_text(encoding="utf-8").splitlines()
-        intents = lines[0].split("\t") if lines else []
-        if len(lines) != 1 or len(set(intents)) < len(intents):
-            raise ValueError("intents.tsv is not one line naming distinct intents")
+        intents = read_names(directory / "intents.tsv")
         weights = read_npy(directory / "weights.npy", "<f8", 2)
-        if weights.shape[1] != len(intents):
+        if weights.shape[1] != len(intents) or not intents:
             raise ValueError("weight matrix width does not match intents.tsv")
         if not np.isfinite(weights).all():
             raise ValueError("weight matrix holds a value that is not finite")

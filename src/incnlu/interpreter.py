@@ -49,7 +49,7 @@ from .iu import ADD, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
 from .results import NluResult, result_from_annotations
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
 # Records the redo stack keeps; a deeper REVOKE run drops the oldest, and

@@ -26,24 +26,24 @@ it per row on first use, and every session on the model shares the memo.
 Adjacent same-class words merge into one span. An edit can change only the
 last span, so the readout keeps the spans before it.
 
-A bundle's ``model.tsv`` holds the labels, then one line per label with
-counts: the label, then (word index, count) pairs in ascending index; and
-last the vocabulary, the words in index order, one a line.
+A bundle names the intents, the entity classes and the vocabulary in
+``intents.tsv``, ``entity_classes.tsv`` and ``vocabulary.tsv``, one a
+line, and holds the counts in the sparse table of
+:func:`~incnlu.components.write_rows`: a row per intent, then a row per
+entity class, and a column per word.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext
+from .components import Component, TrainingContext, read_names, read_rows, write_names, write_rows
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
-from .features import Vocabulary
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, IncrementalUnit
 from .results import EntitySpan, rank_distribution
 
@@ -52,8 +52,9 @@ from .results import EntitySpan, rank_distribution
 class SiumModel:
     """Smoothed count model over words, conditioned on intent and entity class.
 
-    The counts are the model's only record: ``intent_counts[intent][word]``
-    and ``entity_counts[cls][word]`` hold the nonzero training counts.
+    The counts are the model's only record: ``intent_counts`` and
+    ``entity_counts`` are int64 tables of training counts, a row per intent
+    or entity class, in label order, and a column per ``word_index`` entry.
     Building the model derives the rest, after training and at load alike:
     uniform priors, and likelihood tables with one row per ``word_index``
     entry plus a final row for unseen words, add-alpha smoothed against the
@@ -64,8 +65,8 @@ class SiumModel:
     intents: list[str]
     entity_classes: list[str]
     word_index: dict[str, int]
-    intent_counts: dict[str, dict[str, int]]
-    entity_counts: dict[str, dict[str, int]]
+    intent_counts: np.ndarray
+    entity_counts: np.ndarray
     alpha: float
     entity_threshold: float
     lowercase: bool
@@ -75,10 +76,8 @@ class SiumModel:
             raise ParameterError(f"smoothing alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.entity_threshold <= 1.0:
             raise ParameterError(f"entity_threshold must be in [0, 1], got {self.entity_threshold}")
-        self.log_word_given_intent = self._smoothed_log_table(self.intent_counts, self.intents)
-        self.log_word_given_entity = self._smoothed_log_table(
-            self.entity_counts, self.entity_classes
-        )
+        self.log_word_given_intent = self._smoothed_log_table(self.intent_counts)
+        self.log_word_given_entity = self._smoothed_log_table(self.entity_counts)
         self.log_intent_prior = np.full(len(self.intents), -math.log(len(self.intents)))
         n_classes = len(self.entity_classes)
         self.log_entity_prior = np.full(n_classes, -math.log(n_classes))
@@ -87,25 +86,22 @@ class SiumModel:
         # copy made through ``dataclasses.replace`` starts memos of its own.
         self._picks: dict[int, tuple[str, float] | None] = {}
 
-    def _smoothed_log_table(
-        self, counts: dict[str, dict[str, int]], labels: list[str]
-    ) -> np.ndarray:
+    def _smoothed_log_table(self, counts: np.ndarray) -> np.ndarray:
         """Rows are words (last row unseen), columns labels, entries log probs.
         Each column must sum to one. A word with no count in a column, like
-        the unseen row, gets log(alpha / denom): (0 + alpha) is alpha."""
-        word_index, alpha = self.word_index, self.alpha
-        n_rows = len(word_index) + 1
-        table = np.empty((n_rows, len(labels)), dtype=np.float64)
-        for col, label in enumerate(labels):
-            label_counts = counts.get(label, {})
-            total = sum(label_counts.values())
-            denom = total + alpha * (len(word_index) + 1)
-            table[:, col] = math.log(alpha / denom)
-            for word, count in label_counts.items():
-                table[word_index[word], col] = math.log((count + alpha) / denom)
+        the unseen row, gets log(alpha / denom): (0 + alpha) is alpha. Every
+        entry is a ``math.log``, whose bits ``np.log`` does not always give."""
+        alpha, n_rows = self.alpha, len(self.word_index) + 1
+        denoms = [total + alpha * n_rows for total in counts.sum(axis=1).tolist()]
+        table = np.empty((n_rows, len(denoms)), dtype=np.float64)
+        table[:] = [math.log(alpha / denom) for denom in denoms]
+        labels, words = np.nonzero(counts)
+        # numpy's + and / round as Python's do; only the log must be math's.
+        ratios = (counts[labels, words] + alpha) / np.array(denoms)[labels]
+        table[words, labels] = [*map(math.log, ratios.tolist())]
         sums = np.exp(table).sum(axis=0)
         if not np.allclose(sums, 1.0, atol=1e-9):
-            raise ConsistencyError(f"likelihood table for {labels} does not normalize: {sums}")
+            raise ConsistencyError(f"a likelihood table does not normalize: {sums}")
         return table
 
     def row(self, word: str) -> int:
@@ -139,23 +135,28 @@ def train_sium(
     if not dataset.examples:
         raise DataError("cannot train on an empty dataset")
 
+    intents = dataset.intents
+    entity_classes = dataset.entity_types + [NO_ENTITY]
+    intent_row = {intent: i for i, intent in enumerate(intents)}
+    class_row = {cls: i for i, cls in enumerate(entity_classes)}
     word_index: dict[str, int] = {}
-    intent_counts: dict[str, Counter] = defaultdict(Counter)
-    entity_counts: dict[str, Counter] = defaultdict(Counter)
+    intent_rows, class_rows, columns = [], [], []
     for ex in dataset.examples:
         tokens, classes = token_entity_classes(ex.text, ex.entities, lowercase=lowercase)
         for token, cls in zip(tokens, classes):
-            if token not in word_index:
-                word_index[token] = len(word_index)
-            intent_counts[ex.intent][token] += 1
-            entity_counts[cls][token] += 1
-
+            columns.append(word_index.setdefault(token, len(word_index)))
+            intent_rows.append(intent_row[ex.intent])
+            class_rows.append(class_row[cls])
+    intent_counts = np.zeros((len(intents), len(word_index)), dtype=np.int64)
+    entity_counts = np.zeros((len(entity_classes), len(word_index)), dtype=np.int64)
+    np.add.at(intent_counts, (intent_rows, columns), 1)
+    np.add.at(entity_counts, (class_rows, columns), 1)
     return SiumModel(
-        intents=dataset.intents,
-        entity_classes=dataset.entity_types + [NO_ENTITY],
+        intents=intents,
+        entity_classes=entity_classes,
         word_index=word_index,
-        intent_counts=dict(intent_counts),
-        entity_counts=dict(entity_counts),
+        intent_counts=intent_counts,
+        entity_counts=entity_counts,
         alpha=alpha,
         entity_threshold=entity_threshold,
         lowercase=lowercase,
@@ -275,10 +276,6 @@ def sium_entities(state: SiumState) -> tuple[EntitySpan, ...]:
     return tuple(spans)
 
 
-# Each count section of a persisted model, with the labels its lines use.
-_COUNT_SECTIONS = (("intent_counts", "intents"), ("entity_counts", "entity_classes"))
-
-
 class SiumIntent(Component):
     """Update-incremental intent and entity component. Its session state is
     the :class:`SiumState` and the units it added, by which it follows the
@@ -350,70 +347,28 @@ class SiumIntent(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_sium")
-        word_index = model.word_index
-        lines = ["[intents]", *model.intents, "[entity_classes]", *model.entity_classes]
-        for section, labels in _COUNT_SECTIONS:
-            lines.append(f"[{section}]")
-            table = getattr(model, section)
-            for label in getattr(model, labels):
-                pairs = sorted((word_index[w], n) for w, n in table.get(label, {}).items())
-                if pairs:
-                    lines.append("\t".join([label, *(f"{i}\t{n}" for i, n in pairs)]))
-        # Last, because a word may look like a [section] heading.
-        lines.append("[vocabulary]")
-        lines.extend(sorted(word_index, key=word_index.get))
-        (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_names(directory / "intents.tsv", model.intents)
+        write_names(directory / "entity_classes.tsv", model.entity_classes)
+        write_names(directory / "vocabulary.tsv", sorted(model.word_index, key=model.word_index.get))
+        write_rows(directory, np.vstack((model.intent_counts, model.entity_counts)))
 
     @classmethod
     def load(cls, directory: Path, params) -> "SiumIntent":
         comp = cls(params)
-        lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
-        # Every line past the [vocabulary] heading is a word, in index order.
-        at = lines.index("[vocabulary]")
-        words = lines[at + 1:]
-        word_index = Vocabulary.from_lines(words).index
-        sections: dict[str, list[str]] = {}
-        current = None
-        for line in lines[:at]:
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                sections[current] = []
-            elif line:
-                sections[current].append(line)
-        counts: dict[str, dict[str, dict[str, int]]] = {}
-        for section, labels in _COUNT_SECTIONS:
-            table = counts[section] = {label: {} for label in sections[labels]}
-            if len(table) < len(sections[labels]):
-                raise ValueError(f"[{labels}] names a label more than once")
-            named = set()
-            # Each line is a label, then (word index, count) pairs.
-            for line in sections[section]:
-                label, *pairs = line.split("\t")
-                if label not in table or label in named:
-                    raise ValueError(f"[{section}] {label!r}: an unknown label, or a second line for one")
-                named.add(label)
-                if len(pairs) % 2:
-                    raise ValueError(f"[{section}] {label!r}: a word index without its count")
-                try:
-                    numbers = [*map(int, pairs)]
-                except ValueError:
-                    raise ValueError(
-                        f"[{section}] {label!r}: a word index or count is not an integer"
-                    ) from None
-                index, totals = numbers[0::2], numbers[1::2]
-                # Strictly ascending, from 0 or more to below the vocabulary size.
-                if not all(a < b for a, b in zip([-1, *index], [*index, len(words)])):
-                    raise ValueError(f"[{section}] {label!r}: a word index out of range or out of order")
-                if any(n < 1 for n in totals):
-                    raise ValueError(f"[{section}] {label!r}: a count below 1")
-                table[label] = {words[i]: n for i, n in zip(index, totals)}
+        intents = read_names(directory / "intents.tsv")
+        entity_classes = read_names(directory / "entity_classes.tsv")
+        words = read_names(directory / "vocabulary.tsv")
+        counts = read_rows(directory, (len(intents) + len(entity_classes), len(words)))
+        if (counts < 0).any():
+            raise ValueError("a count is negative")
         comp.model = SiumModel(
-            intents=sections["intents"],
-            entity_classes=sections["entity_classes"],
-            word_index=word_index,
+            intents=intents,
+            entity_classes=entity_classes,
+            word_index={word: i for i, word in enumerate(words)},
+            intent_counts=counts[:len(intents)],
+            entity_counts=counts[len(intents):],
             alpha=comp.params["alpha"],
             entity_threshold=comp.params["entity_threshold"],
             lowercase=comp.params["lowercase"],
-            **counts,
         )
         return comp

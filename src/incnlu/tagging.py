@@ -38,16 +38,11 @@ skipped decode would give gold again and update nothing, so the averaged
 weights are those of decoding every sentence in every epoch. An averaged
 weight is the weight's total over the sentence steps divided by the step
 count. Scaling every score by the same positive count moves no argmax, so
-the model keeps the totals and never divides, and the bundle stores them.
-``model.tsv`` holds the tag-set header, then the name of each feature with
-a nonzero total, one a line, and last the step count. Three ``.npy`` files
-hold the nonzero totals themselves, feature by feature in that order:
-``widths.npy`` the count of each feature's nonzero totals, ``tags.npy``
-each total's tag index, ascending within its feature, both in the
-smallest unsigned type that holds them, and ``totals.npy`` the totals as
-little-endian int32, which holds every total below 2^31 exactly. Loading
-parses no number but the step count, and scatters the totals into one
-int64 table.
+the model keeps the totals and never divides, and the bundle stores them:
+``tags.tsv`` names the tags and ``features.tsv`` each feature with a
+nonzero total, one a line, and the sparse table of
+:func:`~incnlu.components.write_rows` holds the totals, a row per feature
+and a column per tag. Loading scatters them into one int64 table.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_npy, write_npy
+from .components import Component, TrainingContext, read_names, read_rows, write_names, write_rows
 from .data import TrainingDataset, bio_tags
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, TAGS, TOKENS, Blackboard
@@ -134,12 +129,11 @@ class TaggerModel:
     """Averaged-perceptron weights, one int64 vector over tags per feature
     string.
 
-    Each weight is a total: the averaged weight times ``steps``, the number
-    of sentence steps training took (1 for weights given as they are, and
-    for a model that took no step, which has no weight). Every total is
-    below _TOTAL_BELOW in magnitude, or the model refuses to be built with
-    a DataError. Training keeps no feature whose totals are all zero, as
-    the model file holds none.
+    Each weight is a total: the averaged weight times the number of
+    sentence steps training took, so the argmax of every score is that of
+    the averaged weights. Every total is below _TOTAL_BELOW in magnitude,
+    or the model refuses to be built with a DataError. Training keeps no
+    feature whose totals are all zero, as the model files hold none.
 
     The streaming path reads a token's weights through :meth:`word_parts`,
     memoised per known word on first use and shared by every session on
@@ -149,7 +143,6 @@ class TaggerModel:
 
     tags: list[str]
     weights: dict[str, np.ndarray]
-    steps: int = 1
 
     def __post_init__(self) -> None:
         n_tags = len(self.tags)
@@ -247,12 +240,6 @@ def _back_dtype(n_tags: int) -> np.dtype:
     return np.min_scalar_type(n_tags - 1)
 
 
-def _file_dtypes(n_tags: int) -> tuple[np.dtype, np.dtype]:
-    """The little-endian types of the model file's widths and tag indices:
-    the smallest unsigned ones that hold n_tags and n_tags - 1."""
-    return np.min_scalar_type(n_tags).newbyteorder("<"), _back_dtype(n_tags).newbyteorder("<")
-
-
 def _row_offsets(n_tags: int) -> np.ndarray:
     """Where each row of an (n_tags, n_tags) matrix starts once flattened."""
     return np.arange(0, n_tags * n_tags, n_tags)
@@ -325,7 +312,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     decode's updates land in one batch. A change d at step t counts in the
     weight at each of the S - t later steps, so a cell's total over S steps
     is S times its final weight minus its ``moved``. The model gets those
-    totals, of the features with a nonzero one, and the step count.
+    totals, of the features with a nonzero one.
 
     A dataset with no entity annotations still yields a valid model; its
     single tag is "O" and decoding is trivially all-"O".
@@ -399,8 +386,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     totals = step * weights - moved
     kept = np.flatnonzero(totals.any(axis=1))
     names = list(rows)
-    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept])),
-                       steps=max(step, 1))
+    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept])))
 
 
 def extract_entities(tags: Sequence[str], tokens: Sequence[str]) -> tuple[EntitySpan, ...]:
@@ -645,55 +631,21 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
-        n_tags = len(model.tags)
         feats = sorted(feat for feat, vec in model.weights.items() if vec.any())
-        table = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), n_tags)
-        rows, index = np.nonzero(table)  # row by row, so each row's indices ascend
-        lines = ["#tags\t" + "\t".join(model.tags), *feats, f"#steps\t{model.steps}"]
-        (directory / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        width_dtype, index_dtype = _file_dtypes(n_tags)
-        write_npy(directory / "widths.npy", np.count_nonzero(table, axis=1), width_dtype)
-        write_npy(directory / "tags.npy", index, index_dtype)
-        write_npy(directory / "totals.npy", table[rows, index], "<i4")
+        write_names(directory / "tags.tsv", model.tags)
+        write_names(directory / "features.tsv", feats)
+        table = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
+        write_rows(directory, table)
 
     @classmethod
     def load(cls, directory: Path, params) -> "SequenceEntityTagger":
         comp = cls(params)
-        lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
-        header, *tags = lines[0].split("\t")
-        n_tags = len(tags)
-        if header != "#tags" or not tags or "" in tags or len(set(tags)) < n_tags:
-            raise ValueError(f"{lines[0]!r} is not a tag-set header naming distinct tags")
-        label, _, raw = lines[-1].partition("\t")
-        steps = int(raw) if label == "#steps" and raw.isdecimal() else 0
-        if steps < 1:
-            raise ValueError(f"the last line, {lines[-1]!r}, is not '#steps' and a positive step count")
-        feats = lines[1:-1]
-        if len(set(feats)) < len(feats):
-            raise ValueError("a feature is named twice")
-        width_dtype, index_dtype = _file_dtypes(n_tags)
-        widths = read_npy(directory / "widths.npy", width_dtype, 1)
-        index = read_npy(directory / "tags.npy", index_dtype, 1)
-        totals = read_npy(directory / "totals.npy", "<i4", 1)
-        if widths.size != len(feats):
-            raise ValueError(f"widths.npy has {widths.size} widths for {len(feats)} features")
-        if not widths.all():
+        tags = read_names(directory / "tags.tsv")
+        if not tags:
+            raise ValueError("tags.tsv names no tag")
+        feats = read_names(directory / "features.tsv")
+        table = read_rows(directory, (len(feats), len(tags)))
+        if not table.any(axis=1).all():
             raise ValueError("a feature has no nonzero total")
-        n_cells = int(widths.sum(dtype=np.int64))
-        if not n_cells == index.size == totals.size:
-            raise ValueError(f"the widths sum to {n_cells}, against {index.size} tag indices "
-                             f"and {totals.size} totals")
-        if index.size and index.max() >= n_tags:
-            raise ValueError(f"a tag index is outside 0..{n_tags - 1}")
-        if not totals.all():
-            raise ValueError("a total is zero")
-        # Each total goes to its (feature, tag) cell of one table. A feature's
-        # cells lie below the next feature's, so the cells ascend exactly
-        # when every feature's tag indices do.
-        cells = np.repeat(np.arange(len(feats)) * n_tags, widths) + index
-        if (np.diff(cells) <= 0).any():
-            raise ValueError("a feature's tag indices do not ascend")
-        table = np.zeros((len(feats), n_tags), dtype=np.int64)
-        table.ravel()[cells] = totals
-        comp.model = TaggerModel(tags=tags, weights=dict(zip(feats, table)), steps=steps)
+        comp.model = TaggerModel(tags=tags, weights=dict(zip(feats, table)))
         return comp

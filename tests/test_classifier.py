@@ -177,6 +177,15 @@ class TestBowComponent:
         assert loaded.model.intents == comp.model.intents
         assert np.array_equal(loaded.model.weights, comp.model.weights)
 
+    def test_a_matrix_with_no_intent_is_refused(self, tmp_path):
+        """An empty intents.tsv beside a matrix with no column matches its
+        width, and is refused all the same."""
+        comp = BowIntentClassifier()
+        comp.model = LinearIntentModel(intents=[], weights=np.zeros((3, 0)))
+        comp.persist(tmp_path)
+        with pytest.raises(ValueError, match="width does not match intents.tsv"):
+            BowIntentClassifier.load(tmp_path, {})
+
     def test_weight_file_is_byte_stable(self, tmp_path):
         ds = _separable_dataset()
         vocab = _fit_vocabulary(ds)

@@ -52,7 +52,7 @@ class TestTrain:
         assert [row[1] for row in rows] == [c.name for c in load_bundle(out).components]
         assert (out / "manifest.json").exists()
         assert (out / "config.yml").exists()
-        assert (out / "intent_sium" / "model.tsv").exists()
+        assert (out / "intent_sium" / "vocabulary.tsv").exists()
 
     def test_accepts_a_config_file(self, cli_env, tmp_path, capsys):
         config = tmp_path / "two.yml"

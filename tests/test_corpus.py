@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import random
@@ -6,6 +7,7 @@ import re
 import pytest
 
 from incnlu import DataError
+from incnlu.cli import main
 from incnlu.data import (
     NO_ENTITY,
     EntityAnnotation,
@@ -232,14 +234,13 @@ _TOY_MARKDOWN = """\
 """
 
 
-# Labels a bundle cannot hold: SIUM's model.tsv keeps one label a line, under
-# [section] headings, and every component's file splits its lines at tabs.
+# Labels a bundle or the stream output cannot hold: a bundle's names files
+# keep one label a line, the stream output is tab-separated, and the null
+# class is SIUM's own.
 _BAD_LABELS = [
     ("Play\tMusic", "genre"),
     ("Play\nMusic", "genre"),
-    ("[intents]", "genre"),
     ("PlayMusic", "gen\tre"),
-    ("PlayMusic", "[x]"),
     ("PlayMusic", NO_ENTITY),
 ]
 
@@ -268,6 +269,26 @@ class TestLabels:
             match = rf"d\.md:2: (intent|entity type) {label}"
         with pytest.raises(DataError, match=match):
             load_markdown(path)
+
+    @pytest.mark.parametrize("form", ["json", "markdown"])
+    @pytest.mark.parametrize(("intent", "etype"), [("[intents]", "genre"), ("PlayMusic", "[x]")])
+    def test_a_label_shaped_like_a_section_heading_trains_persists_and_streams(
+        self, tmp_path, capsys, monkeypatch, form, intent, etype
+    ):
+        """No bundle file has [section] headings, so such a label is a label."""
+        markdown = _TOY_MARKDOWN.replace("intent:PlayMusic", f"intent:{intent}")
+        path = tmp_path / "d.md"
+        path.write_text(markdown.replace("(genre)", f"({etype})"), encoding="utf-8")
+        if form == "json":
+            dataset, path = load_markdown(path), tmp_path / "d.json"
+            save_json(dataset, path)
+        bundle = tmp_path / "bundle"
+        assert main(["train", "--data", str(path), "--out", str(bundle)]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("play\nsome\njazz\n"))
+        capsys.readouterr()
+        assert main(["stream", "--model", str(bundle)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split("\t")
+        assert last[0] == intent and last[2] == f"{etype}:jazz:2:3"
 
     # A lone surrogate, as the JSON escape \ud800 gives, in each field that
     # reaches the bundle's UTF-8 files: training succeeded, and the persist

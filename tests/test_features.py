@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incnlu import ConsistencyError, DataError
-from incnlu.components import TrainingContext
+from incnlu.components import TrainingContext, read_names, write_names
 from incnlu.features import (
     CountVectorsFeaturizer,
     Vocabulary,
@@ -44,18 +44,21 @@ def test_vocabulary_fit_rejects_empty_corpus():
         Vocabulary.fit([])
 
 
-def test_vocabulary_line_round_trip():
+def test_vocabulary_line_round_trip(tmp_path):
     vocab = Vocabulary.fit([["gamma", "beta", "alpha", "beta"]])
     # One word a line, in index order.
     assert vocab.to_lines() == ["gamma", "beta", "alpha"]
-    restored = Vocabulary.from_lines(vocab.to_lines())
-    assert restored.index == vocab.index
+    write_names(tmp_path / "vocabulary.tsv", vocab.to_lines())
+    assert (tmp_path / "vocabulary.tsv").read_text(encoding="utf-8") == "gamma\nbeta\nalpha\n"
+    assert read_names(tmp_path / "vocabulary.tsv") == vocab.to_lines()
 
 
 @pytest.mark.parametrize("lines", [["a", "b", "a"], ["a", ""]])
-def test_vocabulary_from_lines_rejects_repeated_or_empty_words(lines):
-    with pytest.raises(DataError):
-        Vocabulary.from_lines(lines)
+def test_read_names_rejects_repeated_or_empty_entries(tmp_path, lines):
+    path = tmp_path / "names.tsv"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="names an entry twice, or an empty one"):
+        read_names(path)
 
 
 def test_count_vector_counts_known_words_only(toy_dataset):

@@ -21,7 +21,7 @@ from incnlu import (
     load,
     train_pipeline,
 )
-from incnlu.components import Component
+from incnlu.components import Component, read_names, read_rows, write_names, write_rows
 from incnlu.config import (
     ComponentSpec,
     PipelineConfig,
@@ -975,80 +975,6 @@ def test_a_widened_bag_ranks_as_its_batch_count(toy_interp):
     assert _published_bag(session, stack).dtype == np.uint16
 
 
-def _edit_fields(line_no, change):
-    """Edit that replaces the tab-separated fields of one line with
-    ``change`` of them."""
-
-    def edit(text):
-        lines = text.split("\n")
-        lines[line_no] = "\t".join(change(lines[line_no].split("\t")))
-        return "\n".join(lines)
-
-    return edit
-
-
-def _set_field(line_no, field, value):
-    """Edit that overwrites one tab-separated field of one line."""
-
-    def change(parts):
-        parts[field] = value
-        return parts
-
-    return _edit_fields(line_no, change)
-
-
-def _delete_line(line_no):
-    """Edit that deletes one line."""
-
-    def edit(text):
-        lines = text.split("\n")
-        del lines[line_no]
-        return "\n".join(lines)
-
-    return edit
-
-
-def _edit_sium_line(section, change):
-    """Edit that replaces the fields of the first line under ``[section]``
-    in SIUM's model file with ``change`` of them."""
-
-    def edit(text):
-        line_no = text.split("\n").index(f"[{section}]") + 1
-        return _edit_fields(line_no, change)(text)
-
-    return edit
-
-
-def _set_sium_field(section, field, value):
-    """Edit that overwrites one field of the first line under ``[section]``
-    in SIUM's model file."""
-
-    def change(fields):
-        fields[field] = value
-        return fields
-
-    return _edit_sium_line(section, change)
-
-
-def _repeat_sium_label(section):
-    """Edit that repeats the first line under ``[section]`` in SIUM's model file."""
-
-    def edit(text):
-        lines = text.split("\n")
-        line_no = lines.index(f"[{section}]") + 1
-        lines.insert(line_no, lines[line_no])
-        return "\n".join(lines)
-
-    return edit
-
-
-def _sium_index_past_the_vocabulary(text):
-    """Point the last pair of SIUM's first count line at the word index one
-    past the vocabulary, whose words are the lines after its heading."""
-    size = len(text.split("[vocabulary]\n")[1].splitlines())
-    return _set_sium_field("intent_counts", -2, str(size))(text)
-
-
 def _npy(array, version=(1, 0)):
     out = io.BytesIO()
     np.lib.format.write_array(out, array, version=version, allow_pickle=True)
@@ -1092,104 +1018,95 @@ def _reshape_header(shape):
     return edit
 
 
-_SIUM = "intent_sium/model.tsv"
-_TAGGER = "entity_tagger_sequence/model.tsv"
-_WIDTHS = "entity_tagger_sequence/widths.npy"
-_TAGS = "entity_tagger_sequence/tags.npy"
-_TOTALS = "entity_tagger_sequence/totals.npy"
+def _names_cases(prefix, relpath):
+    """The names file's refusals: an entry repeated, an empty entry, and
+    the file deleted."""
+    stem = Path(relpath).stem
+    return {
+        f"{prefix}-{stem}-repeated": (relpath, lambda text: text.split("\n", 1)[0] + "\n" + text),
+        f"{prefix}-{stem}-empty-entry": (relpath, lambda text: "\n" + text),
+        f"{prefix}-{stem}-deleted": (relpath, None),
+    }
+
+
+def _rows_cases(prefix, component, n_cols):
+    """The sparse table's refusals, on the rows of ``component``, whose
+    tables have ``n_cols`` columns. The first row has more than one
+    nonzero cell."""
+    widths, index, values = (f"{component}/{name}.npy" for name in ("widths", "index", "values"))
+    cases = {
+        "values-strings": (values, _rewrite_npy(lambda values: np.full(values.shape, "heavy"))),
+        "value-nan": (values, _set_value(0, np.nan, "<f8")),
+        "value-infinite": (values, _set_value(0, -np.inf, "<f8")),
+        "value-not-an-int": (values, _set_value(0, 2.5, "<f8")),
+        "value-past-int32": (values, _set_value(0, 2**31, "<i8")),
+        # Its values are a pickle, which the load must not run.
+        "value-past-int64": (values, _set_value(0, -2**70, object)),
+        "value-repeated": (values, _rewrite_npy(lambda values: np.insert(values, 0, values[0]))),
+        "value-zero": (values, _set_value(0, 0)),
+        "values-int64": (values, _rewrite_npy(lambda values: values.astype("<i8"))),
+        "values-big-endian": (values, _rewrite_npy(lambda values: values.astype(">i4"))),
+        "values-two-dimensional": (values, _rewrite_npy(lambda values: values[None])),
+        "values-empty": (values, lambda data: b""),
+        "values-truncated": (values, lambda data: data[:-4]),
+        "values-shape-past-the-file": (values, _reshape_header(lambda size: (2**40,))),
+        "values-deleted": (values, None),
+        "index-missing-one": (index, _rewrite_npy(lambda index: index[:-1])),
+        "index-out-of-range": (index, _set_value(0, n_cols)),
+        "index-negative": (index, _set_value(0, -1, "i1")),
+        "index-float": (index, _rewrite_npy(lambda index: index.astype("<f8"))),
+        "index-repeated": (index, _rewrite_npy(lambda index: index[[0, 0, *range(2, index.size)]])),
+        "index-not-ascending": (index, _rewrite_npy(lambda index: index[[1, 0, *range(2, index.size)]])),
+        "index-two-bytes": (index, _rewrite_npy(lambda index: index.astype("<u2"))),
+        "index-trailing-bytes": (index, lambda data: data + bytes(1)),
+        "index-format-2": (index, lambda data: _npy(np.load(io.BytesIO(data)), version=(2, 0))),
+        "index-deleted": (index, None),
+        "widths-missing-one": (widths, _rewrite_npy(lambda widths: widths[:-1])),
+        "widths-extra": (widths, _rewrite_npy(lambda widths: np.append(widths, np.zeros(1, widths.dtype)))),
+        "widths-past-the-cells": (widths, _rewrite_npy(lambda widths: np.append(widths[:-1], widths[-1] + 1))),
+        "widths-int64": (widths, _rewrite_npy(lambda widths: widths.astype("<i8"))),
+        "widths-deleted": (widths, None),
+    }
+    return {f"{prefix}-{name}": case for name, case in cases.items()}
+
+
+_SIUM = "intent_sium"
+_TAGGER = "entity_tagger_sequence"
 _BOW = "intent_classifier_bow/weights.npy"
-_BOW_INTENTS = "intent_classifier_bow/intents.tsv"
-_VOCABULARY = "featurizer_count_vectors/vocabulary.tsv"
+# The toy corpus's words, SIUM's columns.
+_TOY_WORDS = len({word for text, _, _ in toy_rows() for word in text.split()})
 
 # One edit per case, each leaving a bundle whose checksum is valid again
 # (None deletes the file). A .npy file's edit maps bytes to bytes, any
 # other file's text to text.
 _MALFORMED = {
-    # The tagger's model.tsv names a feature a line; widths.npy holds each
-    # feature's count of nonzero totals, and tags.npy and totals.npy hold
-    # their tag indices and values, feature by feature. Its first feature,
-    # "bias", has more than one nonzero total.
-    "tagger-weight-not-a-float": (_TOTALS, _rewrite_npy(lambda totals: np.full(totals.shape, "heavy"))),
-    "tagger-tag-unknown": (_TAGS, _rewrite_npy(lambda tags: np.full(tags.shape, "B-nosuch"))),
-    "tagger-weight-nan": (_TOTALS, _set_value(0, np.nan, "<f8")),
-    "tagger-weight-infinite": (_TOTALS, _set_value(0, -np.inf, "<f8")),
-    # Each of the next two once loaded silently, and an empty tag set failed
-    # on the first parse.
-    "tagger-tags-empty": (_TAGGER, lambda text: "#tags\n"),
-    "tagger-tag-repeated": (_TAGGER, lambda text: text.replace("\n", "\tO\n", 1)),
-    "tagger-total-not-an-int": (_TOTALS, _set_value(0, 2.5, "<f8")),
-    # The int64 lattice has headroom for totals below 2^31 in magnitude.
-    "tagger-total-too-large": (_TOTALS, _set_value(0, 2**31, "<i8")),
-    "tagger-total-int32-min": (_TOTALS, _set_value(0, -2**31)),
-    # Its values are a pickle, which the load must not run.
-    "tagger-total-past-int64": (_TOTALS, _set_value(0, -2**70, object)),
-    "tagger-total-repeated": (_TOTALS, _rewrite_npy(lambda totals: np.insert(totals, 0, totals[0]))),
-    "tagger-total-zero": (_TOTALS, _set_value(0, 0)),
-    "tagger-totals-int64": (_TOTALS, _rewrite_npy(lambda totals: totals.astype("<i8"))),
-    "tagger-totals-big-endian": (_TOTALS, _rewrite_npy(lambda totals: totals.astype(">i4"))),
-    "tagger-totals-two-dimensional": (_TOTALS, _rewrite_npy(lambda totals: totals[None])),
-    "tagger-totals-empty": (_TOTALS, lambda data: b""),
-    "tagger-totals-truncated": (_TOTALS, lambda data: data[:-4]),
-    "tagger-totals-shape-past-the-file": (_TOTALS, _reshape_header(lambda size: (2**40,))),
-    "tagger-totals-deleted": (_TOTALS, None),
-    "tagger-pair-incomplete": (_TAGS, _rewrite_npy(lambda tags: tags[:-1])),
-    # The toy tagger has 7 tags, so its indices are one byte.
-    "tagger-tag-index-out-of-range": (_TAGS, _set_value(0, 7)),
-    "tagger-tag-index-negative": (_TAGS, _set_value(0, -1, "i1")),
-    "tagger-tag-index-repeated": (_TAGS, _rewrite_npy(lambda tags: tags[[0, 0, *range(2, tags.size)]])),
-    "tagger-tag-index-not-ascending": (_TAGS, _rewrite_npy(lambda tags: tags[[1, 0, *range(2, tags.size)]])),
-    "tagger-tags-two-bytes": (_TAGS, _rewrite_npy(lambda tags: tags.astype("<u2"))),
-    "tagger-tags-trailing-bytes": (_TAGS, lambda data: data + bytes(1)),
-    "tagger-tags-format-2": (_TAGS, lambda data: _npy(np.load(io.BytesIO(data)), version=(2, 0))),
-    "tagger-tags-deleted": (_TAGS, None),
-    "tagger-feature-on-two-lines": (_TAGGER, _edit_fields(1, lambda fields: [fields[0] + "\n" + fields[0]])),
-    "tagger-feature-name-missing": (_TAGGER, _delete_line(1)),
-    "tagger-feature-name-extra": (_TAGGER, lambda text: text.replace("\n", "\nw=extra\n", 1)),
-    "tagger-feature-without-pair": (
-        _WIDTHS,
+    **_names_cases("featurizer", "featurizer_count_vectors/vocabulary.tsv"),
+    # SIUM's rows are those of its intents, then of its entity classes,
+    # and a column per vocabulary word.
+    **_names_cases("sium", f"{_SIUM}/intents.tsv"),
+    **_names_cases("sium", f"{_SIUM}/entity_classes.tsv"),
+    **_names_cases("sium", f"{_SIUM}/vocabulary.tsv"),
+    **_rows_cases("sium", _SIUM, _TOY_WORDS),
+    "sium-intent-extra": (f"{_SIUM}/intents.tsv", lambda text: text + "NoSuchIntent\n"),
+    "sium-vocabulary-word-missing": (f"{_SIUM}/vocabulary.tsv", lambda text: text.rsplit("\n", 2)[0] + "\n"),
+    # A negative count can still normalise, and would load silently.
+    "sium-count-negative": (f"{_SIUM}/values.npy", _set_value(0, -1)),
+    # The tagger's rows are its features, and a column per tag: the toy
+    # tagger has 7.
+    **_names_cases("tagger", f"{_TAGGER}/tags.tsv"),
+    **_names_cases("tagger", f"{_TAGGER}/features.tsv"),
+    **_rows_cases("tagger", _TAGGER, 7),
+    "tagger-tags-none": (f"{_TAGGER}/tags.tsv", lambda text: ""),
+    "tagger-feature-name-missing": (f"{_TAGGER}/features.tsv", lambda text: text.split("\n", 1)[1]),
+    "tagger-feature-name-extra": (f"{_TAGGER}/features.tsv", lambda text: "w=extra\n" + text),
+    "tagger-feature-without-total": (
+        f"{_TAGGER}/widths.npy",
         _rewrite_npy(lambda widths: np.array([0, widths[0] + widths[1], *widths[2:]], dtype=widths.dtype)),
     ),
-    "tagger-widths-past-the-cells": (_WIDTHS, _rewrite_npy(lambda widths: np.append(widths[:-1], widths[-1] + 1))),
-    "tagger-widths-int64": (_WIDTHS, _rewrite_npy(lambda widths: widths.astype("<i8"))),
-    "tagger-widths-deleted": (_WIDTHS, None),
-    "tagger-steps-missing": (_TAGGER, _delete_line(-2)),
-    "tagger-steps-not-an-int": (_TAGGER, _set_field(-2, -1, "5600.0")),
-    "tagger-steps-zero": (_TAGGER, _set_field(-2, -1, "0")),
-    "tagger-steps-negative": (_TAGGER, _set_field(-2, -1, "-1")),
-    # This one, and a BoW matrix narrower than its header, raised a
-    # ConsistencyError that named no component.
-    "tagger-tags-header-missing": (_TAGGER, lambda text: text.split("\n", 1)[1]),
-    # A SIUM count line is a label, then (word index, count) pairs: field 1
-    # is the first pair's word index and field 2 its count.
-    "sium-section-missing": (
-        _SIUM,
-        lambda text: text[: text.index("[entity_counts]")] + text[text.index("[vocabulary]"):],
-    ),
-    "sium-vocabulary-missing": (_SIUM, lambda text: text[: text.index("[vocabulary]")]),
-    "sium-count-not-an-int": (_SIUM, _set_sium_field("intent_counts", 2, "2.5")),
-    # A count of 0 would still normalise, and load silently.
-    "sium-count-below-one": (_SIUM, _set_sium_field("intent_counts", 2, "0")),
-    "sium-label-unknown": (_SIUM, _set_sium_field("intent_counts", 0, "NoSuchIntent")),
-    "sium-label-repeated": (_SIUM, _repeat_sium_label("entity_counts")),
-    "sium-pair-incomplete": (_SIUM, _edit_sium_line("intent_counts", lambda fields: fields[:-1])),
-    "sium-index-not-an-int": (_SIUM, _set_sium_field("intent_counts", 1, "first")),
-    "sium-index-negative": (_SIUM, _set_sium_field("intent_counts", 1, "-1")),
-    "sium-index-out-of-range": (_SIUM, _sium_index_past_the_vocabulary),
-    "sium-index-not-ascending": (
-        _SIUM,
-        _edit_sium_line("intent_counts", lambda fields: [fields[0], *fields[3:5], *fields[1:3], *fields[5:]]),
-    ),
-    "sium-index-repeated": (_SIUM, _edit_sium_line("intent_counts", lambda fields: [*fields, *fields[-2:]])),
-    "sium-vocabulary-word-repeated": (_SIUM, _repeat_sium_label("vocabulary")),
-    "sium-vocabulary-word-empty": (_SIUM, lambda text: text.replace("[vocabulary]\n", "[vocabulary]\n\n")),
-    # These three loaded, and published a ranking with a label twice.
-    "sium-intent-repeated": (_SIUM, _repeat_sium_label("intents")),
-    "sium-entity-class-repeated": (_SIUM, _repeat_sium_label("entity_classes")),
-    "bow-intent-repeated": (_BOW_INTENTS, lambda text: _set_field(0, 1, text.split("\t", 1)[0])(text)),
-    "bow-intents-on-two-lines": (_BOW_INTENTS, lambda text: text.replace("\t", "\n", 1)),
-    "bow-intents-deleted": (_BOW_INTENTS, None),
-    "vocabulary-word-repeated": (_VOCABULARY, lambda text: text.split("\n", 1)[0] + "\n" + text),
-    "vocabulary-word-empty": (_VOCABULARY, lambda text: "\n" + text),
+    # The int64 lattice has headroom for totals below 2^31 in magnitude.
+    "tagger-total-int32-min": (f"{_TAGGER}/values.npy", _set_value(0, -2**31)),
+    **_names_cases("bow", "intent_classifier_bow/intents.tsv"),
+    "bow-intent-extra": ("intent_classifier_bow/intents.tsv", lambda text: text + "NoSuchIntent\n"),
     "bow-weights-big-endian": (_BOW, _rewrite_npy(lambda weights: weights.astype(">f8"))),
     "bow-weights-float32": (_BOW, _rewrite_npy(lambda weights: weights.astype("<f4"))),
     "bow-weights-one-dimensional": (_BOW, _rewrite_npy(np.ravel)),
@@ -1216,13 +1133,11 @@ _MALFORMED = {
 }
 
 
-_LABELS = st.text(st.sampled_from("aZ09 _-.[]éß中"), min_size=1, max_size=8).filter(
-    lambda label: not (label.startswith("[") and label.endswith("]"))
-)
+_LABELS = st.text(st.sampled_from("aZ09 _-.[]éß中"), min_size=1, max_size=8)
 _MAX = np.finfo(np.float64).max
 
 # A word is a run of non-space characters, as the tokenizer cuts them;
-# some look like a [section] heading of SIUM's model file.
+# some look like a [section] heading, as a bundle's files once had.
 _WORDS = st.one_of(
     st.sampled_from(["[vocabulary]", "[intents]", "[intent_counts]", "[]"]),
     st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6).filter(
@@ -1243,9 +1158,9 @@ class TestBundles:
     @settings(max_examples=20, deadline=None)
     @given(labels=st.lists(_LABELS, min_size=6, max_size=6, unique=True))
     def test_every_label_the_loaders_accept_survives_the_bundle(self, labels):
-        """Spaces, brackets inside a label and non-ASCII letters pass the
-        loaders' label rule, so a bundle must hold them: the loaded pipeline
-        parses as the trained one did."""
+        """Spaces, brackets, a label shaped like a [section] heading and
+        non-ASCII letters pass the loaders' label rule, so a bundle must
+        hold them: the loaded pipeline parses as the trained one did."""
         intents = dict(zip(("PlayMusic", "GetWeather", "BookRestaurant"), labels))
         etypes = dict(zip(("genre", "city", "party_size"), labels[3:]))
         rows = [
@@ -1301,13 +1216,13 @@ class TestBundles:
         data=st.data(),
     )
     def test_any_sium_counts_survive_the_bundle(self, intents, classes, words, data):
-        """Words that look like a [section] heading included, the counts,
-        vocabulary and log tables load as they were persisted."""
-        counts = st.dictionaries(st.sampled_from(words), st.integers(1, 10**6)) if words else st.just({})
+        """Words that look like a [section] heading and labels with no count
+        included, the counts, vocabulary and log tables load as they were
+        persisted."""
 
         def table(labels):
-            named = data.draw(st.lists(st.sampled_from(labels), unique=True))
-            return {label: data.draw(counts) for label in named}
+            shape = (len(labels), len(words))
+            return data.draw(arrays(np.int64, shape, elements=st.integers(0, 10**6) | st.just(0)))
 
         order = data.draw(st.permutations(range(len(words))))
         model = SiumModel(
@@ -1327,11 +1242,8 @@ class TestBundles:
             loaded = SiumIntent.load(Path(tmp), {}).model
         assert (loaded.intents, loaded.entity_classes) == (intents, classes)
         assert loaded.word_index == model.word_index
-        for name in ("intent_counts", "entity_counts"):
-            assert {k: v for k, v in getattr(loaded, name).items() if v} == {
-                k: v for k, v in getattr(model, name).items() if v
-            }
-        for name in ("log_word_given_intent", "log_word_given_entity"):
+        for name in ("intent_counts", "entity_counts", "log_word_given_intent", "log_word_given_entity"):
+            assert getattr(loaded, name).dtype == getattr(model, name).dtype
             assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
 
     @settings(max_examples=50, deadline=None)
@@ -1344,6 +1256,53 @@ class TestBundles:
             comp.persist(Path(tmp))
             loaded = CountVectorsFeaturizer.load(Path(tmp), {})
         assert loaded.vocabulary.index == comp.vocabulary.index
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        table=arrays(
+            np.int64,
+            st.tuples(st.integers(0, 6), st.integers(1, 8) | st.sampled_from([255, 256, 257, 300])),
+            elements=st.integers(-2**31, 2**31 - 1),
+            fill=st.just(0),
+        )
+    )
+    # A row with no cell, one column, and a column index past one byte.
+    @example(table=np.array([[0], [-2**31], [0]]))
+    @example(table=np.array([[0] * 300, [*[0] * 256, 2**31 - 1, *[0] * 43]]))
+    def test_any_int32_table_survives_the_sparse_rows(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_rows(Path(tmp), table)
+            loaded = read_rows(Path(tmp), table.shape)
+        assert loaded.dtype == np.int64 and loaded.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("value", [2**31, -2**31 - 1])
+    def test_the_sparse_rows_refuse_a_value_outside_int32(self, tmp_path, value):
+        """Rather than wrap it silently, and before writing a file."""
+        with pytest.raises(BundleError, match="outside int32"):
+            write_rows(tmp_path, np.array([[0, value]]))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("names", [["a", "b", "a"], ["a", ""], ["a\nb"], ["a\r"]])
+    def test_a_names_file_refuses_names_that_would_not_read_back(self, tmp_path, names):
+        with pytest.raises(BundleError, match="one a line"):
+            write_names(tmp_path / "names.tsv", names)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("config", ["default", "sium", "restart"])
+    def test_every_bundle_file_is_a_names_file_or_a_version_1_npy(self, toy_dataset, tmp_path, config):
+        """Besides the config and the manifest, a bundle holds the two file
+        forms of the components module, and no other."""
+        root = train_pipeline(load_config(ROOT / "configs" / f"{config}.yml"), toy_dataset).persist(tmp_path)
+        files = [path for path in root.rglob("*") if path.is_file()]
+        assert files
+        for path in files:
+            if path.suffix == ".tsv":
+                read_names(path)
+            elif path.suffix == ".npy":
+                with path.open("rb") as f:
+                    assert np.lib.format.read_magic(f) == (1, 0), path
+            else:
+                assert path.relative_to(root).as_posix() in ("config.yml", "manifest.json"), path
 
     def test_untrained_pipeline_refuses_to_persist(self, tmp_path):
         interp = IncrementalInterpreter(default_config())
@@ -1391,9 +1350,11 @@ class TestBundles:
         # tagger's weights as decimals instead of its integer totals, schema
         # 4 kept one tagger line per (feature, tag) cell, naming the tag,
         # schema 5 kept BoW's weights as decimal text and SIUM's counts and
-        # both vocabularies by word, and schema 6 kept the tagger's tag
-        # indices and totals as decimal text.
-        for version in (999, 1, 2, 3, 4, 5, 6):
+        # both vocabularies by word, schema 6 kept the tagger's tag indices
+        # and totals as decimal text, and schema 7 kept SIUM's counts as
+        # decimal text under [section] headings and the tagger's tags and
+        # step count in its feature file.
+        for version in (999, 1, 2, 3, 4, 5, 6, 7):
             manifest["schema_version"] = version
             (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(BundleError, match=rf"{version}.*expected {SCHEMA_VERSION}"):

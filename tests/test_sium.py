@@ -71,8 +71,8 @@ def test_single_word_posterior_update():
         intents=["A", "B"],
         entity_classes=[NO_ENTITY],
         word_index={"w": 0, "x": 1},
-        intent_counts={"A": {"w": 2}, "B": {"x": 2}},
-        entity_counts={NO_ENTITY: {"w": 2, "x": 2}},
+        intent_counts=np.array([[2, 0], [0, 2]]),
+        entity_counts=np.array([[2, 2]]),
         alpha=1.0,
         entity_threshold=0.6,
         lowercase=True,
@@ -409,22 +409,40 @@ class TestSiumComponent:
         assert loaded.model.word_index == comp.model.word_index
         assert np.array_equal(loaded.model.log_word_given_intent, comp.model.log_word_given_intent)
         assert np.array_equal(loaded.model.log_word_given_entity, comp.model.log_word_given_entity)
-        # The file holds counts only: a line under a count section is a label,
-        # then (word index, count) pairs in ascending index, every count
-        # positive.
-        text = (tmp_path / "model.tsv").read_text(encoding="utf-8")
-        section = None
-        pairs = 0
-        for line in text.splitlines():
-            if line.startswith("["):
-                section = line
-            elif section in ("[intent_counts]", "[entity_counts]"):
-                label, *fields = line.split("\t")
-                index, counts = [*map(int, fields[0::2])], [*map(int, fields[1::2])]
-                assert index == sorted(set(index)) and min(counts) >= 1, line
-                pairs += len(counts)
-        tables = (comp.model.intent_counts, comp.model.entity_counts)
-        assert pairs == sum(len(words) for table in tables for words in table.values())
+        # The files hold the labels, the words and the counts only: a row per
+        # intent, then per entity class, of its nonzero counts.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "entity_classes.tsv", "index.npy", "intents.tsv", "values.npy", "vocabulary.tsv", "widths.npy"
+        ]
+        counts = np.vstack((comp.model.intent_counts, comp.model.entity_counts))
+        widths, index, values = (np.load(tmp_path / f"{name}.npy") for name in ("widths", "index", "values"))
+        assert widths.tolist() == np.count_nonzero(counts, axis=1).tolist()
+        assert index.tolist() == np.nonzero(counts)[1].tolist()
+        assert values.tolist() == counts[counts != 0].tolist()
+        for name in ("intent_counts", "entity_counts"):
+            assert np.array_equal(getattr(loaded.model, name), getattr(comp.model, name))
+
+    def test_a_negative_count_is_refused(self, toy_dataset, tmp_path):
+        """With alpha 2, a count of -1 still smooths to a positive
+        probability, and would load silently."""
+        comp = self._trained(toy_dataset)
+        comp.persist(tmp_path)
+        values = np.load(tmp_path / "values.npy")
+        values[0] = -1
+        np.save(tmp_path / "values.npy", values)
+        with pytest.raises(ValueError, match="a count is negative"):
+            SiumIntent.load(tmp_path, {"alpha": 2.0})
+
+    def test_a_class_with_no_count_persists_and_loads(self, tmp_path):
+        """Every word in an entity leaves the null class no count."""
+        rows = [("jazz", "PlayMusic", [("jazz", "genre")]), ("boston", "GetWeather", [("boston", "city")])]
+        comp = SiumIntent()
+        comp.train(TrainingDataset([make_example(*row) for row in rows]), ctx=None)
+        assert comp.model.entity_classes[-1] == NO_ENTITY and not comp.model.entity_counts[-1].any()
+        comp.persist(tmp_path)
+        loaded = SiumIntent.load(tmp_path, {}).model
+        assert np.array_equal(loaded.entity_counts, comp.model.entity_counts)
+        assert loaded.log_word_given_entity.tobytes() == comp.model.log_word_given_entity.tobytes()
 
     def test_use_before_training_is_an_error(self):
         comp = SiumIntent()

@@ -441,7 +441,6 @@ class TestTaggerComponent:
     def test_persisted_file_has_tag_header_and_no_zero_cells(self, toy_dataset, tmp_path):
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
-        assert comp.model.steps == 10 * len(toy_dataset.examples)
         _assert_integer_totals(tmp_path, comp.model)
 
     def test_a_tagger_that_took_no_step_persists_and_loads(self, toy_dataset, tmp_path):
@@ -449,20 +448,20 @@ class TestTaggerComponent:
         comp.train(toy_dataset, None)
         comp.persist(tmp_path)
         loaded = SequenceEntityTagger.load(tmp_path, {"epochs": 0}).model
-        assert (loaded.steps, loaded.weights) == (1, {})
+        assert loaded.weights == {}
 
     def test_totals_just_inside_the_bound_persist_and_load(self, tmp_path):
         bound = tagging._TOTAL_BELOW
         comp = SequenceEntityTagger()
         totals = np.array([bound - 1, 1 - bound, 0])
-        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": totals}, steps=7)
+        comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": totals})
         comp.persist(tmp_path)
         loaded = SequenceEntityTagger.load(tmp_path, {}).model
-        assert loaded.steps == 7 and loaded.weights["bias"].tobytes() == totals.tobytes()
+        assert loaded.weights["bias"].tobytes() == totals.tobytes()
 
     @pytest.mark.parametrize("name, values, message", [
         ("widths", [0, 3], "a feature has no nonzero total"),
-        ("tags", [3, 1, 2], r"a tag index is outside 0\.\.2"),
+        ("index", [3, 1, 2], r"a column index is outside 0\.\.2"),
     ])
     def test_a_total_moved_into_the_next_feature_is_refused(self, tmp_path, name, values, message):
         """Widths or a tag index that would move a total into the next
@@ -477,18 +476,17 @@ class TestTaggerComponent:
 
     @pytest.mark.parametrize("n_tags", [255, 256, 257])
     def test_a_tag_set_past_one_byte_persists_and_loads(self, tmp_path, n_tags):
-        """256 tags need two bytes a feature's count of nonzero totals, and
-        257 two bytes a tag index too; a feature whose every total is
-        nonzero has the largest count."""
+        """256 tags need two bytes a feature's count of nonzero totals and a
+        tag index; a feature whose every total is nonzero has the largest
+        count, and the last tag the largest index."""
         tags = ["O", *(f"B-t{n}" for n in range(n_tags - 1))]
         weights = {"bias": np.arange(1, n_tags + 1), "w=x": np.zeros(n_tags, dtype=np.int64)}
         weights["w=x"][-1] = -3
         comp = SequenceEntityTagger()
-        comp.model = TaggerModel(tags=tags, weights=weights, steps=3)
+        comp.model = TaggerModel(tags=tags, weights=weights)
         comp.persist(tmp_path)
         _assert_integer_totals(tmp_path, comp.model)
         loaded = SequenceEntityTagger.load(tmp_path, {}).model
-        assert loaded.steps == 3
         _assert_same_bits(loaded, tags, weights)
 
     @pytest.mark.parametrize("row", [[_BOUND, 0, 0], [0, -_BOUND, 0], [0.0, 1.0, 0.0], [1, 2]])
@@ -498,19 +496,16 @@ class TestTaggerComponent:
 
 
 def _assert_integer_totals(directory, model):
-    """The model files in ``directory`` hold ``model``'s tags, the name of
-    each feature with a nonzero total in sorted order, one a line, and last
-    the step count; then, feature by feature, the count of its nonzero
-    totals, their tag indices in ascending order and the totals as int32,
-    the counts and indices in the smallest unsigned type that holds them."""
-    lines = (directory / "model.tsv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "#tags\t" + "\t".join(model.tags)
-    assert lines[-1] == f"#steps\t{model.steps}"
-    feats = lines[1:-1]
+    """The model files in ``directory`` name ``model``'s tags, then each
+    feature with a nonzero total in sorted order, one a line; then, feature
+    by feature, the count of its nonzero totals, their tag indices in
+    ascending order, both in the smallest unsigned type that holds the tag
+    count, and the totals as int32."""
+    assert (directory / "tags.tsv").read_text(encoding="utf-8") == "".join(f"{tag}\n" for tag in model.tags)
+    feats = (directory / "features.tsv").read_text(encoding="utf-8").splitlines()
     assert feats == sorted(feat for feat, vec in model.weights.items() if vec.any())
-    widths, index, totals = (np.load(directory / f"{name}.npy") for name in ("widths", "tags", "totals"))
-    assert widths.dtype == np.min_scalar_type(len(model.tags))
-    assert index.dtype == np.min_scalar_type(len(model.tags) - 1)
+    widths, index, totals = (np.load(directory / f"{name}.npy") for name in ("widths", "index", "values"))
+    assert widths.dtype == index.dtype == np.min_scalar_type(len(model.tags))
     assert totals.dtype == np.dtype("<i4")
     nonzero = [(feat, tag) for feat in feats for tag in np.flatnonzero(model.weights[feat])]
     assert widths.tolist() == [np.count_nonzero(model.weights[feat]) for feat in feats]
@@ -519,7 +514,7 @@ def _assert_integer_totals(directory, model):
 
 
 _TAG_NAMES = st.text(st.characters(codec="ascii", categories=["L", "N", "P"]), min_size=1, max_size=6)
-_FEATURES = st.text(st.characters(exclude_categories=["Z", "Cc", "Cs"]), max_size=8).filter(
+_FEATURES = st.text(st.characters(exclude_categories=["Z", "Cc", "Cs"]), min_size=1, max_size=8).filter(
     lambda feat: not any(c.isspace() for c in feat))
 
 
@@ -529,43 +524,39 @@ def _models(draw):
     total = st.integers(-_BOUND + 1, _BOUND - 1) | st.sampled_from([0, _BOUND - 1, 1 - _BOUND])
     weights = draw(st.dictionaries(_FEATURES, st.lists(total, min_size=len(tags), max_size=len(tags)),
                                    max_size=12))
-    steps = draw(st.integers(1, 2**40))
-    return tags, {feat: np.array(row, dtype=np.int64) for feat, row in weights.items()}, steps
+    return tags, {feat: np.array(row, dtype=np.int64) for feat, row in weights.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(_models())
-@example((["O"], {}, 1))
-@example((["O"], {"bias": np.array([_BOUND - 1]), "digit": np.array([1 - _BOUND])}, 2**40))
+@example((["O"], {}))
+@example((["O"], {"bias": np.array([_BOUND - 1]), "digit": np.array([1 - _BOUND])}))
 @example((["O", "B-x", "I-x"], {"bias": np.array([_BOUND - 1, 1 - _BOUND, -1]),
-                                "": np.array([0, 0, 5]), "w=x": np.array([0, 0, 0])}, 7))
-def test_any_model_persists_and_loads_with_its_tags_steps_and_bits(tmp_path_factory, case):
-    """Any tag set, whitespace-free feature strings and int64 totals within
-    the bound, all-zero rows and a model with no weight included, come back
-    from the model files as they went in, bit for bit; a feature whose
-    totals are all zero is not written. The examples hold the one-tag set,
-    totals of +-(2^31 - 1), the empty feature string and a feature whose
-    every total is nonzero."""
-    tags, weights, steps = case
+                                "[x]": np.array([0, 0, 5]), "w=x": np.array([0, 0, 0])}))
+def test_any_model_persists_and_loads_with_its_tags_and_bits(tmp_path_factory, case):
+    """Any tag set, non-empty whitespace-free feature strings and int64
+    totals within the bound, all-zero rows and a model with no weight
+    included, come back from the model files as they went in, bit for bit;
+    a feature whose totals are all zero is not written. The examples hold
+    the one-tag set, totals of +-(2^31 - 1), a feature shaped like a
+    [section] heading and a feature whose every total is nonzero."""
+    tags, weights = case
     directory = tmp_path_factory.mktemp("tagger")
     comp = SequenceEntityTagger()
-    comp.model = TaggerModel(tags=tags, weights=weights, steps=steps)
+    comp.model = TaggerModel(tags=tags, weights=weights)
     comp.persist(directory)
     _assert_integer_totals(directory, comp.model)
     loaded = SequenceEntityTagger.load(directory, {}).model
-    assert loaded.steps == steps
     _assert_same_bits(loaded, tags, weights)
 
 
 def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path):
-    """``incnlu train --seed 13`` on the bundled split: 560 sentences over
-    10 epochs are 5,600 steps, and the loaded totals are the trained ones."""
+    """``incnlu train --seed 13`` on the bundled split: the loaded totals are
+    the trained ones."""
     cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
     trained = train_tagger(load_dataset(_SNIPS_TRAIN))
-    assert trained.steps == 5600
     _assert_integer_totals(tmp_path / SequenceEntityTagger.name, trained)
     loaded = SequenceEntityTagger.load(tmp_path / SequenceEntityTagger.name, {}).model
-    assert loaded.steps == 5600
     _assert_same_bits(loaded, trained.tags, trained.weights)
 
 
