@@ -192,7 +192,9 @@ class SiumState:
         row = model.word_index.get(word, len(model.word_index))  # model.row(word), lowercased once
         n = len(self.tokens)
         if n + 1 == len(self.scores):
-            self.scores = np.resize(self.scores, (2 * len(self.scores), self.scores.shape[1]))
+            grown = np.empty((2 * (n + 1), self.scores.shape[1]))
+            grown[:n + 1] = self.scores
+            self.scores = grown
         np.add(self.scores[n], model.log_word_given_intent[row], out=self.scores[n + 1])
         self.tokens.append(word)
         self.picks.append(model.row_pick(row))

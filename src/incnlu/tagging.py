@@ -12,21 +12,21 @@ the word: the model memoises them per known word on first use, lowered if
 the component lowercases, and those of any other word under the head
 features it knows of that word. Every session shares the memos, so the
 lattice builds no feature string. The lattice keeps one kind of row: a
-position's best-predecessor scores, held for every CHECKPOINT_EVERY-th
-position and the KEPT_PREDECESSORS newest. An ADD computes one new column,
-and finalises the one before it from the scores held of it when it was the
-last. The component publishes its BIO path and its spans as tuples and
-keeps neither: each edit reads the last ones back from the board. The
-traceback stops where it meets that path (partial traceback, Brown,
-Spohrer, Hochschild & Baker, ICASSP 1982), and spans are re-extracted from
-there on; a span that ends there is kept unless the new tag there
-continues it. A REVOKE right after an ADD gets back the board from before
-that ADD, tags and spans included, so the tagger does nothing on it, nor
-on an ADD that puts back the word a REVOKE just took. Up to
-KEPT_PREDECESSORS - 2 further REVOKEs in a row rebuild the new last
-column from its held scores, and a deeper REVOKE, or the first ADD after
-such a redo, resumes at the newest held position, a checkpoint at most
-CHECKPOINT_EVERY - 1 columns back.
+position's last column, its column as if it were the final word, held for
+every CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS newest. It
+reads no token to the right of its position, and one add of the next
+word's parts makes it final, so an ADD computes one new column. The
+component publishes its BIO path and its spans as tuples and keeps
+neither: each edit reads the last ones back from the board. The traceback
+stops where it meets that path (partial traceback, Brown, Spohrer,
+Hochschild & Baker, ICASSP 1982), and spans are re-extracted from there
+on; a span that ends there is kept unless the new tag there continues it.
+A REVOKE right after an ADD gets back the board from before that ADD, tags
+and spans included, so the tagger does nothing on it, nor on an ADD that
+puts back the word a REVOKE just took. Up to KEPT_PREDECESSORS - 2 further
+REVOKEs in a row land on held last columns and compute none, and a deeper
+REVOKE, or the first ADD after such a redo, resumes at the newest held
+position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back.
 Every score is an int64 sum of the model's integer totals, exact in any
 order, so every column equals the one the batch :func:`decode` makes of
 feature strings, and the entity output is exactly that of a restart over
@@ -65,9 +65,8 @@ END = "</s>"
 # A move BIO forbids scores this plus its weight; see ViterbiState for why
 # no sum reaches it or overflows.
 _MASKED = -2**60
-# A session's lattice holds the best-predecessor scores of every
-# CHECKPOINT_EVERY-th position; a revoke recomputes at most this many minus
-# one columns.
+# A session's lattice holds the last column of every CHECKPOINT_EVERY-th
+# position; a revoke recomputes at most this many minus one columns.
 CHECKPOINT_EVERY = 16
 # It also holds those of its KEPT_PREDECESSORS newest positions, so up to
 # KEPT_PREDECESSORS - 1 revokes in a row recompute no column.
@@ -157,11 +156,11 @@ class TaggerModel:
         self._incoming = np.ascontiguousarray(self._transitions[1].T)
         # Each row's start in the flattened scores, for _predecessors.
         self._offsets = _row_offsets(n_tags)
-        for table in (*self._transitions, self._incoming, self._offsets):
+        # The initial scores plus the pw=<s> weights: position 0's last
+        # column is these plus its word's WordParts.last.
+        self._first = self._transitions[0] + self.weights.get(f"pw={START}", 0)
+        for table in (*self._transitions, self._incoming, self._offsets, self._first):
             table.flags.writeable = False
-        self._start_pw = self.weights.get(f"pw={START}")
-        self._end_nw = self.weights.get(f"nw={END}")
-        self._digit = self.weights.get("digit")
         # word_parts memos, for tokens read as they are and lowered: at most
         # one entry per known word each; and one for the other words, keyed
         # by the head features the model knows of them. Not fields, so a copy
@@ -209,23 +208,28 @@ def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray)
 class WordParts:
     """A word's share of the emission rows, as :func:`tag_features` names it.
 
-    ``head`` is the sum of its ``bias``, ``w=``, ``lw=``, ``p3=`` and
-    ``s3=`` weights; ``pw`` and ``nw`` are the weights its right and left
-    neighbours read of it; ``digit`` is the ``digit`` weights if it is a
-    number. A weight the model lacks is None. Column i's emission is then
-    the head of word i, plus ``pw`` of word i-1, ``nw`` of word i+1 and
-    ``digit`` of word i: the sum ``decode`` makes of its feature strings.
+    ``last`` is the sum of its ``bias``, ``w=``, ``lw=``, ``p3=`` and
+    ``s3=`` weights, its ``digit`` weights if it is a number, and the
+    ``nw=</s>`` weights: its own emission as the final word, but for its
+    left neighbour's ``pw=``. ``pw`` is the weights its right neighbour
+    reads of it, None if the model lacks them. ``fin`` is the ``nw=``
+    weights its left neighbour reads of it minus ``nw=</s>``, a weight the
+    model lacks counting as zero: what turns that neighbour's last column
+    into its final one. Column i's emission as the last is then ``last`` of
+    word i plus ``pw`` of word i-1, and adding ``fin`` of word i+1 makes it
+    the sum ``decode`` makes of its feature strings.
     """
 
-    __slots__ = ("head", "pw", "nw", "digit")
+    __slots__ = ("pw", "last", "fin")
 
     def __init__(self, model: TaggerModel, word: str) -> None:
         weights = model.weights
-        self.head = _emission(weights, _head_features(word), np.zeros(len(model.tags), dtype=np.int64))
-        self.head.flags.writeable = False
+        zero = np.zeros(len(model.tags), dtype=np.int64)
+        feats = [*_head_features(word), f"nw={END}", *["digit"] * word.isdigit()]
+        self.last = _emission(weights, feats, zero.copy())
         self.pw = weights.get(f"pw={word}")
-        self.nw = weights.get(f"nw={word}")
-        self.digit = model._digit if word.isdigit() else None
+        self.fin = weights.get(f"nw={word}", zero) - weights.get(f"nw={END}", zero)
+        self.last.flags.writeable = self.fin.flags.writeable = False
 
 
 def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
@@ -431,38 +435,44 @@ class ViterbiState:
     ``lowercase``; it builds no feature string. Column i is final once
     token i+1 is known, as only ``nw=`` reads past token i. A back-pointer
     row only reads the final column before it, so every row is final and
-    all are kept, one byte per tag. Position i's best-predecessor scores
-    read no token past its own, so they stay valid while position i
-    survives. ``held`` maps positions to them in ascending order: position
-    0's are the initial transition scores, and it keeps every
-    CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS newest. Adding
-    them to the column's emission, summed anew from its word's parts and
-    its neighbours', gives the column again: final on an ADD, which then
-    computes one new column, and the last on a run of up to
-    KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs, which so computes
-    none. Any other edit resumes at the newest held position below its
-    length.
+    all are kept, one byte per tag. Position i's last column, its column as
+    if it were the final word, with ``nw=</s>`` on its right, reads no
+    token past its own, so it stays valid while position i survives.
+    ``held`` maps positions to their last columns in ascending order, and
+    keeps every CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS
+    newest. Position 0's is built from the initial transition scores. One
+    vector add, the next word's ``fin``, turns a held last column into the
+    final one: so an ADD computes one new column, and a run of up to
+    KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs lands on held last
+    columns and computes none. Any other edit resumes at the newest held
+    position below its length.
 
     Scores are int64, and a move BIO forbids scores _MASKED, -2^60, plus
-    its weight. A position adds at most nine totals, each below
-    _TOTAL_BELOW (2^31) in magnitude: up to eight emission features and a
-    transition. An I- tag is reached through its B- one position back, so
-    every allowed score in a column is within 36 bounds, below 2^37, of the
-    column's best, and a forbidden move never wins: no best-predecessor
-    score holds the sentinel, and a candidate sum holds it at most twice,
-    from the initial and a pairwise mask. Over n positions no sum exceeds
-    2 * 2^60 + 9 * n * 2^31 in magnitude, below 2^63 while n is below
-    2^30 / 3, about 358 million.
+    its weight. A last column adds nine totals at a position, each below
+    _TOTAL_BELOW (2^31) in magnitude: the five head features, ``digit``,
+    ``nw=</s>``, the left neighbour's ``pw=`` and a transition. Its final
+    column adds ``fin``, which takes ``nw=</s>`` out again and puts the
+    next word's ``nw=`` in, so it lands on a sum of nine totals too, the
+    ones ``decode`` adds there. An I- tag is reached through its B- one
+    position back, so every allowed score in a column is within 36 bounds,
+    below 2^37, of the column's best, and a forbidden move never wins: no
+    best-predecessor score holds the sentinel, and a candidate sum holds it
+    at most twice, from the initial and a pairwise mask. Over n positions
+    no column, last or final, exceeds 2 * 2^60 + 9 * n * 2^31 in
+    magnitude, below 2^63 while n is below 2^30 / 3, about 358 million.
+    ``fin`` is below 2^32 in magnitude, and adding it to a last column
+    gives a final column, so that add stays within the bound too.
 
-    A REVOKE keeps the scores held of the positions it drops, as ``seen``
+    A REVOKE keeps the columns held of the positions it drops, as ``seen``
     keeps the longest run of tokens they were computed from: an update
     drops them from the first position whose token differs from the one
-    seen there. So the first ADD after words a redo put back, with or
-    without an update between, resumes at the newest held position below
-    it, as after a plain ADD. Only an update that computes a column below
-    positions still held (a REVOKE deeper than the newest held positions)
-    drops the ones above, so the positions held past the checkpoints stay
-    the KEPT_PREDECESSORS newest of one run, in ascending order.
+    seen there, position 0 included. So the first ADD after words a redo
+    put back, with or without an update between, resumes at the newest
+    held position below it, as after a plain ADD. Only an update that
+    computes a column below positions still held (a REVOKE deeper than the
+    newest held positions) drops the ones above, so the positions held
+    past the checkpoints stay the KEPT_PREDECESSORS newest of one run, in
+    ascending order.
 
     The best path and its spans are not kept here: :meth:`update` is given
     the last ones the tagger published and returns the new ones.
@@ -475,23 +485,8 @@ class ViterbiState:
         self.lowercase = lowercase
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
-        self.held = {0: model.transition_matrix()[0]}
+        self.held: dict[int, np.ndarray] = {}
         self.seen: tuple[str, ...] = ()
-
-    def _finalise(self, preds: np.ndarray, before: WordParts | None, word: WordParts,
-                  after: WordParts | None) -> np.ndarray:
-        """The column of ``word`` with best-predecessor scores ``preds``,
-        between ``before`` and ``after`` (None past either end): final if
-        ``after`` is a word, else the last."""
-        model = self.model
-        pw = model._start_pw if before is None else before.pw
-        em = word.head + pw if pw is not None else word.head.copy()
-        nw = model._end_nw if after is None else after.nw
-        if nw is not None:
-            em += nw
-        if word.digit is not None:
-            em += word.digit
-        return np.add(preds, em, out=em)
 
     def update(self, tokens: Sequence[str], tags: tuple[str, ...],
                spans: tuple[EntitySpan, ...]) -> tuple[tuple[str, ...], tuple[EntitySpan, ...]]:
@@ -506,45 +501,49 @@ class ViterbiState:
         n = len(tokens)
         if n == len(tags):
             return tags, spans
-        # Position i's held scores saw the tokens up to its own (position
-        # 0's see none), so they stay valid up to the first token that
-        # differs from the one seen there.
+        # Position i's last column saw the tokens up to its own, so it stays
+        # valid up to the first token that differs from the one seen there.
         held, seen = self.held, self.seen
         kept = min(len(tags), n)
         differs, top = kept, min(n, len(seen))
         while differs < top and tokens[differs] == seen[differs]:
             differs += 1
         if differs < top:
-            while next(reversed(held)) >= max(differs, 1):
+            while held and next(reversed(held)) >= differs:
                 held.popitem()
         if differs < top or n > len(seen):
             self.seen = tuple(tokens)
         if n == 0:
             return (), ()
-        # Resume at the newest held position below n: make the columns up to
-        # n-2 final, then column n-1 the last. Computing a column below a
-        # held position first drops those above it.
+        # Resume at the newest held position below n, position 0 at worst,
+        # whose last column is rebuilt if it was dropped: make each column up
+        # to n-2 final and compute the next one's last. Computing a column
+        # below a held position first drops those above it.
+        model, lowercase = self.model, self.lowercase
+        word_parts = model.word_parts
+        if not held:
+            held[0] = model._first + word_parts(tokens[0], lowercase).last
         for first in reversed(held):
             if first < n:
                 break
         if first < n - 1:
             while next(reversed(held)) > first:
                 held.popitem()
-        model, lowercase = self.model, self.lowercase
-        word_parts = model.word_parts
-        before = word_parts(tokens[first - 1], lowercase) if first else None
-        word, preds = word_parts(tokens[first], lowercase), held[first]
-        for i in range(first, n):
-            after = word_parts(tokens[i + 1], lowercase) if i + 1 < n else None
-            if i > first:
-                if i == len(self.back):
-                    self.back = np.resize(self.back, (2 * i, self.back.shape[1]))
-                self.back[i], preds = _predecessors(col, model._incoming, model._offsets)
-                held[i] = preds
-                if (i - KEPT_PREDECESSORS) % CHECKPOINT_EVERY:
-                    held.pop(i - KEPT_PREDECESSORS, None)
-            col = self._finalise(preds, before, word, after)
-            before, word = word, after
+        word, col = word_parts(tokens[first], lowercase), held[first]
+        for i in range(first + 1, n):
+            after = word_parts(tokens[i], lowercase)
+            if i == len(self.back):
+                grown = np.empty((2 * i, self.back.shape[1]), dtype=self.back.dtype)
+                grown[:i] = self.back
+                self.back = grown
+            self.back[i], col = _predecessors(col + after.fin, model._incoming, model._offsets)
+            col += after.last
+            if word.pw is not None:
+                col += word.pw
+            held[i] = col
+            if (i - KEPT_PREDECESSORS) % CHECKPOINT_EVERY:
+                held.pop(i - KEPT_PREDECESSORS, None)
+            word = after
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.

@@ -564,8 +564,9 @@ def _random_model(seed=3):
     """A tagger whose random weights make the best path hinge on far-off
     words, so edits often change tags well before the last word. Its
     transitions favour I- after B- and I-, so multi-word spans are common.
-    It weighs every kind of feature ``tag_features`` emits; ``digit`` as
-    heavily as the transitions, so a lost digit term shows in the tags."""
+    It weighs every kind of feature ``tag_features`` emits, ``pw=<s>`` and
+    ``nw=</s>`` included; ``digit`` as heavily as the transitions, so a
+    lost digit term shows in the tags."""
     rng = np.random.default_rng(seed)
     tags = ["O", "B-x", "I-x", "B-y", "I-y"]
 
@@ -584,6 +585,7 @@ def _random_model(seed=3):
     for b in (1, 3):
         weights[f"pt={tags[b]}"][b + 1] += 3000
         weights[f"pt={tags[b + 1]}"][b + 1] += 3000
+    weights[f"pw={tagging.START}"], weights[f"nw={tagging.END}"] = draw(), draw()
     return TaggerModel(tags=tags, weights=weights)
 
 
@@ -721,34 +723,39 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
     st.sampled_from([3, 5]),
     st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
 )
+@example("bound", 2, 3, ["play", "jazz", None, None, "boston", "jazz", None, "jazz", None, None, "play"])
 def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring, every, script):
     """After every ADD (a word) or REVOKE (None), the path is that of
     ``decode``, each back-pointer row the lattice keeps has the bits of that
-    row in a plain forward pass over ``pair``, and each held row of
-    best-predecessor scores has the bits of its position's. ``held`` is in
-    ascending order of position; it holds the last position and every
-    multiple of the checkpoint spacing below the length, and no more than
-    those below its newest and ``ring`` others. Those past the last
-    position are the revoked positions of the longest run of tokens seen
-    since a token last differed, and have the bits of that run's forward
-    pass. ``_finalise`` rebuilds each held column below the length with
-    that column's bytes. Rings of 2 and 4 rows over checkpoints every 3 or 5
-    positions wrap both below and above the checkpoint interval. The
+    row in a plain forward pass over ``pair``, and each held row has the
+    bytes of its position's last column: the forward pass's column there
+    over the tokens up to it, with ``nw=</s>`` on its right. Adding the
+    next word's ``fin`` to a held row below the last position gives the
+    bytes of the final column. ``held`` is in ascending order of position;
+    it holds the last position and every multiple of the checkpoint spacing
+    below the length, and no more than those below its newest and ``ring``
+    others. Those past the last position are the revoked positions of the
+    longest run of tokens seen since a token last differed, and have the
+    bytes of that run's last columns. Position 0's row is kept, the same
+    object, until an ADD puts a different word at position 0, which drops
+    it for one built anew. Rings of 2 and 4 rows over checkpoints every 3
+    or 5 positions wrap both below and above the checkpoint interval. The
     reference reads ``pair`` down its columns, so it also checks that
     ``_predecessors`` on the transposed matrix makes the same sums and takes
     the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
 
+    def emission(tokens, i):
+        return tagging._emissions(model.weights, len(model.tags), [tagging.tag_features(tokens, i)])[0]
+
     def forward(tokens):
-        feats = [tagging.tag_features(tokens, i) for i in range(len(tokens))]
-        em = tagging._emissions(model.weights, len(model.tags), feats)
-        columns, best, back = [em[0] + init], [init], [None]
+        columns, best, back = [emission(tokens, 0) + init], [init], [None]
         for i in range(1, len(tokens)):
             scores = columns[-1][:, None] + pair
             back.append(scores.argmax(axis=0))
             best.append(scores.max(axis=0))
-            columns.append(best[-1] + em[i])
+            columns.append(best[-1] + emission(tokens, i))
         return columns, best, back
 
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
@@ -762,14 +769,16 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
                 tokens = tokens[:-1]
             else:
                 tokens = tokens + [step.lower()]
-                if seen[len(tokens) - 1:len(tokens)] != tokens[-1:]:
-                    seen = tokens
+            first, was_first = state.held.get(0), seen[:1]
+            if seen[len(tokens) - 1:len(tokens)] != tokens[-1:]:
+                seen = tokens
             tags, spans = state.update(tokens, tags, spans)
             assert list(tags) == decode(model, tokens)
             n = len(tokens)
             if not n:
                 continue
-            columns, best, back = forward(tokens)
+            assert (state.held[0] is first) == (was_first == tokens[:1])
+            columns, _, back = forward(tokens)
             for i in range(1, n):
                 assert np.array_equal(state.back[i], back[i])
             held = list(state.held)
@@ -778,12 +787,11 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
             assert set(range(0, n, every)) <= set(held)
             assert len(held) <= held[-1] // every + 1 + ring
             seen_best = forward(seen)[1]
-            parts = [None] + [model.word_parts(t, True) for t in tokens] + [None]
-            for i, preds in state.held.items():
-                assert np.array_equal(preds, seen_best[i])
-                if i < n:
-                    assert np.array_equal(preds, best[i])
-                    assert state._finalise(preds, *parts[i:i + 3]).tobytes() == columns[i].tobytes()
+            for i, column in state.held.items():
+                assert column.tobytes() == (seen_best[i] + emission(seen[:i + 1], i)).tobytes()
+                if i < n - 1:
+                    final = column + model.word_parts(tokens[i + 1], True).fin
+                    assert final.tobytes() == columns[i].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -795,8 +803,11 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
 def test_a_column_is_the_same_whatever_order_its_parts_are_summed_in(model_name, words, data):
     """A column is its best-predecessor scores plus the total of each
     feature ``tag_features`` gives its word. Summed in any order, they make
-    the column ``_finalise`` makes of the word's parts and its neighbours',
-    even with scores up to 2^62, where a float sum would round."""
+    the column the lattice makes of the word's parts and its neighbours':
+    the last column, the scores plus the word's ``last`` and the left
+    neighbour's ``pw`` (``pw=<s>`` at position 0), and, if a word follows,
+    that one's ``fin`` on top. This holds even with scores up to 2^62,
+    where a float sum would round."""
     model = _MODELS[model_name]
     tokens = [w.lower() for w in words]
     i = data.draw(st.integers(0, len(tokens) - 1))
@@ -806,18 +817,25 @@ def test_a_column_is_the_same_whatever_order_its_parts_are_summed_in(model_name,
     column = np.zeros(n_tags, dtype=np.int64)
     for k in data.draw(st.permutations(range(len(parts)))):
         column += parts[k]
-    neighbours = [None] + [model.word_parts(t, True) for t in tokens] + [None]
-    finalised = tagging.ViterbiState(model, True)._finalise(preds, *neighbours[i:i + 3])
-    assert finalised.dtype == np.int64 and finalised.tobytes() == column.tobytes()
+    words = [model.word_parts(t, True) for t in tokens]
+    pw = model.weights.get(f"pw={tagging.START}") if i == 0 else words[i - 1].pw
+    lattice = preds + words[i].last + (0 if pw is None else pw)
+    if i + 1 < len(tokens):
+        lattice += words[i + 1].fin
+    assert lattice.dtype == np.int64 and lattice.tobytes() == column.tobytes()
 
 
 def test_totals_at_the_bound_decode_a_long_stream_as_a_float_viterbi_does():
-    """Every total of the bound model is +-(bound - 1). A 10,000-word stream
-    decodes, through ``decode`` and word by word through a session, to the
-    tags of a float Viterbi over the same totals, which is exact here as no
-    sum reaches 2^53: the int64 lattice neither overflows nor lets a
-    forbidden move win."""
+    """Every total of the bound model is +-(bound - 1), so a word's
+    ``fin``, its ``nw=`` totals minus those of ``nw=</s>``, reaches
+    +-2 * (bound - 1). A 10,000-word stream decodes, through ``decode`` and
+    word by word through a session, to the tags of a float Viterbi over the
+    same totals, which is exact here as no sum reaches 2^53: the int64
+    lattice neither overflows nor lets a forbidden move win."""
     model = _MODELS["bound"]
+    extreme = 2 * (tagging._TOTAL_BELOW - 1)
+    fins = np.array([model.word_parts(word, True).fin for word in _WORDS])
+    assert fins.max() == extreme and fins.min() == -extreme
     rng = random.Random(17)
     tokens = [rng.choice(_WORDS).lower() for _ in range(10_000)]
     em = np.zeros((len(tokens), len(model.tags)))
@@ -977,8 +995,8 @@ def test_an_add_that_continues_a_span_scans_the_tags_from_its_own_position(monke
 
 
 def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
-    """At 1000 words an ADD computes one column (one predecessor step; it
-    finalises the one before without recomputing it), and a REVOKE right
+    """At 1000 words an ADD computes one column (one predecessor step; one
+    add makes the column before it final), and a REVOKE right
     after an ADD none: the tagger does not update its lattice, and no
     intent is ranked. Each of 3 REVOKEs in a row after 4 or more ADDs
     computes no column, and any REVOKE at most CHECKPOINT_EVERY - 1 columns.
@@ -988,7 +1006,6 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     for owner, name in (
         (tagging, "_predecessors"),
         (tagging, "tag_features"),
-        (tagging.ViterbiState, "_finalise"),
         (tagging.ViterbiState, "update"),
         (tagging, "_runs"),
         (intent_bow, "predict"),
@@ -1002,7 +1019,7 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
     tagger.model = _MODELS["random"]
     session.new_utterance()  # the copy published its empty prefix with the old model
 
-    restored = {"_predecessors": 0, "_finalise": 0, "update": 0, "_runs": 0, "predict": 0, "classify": 0}
+    restored = {"_predecessors": 0, "update": 0, "_runs": 0, "predict": 0, "classify": 0}
 
     def cost(edit, word=None):
         for made in calls.values():
@@ -1045,12 +1062,11 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
 
 def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypatch, toy_interp):
     """Of three REVOKEs after five ADDs, the two that run the tagger keep
-    the held scores of the positions they drop, so after the three redos
-    the next new ADD resumes right below it and computes two columns, as a
-    plain ADD does."""
+    the last columns held of the positions they drop, so after the three
+    redos the next new ADD resumes right below it and computes one column
+    (one predecessor step), as a plain ADD does."""
     columns = []
-    monkeypatch.setattr(tagging.ViterbiState, "_finalise",
-                        _counting(tagging.ViterbiState._finalise, columns))
+    monkeypatch.setattr(tagging, "_predecessors", _counting(tagging._predecessors, columns))
     words = ["book", "a", "table", "for", "two"]
     plain, session = toy_interp.fresh_copy(), toy_interp.fresh_copy()
     for word in words:
@@ -1058,7 +1074,7 @@ def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypat
         session.parse_incremental(EditType.ADD, word)
     columns.clear()
     plain.parse_incremental(EditType.ADD, "tonight")
-    assert len(columns) == 2
+    assert len(columns) == 1
     for _ in range(3):
         session.parse_incremental(EditType.REVOKE)
     columns.clear()
@@ -1066,7 +1082,7 @@ def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypat
         session.parse_incremental(EditType.ADD, word)
     assert columns == []  # redos
     session.parse_incremental(EditType.ADD, "tonight")
-    assert len(columns) <= 2
+    assert len(columns) <= 1
     assert _views(session) == _views(plain)
 
 
