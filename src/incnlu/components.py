@@ -6,7 +6,9 @@ At parse time they run in lock-step: each edit is pushed through every
 eager component, in pipeline order, before the next edit enters the
 pipeline. A component that declares keys and owns none of them is
 shadowed: it runs when its view is read, and its view is then the one a
-lock-step run publishes, bit for bit.
+lock-step run publishes, bit for bit. Every component publishes to the
+board's one annotation map, and the map a publication replaced is the
+record the interpreter gives back.
 
 Every model file of a bundle takes one of two forms, each written and read
 here: a names file, one entry a line, and a sparse integer table of three
@@ -71,7 +73,8 @@ class Component:
 
     A component publishes only immutable values: tuples, and arrays that
     are not writeable. The board is then the record of what it published,
-    and a component computes its next output from the board. The
+    and a component computes its next output from the board, reading its
+    own last publication with ``board.published(self.name, key)``. The
     interpreter gives back boards without calling any component: a REVOKE
     right after an ADD restores the board from before that ADD, and an ADD
     of the word a REVOKE just took back republishes the board that REVOKE

@@ -149,7 +149,7 @@ class WhitespaceTokenizer(Component):
         ctx.tokens = [tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples]
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
-        tokens = board.component_annotations.get((self.name, TOKENS), ())
+        tokens = board.published(self.name, TOKENS, ())
         if edit is ADD:
             # One copy; (*tokens, token) would make two.
             tokens = tokens + (word.lower() if self.params["lowercase"] else word,)
@@ -193,7 +193,7 @@ class CountVectorsFeaturizer(Component):
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         vocab = self._require_vocab()
-        vec = board.component_annotations.get((self.name, COUNT_VECTOR))
+        vec = board.published(self.name, COUNT_VECTOR)
         if vec is None:
             vec = np.zeros(len(vocab), dtype=np.uint8)
             vec.flags.writeable = False

@@ -16,8 +16,8 @@ prefix, bit-equal to a lock-step run's.
 
 Revoking a unit also revokes the output it grounded (Schlangen & Skantze,
 EACL 2009), so a REVOKE right after an ADD gives back what was published
-before that ADD, the empty prefix's publication too. The annotation maps
-an edit replaces are its record. An ADD keeps its record one ADD deep,
+before that ADD, the empty prefix's publication too. The annotation map
+an edit replaces is its record. An ADD keeps its record one ADD deep,
 and a REVOKE of its unit restores it without calling any component.
 Incremental ASR also often revokes a word only to put the same word back
 (Baumann, Atterer & Schlangen, NAACL-HLT 2009), so each REVOKE parks its
@@ -45,9 +45,9 @@ from .config import ComponentSpec, PipelineConfig, build_components, config_text
 from .data import TrainingDataset
 from .errors import BundleError, ConfigError, DataError
 from .features import tokenize
-from .iu import ADD, Blackboard, EditType, IncrementalUnit
+from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, Blackboard, EditType, IncrementalUnit
 from .registry import REGISTRY
-from .results import NluResult, result_from_annotations
+from .results import NluResult
 
 SCHEMA_VERSION = 8
 MANIFEST_NAME = "manifest.json"
@@ -57,15 +57,21 @@ CONFIG_NAME = "config.yml"
 REDO_DEPTH = 4
 
 
+def _result(ranking: tuple, entities: tuple) -> NluResult:
+    """An NluResult holding the published ranking and entities themselves."""
+    return NluResult(ranking[0][0] if ranking else "", ranking, entities)
+
+
 def _bundle_files(directory: str, parts: tuple[str, ...] = ()):
-    """(relative path parts, path) of every file below ``directory`` but a
-    manifest, unsorted. A symbolic link to a directory is not followed."""
+    """(relative path parts, path) of every file below ``directory`` but the
+    manifest at its root, unsorted. A symbolic link to a directory is not
+    followed."""
     with os.scandir(directory) as entries:
         for entry in entries:
             if entry.is_dir():
                 if not entry.is_symlink():
                     yield from _bundle_files(entry.path, (*parts, entry.name))
-            elif entry.name != MANIFEST_NAME:
+            elif parts or entry.name != MANIFEST_NAME:
                 yield (*parts, entry.name), entry.path
 
 
@@ -89,9 +95,8 @@ class IncrementalInterpreter:
     def __init__(self, config: PipelineConfig, components: list[Component] | None = None) -> None:
         self.config = config
         self.components = components if components is not None else build_components(config)
-        self.board = Blackboard()
         owners = key_owners(self.components)
-        self.board.set_owners(owners)
+        self.board = Blackboard(owners)
         # A component that declares keys and owns none of them is shadowed:
         # it runs when its view is read. The others run on every edit.
         shadowed = [
@@ -103,10 +108,10 @@ class IncrementalInterpreter:
         self._shadowed = tuple((c, (c.name, c.provides[0])) for c in shadowed)
         self._shadowed_keys = tuple((c.name, key) for c in shadowed for key in c.provides)
         # (unit, record) of the last edit if it was an ADD of that unit.
-        self._before_add: tuple[IncrementalUnit, tuple[dict, dict]] | None = None
+        self._before_add: tuple[IncrementalUnit, dict] | None = None
         # (word, record) of each REVOKE since the last ADD that was no redo,
         # the newest last and at most REDO_DEPTH.
-        self._redo: list[tuple[str, tuple[dict, dict]]] = []
+        self._redo: list[tuple[str, dict]] = []
         # Components given are trained (loaded or copied); built ones are not.
         self.is_trained = components is not None
         self.training_timings: list[tuple[str, float]] = []
@@ -150,8 +155,8 @@ class IncrementalInterpreter:
         """
         board, redo = self.board, self._redo
         unit = board.apply_edit(edit, word)
-        # The maps this edit replaces: its record.
-        record = board.annotations, board.component_annotations
+        # The map this edit replaces: its record.
+        record = board.annotations
         kept, self._before_add = self._before_add, None
         if edit is ADD and redo and redo[-1][0] == word:  # a redo
             board.republish(redo.pop()[1])
@@ -208,7 +213,8 @@ class IncrementalInterpreter:
         return self.current_result()
 
     def current_result(self) -> NluResult:
-        return result_from_annotations(self.board.annotations)
+        notes = self.board.annotations
+        return _result(notes.get(INTENT_DISTRIBUTION, ()), notes.get(ENTITIES, ()))
 
     def component_result(self, name: str) -> NluResult:
         """One component's own view, regardless of annotation ownership.
@@ -223,9 +229,9 @@ class IncrementalInterpreter:
         board = self.board
         for comp, key in self._shadowed:
             # A component writes its keys together, and an edit drops them so.
-            if comp.name == name and key not in board.component_annotations:
+            if comp.name == name and key not in board.annotations:
                 comp.process(board)
-        return result_from_annotations(board.component_view(name))
+        return _result(board.published(name, INTENT_DISTRIBUTION, ()), board.published(name, ENTITIES, ()))
 
     def fresh_copy(self) -> "IncrementalInterpreter":
         """New session over the same trained models, no shared mutable state."""

@@ -4,9 +4,11 @@ A word entering the system becomes an :class:`IncrementalUnit`. The
 :class:`IuBuffer` is a stack of the surviving units: an ADD pushes one and
 a REVOKE pops the newest. The :class:`Blackboard` carries that stack, the
 utterance's edit log (its only record of every ADD and REVOKE; replayed
-onto an empty stack it gives the buffer), and named annotations (tokens,
-count vector, BIO tags, entities, intent distribution) through which
-components communicate.
+onto an empty stack it gives the buffer), and one map of named
+annotations (tokens, count vector, BIO tags, entities, intent
+distribution) through which components communicate. That map holds each
+published value once, and it is also the record of a publication, which
+the interpreter keeps to give a board back.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Any, NamedTuple
 from .errors import BufferUnderflowError, InvalidPayloadError
 
 # Annotation keys components agree on. Each key has exactly one owner per
-# pipeline (config.key_owners), and only the owner's value reaches the
-# pipeline-level map; see Blackboard.write.
+# pipeline (config.key_owners), and only the owner's value is published
+# under the bare key; see Blackboard._slot.
 TOKENS = "tokens"
 COUNT_VECTOR = "count_vector"
 TAGS = "tags"
@@ -75,30 +77,32 @@ class IuBuffer:
 class Blackboard:
     """Shared per-utterance state bus.
 
-    Annotations live in two layers: ``component_annotations`` keeps every
-    component's output under ``(component, key)``, while ``annotations``
-    holds the pipeline-level value for each key, written only by that key's
-    owning component. Ownership is configured once per pipeline via
-    :meth:`set_owners`; a key with no owner configured takes every writer's
-    value.
+    Annotations live in one map. A key's owner publishes its value under
+    the bare key, the pipeline-level value; any other writer publishes
+    under ``(component, key)``, and a key with no owner belongs to its
+    writer (:meth:`_slot`). So each published value is stored once. The
+    owners are fixed at construction, so a value's slot never moves within
+    a session.
 
-    The two maps are the record of what the pipeline published. Published
+    The map is the record of what the pipeline published. Published
     values are immutable (tuples, and arrays that are not writeable), and
     results hand them on as they are, never a copy. :meth:`begin_cycle`
-    starts each publication on copies of the maps alone, so the maps it
-    replaces stay the record of the last one, and :meth:`republish` gives a
+    starts each publication on a copy of the map alone, so the map it
+    replaces stays the record of the last one, and :meth:`republish` gives a
     record back.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, owners: dict[str, str] | None = None) -> None:
         self.buffer = IuBuffer()
-        self.annotations: dict[str, Any] = {}
-        self.component_annotations: dict[tuple[str, str], Any] = {}
+        self.annotations: dict[str | tuple[str, str], Any] = {}
         self.edit_log: list[tuple[int, EditType, str]] = []  # (unit id, edit, word)
-        self._owners: dict[str, str] = {}
+        self._owners: dict[str, str] = dict(owners or {})
 
-    def set_owners(self, owners: dict[str, str]) -> None:
-        self._owners = dict(owners)
+    def _slot(self, component: str, key: str) -> str | tuple[str, str]:
+        """Where ``component``'s value of ``key`` lives: the bare key if it
+        owns ``key`` or no owner of ``key`` is configured, else
+        ``(component, key)``."""
+        return key if self._owners.get(key, component) == component else (component, key)
 
     def apply_edit(self, edit: EditType, word: str | None) -> IncrementalUnit:
         """Apply one edit to the buffer and append it to the edit log."""
@@ -110,47 +114,34 @@ class Blackboard:
             if word is not None:
                 raise InvalidPayloadError("REVOKE does not take a word")
             unit = self.buffer.revoke()
-        else:  # pragma: no cover - enum is closed
+        else:
             raise InvalidPayloadError(f"unknown edit type {edit!r}")
         self.edit_log.append((unit.id, edit, unit.word))
         return unit
 
     def begin_cycle(self, drop: tuple[tuple[str, str], ...] = ()) -> None:
-        """Start the next publication on shallow copies of both maps, the
-        ``(component, key)`` views in ``drop`` left out of the copy. The maps
-        replaced are left as they are."""
-        self.annotations = dict(self.annotations)
-        notes = self.component_annotations = dict(self.component_annotations)
-        for key in drop:
-            notes.pop(key, None)
+        """Start the next publication on a shallow copy of the map, the
+        ``(component, key)`` slots in ``drop`` left out of the copy. The map
+        replaced is left as it is."""
+        notes = self.annotations = dict(self.annotations)
+        for slot in drop:
+            notes.pop(slot, None)
 
     def write(self, component: str, key: str, value: Any) -> None:
-        """Store a component's annotation.
+        """Publish a component's value of ``key`` in its slot."""
+        self.annotations[self._slot(component, key)] = value
 
-        The value is always recorded under ``(component, key)``. It is
-        mirrored to the pipeline-level map only when ``component`` owns
-        ``key``, or no owner of ``key`` is configured.
-        """
-        self.component_annotations[(component, key)] = value
-        if self._owners.get(key, component) == component:
-            self.annotations[key] = value
+    def published(self, component: str, key: str, default: Any = None) -> Any:
+        """``component``'s value of ``key`` on the board, else ``default``."""
+        return self.annotations.get(self._slot(component, key), default)
 
-    def republish(self, kept: tuple[dict[str, Any], dict[tuple[str, str], Any]]) -> None:
-        """Make a record, the two maps a publication replaced, the board's
-        own again."""
-        self.annotations, self.component_annotations = kept
-
-    def component_view(self, component: str) -> dict[str, Any]:
-        """All annotations a single component has written this utterance."""
-        return {
-            key: value
-            for (name, key), value in self.component_annotations.items()
-            if name == component
-        }
+    def republish(self, kept: dict[str | tuple[str, str], Any]) -> None:
+        """Make a record, the map a publication replaced, the board's own
+        again."""
+        self.annotations = kept
 
     def clear(self) -> None:
-        """Reset all per-utterance state; configured owners are kept."""
+        """Reset all per-utterance state; the owners are kept."""
         self.buffer = IuBuffer()
         self.annotations = {}
-        self.component_annotations = {}
         self.edit_log = []

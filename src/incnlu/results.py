@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .iu import ENTITIES, INTENT_DISTRIBUTION
-
 
 @dataclass(frozen=True, slots=True)
 class EntitySpan:
@@ -39,8 +37,3 @@ def rank_distribution(labels: list[str], probabilities) -> tuple[tuple[str, floa
     pairs.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay in label order
     return tuple(pairs)
 
-
-def result_from_annotations(annotations: dict) -> NluResult:
-    """An NluResult holding the published ranking and entities themselves."""
-    ranking = annotations.get(INTENT_DISTRIBUTION, ())
-    return NluResult(ranking[0][0] if ranking else "", ranking, annotations.get(ENTITIES, ()))

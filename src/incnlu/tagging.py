@@ -612,11 +612,10 @@ class SequenceEntityTagger(Component):
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
         if self._state is None:
             self._state = ViterbiState(self.model, self.params["lowercase"])
-        published = board.component_annotations
         tags, spans = self._state.update(
             board.annotations.get(TOKENS, ()),
-            published.get((self.name, TAGS), ()),
-            published.get((self.name, ENTITIES), ()),
+            board.published(self.name, TAGS, ()),
+            board.published(self.name, ENTITIES, ()),
         )
         board.write(self.name, TAGS, tags)
         board.write(self.name, ENTITIES, spans)

@@ -116,40 +116,40 @@ class TestBlackboard:
             board.apply_edit(EditType.REVOKE, "hello")
 
     def test_component_views_are_kept_separately(self):
-        board = Blackboard()
-        board.set_owners({"intent": "b"})
+        board = Blackboard({"intent": "b"})
         board.begin_cycle()
         board.write("a", "intent", "PlayMusic")
         board.write("b", "intent", "GetWeather")
-        assert board.component_view("a") == {"intent": "PlayMusic"}
-        assert board.component_view("b") == {"intent": "GetWeather"}
-        # Only the owning component's value reaches the pipeline-level map.
-        assert board.annotations["intent"] == "GetWeather"
+        assert board.published("a", "intent") == "PlayMusic"
+        assert board.published("b", "intent") == "GetWeather"
+        # The owner's value is the pipeline-level one, under the bare key,
+        # and each value is stored once.
+        assert board.annotations == {"intent": "GetWeather", ("a", "intent"): "PlayMusic"}
 
     def test_non_owner_write_does_not_touch_pipeline_level(self):
-        board = Blackboard()
-        board.set_owners({"intent": "b"})
+        board = Blackboard({"intent": "b"})
         board.begin_cycle()
         board.write("a", "intent", "PlayMusic")
         assert "intent" not in board.annotations
+        assert board.published("b", "intent", ()) == ()
 
     def test_begin_cycle_drops_views_from_the_copies_only(self):
-        board = Blackboard()
-        board.set_owners({"intent": "b"})
+        board = Blackboard({"intent": "b", "tokens": "b"})
         board.write("a", "intent", ("PlayMusic",))
         board.write("b", "intent", ("GetWeather",))
         board.write("b", "tokens", ("play",))
-        record = board.annotations, board.component_annotations
-        kept = dict(record[0]), dict(record[1])
+        record = board.annotations
+        kept = dict(record)
         board.begin_cycle((("a", "intent"), ("c", "absent")))
-        assert board.annotations == kept[0] and board.annotations is not record[0]
-        assert board.component_view("a") == {}
-        assert board.component_view("b") == {"intent": ("GetWeather",), "tokens": ("play",)}
+        assert board.annotations is not record
+        assert board.published("a", "intent") is None
+        assert board.annotations == {"intent": ("GetWeather",), "tokens": ("play",)}
         board.write("b", "intent", ("BookRestaurant",))
         board.write("a", "tokens", ("x",))
         assert record == kept
         board.republish(record)
-        assert board.component_view("a") == {"intent": ("PlayMusic",)}
+        assert board.annotations is record
+        assert board.published("a", "intent") == ("PlayMusic",)
 
     def test_same_writer_may_rewrite_within_a_cycle(self):
         board = Blackboard()
@@ -159,8 +159,7 @@ class TestBlackboard:
         assert board.annotations["tokens"] == ["x", "y"]
 
     def test_clear_resets_state_but_keeps_owners(self):
-        board = Blackboard()
-        board.set_owners({"tokens": "a"})
+        board = Blackboard({"tokens": "a"})
         board.apply_edit(EditType.ADD, "hello")
         board.begin_cycle()
         board.write("a", "tokens", ["hello"])
@@ -168,8 +167,8 @@ class TestBlackboard:
         board.clear()
         assert _words(board.buffer) == []
         assert board.annotations == {}
-        assert board.component_view("a") == {}
         assert board.edit_log == []
         board.begin_cycle()
         board.write("b", "tokens", ["again"])
         assert "tokens" not in board.annotations
+        assert board.published("b", "tokens") == ["again"]

@@ -295,7 +295,7 @@ class TestLockStep:
             ("a", EditType.REVOKE, "boom", ("play",)),
             ("b", EditType.REVOKE, "boom", ("play",)),
         ]
-        assert interp.board.component_view("b") == {"length_b": 1}
+        assert interp.board.annotations == {"length_a": 1, "length_b": 1}
 
 
 class TestInterpreter:
@@ -404,8 +404,8 @@ class TestInterpreter:
         interp = toy_interp.fresh_copy()
         interp.new_utterance()
         interp.parse_incremental(EditType.ADD, "play")
-        tokens = interp.board.component_view("tokenizer_whitespace")["tokens"]
-        counts = interp.board.component_view("featurizer_count_vectors")["count_vector"]
+        tokens = interp.board.published("tokenizer_whitespace", "tokens")
+        counts = interp.board.published("featurizer_count_vectors", "count_vector")
         interp.parse_incremental(EditType.ADD, "some")
         interp.parse_incremental(EditType.REVOKE)
         interp.parse_incremental(EditType.ADD, "jazz")
@@ -419,9 +419,9 @@ class TestInterpreter:
         expected = interp.current_result(), [interp.component_result(n) for n in rankers]
 
         def assert_immutable():
-            for comp in interp.components:
-                for value in interp.board.component_view(comp.name).values():
-                    assert isinstance(value, tuple) or not value.flags.writeable
+            # The board holds every component's view.
+            for value in interp.board.annotations.values():
+                assert isinstance(value, tuple) or not value.flags.writeable
 
         assert_immutable()
         ranking = interp.parse_incremental(EditType.ADD, "tonight").intent_ranking
@@ -435,8 +435,7 @@ class TestInterpreter:
     def test_a_revoke_right_after_an_add_restores_the_board_and_runs_no_process(self, toy_interp):
         interp = toy_interp.fresh_copy()
         interp.parse_full("play some")
-        names = [c.name for c in interp.components]
-        before = {name: interp.board.component_view(name) for name in names}
+        # The board holds every component's view.
         annotations = dict(interp.board.annotations)
         interp.parse_incremental(EditType.ADD, "jazz")
         calls = []
@@ -447,10 +446,6 @@ class TestInterpreter:
                 setattr(comp, method, lambda *args, call=(comp.name, method), **kw: calls.append(call))
         interp.parse_incremental(EditType.REVOKE)
         assert calls == []
-        for name in names:
-            after = interp.board.component_view(name)
-            assert after.keys() == before[name].keys()
-            assert all(after[key] is value for key, value in before[name].items())
         assert interp.board.annotations.keys() == annotations.keys()
         assert all(interp.board.annotations[key] is value for key, value in annotations.items())
 
@@ -494,9 +489,8 @@ class TestSharedPublication:
         assert result.entities is board.annotations[ENTITIES]
         for name in ("intent_sium", "entity_tagger_sequence", "intent_classifier_bow"):
             view = interp.component_result(name)
-            notes = board.component_annotations
-            assert view.intent_ranking is notes.get((name, INTENT_DISTRIBUTION), ())
-            assert view.entities is notes.get((name, ENTITIES), ())
+            assert view.intent_ranking is board.published(name, INTENT_DISTRIBUTION, ())
+            assert view.entities is board.published(name, ENTITIES, ())
 
     def test_results_share_the_board_after_every_kind_of_edit(self, toy_interp):
         interp = toy_interp.fresh_copy()
@@ -623,7 +617,7 @@ class TestRedo:
         calls.clear()
         interp.parse_incremental(EditType.ADD, word)
         assert [c[0] for c in calls] == ["a", "b"]
-        assert interp.board.component_view("b") == {"length_b": 2}
+        assert interp.board.annotations == {"length_a": 2, "length_b": 2}
 
     def test_a_refused_add_keeps_the_records(self, toy_interp):
         """An ADD the board refuses changes no word, so the REVOKE after it
@@ -641,6 +635,29 @@ class TestRedo:
         session.parse_incremental(EditType.ADD, "some")  # redoes the board of "play some"
         assert calls == []
         assert _views(session) == _fresh_views(toy_interp, ["play", "some"])
+
+    def test_an_edit_type_that_is_no_edit_type_is_refused_and_keeps_the_records(self, toy_interp):
+        session = toy_interp.fresh_copy()
+        for word in ["play", "some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)
+        for _ in range(2):
+            session.parse_incremental(EditType.REVOKE)
+        session.parse_incremental(EditType.ADD, "some")  # a redo; "jazz" stays parked
+        board = session.board
+        units, log, notes = list(board.buffer.units), list(board.edit_log), board.annotations
+        before_add, redo = session._before_add, list(session._redo)
+        assert before_add is not None and len(redo) == 1
+        calls = spy_process(session)
+        with pytest.raises(InvalidPayloadError, match="unknown edit type"):
+            session.parse_incremental("ADD", "x")
+        assert board.buffer.units == units and board.edit_log == log and board.annotations is notes
+        assert session._before_add is before_add
+        assert len(session._redo) == 1 and session._redo[0] is redo[0]
+        session.parse_incremental(EditType.REVOKE)  # restores the board of "play"
+        for word in ["some", "jazz"]:
+            session.parse_incremental(EditType.ADD, word)  # redoes
+        assert calls == []
+        assert _views(session) == _fresh_views(toy_interp, ["play", "some", "jazz"])
 
     def test_an_underflowing_revoke_keeps_the_records(self, toy_interp):
         session = toy_interp.fresh_copy()
@@ -677,12 +694,12 @@ class TestRedo:
             session.parse_incremental(EditType.ADD, word)
         for _ in range(2):
             session.parse_incremental(EditType.REVOKE)
-        before = dict(session.board.component_annotations)
+        before = dict(session.board.annotations)
         calls = spy_process(session)
         session.parse_incremental(EditType.ADD, "some")
         session.parse_incremental(EditType.REVOKE)
         assert calls == []
-        after = session.board.component_annotations
+        after = session.board.annotations
         assert after.keys() == before.keys()
         assert all(after[key] is value for key, value in before.items())
         for word in ["some", "jazz"]:
@@ -765,7 +782,7 @@ class TestShadowed:
         assert session.component_result("intent_sium") == first
         assert calls == ["intent_sium"]
         session.parse_incremental(EditType.ADD, "jazz")
-        assert ("intent_sium", "intent_distribution") not in session.board.component_annotations
+        assert ("intent_sium", "intent_distribution") not in session.board.annotations
         calls.clear()
         third = session.component_result("intent_sium")
         assert calls == ["intent_sium"]
@@ -819,15 +836,58 @@ def _views(interp):
     )
 
 
+class _Records:
+    """The records a session's restores and redos give back, kept apart
+    from the interpreter's own: the board's map before the last edit if it
+    was an ADD, and the map before each REVOKE since the last ADD that was
+    no redo, with its word, the newest last and at most REDO_DEPTH."""
+
+    def __init__(self, session):
+        self.session = session
+        self.before_add = None
+        self.redo = []
+
+    def clear(self):
+        self.before_add = None
+        self.redo.clear()
+
+    def edit(self, edit, word=None):
+        """``parse_incremental``, then ``_assert_stored_once`` with the
+        record the edit gives back, if any. A refused edit keeps them all."""
+        session = self.session
+        notes, units = session.board.annotations, session.board.buffer.units
+        taken = units[-1].word if units else None
+        session.parse_incremental(edit, word)
+        if edit is EditType.ADD:
+            given = self.redo.pop()[1] if self.redo and self.redo[-1][0] == word else None
+            if given is None:
+                self.redo.clear()
+            self.before_add = notes
+        else:
+            given, self.before_add = self.before_add, None
+            self.redo = [*self.redo, (taken, notes)][-REDO_DEPTH:]
+        _assert_stored_once(session, given)
+
+
+def _assert_stored_once(session, record=None):
+    """No slot ``(c, k)`` on the board has ``c`` as the owner of ``k``, and
+    a board given back is the very map of its ``record``."""
+    owners = key_owners(session.components)
+    notes = session.board.annotations
+    assert not [slot for slot in notes if isinstance(slot, tuple) and owners.get(slot[1]) == slot[0]]
+    assert record is None or notes is record
+
+
 def _process_every_edit(interp, edit, word=None):
     """One edit as a caller that runs every edit through ``process`` makes
     it: ``apply_edit``, ``begin_cycle`` and each component's ``process``,
-    so no board is given back."""
+    so no board is given back. Then ``_assert_stored_once``."""
     board = interp.board
     unit = board.apply_edit(edit, word)
     board.begin_cycle()
     for comp in interp.components:
         comp.process(board, edit, unit.word)
+    _assert_stored_once(interp)
 
 
 @settings(deadline=None)
@@ -840,9 +900,12 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
     an ADD, refreshes between them aside, gives back the results from
     before that ADD, the empty prefix's too. A second session runs every
     edit through ``process``, a REVOKE right after an ADD too, and lands on
-    the same views."""
+    the same views. After every edit each session's board stores each value
+    once, and a board given back is its record's very map
+    (``_assert_stored_once``)."""
     sessions = toy_interp.fresh_copy(), toy_interp.fresh_copy()
-    edits = sessions[0].parse_incremental, partial(_process_every_edit, sessions[1])
+    records = _Records(sessions[0])
+    edits = records.edit, partial(_process_every_edit, sessions[1])
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []
@@ -851,6 +914,7 @@ def test_any_edit_script_lands_on_a_fresh_run_of_the_survivors(toy_interp, scrip
         if step == "new":
             for session in sessions:
                 session.new_utterance()
+            records.clear()
             stack.clear()
             revoked.clear()
             before_add = None
@@ -892,8 +956,11 @@ def test_shadowed_views_read_after_any_edits_land_on_a_fresh_run(toy_interp, scr
     """Reads of the views are a step of their own, so SIUM, which runs only
     when its view is read, lags the board by any number of edits, restores
     and redos between two reads. At each read, and at the end, every view
-    equals that of a fresh session fed only the surviving words."""
+    equals that of a fresh session fed only the surviving words. After
+    every edit the board stores each value once, and a board given back is
+    its record's very map (``_assert_stored_once``)."""
     session = toy_interp.fresh_copy()
+    edit = _Records(session).edit
     reference = toy_interp.fresh_copy()
     stack: list[str] = []
     revoked: list[str] = []
@@ -907,17 +974,17 @@ def test_shadowed_views_read_after_any_edits_land_on_a_fresh_run(toy_interp, scr
             for _ in range(step):
                 if not stack:
                     with pytest.raises(BufferUnderflowError):
-                        session.parse_incremental(EditType.REVOKE)
+                        edit(EditType.REVOKE)
                     break
                 revoked.append(stack.pop())
-                session.parse_incremental(EditType.REVOKE)
+                edit(EditType.REVOKE)
         else:
             if step == "readd":
                 if not revoked:
                     continue
                 step = revoked.pop()
             stack.append(step)
-            session.parse_incremental(EditType.ADD, step)
+            edit(EditType.ADD, step)
 
 
 def _published_bag(session, stack):
@@ -925,7 +992,7 @@ def _published_bag(session, stack):
     the batch count of the survivors; BoW's published ranking is, bit for
     bit, ``predict`` on an int64 copy of it."""
     comps = {c.name: c for c in session.components}
-    vec = session.board.component_view("featurizer_count_vectors")["count_vector"]
+    vec = session.board.published("featurizer_count_vectors", "count_vector")
     assert not vec.flags.writeable and vec.dtype.kind == "u"
     assert np.array_equal(vec, count_vector(comps["featurizer_count_vectors"].vocabulary, stack))
     ranking = session.component_result("intent_classifier_bow").intent_ranking
@@ -1367,9 +1434,11 @@ class TestBundles:
         with pytest.raises(BundleError, match="checksum"):
             load(root)
 
-    def test_a_file_added_in_a_nested_directory_fails_the_checksum(self, toy_interp, tmp_path):
+    # Only the root's manifest is left out of the checksum.
+    @pytest.mark.parametrize("name", ["extra.tsv", "manifest.json"])
+    def test_a_file_added_in_a_nested_directory_fails_the_checksum(self, toy_interp, tmp_path, name):
         root = toy_interp.persist(tmp_path / "bundle")
-        extra = root / "intent_sium" / "nested" / "deeper" / "extra.tsv"
+        extra = root / "intent_sium" / "nested" / "deeper" / name
         extra.parent.mkdir(parents=True)
         extra.write_text("x\n", encoding="utf-8")
         with pytest.raises(BundleError, match="checksum"):
