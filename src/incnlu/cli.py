@@ -4,9 +4,14 @@ Exit codes are part of the contract: 0 for success, 1 for usage, config,
 data or file-system problems, 2 when an evaluation consistency check
 fails. The stream mode is line-oriented so it can sit at the end of a
 shell pipe: one word per line to add, ``<REVOKE>`` to retract, a blank
-line to end the utterance; every edit answers with one tab-separated
-result line. Input text, from a file or standard input, is read as UTF-8
-whatever the locale.
+line to end the utterance. An edit that is applied answers with one
+tab-separated result line on standard output. A blank line answers
+nothing. A refused edit, a REVOKE on an empty hypothesis or a payload the
+buffer rejects (such as a line with a space inside), answers with one
+``error: ...`` line on standard error and none on standard output, so
+output lines pair with applied edits, not with input lines (ROADMAP item
+22 plans one output line per input line). Input text, from a file or
+standard input, is read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def vector_apply(vec: np.ndarray, vocab: Vocabulary, token: str, edit: EditType)
     idx = vocab.index_of(token)
     if idx is None:
         return vec
-    count = int(vec[idx])
+    count = vec.item(idx)
     if edit is ADD:
         count += 1
     elif count < 1:

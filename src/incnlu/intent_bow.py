@@ -28,7 +28,7 @@ from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
 from .iu import COUNT_VECTOR, INTENT_DISTRIBUTION, Blackboard
-from .results import rank_distribution
+from .results import label_order, rank_distribution
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +37,10 @@ log = logging.getLogger(__name__)
 class LinearIntentModel:
     intents: list[str]
     weights: np.ndarray  # (vocab size + 1, intent count); last row is the bias
+
+    def __post_init__(self) -> None:
+        # Not a field: derived from the intents, which are fixed.
+        self.intent_order = label_order(self.intents)
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -128,11 +132,12 @@ def predict(model: LinearIntentModel, vec: np.ndarray) -> tuple[tuple[str, float
     row = np.empty((1, vec.shape[0] + 1))
     row[0, :-1] = vec
     row[0, -1] = 1.0
-    # softmax's steps on the one row of scores, with no keepdims: the same bits.
+    # softmax's steps on the one row of scores, with no keepdims: the same
+    # bits. ndarray.max and .sum are these reductions behind a Python wrapper.
     scores = (row @ model.weights)[0]
-    shifted = scores - scores.max()
-    probs = np.exp(shifted - np.log(np.exp(shifted).sum()))
-    return rank_distribution(model.intents, probs)
+    shifted = scores - np.maximum.reduce(scores)
+    probs = np.exp(shifted - np.log(np.add.reduce(np.exp(shifted))))
+    return rank_distribution(model.intents, probs, model.intent_order)
 
 
 class BowIntentClassifier(Component):
@@ -185,7 +190,7 @@ class BowIntentClassifier(Component):
                 "no count vector on the blackboard; is featurizer_count_vectors "
                 "ahead of intent_classifier_bow?"
             )
-        board.write(self.name, INTENT_DISTRIBUTION, predict(self.model, np.asarray(vec)))
+        board.write(self.name, INTENT_DISTRIBUTION, predict(self.model, vec))
 
     def persist(self, directory: Path) -> None:
         model = self.model

@@ -27,13 +27,24 @@ class NluResult:
     entities: tuple[EntitySpan, ...] = ()
 
 
-def rank_distribution(labels: list[str], probabilities) -> tuple[tuple[str, float], ...]:
+def label_order(labels: list[str]) -> tuple[int, ...]:
+    """The indices of ``labels`` in label order: :func:`rank_distribution`'s
+    order among ties. A model works it out once, as its labels are fixed."""
+    return tuple(sorted(range(len(labels)), key=labels.__getitem__))
+
+
+def rank_distribution(labels: list[str], probabilities, order: tuple[int, ...] | None = None
+                      ) -> tuple[tuple[str, float], ...]:
     """Sort (label, probability) pairs descending; ties break on the label.
 
-    ``probabilities`` is a 1-D numpy array. Every intent producer routes
-    through this so tie handling is identical across classifiers.
+    ``probabilities`` is a 1-D numpy array, and ``order`` the labels'
+    :func:`label_order`, worked out here if not given. Every intent
+    producer routes through this so tie handling is identical across
+    classifiers.
     """
-    pairs = sorted(zip(labels, probabilities.tolist()), key=itemgetter(0))
+    if order is None:
+        order = label_order(labels)
+    probs = probabilities.tolist()
+    pairs = [(labels[i], probs[i]) for i in order]
     pairs.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay in label order
     return tuple(pairs)
-

@@ -45,7 +45,7 @@ from .components import Component, TrainingContext, read_names, read_rows, write
 from .data import NO_ENTITY, TrainingDataset, token_entity_classes
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, IncrementalUnit
-from .results import EntitySpan, rank_distribution
+from .results import EntitySpan, label_order, rank_distribution
 
 
 @dataclass
@@ -79,6 +79,7 @@ class SiumModel:
         self.log_word_given_intent = self._smoothed_log_table(self.intent_counts)
         self.log_word_given_entity = self._smoothed_log_table(self.entity_counts)
         self.log_intent_prior = np.full(len(self.intents), -math.log(len(self.intents)))
+        self.intent_order = label_order(self.intents)
         n_classes = len(self.entity_classes)
         self.log_entity_prior = np.full(n_classes, -math.log(n_classes))
         # Entity pick per likelihood row, filled on first use: at most V+1
@@ -334,7 +335,9 @@ class SiumIntent(Component):
         for unit in units[kept:]:
             state.add(unit.word)
             held.append(unit)
-        board.write(self.name, INTENT_DISTRIBUTION, rank_distribution(self.model.intents, classify(state)))
+        model = self.model
+        ranking = rank_distribution(model.intents, classify(state), model.intent_order)
+        board.write(self.name, INTENT_DISTRIBUTION, ranking)
         board.write(self.name, ENTITIES, sium_entities(state))
 
     def new_utterance(self) -> None:

@@ -21,6 +21,9 @@ neither: each edit reads the last ones back from the board. The traceback
 stops where it meets that path (partial traceback, Brown, Spohrer,
 Hochschild & Baker, ICASSP 1982), and spans are re-extracted from there
 on; a span that ends there is kept unless the new tag there continues it.
+Most ADDs change only the newest tag: those keep every old span and build
+at most one, a one-word span for a B- tag or the last span extended by the
+new word for an I- tag that continues it, and none for "O".
 A REVOKE right after an ADD gets back the board from before that ADD, tags
 and spans included, so the tagger does nothing on it, nor on an ADD that
 puts back the word a REVOKE just took. Up to KEPT_PREDECESSORS - 2 further
@@ -547,15 +550,28 @@ class ViterbiState:
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
         # once the new path meets the old one there, the rest is the old one.
-        names = model.tags
+        names, back = model.tags, self.back
         i, cur = n - 1, int(col.argmax())
         path = [names[cur]]
         while i > 0:
-            cur = int(self.back[i, cur])
+            cur = back.item(i, cur)
             if i - 1 < kept and tags[i - 1] == names[cur]:
                 break
             i -= 1
             path.append(names[cur])
+        if i == len(tags) == n - 1:
+            # An ADD that changed only the newest tag: the old spans stand,
+            # and the new tag adds a span, continues the last one or is "O".
+            tag = path[0]
+            tags += (tag,)
+            if tag == "O":
+                return tags, spans
+            value = tokens[i].lower() if lowercase else tokens[i]
+            last = spans[-1] if spans else None
+            if last is not None and last.end == i and tag == "I-" + last.type:
+                span = EntitySpan(last.type, f"{last.value} {value}", last.start, n, 1.0)
+                return tags, spans[:-1] + (span,)
+            return tags, spans + (EntitySpan(tag[2:], value, i, n, 1.0),)
         path.reverse()
         tags = tags[:i] + tuple(path)
 
@@ -569,12 +585,13 @@ class ViterbiState:
                 break
             k -= 1
         head = spans[k] if k < len(spans) else None
-        new = [
-            EntitySpan(etype, " ".join([t.lower() if lowercase else t for t in tokens[s:e]]), s, e, 1.0)
-            for etype, s, e in _runs(tags, min(i, head.start) if head is not None and head.end > i else i)
-        ]
-        if head is not None and head.end == i:
-            new[0] = EntitySpan(head.type, f"{head.value} {new[0].value}", head.start, new[0].end, 1.0)
+        continued = head is not None and head.end == i
+        new = []
+        for etype, s, e in _runs(tags, min(i, head.start) if head is not None and head.end > i else i):
+            value = " ".join([t.lower() if lowercase else t for t in tokens[s:e]])
+            if continued:
+                continued, s, value = False, head.start, f"{head.value} {value}"
+            new.append(EntitySpan(etype, value, s, e, 1.0))
         return tags, spans[:k] + tuple(new)
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from incnlu import ConsistencyError
+from incnlu import ConsistencyError, EditType, IncrementalInterpreter, default_config
 from incnlu.data import TrainingDataset, TrainingExample
-from incnlu.features import Vocabulary, count_vector, tokenize
+from incnlu.features import Vocabulary, WhitespaceTokenizer, count_vector, tokenize
 from incnlu.intent_bow import (
     BowIntentClassifier,
     LinearIntentModel,
@@ -16,7 +16,8 @@ from incnlu.intent_bow import (
     softmax,
     train_classifier,
 )
-from incnlu.results import rank_distribution
+from incnlu.results import label_order, rank_distribution
+from incnlu.sium import NO_ENTITY, SiumIntent, SiumModel, SiumState, classify
 
 from conftest import make_example, toy_rows
 
@@ -113,6 +114,57 @@ def test_predict_is_bit_equal_to_the_training_path(counts):
     want = softmax(_augment(vec[None, :]) @ _TOY_MODEL.weights)[0]
     assert ranking == rank_distribution(_TOY_MODEL.intents, want)
     assert all(type(p) is float for _, p in ranking)
+
+
+def _reference_ranking(labels, probs):
+    return tuple(sorted(zip(labels, probs), key=lambda p: (-p[1], p[0])))
+
+
+@st.composite
+def _tied_distributions(draw):
+    """Unique labels in no particular order, and probabilities drawn from
+    three values, so most draws tie."""
+    labels = draw(st.lists(st.text("abAB_ ", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+    probs = draw(st.lists(st.sampled_from([0.5, 0.25, 0.0]), min_size=len(labels), max_size=len(labels)))
+    return labels, probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_distributions(), st.lists(st.integers(0, 2), min_size=7, max_size=7))
+@example((["b", "a", "B"], [0.25, 0.25, 0.25]), [0] * 7)
+def test_every_ranking_breaks_ties_on_the_label(drawn, counts):
+    """The one tie rule, probability descending and then label, checked
+    against a plain sort: for rank_distribution with a label order worked
+    out ahead, for BoW's predict on an all-zero model, where every intent
+    ties, and for SIUM's published ranking over one word whose counts tie
+    some intents."""
+    labels, probs = drawn
+    reference = _reference_ranking(labels, probs)
+    assert rank_distribution(labels, np.array(probs), label_order(labels)) == reference
+
+    bow = LinearIntentModel(intents=labels, weights=np.zeros((3, len(labels))))
+    ranking = predict(bow, np.array([1, 0], dtype=np.uint8))
+    assert ranking == _reference_ranking(labels, softmax(np.zeros((1, len(labels))))[0].tolist())
+    assert [label for label, _ in ranking] == sorted(labels)
+
+    model = SiumModel(
+        intents=labels,
+        entity_classes=[NO_ENTITY],
+        word_index={"w": 0},
+        intent_counts=np.array(counts[:len(labels)], dtype=np.int64)[:, None],
+        entity_counts=np.ones((1, 1), dtype=np.int64),
+        alpha=1.0,
+        entity_threshold=0.6,
+        lowercase=True,
+    )
+    sium = SiumIntent()
+    sium.model = model
+    session = IncrementalInterpreter(default_config(), [WhitespaceTokenizer(), sium])
+    session.parse_incremental(EditType.ADD, "w")
+    state = SiumState(model)
+    state.add("w")
+    want = _reference_ranking(labels, classify(state).tolist())
+    assert session.component_result("intent_sium").intent_ranking == want
 
 
 def test_dimension_mismatch_is_rejected():

@@ -972,9 +972,10 @@ def _counting(real, calls):
 
 def test_an_add_that_continues_a_span_scans_the_tags_from_its_own_position(monkeypatch):
     """A span the new tag continues keeps its value, so the ADD scans the
-    tags from the new position on, not from the span's start: a span that
-    grows by one word per ADD costs each ADD the same. The random model
-    tags a stream of unseen words as one growing I-y span."""
+    tags at most from the new position on, not from the span's start: a
+    span that grows by one word per ADD costs each ADD the same. An ADD
+    that changed only the newest tag extends the span without a scan. The
+    random model tags a stream of unseen words as one growing I-y span."""
     model = _random_model()
     session = _tagger_session(model)
     board = session.board
@@ -988,7 +989,7 @@ def test_an_add_that_continues_a_span_scans_the_tags_from_its_own_position(monke
         grown = board.annotations[TAGS]
         if grown[:n] == tags and spans and spans[-1].end == n and grown[n] == "I-" + spans[-1].type:
             continued += 1
-            assert [start for _, start in calls] == [n]
+            assert len(calls) <= 1 and all(start >= n for _, start in calls)
     assert continued > 150
     tokens = list(session.board.annotations[TOKENS])
     assert _entities(session) == extract_entities(decode(model, tokens), tokens)
@@ -1058,6 +1059,40 @@ def test_work_per_edit_does_not_grow_with_the_prefix(monkeypatch, toy_interp):
         cost(EditType.ADD, word)
         assert cost(EditType.REVOKE) == restored
     assert session.current_result() == toy_interp.fresh_copy().current_result()
+
+
+@pytest.mark.parametrize("name", ["toy", "random"])
+def test_an_add_that_changes_only_the_newest_tag_builds_at_most_one_span(monkeypatch, name):
+    """An ADD whose path keeps every old tag publishes the old spans plus
+    at most one: none for "O", a new one-word span, or the last span
+    extended by the new word, built once. The stream, REVOKEs included,
+    ends on the spans of a batch decode."""
+    model, real = _MODELS[name], tagging.EntitySpan
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tagging, "EntitySpan", counting)
+    rng = random.Random(29)
+    session = _tagger_session(model)
+    board = session.board
+    common = 0
+    for _ in range(300):
+        tags, spans = board.annotations[TAGS], board.annotations[ENTITIES]
+        if tags and rng.random() < 0.2:
+            session.parse_incremental(EditType.REVOKE)
+            continue
+        built.clear()
+        session.parse_incremental(EditType.ADD, rng.choice(_WORDS))
+        grown = board.annotations[TAGS]
+        if grown[:-1] == tags:
+            common += 1
+            assert len(built) <= 1
+    assert common > 100, common
+    tokens = list(board.annotations[TOKENS])
+    assert _entities(session) == extract_entities(decode(model, tokens), tokens)
 
 
 def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypatch, toy_interp):

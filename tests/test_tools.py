@@ -68,6 +68,19 @@ def test_loc_counts_lines_holding_code_tokens(tmp_path):
     assert done.stdout.splitlines() == [f"     6  {path}", "     6  total"]
 
 
+def test_prefix_probe_prints_a_row_per_length():
+    """Overlapping windows, the first starting at one word, each get their
+    own row; the first length's ratios are 1."""
+    done = _run("tools/prefix_probe.py", "--lengths", "3,8,30", "--window", "10")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["prefix", "parse_incremental", "ratio", "_format_result", "ratio"]
+    assert [row.split()[0] for row in rows] == ["3", "8", "30"]
+    assert rows[0].split()[3] == rows[0].split()[6] == "1.00"
+    prefix_probe = _load_tool("prefix_probe")
+    assert prefix_probe.windows([3, 8, 30], 10) == {3: range(1, 11), 8: range(4, 14), 30: range(26, 36)}
+
+
 def _load_tool(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
