@@ -72,21 +72,23 @@ class Component:
     prefix.
 
     A component publishes only immutable values: tuples, and arrays that
-    are not writeable. The board is then the record of what it published,
-    and a component computes its next output from the board, reading its
-    own last publication with ``board.published(self.name, key)``. The
-    interpreter gives back boards without calling any component: a REVOKE
-    right after an ADD restores the board from before that ADD, and an ADD
-    of the word a REVOKE just took back republishes the board that REVOKE
-    took. ``process`` must still handle such edits, as a caller that runs
-    every edit through it may call it. A component's session state so lags
-    the board either way: it may still hold words the board took back, or
-    lack words a redo put back. It must stay valid for every prefix still
-    on the board, as the tagger's lattice and SIUM's prefix scores do, and
-    the next ``process`` call brings it in line with the board: it drops
-    the words the board no longer holds and computes those it lacks, as the
-    tagger does from its newest held position and SIUM from the buffer,
-    which it follows by unit identity at any lag.
+    are not writeable, inside a tuple too. The board is then the record of
+    what it published, and a component computes its next output from the
+    board, reading its own last publication with
+    ``board.published(self.name, key)``. The interpreter gives back boards
+    without calling any component: a REVOKE right after an ADD restores
+    the board from before that ADD, and an ADD of the word a REVOKE just
+    took back republishes the board that REVOKE took. ``process`` must
+    still handle such edits, as a caller that runs every edit through it
+    may call it. A component that publishes what its next edit resumes
+    from gets it back with the board: the tagger publishes the last
+    columns of its newest positions with its path, and its back-pointer
+    rows and checkpoints hold for every board the interpreter can give
+    back. Only SIUM, shadowed in the default pipeline, still lags the
+    board: its state may hold words the board took back, or lack words a
+    redo put back, and its next ``process`` call drops the ones the buffer
+    no longer holds and adds those it lacks, as it follows the buffer by
+    unit identity at any lag.
 
     After ``new_utterance`` a component must behave exactly like a freshly
     loaded instance.

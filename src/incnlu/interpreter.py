@@ -27,9 +27,10 @@ component; any other ADD, and a new utterance, clear the stack. Every
 output is a function of the surviving words, and a record is reachable
 only while every word below it is unchanged, so both give back exactly
 what the components would publish, a shadowed view too if the board held
-one. Components may so lag the board in either direction: each one's
-session state stays valid for every prefix still on the board, or catches
-up from it, and its next ``process`` call brings it in line.
+one. The tagger publishes the lattice columns its next edit resumes
+from, so a board given back hands them back too. Only SIUM, shadowed in the default
+pipeline, still lags the board, in either direction: it follows the
+buffer at any lag, and its next ``process`` call brings it in line.
 """
 
 from __future__ import annotations

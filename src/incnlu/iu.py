@@ -5,8 +5,8 @@ A word entering the system becomes an :class:`IncrementalUnit`. The
 a REVOKE pops the newest. The :class:`Blackboard` carries that stack, the
 utterance's edit log (its only record of every ADD and REVOKE; replayed
 onto an empty stack it gives the buffer), and one map of named
-annotations (tokens, count vector, BIO tags, entities, intent
-distribution) through which components communicate. That map holds each
+annotations (tokens, count vector, the tagger's lattice record, entities,
+intent distribution) through which components communicate. That map holds each
 published value once, and it is also the record of a publication, which
 the interpreter keeps to give a board back.
 """
@@ -23,7 +23,7 @@ from .errors import BufferUnderflowError, InvalidPayloadError
 # under the bare key; see Blackboard._slot.
 TOKENS = "tokens"
 COUNT_VECTOR = "count_vector"
-TAGS = "tags"
+LATTICE = "lattice"
 ENTITIES = "entities"
 INTENT_DISTRIBUTION = "intent_distribution"
 

@@ -11,25 +11,26 @@ are sums of each word's parts (:class:`WordParts`), which depend only on
 the word: the model memoises them per known word on first use, lowered if
 the component lowercases, and those of any other word under the head
 features it knows of that word. Every session shares the memos, so the
-lattice builds no feature string. The lattice keeps one kind of row: a
-position's last column, its column as if it were the final word, held for
-every CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS newest. It
-reads no token to the right of its position, and one add of the next
-word's parts makes it final, so an ADD computes one new column. The
-component publishes its BIO path and its spans as tuples and keeps
-neither: each edit reads the last ones back from the board. The traceback
-stops where it meets that path (partial traceback, Brown, Spohrer,
-Hochschild & Baker, ICASSP 1982), and spans are re-extracted from there
-on; a span that ends there is kept unless the new tag there continues it.
-Most ADDs change only the newest tag: those keep every old span and build
-at most one, a one-word span for a B- tag or the last span extended by the
-new word for an I- tag that continues it, and none for "O".
-A REVOKE right after an ADD gets back the board from before that ADD, tags
-and spans included, so the tagger does nothing on it, nor on an ADD that
-puts back the word a REVOKE just took. Up to KEPT_PREDECESSORS - 2 further
-REVOKEs in a row land on held last columns and compute none, and a deeper
-REVOKE, or the first ADD after such a redo, resumes at the newest held
-position, a checkpoint at most CHECKPOINT_EVERY - 1 columns back.
+lattice builds no feature string. Position i's last column, its column as
+if it were the final word, reads no token to the right of its position,
+and one add of the next word's parts makes it final, so an ADD computes
+one new column. The component publishes its BIO path and the last
+columns of the prefix's RECORD_COLUMNS newest positions under one key,
+its lattice record, and its spans, all as tuples; each edit reads the
+last ones back from the board. The traceback stops where it meets that
+path (partial traceback, Brown, Spohrer, Hochschild & Baker, ICASSP
+1982), and spans are re-extracted from there on; a span that ends there
+is kept unless the new tag there continues it. Most ADDs change only the
+newest tag: those keep every old span and build at most one, a one-word
+span for a B- tag or the last span extended by the new word for an I-
+tag that continues it, and none for "O".
+A REVOKE right after an ADD, and an ADD that puts back the word a REVOKE
+just took, get back a board the tagger published, its record included,
+so the tagger does nothing on them, and the next edit resumes at a last
+column of that record. Up to RECORD_COLUMNS - 1 further REVOKEs in a row
+also compute no column; a deeper REVOKE resumes at a checkpoint, the last
+column the lattice keeps of every CHECKPOINT_EVERY-th position, at most
+CHECKPOINT_EVERY - 1 columns back.
 Every score is an int64 sum of the model's integer totals, exact in any
 order, so every column equals the one the batch :func:`decode` makes of
 feature strings, and the entity output is exactly that of a restart over
@@ -60,7 +61,7 @@ import numpy as np
 from .components import Component, TrainingContext, read_names, read_rows, write_names, write_rows
 from .data import TrainingDataset, bio_tags
 from .errors import ConsistencyError, DataError, ParameterError
-from .iu import ENTITIES, TAGS, TOKENS, Blackboard
+from .iu import ENTITIES, LATTICE, TOKENS, Blackboard
 from .results import EntitySpan
 
 START = "<s>"
@@ -68,12 +69,13 @@ END = "</s>"
 # A move BIO forbids scores this plus its weight; see ViterbiState for why
 # no sum reaches it or overflows.
 _MASKED = -2**60
-# A session's lattice holds the last column of every CHECKPOINT_EVERY-th
-# position; a revoke recomputes at most this many minus one columns.
+# A session's lattice keeps the last column of every CHECKPOINT_EVERY-th
+# position; an edit recomputes at most this many minus one columns.
 CHECKPOINT_EVERY = 16
-# It also holds those of its KEPT_PREDECESSORS newest positions, so up to
-# KEPT_PREDECESSORS - 1 revokes in a row recompute no column.
-KEPT_PREDECESSORS = 4
+# The tagger's record on the board holds the last columns of this many of
+# its prefix's newest positions, so a run of REVOKEs that a restore starts
+# computes no column until it is deeper than this.
+RECORD_COLUMNS = 3
 # Every total is below this in magnitude, trained or loaded.
 _TOTAL_BELOW = 2**31
 
@@ -440,15 +442,8 @@ class ViterbiState:
     row only reads the final column before it, so every row is final and
     all are kept, one byte per tag. Position i's last column, its column as
     if it were the final word, with ``nw=</s>`` on its right, reads no
-    token past its own, so it stays valid while position i survives.
-    ``held`` maps positions to their last columns in ascending order, and
-    keeps every CHECKPOINT_EVERY-th position and the KEPT_PREDECESSORS
-    newest. Position 0's is built from the initial transition scores. One
-    vector add, the next word's ``fin``, turns a held last column into the
-    final one: so an ADD computes one new column, and a run of up to
-    KEPT_PREDECESSORS - 1 REVOKEs after as many ADDs lands on held last
-    columns and computes none. Any other edit resumes at the newest held
-    position below its length.
+    token past its own. One vector add, the next word's ``fin``, turns it
+    into the final one.
 
     Scores are int64, and a move BIO forbids scores _MASKED, -2^60, plus
     its weight. A last column adds nine totals at a position, each below
@@ -466,73 +461,69 @@ class ViterbiState:
     ``fin`` is below 2^32 in magnitude, and adding it to a last column
     gives a final column, so that add stays within the bound too.
 
-    A REVOKE keeps the columns held of the positions it drops, as ``seen``
-    keeps the longest run of tokens they were computed from: an update
-    drops them from the first position whose token differs from the one
-    seen there, position 0 included. So the first ADD after words a redo
-    put back, with or without an update between, resumes at the newest
-    held position below it, as after a plain ADD. Only an update that
-    computes a column below positions still held (a REVOKE deeper than the
-    newest held positions) drops the ones above, so the positions held
-    past the checkpoints stay the KEPT_PREDECESSORS newest of one run, in
-    ascending order.
+    The state keeps the back-pointer rows and ``checkpoints``, the last
+    columns of positions CHECKPOINT_EVERY, 2 * CHECKPOINT_EVERY, and so on;
+    position 0's is rebuilt from the model's initial scores with one add.
+    Both are written whenever a position is computed and never dropped, as
+    every position below a board's length was last computed from that
+    board's own words: the state computes a position only for the board
+    the components run on, below its length, and every board the
+    interpreter can give back agrees with that one below both lengths, as
+    the board before an ADD is a prefix of it, a REVOKE parks one that
+    extends it, and an ADD the components run clears the redo stack.
 
-    The best path and its spans are not kept here: :meth:`update` is given
-    the last ones the tagger published and returns the new ones.
+    The best path, its spans and the last columns of its RECORD_COLUMNS
+    newest positions are not kept here: :meth:`update` is given the last
+    ones the tagger published and returns the new ones. An edit resumes at
+    the newest of those columns below its length, or else at the
+    checkpoint below it.
     """
 
-    __slots__ = ("model", "lowercase", "back", "held", "seen")
+    __slots__ = ("model", "lowercase", "back", "checkpoints")
 
     def __init__(self, model: TaggerModel, lowercase: bool) -> None:
         self.model = model
         self.lowercase = lowercase
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
-        self.held: dict[int, np.ndarray] = {}
-        self.seen: tuple[str, ...] = ()
+        self.checkpoints: dict[int, np.ndarray] = {}
 
-    def update(self, tokens: Sequence[str], tags: tuple[str, ...],
-               spans: tuple[EntitySpan, ...]) -> tuple[tuple[str, ...], tuple[EntitySpan, ...]]:
-        """The best path and spans over ``tokens``, from ``tags`` and
-        ``spans``, those of the prefix last decoded.
+    def update(self, tokens: Sequence[str], tags: tuple[str, ...], spans: tuple[EntitySpan, ...],
+               columns: tuple[np.ndarray, ...]) -> tuple[tuple[str, ...], tuple[EntitySpan, ...],
+                                                         tuple[np.ndarray, ...]]:
+        """The best path, spans and record columns over ``tokens``, from
+        ``tags``, ``spans`` and ``columns``, those of the prefix last
+        decoded; ``columns`` are the read-only last columns of at most
+        RECORD_COLUMNS of its newest positions, the newest last.
 
         The state trusts that the first min(len(tags), len(tokens)) tokens
-        are the ones it has seen, as the lock-step pipeline guarantees, and
-        compares those past them with ``seen``. The lengths may differ by
-        any number of tokens: a fresh state catches up in one call.
+        are that prefix's, as the lock-step pipeline guarantees, and that it
+        last computed each of their positions from them. The lengths may
+        differ by any number of tokens.
         """
-        n = len(tokens)
-        if n == len(tags):
-            return tags, spans
-        # Position i's last column saw the tokens up to its own, so it stays
-        # valid up to the first token that differs from the one seen there.
-        held, seen = self.held, self.seen
-        kept = min(len(tags), n)
-        differs, top = kept, min(n, len(seen))
-        while differs < top and tokens[differs] == seen[differs]:
-            differs += 1
-        if differs < top:
-            while held and next(reversed(held)) >= differs:
-                held.popitem()
-        if differs < top or n > len(seen):
-            self.seen = tuple(tokens)
+        n, m = len(tokens), len(tags)
+        if n == m:
+            return tags, spans, columns
         if n == 0:
-            return (), ()
-        # Resume at the newest held position below n, position 0 at worst,
-        # whose last column is rebuilt if it was dropped: make each column up
-        # to n-2 final and compute the next one's last. Computing a column
-        # below a held position first drops those above it.
+            return (), (), ()
+        # Resume at the newest position below n whose last column is known,
+        # one of the record's or else a checkpoint, position 0's rebuilt:
+        # make each column up to n-2 final and compute the next one's last.
         model, lowercase = self.model, self.lowercase
         word_parts = model.word_parts
-        if not held:
-            held[0] = model._first + word_parts(tokens[0], lowercase).last
-        for first in reversed(held):
-            if first < n:
-                break
-        if first < n - 1:
-            while next(reversed(held)) > first:
-                held.popitem()
-        word, col = word_parts(tokens[first], lowercase), held[first]
+        kept = min(m, n)
+        below = len(columns) - m + kept  # the record's columns below n
+        if below > 0:
+            first, columns = kept - 1, columns[:below]
+        else:
+            first = (n - 1) // CHECKPOINT_EVERY * CHECKPOINT_EVERY
+            if first:
+                col = self.checkpoints[first]
+            else:
+                col = model._first + word_parts(tokens[0], lowercase).last
+                col.setflags(write=False)
+            columns = (col,)
+        col, word = columns[-1], word_parts(tokens[first], lowercase)
         for i in range(first + 1, n):
             after = word_parts(tokens[i], lowercase)
             if i == len(self.back):
@@ -543,9 +534,10 @@ class ViterbiState:
             col += after.last
             if word.pw is not None:
                 col += word.pw
-            held[i] = col
-            if (i - KEPT_PREDECESSORS) % CHECKPOINT_EVERY:
-                held.pop(i - KEPT_PREDECESSORS, None)
+            col.setflags(write=False)
+            if not i % CHECKPOINT_EVERY:
+                self.checkpoints[i] = col
+            columns = (*columns, col)[-RECORD_COLUMNS:]
             word = after
 
         # Partial traceback: back-pointer rows below kept are unchanged, so
@@ -559,19 +551,19 @@ class ViterbiState:
                 break
             i -= 1
             path.append(names[cur])
-        if i == len(tags) == n - 1:
+        if i == m == n - 1:
             # An ADD that changed only the newest tag: the old spans stand,
             # and the new tag adds a span, continues the last one or is "O".
             tag = path[0]
             tags += (tag,)
             if tag == "O":
-                return tags, spans
+                return tags, spans, columns
             value = tokens[i].lower() if lowercase else tokens[i]
             last = spans[-1] if spans else None
             if last is not None and last.end == i and tag == "I-" + last.type:
                 span = EntitySpan(last.type, f"{last.value} {value}", last.start, n, 1.0)
-                return tags, spans[:-1] + (span,)
-            return tags, spans + (EntitySpan(tag[2:], value, i, n, 1.0),)
+                return tags, spans[:-1] + (span,), columns
+            return tags, spans + (EntitySpan(tag[2:], value, i, n, 1.0),), columns
         path.reverse()
         tags = tags[:i] + tuple(path)
 
@@ -592,19 +584,20 @@ class ViterbiState:
             if continued:
                 continued, s, value = False, head.start, f"{head.value} {value}"
             new.append(EntitySpan(etype, value, s, e, 1.0))
-        return tags, spans[:k] + tuple(new)
+        return tags, spans[:k] + tuple(new), columns
 
 
 class SequenceEntityTagger(Component):
     """Restart-incremental entity path: each edit's output equals a full
     re-decode of the prefix, but only the lattice columns the edit changes
-    are computed (see :class:`ViterbiState`). Publishes its BIO path and
-    spans as tuples, and computes the next ones from those on the board;
-    its session state is the lattice alone.
+    are computed (see :class:`ViterbiState`). Publishes its lattice record,
+    ``(path, columns)``, and its spans as tuples, and computes the next
+    ones from those on the board; its session state is the lattice's
+    back-pointer rows and checkpoints.
     """
 
     name = "entity_tagger_sequence"
-    provides = (TAGS, ENTITIES)
+    provides = (LATTICE, ENTITIES)
     requires = (TOKENS,)
     defaults = {"epochs": 10, "seed": 13, "lowercase": True}
 
@@ -627,14 +620,16 @@ class SequenceEntityTagger(Component):
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         if self.model is None:
             raise ConsistencyError("entity_tagger_sequence used before training or loading")
-        if self._state is None:
-            self._state = ViterbiState(self.model, self.params["lowercase"])
-        tags, spans = self._state.update(
-            board.annotations.get(TOKENS, ()),
-            board.published(self.name, TAGS, ()),
-            board.published(self.name, ENTITIES, ()),
-        )
-        board.write(self.name, TAGS, tags)
+        state = self._state
+        if state is None:
+            # A new lattice holds no row of a record on the board: it decodes anew.
+            state = self._state = ViterbiState(self.model, self.params["lowercase"])
+            (tags, columns), spans = ((), ()), ()
+        else:
+            tags, columns = board.published(self.name, LATTICE, ((), ()))
+            spans = board.published(self.name, ENTITIES, ())
+        tags, spans, columns = state.update(board.annotations.get(TOKENS, ()), tags, spans, columns)
+        board.write(self.name, LATTICE, (tags, columns))
         board.write(self.name, ENTITIES, spans)
 
     def new_utterance(self) -> None:

@@ -419,9 +419,17 @@ class TestInterpreter:
         expected = interp.current_result(), [interp.component_result(n) for n in rankers]
 
         def assert_immutable():
-            # The board holds every component's view.
-            for value in interp.board.annotations.values():
+            # The board holds every component's view. An array a published
+            # tuple holds, at any depth, is read-only too.
+            values = list(interp.board.annotations.values())
+            for value in values:
                 assert isinstance(value, tuple) or not value.flags.writeable
+            while values:
+                value = values.pop()
+                if isinstance(value, tuple):
+                    values.extend(value)
+                elif isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
 
         assert_immutable()
         ranking = interp.parse_incremental(EditType.ADD, "tonight").intent_ranking

@@ -22,10 +22,11 @@ from incnlu import intent_bow, sium, tagging
 from incnlu.cli import main as cli
 from incnlu.data import TrainingDataset, bio_tags
 from incnlu.features import WhitespaceTokenizer
-from incnlu.iu import ENTITIES, TAGS, TOKENS, Blackboard, EditType
+from incnlu.interpreter import REDO_DEPTH
+from incnlu.iu import ENTITIES, LATTICE, TOKENS, Blackboard, EditType
 from incnlu.tagging import (
     CHECKPOINT_EVERY,
-    KEPT_PREDECESSORS,
+    RECORD_COLUMNS,
     SequenceEntityTagger,
     TaggerModel,
     decode,
@@ -719,30 +720,29 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(_MODELS)),
-    st.sampled_from([2, KEPT_PREDECESSORS]),
+    st.sampled_from([2, RECORD_COLUMNS]),
     st.sampled_from([3, 5]),
-    st.lists(st.one_of(st.sampled_from(_WORDS), st.none()), max_size=40),
+    st.lists(st.one_of(st.sampled_from(_WORDS), st.none(), st.just("readd")), max_size=40),
 )
 @example("bound", 2, 3, ["play", "jazz", None, None, "boston", "jazz", None, "jazz", None, None, "play"])
-def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring, every, script):
-    """After every ADD (a word) or REVOKE (None), the path is that of
-    ``decode``, each back-pointer row the lattice keeps has the bits of that
-    row in a plain forward pass over ``pair``, and each held row has the
-    bytes of its position's last column: the forward pass's column there
-    over the tokens up to it, with ``nw=</s>`` on its right. Adding the
-    next word's ``fin`` to a held row below the last position gives the
-    bytes of the final column. ``held`` is in ascending order of position;
-    it holds the last position and every multiple of the checkpoint spacing
-    below the length, and no more than those below its newest and ``ring``
-    others. Those past the last position are the revoked positions of the
-    longest run of tokens seen since a token last differed, and have the
-    bytes of that run's last columns. Position 0's row is kept, the same
-    object, until an ADD puts a different word at position 0, which drops
-    it for one built anew. Rings of 2 and 4 rows over checkpoints every 3
-    or 5 positions wrap both below and above the checkpoint interval. The
-    reference reads ``pair`` down its columns, so it also checks that
-    ``_predecessors`` on the transposed matrix makes the same sums and takes
-    the same first maximum."""
+@example("random", 3, 3, [*_WORDS[:8], None, None, None, None, "readd", "readd", "readd", "boston", None, "readd"])
+def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, record, every, script):
+    """ADDs (a word), REVOKEs (None) and ADDs of the last word revoked
+    ("readd") run through a session, so the interpreter restores boards
+    and redoes them. After every edit, the published path is that of
+    ``decode``; each column of the published record has the bytes of its
+    position's last column, the forward pass's column there over the tokens
+    up to it, with ``nw=</s>`` on its right; and so does each checkpoint
+    below the length, where every multiple of the checkpoint spacing is
+    one. Adding the next word's ``fin`` to a record column below the last
+    position gives the bytes of the final column, and each back-pointer
+    row below the length has the bits of that row in a plain forward pass
+    over ``pair``. The record holds between 1 and ``record`` read-only
+    columns, the last position's last. Records of 2 and 3 columns over
+    checkpoints every 3 or 5 positions make REVOKE runs resume both at the
+    record and at a checkpoint. The reference reads ``pair`` down its
+    columns, so it also checks that ``_predecessors`` on the transposed
+    matrix makes the same sums and takes the same first maximum."""
     model = _MODELS[model_name]
     init, pair = model.transition_matrix()
 
@@ -759,39 +759,45 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, ring,
         return columns, best, back
 
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", every), \
-            mock.patch.object(tagging, "KEPT_PREDECESSORS", ring):
-        state = tagging.ViterbiState(model, True)
-        tokens: list[str] = []
-        seen: list[str] = []
-        tags, spans = (), ()
+            mock.patch.object(tagging, "RECORD_COLUMNS", record):
+        session = _tagger_session(model)
+        tagger = session.components[-1]
+        revoked: list[str] = []
         for step in script:
             if step is None:
-                tokens = tokens[:-1]
+                if not session.board.buffer.units:
+                    continue
+                revoked.append(session.board.buffer.units[-1].word)
+                session.parse_incremental(EditType.REVOKE)
+            elif step == "readd":
+                if not revoked:
+                    continue
+                session.parse_incremental(EditType.ADD, revoked.pop())
             else:
-                tokens = tokens + [step.lower()]
-            first, was_first = state.held.get(0), seen[:1]
-            if seen[len(tokens) - 1:len(tokens)] != tokens[-1:]:
-                seen = tokens
-            tags, spans = state.update(tokens, tags, spans)
-            assert list(tags) == decode(model, tokens)
+                session.parse_incremental(EditType.ADD, step)
+            tokens = list(session.board.annotations[TOKENS])
+            path, kept = session.board.annotations[LATTICE]
+            assert list(path) == decode(model, tokens)
             n = len(tokens)
             if not n:
+                assert kept == ()
                 continue
-            assert (state.held[0] is first) == (was_first == tokens[:1])
-            columns, _, back = forward(tokens)
-            for i in range(1, n):
-                assert np.array_equal(state.back[i], back[i])
-            held = list(state.held)
-            below = [i for i in held if i < n]
-            assert held == sorted(held) and below[-1] == n - 1 and held[-1] < len(seen)
-            assert set(range(0, n, every)) <= set(held)
-            assert len(held) <= held[-1] // every + 1 + ring
-            seen_best = forward(seen)[1]
-            for i, column in state.held.items():
-                assert column.tobytes() == (seen_best[i] + emission(seen[:i + 1], i)).tobytes()
+            columns, best, back = forward(tokens)
+            last = [best[i] + emission(tokens[:i + 1], i) for i in range(n)]
+            assert 1 <= len(kept) <= record
+            for i, column in enumerate(kept, n - len(kept)):
+                assert not column.flags.writeable and column.tobytes() == last[i].tobytes()
                 if i < n - 1:
                     final = column + model.word_parts(tokens[i + 1], True).fin
                     assert final.tobytes() == columns[i].tobytes()
+            state = tagger._state
+            assert set(range(every, n, every)) <= set(state.checkpoints)
+            for i, column in state.checkpoints.items():
+                assert i % every == 0 and i > 0
+                if i < n:
+                    assert column.tobytes() == last[i].tobytes()
+            for i in range(1, n):
+                assert np.array_equal(state.back[i], back[i])
 
 
 @settings(max_examples=100, deadline=None)
@@ -848,7 +854,7 @@ def test_totals_at_the_bound_decode_a_long_stream_as_a_float_viterbi_does():
     session = _tagger_session(model)
     for word in tokens:
         session.parse_incremental(EditType.ADD, word)
-    assert list(session.board.annotations[TAGS]) == want
+    assert list(session.board.annotations[LATTICE][0]) == want
 
 
 def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
@@ -868,6 +874,32 @@ def test_interleaved_sessions_do_not_share_tagger_state(toy_interp):
     assert a.component_result(name).entities == _clean_entities(a, a_words)
     assert b.component_result(name).entities == _clean_entities(b, b_words)
     assert [s.value for s in a.component_result(name).entities] == ["boston", "denver"]
+
+
+@pytest.mark.parametrize("model_name", ["random", "toy"])
+def test_a_tagger_whose_lattice_was_dropped_decodes_the_board_anew(model_name):
+    """``new_utterance`` drops the tagger's lattice, as training does. On a
+    board that still holds its record, the next ADD or REVOKE that runs
+    the tagger decodes the prefix anew rather than resume at rows the new
+    lattice lacks."""
+    model = _MODELS[model_name]
+    session = _tagger_session(model)
+    tagger = session.components[-1]
+    words = ["play", "jazz", "in", "boston", "new", "york", "7", "zubat"]
+    for cut in range(2, len(words) + 1):
+        for revoke in (False, True):
+            session.new_utterance()
+            for word in words[:cut]:
+                session.parse_incremental(EditType.ADD, word)
+            session.parse_incremental(EditType.REVOKE)  # restored: runs no component
+            tagger.new_utterance()
+            if revoke:
+                session.parse_incremental(EditType.REVOKE)
+            else:
+                session.parse_incremental(EditType.ADD, "denver")
+            tokens = list(session.board.annotations[TOKENS])
+            assert list(session.board.annotations[LATTICE][0]) == decode(model, tokens)
+            assert _entities(session) == extract_entities(decode(model, tokens), tokens)
 
 
 # Scripts around a REVOKE right after an ADD, each run after a seeded prefix
@@ -936,27 +968,27 @@ def test_only_a_continued_span_is_rebuilt_and_a_revoke_gives_back_the_spans_it_h
     model = train_tagger(_dataset(rows))
     state = tagging.ViterbiState(model, True)
     tokens = "fly to new york now".split()
-    tags, spans = (), ()
+    tags, spans, columns = (), (), ()
     for n in range(1, 4):
-        tags, spans = state.update(tokens[:n], tags, spans)
+        tags, spans, columns = state.update(tokens[:n], tags, spans, columns)
     [new] = spans
     assert tags == ("O", "O", "B-city")
-    tags, spans = state.update(tokens[:4], tags, spans)
+    tags, spans, columns = state.update(tokens[:4], tags, spans, columns)
     [new_york] = spans
     assert (new.value, new.start, new.end) == ("new", 2, 3)
     assert (new_york.value, new_york.start, new_york.end) == ("new york", 2, 4)
-    tags, spans = state.update(tokens, tags, spans)
+    tags, spans, columns = state.update(tokens, tags, spans, columns)
     assert spans[0] is new_york and tags[-3:] == ("B-city", "I-city", "O")
 
     session = _tagger_session(model)
     board = session.board
     for word in tokens:
-        before = board.annotations.get(TAGS), board.annotations.get(ENTITIES)
+        before = board.annotations.get(LATTICE), board.annotations.get(ENTITIES)
         session.parse_incremental(EditType.ADD, word)
         session.parse_incremental(EditType.REVOKE)
-        assert board.annotations.get(TAGS) is before[0] and board.annotations.get(ENTITIES) is before[1]
+        assert board.annotations.get(LATTICE) is before[0] and board.annotations.get(ENTITIES) is before[1]
         session.parse_incremental(EditType.ADD, word)
-    assert board.annotations[TAGS] == tags and board.annotations[ENTITIES] == spans
+    assert board.annotations[LATTICE][0] == tags and board.annotations[ENTITIES] == spans
 
 
 def _views(session):
@@ -983,10 +1015,10 @@ def test_an_add_that_continues_a_span_scans_the_tags_from_its_own_position(monke
     monkeypatch.setattr(tagging, "_runs", _counting(tagging._runs, calls))
     continued = 0
     for n in range(200):
-        tags, spans = board.annotations[TAGS], board.annotations[ENTITIES]
+        tags, spans = board.annotations[LATTICE][0], board.annotations[ENTITIES]
         calls.clear()
         session.parse_incremental(EditType.ADD, f"unseen{n}")
-        grown = board.annotations[TAGS]
+        grown = board.annotations[LATTICE][0]
         if grown[:n] == tags and spans and spans[-1].end == n and grown[n] == "I-" + spans[-1].type:
             continued += 1
             assert len(calls) <= 1 and all(start >= n for _, start in calls)
@@ -1080,13 +1112,13 @@ def test_an_add_that_changes_only_the_newest_tag_builds_at_most_one_span(monkeyp
     board = session.board
     common = 0
     for _ in range(300):
-        tags, spans = board.annotations[TAGS], board.annotations[ENTITIES]
+        tags, spans = board.annotations[LATTICE][0], board.annotations[ENTITIES]
         if tags and rng.random() < 0.2:
             session.parse_incremental(EditType.REVOKE)
             continue
         built.clear()
         session.parse_incremental(EditType.ADD, rng.choice(_WORDS))
-        grown = board.annotations[TAGS]
+        grown = board.annotations[LATTICE][0]
         if grown[:-1] == tags:
             common += 1
             assert len(built) <= 1
@@ -1096,29 +1128,48 @@ def test_an_add_that_changes_only_the_newest_tag_builds_at_most_one_span(monkeyp
 
 
 def test_an_add_after_a_redo_computes_no_more_columns_than_a_plain_add(monkeypatch, toy_interp):
-    """Of three REVOKEs after five ADDs, the two that run the tagger keep
-    the last columns held of the positions they drop, so after the three
-    redos the next new ADD resumes right below it and computes one column
-    (one predecessor step), as a plain ADD does."""
+    """After five ADDs, a run of 1 to REDO_DEPTH REVOKEs and the ADDs that
+    put back each word it took, the next new ADD computes one column (one
+    predecessor step), as a plain ADD does, and the redos compute none. A
+    run right after an ADD has its first REVOKE restored and runs the
+    tagger on the others; a run after a REVOKE runs it on every one. A
+    restored or redone board holds the very record the tagger published
+    for its prefix."""
     columns = []
     monkeypatch.setattr(tagging, "_predecessors", _counting(tagging._predecessors, columns))
     words = ["book", "a", "table", "for", "two"]
-    plain, session = toy_interp.fresh_copy(), toy_interp.fresh_copy()
+    plain = toy_interp.fresh_copy()
     for word in words:
         plain.parse_incremental(EditType.ADD, word)
-        session.parse_incremental(EditType.ADD, word)
     columns.clear()
     plain.parse_incremental(EditType.ADD, "tonight")
     assert len(columns) == 1
-    for _ in range(3):
-        session.parse_incremental(EditType.REVOKE)
-    columns.clear()
-    for word in words[2:]:
-        session.parse_incremental(EditType.ADD, word)
-    assert columns == []  # redos
-    session.parse_incremental(EditType.ADD, "tonight")
-    assert len(columns) <= 1
-    assert _views(session) == _views(plain)
+    for depth, processed in itertools.product(range(1, REDO_DEPTH + 1), (False, True)):
+        session = toy_interp.fresh_copy()
+        board = session.board
+        published = {}  # the record last published for each prefix length
+
+        def edit(edit, word=None, given_back=False):
+            session.parse_incremental(edit, word)
+            n = len(board.buffer.units)
+            if given_back:
+                assert board.annotations[LATTICE] is published[n]
+            published[n] = board.annotations[LATTICE]
+
+        for word in words:
+            edit(EditType.ADD, word)
+        if processed:
+            edit(EditType.ADD, "please")
+            edit(EditType.REVOKE, given_back=True)
+        for k in range(depth):
+            edit(EditType.REVOKE, given_back=k == 0 and not processed)
+        columns.clear()
+        for word in words[len(words) - depth:]:
+            edit(EditType.ADD, word, given_back=True)
+        assert columns == []  # redos
+        session.parse_incremental(EditType.ADD, "tonight")
+        assert len(columns) <= 1
+        assert _views(session) == _views(plain)
 
 
 @pytest.mark.parametrize("position", [2, 3, 4])

@@ -145,23 +145,44 @@ _TEST_ONLY_KEPT = {
 
 
 def _names_referenced(path, count_imports):
-    """Every name a ``Name``, an ``Attribute`` or an import alias in the
-    module at ``path`` refers to."""
+    """Every name a ``Name`` or an ``Attribute`` in the module at ``path``
+    reads, or an import alias refers to. A name only assigned is not
+    read."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias) and count_imports:
             names.add(node.name.rpartition(".")[2])
     return names
 
 
+def _definitions(tree):
+    """(line, name) of each function, class and method in ``tree``, and of
+    each name its module body assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
 def test_every_package_definition_has_a_caller_outside_the_tests():
-    """A function, class or method of the package that no code in src/,
-    tools/ or editbench/ names is test-only code. The package's re-exports
-    in __init__.py do not count as a use."""
+    """A function, class, method or module-level name of the package that
+    no code in src/, tools/ or editbench/ reads is test-only code. The
+    package's re-exports in __init__.py do not count as a use, and
+    dunders are exempt."""
     package = ROOT / "src" / "incnlu"
     referenced = set()
     for directory in ("src", "tools", "editbench"):
@@ -169,12 +190,9 @@ def test_every_package_definition_has_a_caller_outside_the_tests():
             referenced |= _names_referenced(path, count_imports=path != package / "__init__.py")
     unused = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        for lineno, name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name not in referenced and name not in _TEST_ONLY_KEPT:
-                unused.append(f"{path.name}:{node.lineno} {name}")
+                unused.append(f"{path.name}:{lineno} {name}")
     assert unused == [], "only the tests call: " + ", ".join(unused)
