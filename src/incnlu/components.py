@@ -12,14 +12,19 @@ record the interpreter gives back.
 
 Every model file of a bundle takes one of two forms, each written and read
 here: a names file, one entry a line, and a sparse integer table of three
-``.npy`` files.
+``.npy`` files. A component writes its files to a directory, and is built
+again from their bytes: :func:`incnlu.load` reads each bundle file once,
+verifies the checksum over those bytes and hands every component the
+verified bytes of its directory, so no component opens a file.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -134,9 +139,25 @@ class Component:
         """Write the trained model files; parameters live in the bundle config."""
 
     @classmethod
-    def load(cls, directory: Path, params: dict[str, Any]) -> "Component":
-        """Rebuild from ``params`` and the model files ``persist`` wrote."""
-        return cls(params)
+    def load(cls, files: Mapping[str, bytes] | str | os.PathLike, params: dict[str, Any]) -> "Component":
+        """Rebuild from ``params`` and the model files ``persist`` wrote.
+
+        ``files`` maps the name of each file in the component's directory to
+        its bytes, as :func:`incnlu.load` hands over the bytes the bundle
+        checksum verified; the component builds itself from those and opens
+        no file. A file it needs and ``files`` lacks is a KeyError. Given a
+        directory instead, it reads that directory's files first.
+        """
+        comp = cls(params)
+        if not isinstance(files, Mapping):
+            files = {entry.name: Path(entry.path).read_bytes() for entry in os.scandir(files) if entry.is_file()}
+        comp.restore(files)
+        return comp
+
+    def restore(self, files: Mapping[str, bytes]) -> None:
+        """Take the trained model from the bytes of the files ``persist``
+        wrote, by file name; raise a ValueError or KeyError if they do not
+        hold one."""
 
     def check_loaded(self, upstream: list["Component"]) -> None:
         """Raise ValueError if the loaded model cannot read what the
@@ -163,34 +184,34 @@ def write_npy(path: Path, array: np.ndarray, dtype: str | np.dtype) -> None:
         )
 
 
-def read_npy(path: Path, dtype: str | np.dtype, ndim: int) -> np.ndarray:
-    """The array of a version 1.0 ``.npy`` file that holds one ``ndim``-D
-    array of exactly ``dtype`` and nothing else, or a ValueError.
+def read_npy(files: Mapping[str, bytes], name: str, dtype: str | np.dtype, ndim: int) -> np.ndarray:
+    """The array of the version 1.0 ``.npy`` file ``files[name]`` if it
+    holds one ``ndim``-D array of exactly ``dtype`` and nothing else, or a
+    ValueError. The array is a read-only view of those bytes.
 
     The header's shape is checked against the bytes the file holds before
-    any array is allocated, so a crafted header cannot ask for more memory
-    than the file's own size. Nothing is unpickled.
+    the array is made, so a crafted header cannot ask for more values than
+    the file's own size. Nothing is unpickled.
     """
+    data = files[name]
     dtype = np.dtype(dtype)
-    with path.open("rb") as f:
-        # A ValueError for an empty file, an .npz or any other non-.npy.
-        version = np.lib.format.read_magic(f)
-        if version != (1, 0):
-            raise ValueError(f"{path.name} is .npy format version {version}, not (1, 0)")
-        shape, fortran_order, found = np.lib.format.read_array_header_1_0(f)
-        if found != dtype or len(shape) != ndim or any(side < 0 for side in shape):
-            raise ValueError(
-                f"{path.name} holds a {found.str} array of shape {shape}, "
-                f"not a {ndim}-D {dtype.str} one"
-            )
-        count = math.prod(shape)
-        needed = count * dtype.itemsize
-        held = os.fstat(f.fileno()).st_size - f.tell()
-        if held != needed:
-            raise ValueError(
-                f"{path.name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds"
-            )
-        values = np.fromfile(f, dtype=dtype, count=count)
+    f = io.BytesIO(data)
+    # A ValueError for an empty file, an .npz or any other non-.npy.
+    version = np.lib.format.read_magic(f)
+    if version != (1, 0):
+        raise ValueError(f"{name} is .npy format version {version}, not (1, 0)")
+    shape, fortran_order, found = np.lib.format.read_array_header_1_0(f)
+    if found != dtype or len(shape) != ndim or any(side < 0 for side in shape):
+        raise ValueError(
+            f"{name} holds a {found.str} array of shape {shape}, "
+            f"not a {ndim}-D {dtype.str} one"
+        )
+    count = math.prod(shape)
+    needed = count * dtype.itemsize
+    held = len(data) - f.tell()
+    if held != needed:
+        raise ValueError(f"{name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds")
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=f.tell())
     return values.reshape(shape, order="F" if fortran_order else "C")
 
 
@@ -207,12 +228,13 @@ def write_names(path: Path, names: list[str]) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def read_names(path: Path) -> list[str]:
-    """The names of a file ``write_names`` wrote, or a ValueError if one is
-    empty or named twice."""
-    names = path.read_text(encoding="utf-8").splitlines()
+def read_names(files: Mapping[str, bytes], name: str) -> list[str]:
+    """The names of the file ``files[name]`` that ``write_names`` wrote, or
+    a ValueError if it is not UTF-8 or names an entry twice or an empty
+    one."""
+    names = files[name].decode("utf-8").splitlines()
     if not _distinct(names):
-        raise ValueError(f"{path.name} names an entry twice, or an empty one")
+        raise ValueError(f"{name} names an entry twice, or an empty one")
     return names
 
 
@@ -237,15 +259,15 @@ def write_rows(directory: Path, table: np.ndarray) -> None:
     write_npy(directory / "values.npy", table[rows, index], "<i4")
 
 
-def read_rows(directory: Path, shape: tuple[int, int]) -> np.ndarray:
+def read_rows(files: Mapping[str, bytes], shape: tuple[int, int]) -> np.ndarray:
     """The int64 table of ``shape`` whose nonzero cells ``write_rows`` wrote
-    to ``directory``, or a ValueError if the files do not hold exactly one
-    such table."""
+    to the three files of ``files``, or a ValueError if they do not hold
+    exactly one such table."""
     n_rows, n_cols = shape
     dtype = _index_dtype(n_cols)
-    widths = read_npy(directory / "widths.npy", dtype, 1)
-    index = read_npy(directory / "index.npy", dtype, 1)
-    values = read_npy(directory / "values.npy", "<i4", 1)
+    widths = read_npy(files, "widths.npy", dtype, 1)
+    index = read_npy(files, "index.npy", dtype, 1)
+    values = read_npy(files, "values.npy", "<i4", 1)
     if widths.size != n_rows:
         raise ValueError(f"widths.npy has {widths.size} widths for {n_rows} rows")
     n_cells = int(widths.sum(dtype=np.int64))

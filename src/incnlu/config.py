@@ -127,8 +127,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    return read_config(path.read_bytes(), path)
+
+
+def read_config(data: bytes, path: str | Path) -> PipelineConfig:
+    """The config the bytes ``data`` of the file ``path`` hold; a
+    ConfigError, naming ``path``, if they are not UTF-8 or not a config."""
     try:
-        return parse_config(path.read_text(encoding="utf-8"))
+        return parse_config(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
     except ConfigError as exc:

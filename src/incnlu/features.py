@@ -205,9 +205,6 @@ class CountVectorsFeaturizer(Component):
         vocab = self._require_vocab()
         write_names(directory / "vocabulary.tsv", vocab.to_lines())
 
-    @classmethod
-    def load(cls, directory: Path, params) -> "CountVectorsFeaturizer":
-        comp = cls(params)
-        words = read_names(directory / "vocabulary.tsv")
-        comp.vocabulary = Vocabulary({word: i for i, word in enumerate(words)}, comp.params["lowercase"])
-        return comp
+    def restore(self, files) -> None:
+        words = read_names(files, "vocabulary.tsv")
+        self.vocabulary = Vocabulary({word: i for i, word in enumerate(words)}, self.params["lowercase"])

@@ -199,17 +199,14 @@ class BowIntentClassifier(Component):
         write_names(directory / "intents.tsv", model.intents)
         write_npy(directory / "weights.npy", model.weights, "<f8")
 
-    @classmethod
-    def load(cls, directory: Path, params) -> "BowIntentClassifier":
-        comp = cls(params)
-        intents = read_names(directory / "intents.tsv")
-        weights = read_npy(directory / "weights.npy", "<f8", 2)
+    def restore(self, files) -> None:
+        intents = read_names(files, "intents.tsv")
+        weights = read_npy(files, "weights.npy", "<f8", 2)
         if weights.shape[1] != len(intents) or not intents:
             raise ValueError("weight matrix width does not match intents.tsv")
         if not np.isfinite(weights).all():
             raise ValueError("weight matrix holds a value that is not finite")
-        comp.model = LinearIntentModel(intents=intents, weights=weights)
-        return comp
+        self.model = LinearIntentModel(intents=intents, weights=weights)
 
     def check_loaded(self, upstream) -> None:
         rows = self.model.weights.shape[0]

@@ -42,7 +42,7 @@ import time
 from pathlib import Path
 
 from .components import Component, TrainingContext
-from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, load_config
+from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, read_config
 from .data import TrainingDataset
 from .errors import BundleError, ConfigError, DataError
 from .features import tokenize
@@ -76,15 +76,24 @@ def _bundle_files(directory: str, parts: tuple[str, ...] = ()):
                 yield (*parts, entry.name), entry.path
 
 
-def _bundle_checksum(root: Path) -> str:
-    """Digest over every persisted file except the manifest itself, in the
-    order of their relative paths' parts."""
+def _read_bundle(root: Path) -> dict[tuple[str, ...], bytes]:
+    """The bytes of every file below ``root`` but the manifest at its root,
+    by relative path parts; each file is opened once."""
+    files = {}
+    for parts, path in _bundle_files(root):
+        with open(path, "rb") as f:
+            files[parts] = f.read()
+    return files
+
+
+def _bundle_checksum(files: dict[tuple[str, ...], bytes]) -> str:
+    """Digest over the bytes of :func:`_read_bundle`, in the order of their
+    relative paths' parts."""
     digest = hashlib.sha256()
-    for parts, path in sorted(_bundle_files(root)):
+    for parts in sorted(files):
         digest.update(os.path.join(*parts).encode("utf-8"))
         digest.update(b"\0")
-        with open(path, "rb") as f:
-            digest.update(f.read())
+        digest.update(files[parts])
         digest.update(b"\0")
     return digest.hexdigest()
 
@@ -262,7 +271,7 @@ class IncrementalInterpreter:
             "language": self.config.language,
             "components": [comp.name for comp in self.components],
             "training": self.training_info,
-            "checksum": _bundle_checksum(root),
+            "checksum": _bundle_checksum(_read_bundle(root)),
         }
         (root / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -271,7 +280,14 @@ class IncrementalInterpreter:
 
 
 def load(path: str | Path) -> IncrementalInterpreter:
-    """Load a persisted bundle, verifying schema version and file integrity."""
+    """Load a persisted bundle, verifying schema version and file integrity.
+
+    The load reads every file of the bundle once, verifies the manifest's
+    checksum over those bytes, and builds the config and every component
+    from them: each component gets the verified bytes of its directory by
+    file name, and opens no file. So a file rewritten during the load
+    cannot reach the model unverified.
+    """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
@@ -290,12 +306,20 @@ def load(path: str | Path) -> IncrementalInterpreter:
         raise BundleError(
             f"bundle schema version {version!r}, expected {SCHEMA_VERSION}"
         )
-    stored = manifest.get("checksum")
-    actual = _bundle_checksum(root)
-    if stored != actual:
+    files = _read_bundle(root)
+    if manifest.get("checksum") != _bundle_checksum(files):
         raise BundleError(f"bundle files do not match manifest checksum in {root}")
 
-    config = load_config(root / CONFIG_NAME)
+    config_path = root / CONFIG_NAME
+    config_data = files.get((CONFIG_NAME,))
+    if config_data is None:
+        raise ConfigError(f"config file not found: {config_path}")
+    config = read_config(config_data, config_path)
+    # Each component directory's files, by name.
+    model_files: dict[str, dict[str, bytes]] = {}
+    for parts, data in files.items():
+        if len(parts) == 2:
+            model_files.setdefault(parts[0], {})[parts[1]] = data
     names = [spec.name for spec in config.components]
     if names != manifest.get("components"):
         raise BundleError("manifest component list does not match bundle config")
@@ -304,7 +328,7 @@ def load(path: str | Path) -> IncrementalInterpreter:
         if spec.name not in REGISTRY:
             raise BundleError(f"bundle config names unknown component {spec.name!r}")
         try:
-            comp = REGISTRY[spec.name].load(root / spec.name, spec.params)
+            comp = REGISTRY[spec.name].load(model_files.get(spec.name, {}), spec.params)
             comp.check_loaded(components)
         except (ValueError, KeyError, IndexError, OSError, DataError) as exc:
             raise BundleError(

@@ -357,23 +357,20 @@ class SiumIntent(Component):
         write_names(directory / "vocabulary.tsv", sorted(model.word_index, key=model.word_index.get))
         write_rows(directory, np.vstack((model.intent_counts, model.entity_counts)))
 
-    @classmethod
-    def load(cls, directory: Path, params) -> "SiumIntent":
-        comp = cls(params)
-        intents = read_names(directory / "intents.tsv")
-        entity_classes = read_names(directory / "entity_classes.tsv")
-        words = read_names(directory / "vocabulary.tsv")
-        counts = read_rows(directory, (len(intents) + len(entity_classes), len(words)))
+    def restore(self, files) -> None:
+        intents = read_names(files, "intents.tsv")
+        entity_classes = read_names(files, "entity_classes.tsv")
+        words = read_names(files, "vocabulary.tsv")
+        counts = read_rows(files, (len(intents) + len(entity_classes), len(words)))
         if (counts < 0).any():
             raise ValueError("a count is negative")
-        comp.model = SiumModel(
+        self.model = SiumModel(
             intents=intents,
             entity_classes=entity_classes,
             word_index={word: i for i, word in enumerate(words)},
             intent_counts=counts[:len(intents)],
             entity_counts=counts[len(intents):],
-            alpha=comp.params["alpha"],
-            entity_threshold=comp.params["entity_threshold"],
-            lowercase=comp.params["lowercase"],
+            alpha=self.params["alpha"],
+            entity_threshold=self.params["entity_threshold"],
+            lowercase=self.params["lowercase"],
         )
-        return comp

@@ -46,13 +46,15 @@ the model keeps the totals and never divides, and the bundle stores them:
 ``tags.tsv`` names the tags and ``features.tsv`` each feature with a
 nonzero total, one a line, and the sparse table of
 :func:`~incnlu.components.write_rows` holds the totals, a row per feature
-and a column per tag. Loading scatters them into one int64 table.
+and a column per tag. The model keeps the totals as one read-only int64
+table, a row per feature, as training leaves them and loading scatters
+them, and its ``weights`` are a view of that table by feature.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,8 +119,42 @@ def _transition_mask(tags: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return init, pair
 
 
+class Totals(Mapping):
+    """The tagger's weights by feature string: ``table`` holds one int64
+    row over the tags per feature, and ``rows`` maps each feature to its
+    row. Reading a feature gives a view of its row."""
+
+    __slots__ = ("rows", "table")
+
+    def __init__(self, rows: dict[str, int], table: np.ndarray) -> None:
+        self.rows = rows
+        self.table = table
+
+    def __getitem__(self, feat: str) -> np.ndarray:
+        return self.table[self.rows[feat]]
+
+    def __contains__(self, feat: object) -> bool:
+        return feat in self.rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def get(self, feat: str, default=None):
+        row = self.rows.get(feat)
+        return default if row is None else self.table[row]
+
+    def sum(self, feats: Sequence[str]) -> np.ndarray:
+        """The sum of the rows of ``feats``, a feature it lacks counting as
+        zero: a new int64 vector."""
+        rows = self.rows
+        return self.table[[rows[feat] for feat in feats if feat in rows]].sum(axis=0)
+
+
 def _transition_scores(
-    weights: dict[str, np.ndarray], tags: list[str], mask: tuple[np.ndarray, np.ndarray]
+    weights: Totals, tags: list[str], mask: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(initial, pairwise) scores: the pt= weights plus the BIO mask."""
     init_mask, pair_mask = mask
@@ -139,6 +175,10 @@ class TaggerModel:
     or the model refuses to be built with a DataError. Training keeps no
     feature whose totals are all zero, as the model files hold none.
 
+    ``weights`` are :class:`Totals` over one read-only int64 table, which
+    every session shares. Training and loading hand over their tables as
+    they are; a plain mapping of feature to vector is stacked into one.
+
     The streaming path reads a token's weights through :meth:`word_parts`,
     memoised per known word on first use and shared by every session on
     the model. Unseen words are kept by the head features the model knows
@@ -146,12 +186,16 @@ class TaggerModel:
     """
 
     tags: list[str]
-    weights: dict[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         n_tags = len(self.tags)
-        table = np.array([*self.weights.values()] or [np.zeros(n_tags, dtype=np.int64)])
-        if table.dtype != np.int64 or table.shape[1:] != (n_tags,) or not (
+        if not isinstance(self.weights, Totals):
+            vectors = [*self.weights.values()]
+            table = np.array(vectors) if vectors else np.zeros((0, n_tags), dtype=np.int64)
+            self.weights = Totals({feat: row for row, feat in enumerate(self.weights)}, table)
+        table = self.weights.table
+        if table.dtype != np.int64 or table.shape[1:] != (n_tags,) or table.size and not (
                 -_TOTAL_BELOW < table.min() <= table.max() < _TOTAL_BELOW):
             raise DataError(f"tagger totals must be int64, {n_tags} a feature, "
                             f"below {_TOTAL_BELOW} in magnitude")
@@ -164,8 +208,8 @@ class TaggerModel:
         # The initial scores plus the pw=<s> weights: position 0's last
         # column is these plus its word's WordParts.last.
         self._first = self._transitions[0] + self.weights.get(f"pw={START}", 0)
-        for table in (*self._transitions, self._incoming, self._offsets, self._first):
-            table.flags.writeable = False
+        for array in (table, *self._transitions, self._incoming, self._offsets, self._first):
+            array.flags.writeable = False
         # word_parts memos, for tokens read as they are and lowered: at most
         # one entry per known word each; and one for the other words, keyed
         # by the head features the model knows of them. Not fields, so a copy
@@ -190,24 +234,15 @@ class TaggerModel:
             word = token.lower() if lowercase else token
             parts = memo.get(word)
             if parts is None:
-                weights = self.weights
-                if f"w={word}" in weights or f"pw={word}" in weights or f"nw={word}" in weights:
+                rows = self.weights.rows
+                if f"w={word}" in rows or f"pw={word}" in rows or f"nw={word}" in rows:
                     parts = memo[word] = WordParts(self, word)
                 else:
-                    key = (*[feat for feat in _head_features(word)[2:] if feat in weights], word.isdigit())
+                    key = (*[feat for feat in _head_features(word)[2:] if feat in rows], word.isdigit())
                     parts = self._unseen.get(key)
                     if parts is None:
                         parts = self._unseen[key] = WordParts(self, word)
         return parts
-
-
-def _emission(weights: dict[str, np.ndarray], feats: list[str], out: np.ndarray) -> np.ndarray:
-    """Add the weight vectors of ``feats`` into ``out``."""
-    for feat in feats:
-        vec = weights.get(feat)
-        if vec is not None:
-            out += vec
-    return out
 
 
 class WordParts:
@@ -230,17 +265,16 @@ class WordParts:
     def __init__(self, model: TaggerModel, word: str) -> None:
         weights = model.weights
         zero = np.zeros(len(model.tags), dtype=np.int64)
-        feats = [*_head_features(word), f"nw={END}", *["digit"] * word.isdigit()]
-        self.last = _emission(weights, feats, zero.copy())
+        self.last = weights.sum([*_head_features(word), f"nw={END}", *["digit"] * word.isdigit()])
         self.pw = weights.get(f"pw={word}")
         self.fin = weights.get(f"nw={word}", zero) - weights.get(f"nw={END}", zero)
         self.last.flags.writeable = self.fin.flags.writeable = False
 
 
-def _emissions(weights: dict[str, np.ndarray], n_tags: int, feats: list[list[str]]) -> np.ndarray:
+def _emissions(weights: Totals, n_tags: int, feats: list[list[str]]) -> np.ndarray:
     em = np.zeros((len(feats), n_tags), dtype=np.int64)
     for i, row in enumerate(feats):
-        _emission(weights, row, em[i])
+        em[i] = weights.sum(row)
     return em
 
 
@@ -395,7 +429,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     totals = step * weights - moved
     kept = np.flatnonzero(totals.any(axis=1))
     names = list(rows)
-    return TaggerModel(tags=tags, weights=dict(zip([names[r] for r in kept], totals[kept])))
+    return TaggerModel(tags=tags, weights=Totals({names[r]: i for i, r in enumerate(kept)}, totals[kept]))
 
 
 def extract_entities(tags: Sequence[str], tokens: Sequence[str]) -> tuple[EntitySpan, ...]:
@@ -641,21 +675,19 @@ class SequenceEntityTagger(Component):
         model = self.model
         if model is None:
             raise ConsistencyError("cannot persist an untrained entity_tagger_sequence")
-        feats = sorted(feat for feat, vec in model.weights.items() if vec.any())
+        rows, table = model.weights.rows, model.weights.table
+        nonzero = table.any(axis=1)
+        feats = sorted(feat for feat, row in rows.items() if nonzero[row])
         write_names(directory / "tags.tsv", model.tags)
         write_names(directory / "features.tsv", feats)
-        table = np.array([model.weights[feat] for feat in feats]).reshape(len(feats), len(model.tags))
-        write_rows(directory, table)
+        write_rows(directory, table[np.array([rows[feat] for feat in feats], dtype=np.intp)])
 
-    @classmethod
-    def load(cls, directory: Path, params) -> "SequenceEntityTagger":
-        comp = cls(params)
-        tags = read_names(directory / "tags.tsv")
+    def restore(self, files) -> None:
+        tags = read_names(files, "tags.tsv")
         if not tags:
             raise ValueError("tags.tsv names no tag")
-        feats = read_names(directory / "features.tsv")
-        table = read_rows(directory, (len(feats), len(tags)))
+        feats = read_names(files, "features.tsv")
+        table = read_rows(files, (len(feats), len(tags)))
         if not table.any(axis=1).all():
             raise ValueError("a feature has no nonzero total")
-        comp.model = TaggerModel(tags=tags, weights=dict(zip(feats, table)))
-        return comp
+        self.model = TaggerModel(tags=tags, weights=Totals(dict(zip(feats, range(len(feats)))), table))

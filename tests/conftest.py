@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from incnlu import (
     default_config,
     train_pipeline,
 )
-from incnlu.interpreter import _bundle_checksum
+from incnlu.interpreter import _bundle_checksum, _read_bundle
 
 # Small three-intent corpus for unit tests; entity values are single words
 # placed by substring search so spans always align to token boundaries.
@@ -55,12 +56,18 @@ def spy_process(interp):
     return calls
 
 
+def model_files(directory):
+    """The bytes of each file in ``directory``, by name: what ``incnlu.load``
+    hands a component's ``load`` for its directory."""
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir() if path.is_file()}
+
+
 def reseal(root):
     """Recompute a bundle's manifest checksum after editing its files, so
     that load gets past the integrity check to the edited file."""
     path = root / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["checksum"] = _bundle_checksum(root)
+    manifest["checksum"] = _bundle_checksum(_read_bundle(root))
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 

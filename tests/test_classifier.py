@@ -19,7 +19,7 @@ from incnlu.intent_bow import (
 from incnlu.results import label_order, rank_distribution
 from incnlu.sium import NO_ENTITY, SiumIntent, SiumModel, SiumState, classify
 
-from conftest import make_example, toy_rows
+from conftest import make_example, model_files, toy_rows
 
 
 def _separable_dataset():
@@ -225,7 +225,7 @@ class TestBowComponent:
         ctx = TrainingContext(dataset=ds, seed=0, vocabulary=vocab)
         comp.train(ds, ctx)
         comp.persist(tmp_path)
-        loaded = BowIntentClassifier.load(tmp_path, {})
+        loaded = BowIntentClassifier.load(model_files(tmp_path), {})
         assert loaded.model.intents == comp.model.intents
         assert np.array_equal(loaded.model.weights, comp.model.weights)
 
@@ -236,7 +236,7 @@ class TestBowComponent:
         comp.model = LinearIntentModel(intents=[], weights=np.zeros((3, 0)))
         comp.persist(tmp_path)
         with pytest.raises(ValueError, match="width does not match intents.tsv"):
-            BowIntentClassifier.load(tmp_path, {})
+            BowIntentClassifier.load(model_files(tmp_path), {})
 
     def test_weight_file_is_byte_stable(self, tmp_path):
         ds = _separable_dataset()

@@ -16,6 +16,8 @@ from incnlu.features import (
 )
 from incnlu.iu import COUNT_VECTOR, TOKENS, Blackboard, EditType
 
+from conftest import model_files
+
 
 def test_tokenize_splits_on_whitespace_runs():
     assert tokenize("Play  some\tJazz\n") == ["play", "some", "jazz"]
@@ -50,7 +52,7 @@ def test_vocabulary_line_round_trip(tmp_path):
     assert vocab.to_lines() == ["gamma", "beta", "alpha"]
     write_names(tmp_path / "vocabulary.tsv", vocab.to_lines())
     assert (tmp_path / "vocabulary.tsv").read_text(encoding="utf-8") == "gamma\nbeta\nalpha\n"
-    assert read_names(tmp_path / "vocabulary.tsv") == vocab.to_lines()
+    assert read_names(model_files(tmp_path), "vocabulary.tsv") == vocab.to_lines()
 
 
 @pytest.mark.parametrize("lines", [["a", "b", "a"], ["a", ""]])
@@ -58,7 +60,7 @@ def test_read_names_rejects_repeated_or_empty_entries(tmp_path, lines):
     path = tmp_path / "names.tsv"
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     with pytest.raises(ValueError, match="names an entry twice, or an empty one"):
-        read_names(path)
+        read_names(model_files(tmp_path), "names.tsv")
 
 
 def test_count_vector_counts_known_words_only(toy_dataset):
@@ -252,6 +254,6 @@ class TestCountVectorsFeaturizer:
     def test_persist_and_load_keep_the_vocabulary(self, toy_dataset, tmp_path):
         feat = self._trained(toy_dataset)
         feat.persist(tmp_path)
-        loaded = CountVectorsFeaturizer.load(tmp_path, {})
+        loaded = CountVectorsFeaturizer.load(model_files(tmp_path), {})
         assert loaded.vocabulary.index == feat.vocabulary.index
         assert loaded.params == feat.params

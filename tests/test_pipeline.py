@@ -1,5 +1,7 @@
+import builtins
 import io
 import json
+import os
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from incnlu import interpreter
 from incnlu import (
     BufferUnderflowError,
     BundleError,
@@ -40,7 +43,7 @@ from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, EditType
 from incnlu.registry import REGISTRY
 from incnlu.sium import SiumIntent, SiumModel, batch_posterior
 
-from conftest import make_example, reseal, spy_process, toy_rows
+from conftest import make_example, model_files, reseal, spy_process, toy_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1269,7 +1272,7 @@ class TestBundles:
         comp.model = LinearIntentModel(intents=labels[: weights.shape[1]], weights=weights)
         with tempfile.TemporaryDirectory() as tmp:
             comp.persist(Path(tmp))
-            loaded = BowIntentClassifier.load(Path(tmp), {}).model
+            loaded = BowIntentClassifier.load(model_files(tmp), {}).model
         assert loaded.intents == comp.model.intents
         assert loaded.weights.dtype == np.float64 and loaded.weights.shape == weights.shape
         assert loaded.weights.tobytes() == weights.tobytes()
@@ -1280,7 +1283,7 @@ class TestBundles:
         path = toy_interp.persist(tmp_path / "bundle") / _BOW
         weights = np.load(path)
         path.write_bytes(_npy(np.asfortranarray(weights)))
-        loaded = BowIntentClassifier.load(path.parent, {}).model.weights
+        loaded = BowIntentClassifier.load(model_files(path.parent), {}).model.weights
         assert loaded.shape == weights.shape and loaded.tobytes() == weights.tobytes()
 
     @settings(max_examples=50, deadline=None)
@@ -1314,7 +1317,7 @@ class TestBundles:
         comp.model = model
         with tempfile.TemporaryDirectory() as tmp:
             comp.persist(Path(tmp))
-            loaded = SiumIntent.load(Path(tmp), {}).model
+            loaded = SiumIntent.load(model_files(tmp), {}).model
         assert (loaded.intents, loaded.entity_classes) == (intents, classes)
         assert loaded.word_index == model.word_index
         for name in ("intent_counts", "entity_counts", "log_word_given_intent", "log_word_given_entity"):
@@ -1329,7 +1332,7 @@ class TestBundles:
         comp.vocabulary = Vocabulary(dict(zip(words, order)))
         with tempfile.TemporaryDirectory() as tmp:
             comp.persist(Path(tmp))
-            loaded = CountVectorsFeaturizer.load(Path(tmp), {})
+            loaded = CountVectorsFeaturizer.load(model_files(tmp), {})
         assert loaded.vocabulary.index == comp.vocabulary.index
 
     @settings(max_examples=100, deadline=None)
@@ -1347,7 +1350,7 @@ class TestBundles:
     def test_any_int32_table_survives_the_sparse_rows(self, table):
         with tempfile.TemporaryDirectory() as tmp:
             write_rows(Path(tmp), table)
-            loaded = read_rows(Path(tmp), table.shape)
+            loaded = read_rows(model_files(tmp), table.shape)
         assert loaded.dtype == np.int64 and loaded.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("value", [2**31, -2**31 - 1])
@@ -1372,7 +1375,7 @@ class TestBundles:
         assert files
         for path in files:
             if path.suffix == ".tsv":
-                read_names(path)
+                read_names({path.name: path.read_bytes()}, path.name)
             elif path.suffix == ".npy":
                 with path.open("rb") as f:
                     assert np.lib.format.read_magic(f) == (1, 0), path
@@ -1469,6 +1472,67 @@ class TestBundles:
         with pytest.raises(BundleError, match="intent_sium"):
             load(root)
 
+    def test_load_opens_each_bundle_file_once_and_no_component_load_opens_one(
+        self, toy_interp, tmp_path, monkeypatch
+    ):
+        root = toy_interp.persist(tmp_path / "bundle")
+        # (path, whether a Component.load was running) of every open call.
+        opened, running = [], []
+        real_open, real_load = io.open, Component.load.__func__
+
+        def spy_open(file, *args, **kwargs):
+            if isinstance(file, (str, bytes, os.PathLike)):
+                opened.append((Path(os.fsdecode(file)), bool(running)))
+            return real_open(file, *args, **kwargs)
+
+        def spy_load(cls, files, params):
+            running.append(cls.name)
+            try:
+                return real_load(cls, files, params)
+            finally:
+                running.pop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spy_open)
+            patch.setattr(io, "open", spy_open)
+            patch.setattr(Component, "load", classmethod(spy_load))
+            load(root)
+        files = sorted(path for path in root.rglob("*") if path.is_file())
+        assert len(files) == 16  # the manifest, the config and 14 model files
+        assert sorted(path for path, _ in opened) == files
+        assert not [path for path, in_load in opened if in_load]
+
+    def test_load_builds_the_model_from_the_bytes_the_checksum_read(self, toy_interp, tmp_path, monkeypatch):
+        """A model file rewritten on disk after the checksum walk, before
+        the components parse, does not reach the loaded model."""
+        root = toy_interp.persist(tmp_path / "bundle")
+        target = root / _BOW
+        verified = target.read_bytes()
+        weights = np.load(target)
+        real_checksum = interpreter._bundle_checksum
+
+        def checksum_then_rewrite(files):
+            digest = real_checksum(files)
+            target.write_bytes(_npy(np.zeros_like(weights)))
+            return digest
+
+        monkeypatch.setattr(interpreter, "_bundle_checksum", checksum_then_rewrite)
+        loaded = load(root)
+        assert target.read_bytes() != verified
+        bow = next(comp for comp in loaded.components if comp.name == BowIntentClassifier.name)
+        assert bow.model.weights.tobytes() == weights.tobytes()
+
+    def test_a_component_loads_from_its_directory_as_from_its_files(self, toy_interp, tmp_path):
+        """Given a directory, ``Component.load`` reads its files itself: the
+        component persists the same bytes either way."""
+        root = toy_interp.persist(tmp_path / "bundle")
+        for comp in toy_interp.components:
+            for n, source in enumerate((root / comp.name, model_files(root / comp.name))):
+                out = tmp_path / f"{comp.name}.{n}"
+                out.mkdir()
+                type(comp).load(source, comp.params).persist(out)
+                assert model_files(out) == model_files(root / comp.name)
+
     def test_manifest_is_deterministic_json(self, toy_interp, tmp_path):
         root = toy_interp.persist(tmp_path / "bundle")
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -1519,7 +1583,7 @@ class TestBundles:
     )
     def test_component_load_uses_the_params_it_is_given(self, toy_interp, tmp_path, name, params):
         root = toy_interp.persist(tmp_path / "bundle")
-        comp = REGISTRY[name].load(root / name, params)
+        comp = REGISTRY[name].load(model_files(root / name), params)
         assert comp.params == {**REGISTRY[name].defaults, **params}
         if name == "intent_sium":
             assert comp.model.entity_threshold == 0.9

@@ -21,7 +21,7 @@ from incnlu.sium import (
     train_sium,
 )
 
-from conftest import make_example, toy_rows
+from conftest import make_example, model_files, toy_rows
 
 SEVEN_INTENTS = [
     "AddToPlaylist",
@@ -403,7 +403,7 @@ class TestSiumComponent:
     def test_persist_load_round_trip(self, toy_dataset, tmp_path):
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
-        loaded = SiumIntent.load(tmp_path, {})
+        loaded = SiumIntent.load(model_files(tmp_path), {})
         assert loaded.model.intents == comp.model.intents
         assert loaded.model.entity_classes == comp.model.entity_classes
         assert loaded.model.word_index == comp.model.word_index
@@ -431,7 +431,7 @@ class TestSiumComponent:
         values[0] = -1
         np.save(tmp_path / "values.npy", values)
         with pytest.raises(ValueError, match="a count is negative"):
-            SiumIntent.load(tmp_path, {"alpha": 2.0})
+            SiumIntent.load(model_files(tmp_path), {"alpha": 2.0})
 
     def test_a_class_with_no_count_persists_and_loads(self, tmp_path):
         """Every word in an entity leaves the null class no count."""
@@ -440,7 +440,7 @@ class TestSiumComponent:
         comp.train(TrainingDataset([make_example(*row) for row in rows]), ctx=None)
         assert comp.model.entity_classes[-1] == NO_ENTITY and not comp.model.entity_counts[-1].any()
         comp.persist(tmp_path)
-        loaded = SiumIntent.load(tmp_path, {}).model
+        loaded = SiumIntent.load(model_files(tmp_path), {}).model
         assert np.array_equal(loaded.entity_counts, comp.model.entity_counts)
         assert loaded.log_word_given_entity.tobytes() == comp.model.log_word_given_entity.tobytes()
 
@@ -490,4 +490,4 @@ class TestPickMemo:
         comp = SiumIntent()
         comp.train(toy_dataset, ctx=None)
         comp.persist(tmp_path)
-        assert SiumIntent.load(tmp_path, {}).model._picks == {}
+        assert SiumIntent.load(model_files(tmp_path), {}).model._picks == {}

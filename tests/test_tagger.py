@@ -16,6 +16,7 @@ from incnlu import (
     IncrementalInterpreter,
     TrainingExample,
     default_config,
+    load,
     load_dataset,
 )
 from incnlu import intent_bow, sium, tagging
@@ -29,12 +30,13 @@ from incnlu.tagging import (
     RECORD_COLUMNS,
     SequenceEntityTagger,
     TaggerModel,
+    Totals,
     decode,
     extract_entities,
     train_tagger,
 )
 
-from conftest import make_example, toy_rows
+from conftest import make_example, model_files, toy_rows
 
 
 def _dataset(rows):
@@ -431,7 +433,7 @@ class TestTaggerComponent:
     def test_persist_load_round_trip(self, toy_dataset, tmp_path):
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
-        loaded = SequenceEntityTagger.load(tmp_path, {})
+        loaded = SequenceEntityTagger.load(model_files(tmp_path), {})
         _assert_same_bits(loaded.model, comp.model.tags, comp.model.weights)
         rng = random.Random(5)
         words = [w for row in toy_rows() for w in row[0].split()]
@@ -448,7 +450,7 @@ class TestTaggerComponent:
         comp = SequenceEntityTagger({"epochs": 0})
         comp.train(toy_dataset, None)
         comp.persist(tmp_path)
-        loaded = SequenceEntityTagger.load(tmp_path, {"epochs": 0}).model
+        loaded = SequenceEntityTagger.load(model_files(tmp_path), {"epochs": 0}).model
         assert loaded.weights == {}
 
     def test_totals_just_inside_the_bound_persist_and_load(self, tmp_path):
@@ -457,7 +459,7 @@ class TestTaggerComponent:
         totals = np.array([bound - 1, 1 - bound, 0])
         comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights={"bias": totals})
         comp.persist(tmp_path)
-        loaded = SequenceEntityTagger.load(tmp_path, {}).model
+        loaded = SequenceEntityTagger.load(model_files(tmp_path), {}).model
         assert loaded.weights["bias"].tobytes() == totals.tobytes()
 
     @pytest.mark.parametrize("name, values, message", [
@@ -473,7 +475,7 @@ class TestTaggerComponent:
         comp.persist(tmp_path)
         np.save(tmp_path / f"{name}.npy", np.array(values, dtype=np.uint8))
         with pytest.raises(ValueError, match=message):
-            SequenceEntityTagger.load(tmp_path, {})
+            SequenceEntityTagger.load(model_files(tmp_path), {})
 
     @pytest.mark.parametrize("n_tags", [255, 256, 257])
     def test_a_tag_set_past_one_byte_persists_and_loads(self, tmp_path, n_tags):
@@ -487,7 +489,7 @@ class TestTaggerComponent:
         comp.model = TaggerModel(tags=tags, weights=weights)
         comp.persist(tmp_path)
         _assert_integer_totals(tmp_path, comp.model)
-        loaded = SequenceEntityTagger.load(tmp_path, {}).model
+        loaded = SequenceEntityTagger.load(model_files(tmp_path), {}).model
         _assert_same_bits(loaded, tags, weights)
 
     @pytest.mark.parametrize("row", [[_BOUND, 0, 0], [0, -_BOUND, 0], [0.0, 1.0, 0.0], [1, 2]])
@@ -547,7 +549,7 @@ def test_any_model_persists_and_loads_with_its_tags_and_bits(tmp_path_factory, c
     comp.model = TaggerModel(tags=tags, weights=weights)
     comp.persist(directory)
     _assert_integer_totals(directory, comp.model)
-    loaded = SequenceEntityTagger.load(directory, {}).model
+    loaded = SequenceEntityTagger.load(model_files(directory), {}).model
     _assert_same_bits(loaded, tags, weights)
 
 
@@ -557,8 +559,51 @@ def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path)
     cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
     trained = train_tagger(load_dataset(_SNIPS_TRAIN))
     _assert_integer_totals(tmp_path / SequenceEntityTagger.name, trained)
-    loaded = SequenceEntityTagger.load(tmp_path / SequenceEntityTagger.name, {}).model
+    loaded = SequenceEntityTagger.load(model_files(tmp_path / SequenceEntityTagger.name), {}).model
     _assert_same_bits(loaded, trained.tags, trained.weights)
+
+
+@pytest.mark.parametrize("source", ["trained", "loaded"])
+def test_the_totals_are_one_read_only_table_that_sessions_share(toy_interp, tmp_path, source):
+    """A trained and a loaded model keep their totals as one read-only
+    int64 table, and ``weights`` reads its rows by feature."""
+    root = toy_interp.persist(tmp_path / "bundle")
+    interp = toy_interp if source == "trained" else load(root)
+    a, b = (next(c for c in session.components if c.name == SequenceEntityTagger.name).model
+            for session in (interp.fresh_copy(), interp.fresh_copy()))
+    weights = a.weights
+    table = weights.table
+    assert b.weights.table is table
+    assert type(table) is np.ndarray and table.dtype == np.int64 and not table.flags.writeable
+    assert table.shape == (len(weights), len(a.tags))
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    feats = (root / SequenceEntityTagger.name / "features.tsv").read_text(encoding="utf-8").splitlines()
+    assert sorted(weights) == sorted(weights.keys()) == feats
+    assert sorted(weights.rows.values()) == list(range(len(table)))
+    for feat, vec in weights.items():
+        assert vec.tobytes() == table[weights.rows[feat]].tobytes()
+        assert not vec.flags.writeable and np.shares_memory(vec, table)
+    zero = np.zeros(len(a.tags), dtype=np.int64)
+    assert "w=no-such-word" not in weights
+    assert weights.get("w=no-such-word") is None and weights.get("w=no-such-word", zero) is zero
+    with pytest.raises(KeyError):
+        weights["w=no-such-word"]
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[1.0, 0.0, 0.0]]),
+    np.array([[1, 0]]),
+    np.array([1, 0, 0]),
+    np.array([[_BOUND, 0, 0]]),
+    np.array([[0, -_BOUND, 0]]),
+])
+def test_a_table_handed_over_as_it_is_is_checked(table):
+    """Training and loading hand the model their tables as they are, and
+    it refuses one that is not int64, not a row of 3 a feature, or holds a
+    total at the bound, as it refuses a mapping of such vectors."""
+    with pytest.raises(DataError, match=f"must be int64, 3 a feature, below {_BOUND} in magnitude"):
+        TaggerModel(tags=["O", "B-x", "I-x"], weights=Totals({"bias": 0}, table))
 
 
 def _random_model(seed=3):
