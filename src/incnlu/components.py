@@ -43,14 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class TrainingContext:
     """Carries one component's training output forward to the next.
 
-    The tokenizer fills ``tokens``, one token list per training example;
-    the featurizer fills ``vocabulary``. No component reads ``seed``, which
-    the manifest records; each reads its own ``seed`` parameter instead.
+    The tokenizer fills ``tokens``, one token list per training example,
+    ``tags``, their BIO tags, and ``lowercase``, its own flag, by which
+    they were made; every later component trains from those, and tokenizes
+    no text. The featurizer fills ``vocabulary``. No component reads
+    ``seed``, which the manifest records; each reads its own ``seed``
+    parameter instead.
     """
 
     dataset: "TrainingDataset"
     seed: int
     tokens: list[list[str]] | None = None
+    tags: list[list[str]] | None = None
+    lowercase: bool | None = None
     vocabulary: "Vocabulary | None" = None
 
 

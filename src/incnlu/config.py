@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .components import Component
 from .errors import ConfigError
+from .iu import TOKENS
 from .registry import create
 
 _ITEM_RE = re.compile(r"^(\s*)-\s+name:\s*(.+?)\s*$")
@@ -158,28 +159,40 @@ def config_text(config: PipelineConfig) -> str:
 
 
 def build_components(config: PipelineConfig) -> list[Component]:
-    """Instantiate and order-check the configured components.
+    """Instantiate the configured components and :func:`check_pipeline`
+    them; instantiation itself rejects unknown parameters."""
+    components = [create(spec.name, spec.params) for spec in config.components]
+    check_pipeline(components)
+    return components
 
-    Each component's declared requirements must be provided by something
-    earlier in the list; instantiation itself rejects unknown parameters.
+
+def check_pipeline(components: list[Component]) -> None:
+    """Refuse, with a ConfigError naming the component, a pipeline that
+    lists a component twice, puts one ahead of what provides its inputs, or
+    has one whose ``lowercase`` differs from the tokenizer's: the tokenizer
+    alone decides what a token is, so every other flag must agree with it.
     """
-    instances = []
     provided: set[str] = set()
     seen: set[str] = set()
-    for spec in config.components:
-        if spec.name in seen:
-            raise ConfigError(f"component {spec.name!r} listed twice")
-        seen.add(spec.name)
-        comp = create(spec.name, spec.params)
+    lowercase = None  # the flag of the component that provides TOKENS
+    for comp in components:
+        if comp.name in seen:
+            raise ConfigError(f"component {comp.name!r} listed twice")
+        seen.add(comp.name)
         for key in comp.requires:
             if key not in provided:
                 raise ConfigError(
-                    f"component {spec.name!r} requires annotation {key!r}, "
+                    f"component {comp.name!r} requires annotation {key!r}, "
                     f"which nothing earlier in the pipeline provides"
                 )
         provided.update(comp.provides)
-        instances.append(comp)
-    return instances
+        if TOKENS in comp.provides:
+            lowercase = comp.params.get("lowercase")
+        elif comp.params.get("lowercase", lowercase) != lowercase:
+            raise ConfigError(
+                f"component {comp.name!r} has lowercase {comp.params['lowercase']}, "
+                f"but the tokenizer has {lowercase}: every lowercase must equal the tokenizer's"
+            )
 
 
 def key_owners(components: list[Component]) -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""Training data: file formats, validation, BIO projection, splitting.
+"""Training data: file formats, validation, splitting.
 
 Two interchangeable on-disk formats are supported. The JSON form nests
 examples under ``rasa_nlu_data.common_examples`` with character-offset
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
-from .features import tokenize_with_spans
 
 log = logging.getLogger(__name__)
 
@@ -244,42 +243,6 @@ def save_json(dataset: TrainingDataset, path: str | Path) -> None:
         }
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def bio_tags(
-    text: str, entities: list[EntityAnnotation], lowercase: bool = True
-) -> tuple[list[str], list[str]]:
-    """Project character spans onto whitespace tokens as B-/I-/O tags.
-
-    A span whose boundary lands inside a token is snapped outward to cover
-    the whole token; each such adjustment is logged once per utterance.
-    """
-    spans = tokenize_with_spans(text, lowercase=lowercase)
-    tokens = [t for t, _, _ in spans]
-    tags = ["O"] * len(tokens)
-    snapped = 0
-    for ann in entities:
-        covered = [
-            i for i, (_, s, e) in enumerate(spans) if s < ann.end and e > ann.start
-        ]
-        if not covered:
-            continue
-        first, last = covered[0], covered[-1]
-        if spans[first][1] != ann.start or spans[last][2] != ann.end:
-            snapped += 1
-        tags[first] = f"B-{ann.type}"
-        for i in covered[1:]:
-            tags[i] = f"I-{ann.type}"
-    if snapped:
-        log.debug("snapped %d entity span(s) to token boundaries in %r", snapped, text)
-    return tokens, tags
-
-
-def token_entity_classes(text: str, entities: list[EntityAnnotation], lowercase: bool = True) -> tuple[list[str], list[str]]:
-    """Per-token entity class, with NO_ENTITY for uncovered tokens."""
-    tokens, tags = bio_tags(text, entities, lowercase=lowercase)
-    classes = [tag.split("-", 1)[1] if tag != "O" else NO_ENTITY for tag in tags]
-    return tokens, classes
 
 
 def stratified_split(

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrainingDataset, bio_tags
+from .data import TrainingDataset
 from .errors import ConsistencyError, ParameterError
-from .features import tokenize
+from .features import bio_tags, tokenize
 from .interpreter import IncrementalInterpreter
 from .iu import EditType
 from .results import NluResult

@@ -1,5 +1,10 @@
 """Whitespace tokenization and the incremental bag-of-words count vector.
 
+The tokenizer alone decides what a token is. At training it tokenizes each
+example once and projects its entity spans onto the tokens as BIO tags
+(:func:`bio_tags`); every later component trains from those tokens and
+tags, and lowercases as the tokenizer does, or the pipeline is refused.
+
 The count vector is updated exactly: an add increments one word count, a
 revoke decrements it, so after any balanced edit sequence the vector equals
 a from-scratch recount of the surviving hypothesis. Out-of-vocabulary words
@@ -17,15 +22,21 @@ as :func:`~incnlu.components.write_names` writes every names file.
 
 from __future__ import annotations
 
+import logging
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .components import Component, TrainingContext, read_names, write_names
 from .errors import ConfigError, ConsistencyError, DataError
 from .iu import ADD, COUNT_VECTOR, REVOKE, TOKENS, Blackboard, EditType
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .data import EntityAnnotation
+
+log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -49,11 +60,41 @@ def tokenize_with_spans(text: str, lowercase: bool = True) -> list[tuple[str, in
     return out
 
 
+def bio_tags(
+    text: str, entities: list[EntityAnnotation], lowercase: bool = True
+) -> tuple[list[str], list[str]]:
+    """Project character spans onto whitespace tokens as B-/I-/O tags.
+
+    A span whose boundary lands inside a token is snapped outward to cover
+    the whole token; each such adjustment is logged once per utterance.
+    """
+    spans = tokenize_with_spans(text, lowercase=lowercase)
+    tokens = [t for t, _, _ in spans]
+    tags = ["O"] * len(tokens)
+    snapped = 0
+    for ann in entities:
+        covered = [
+            i for i, (_, s, e) in enumerate(spans) if s < ann.end and e > ann.start
+        ]
+        if not covered:
+            continue
+        first, last = covered[0], covered[-1]
+        if spans[first][1] != ann.start or spans[last][2] != ann.end:
+            snapped += 1
+        tags[first] = f"B-{ann.type}"
+        for i in covered[1:]:
+            tags[i] = f"I-{ann.type}"
+    if snapped:
+        log.debug("snapped %d entity span(s) to token boundaries in %r", snapped, text)
+    return tokens, tags
+
+
 class Vocabulary:
-    """Frozen word-to-index map built from training data.
+    """Frozen word-to-index map built from training tokens.
 
     Indices are dense and assigned in first-occurrence order, so fitting is
-    deterministic for a fixed corpus.
+    deterministic for a fixed corpus. The tokens are indexed as given;
+    ``lowercase`` lowers the words :meth:`index_of` is asked about.
     """
 
     def __init__(self, index: dict[str, int], lowercase: bool = True) -> None:
@@ -61,19 +102,17 @@ class Vocabulary:
         self.lowercase = lowercase
 
     @classmethod
-    def fit(cls, token_lists: Iterable[list[str]], lowercase: bool = True) -> "Vocabulary":
+    def fit(cls, token_lists: Iterable[list[str]]) -> "Vocabulary":
         index: dict[str, int] = {}
         empty = True
         for tokens in token_lists:
             empty = False
             for token in tokens:
-                if lowercase:
-                    token = token.lower()
                 if token not in index:
                     index[token] = len(index)
         if empty:
             raise DataError("cannot fit a vocabulary on an empty corpus")
-        return cls(index, lowercase=lowercase)
+        return cls(index)
 
     def index_of(self, token: str) -> int | None:
         if self.lowercase:
@@ -145,8 +184,10 @@ class WhitespaceTokenizer(Component):
     defaults = {"lowercase": True}
 
     def train(self, dataset, ctx: TrainingContext) -> None:
-        lowercase = self.params["lowercase"]
-        ctx.tokens = [tokenize(ex.text, lowercase=lowercase) for ex in dataset.examples]
+        ctx.lowercase = self.params["lowercase"]
+        pairs = [bio_tags(ex.text, ex.entities, ctx.lowercase) for ex in dataset.examples]
+        ctx.tokens = [tokens for tokens, _ in pairs]
+        ctx.tags = [tags for _, tags in pairs]
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         tokens = board.published(self.name, TOKENS, ())
@@ -182,9 +223,7 @@ class CountVectorsFeaturizer(Component):
     def train(self, dataset, ctx: TrainingContext) -> None:
         if ctx.tokens is None:
             raise ConfigError("featurizer_count_vectors needs a tokenizer earlier in the pipeline")
-        lowercase = self.params["lowercase"]
-        self.vocabulary = Vocabulary.fit(ctx.tokens, lowercase=lowercase)
-        ctx.vocabulary = self.vocabulary
+        self.vocabulary = ctx.vocabulary = Vocabulary(Vocabulary.fit(ctx.tokens).index, ctx.lowercase)
 
     def _require_vocab(self) -> Vocabulary:
         if self.vocabulary is None:

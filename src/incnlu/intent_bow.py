@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .components import Component, TrainingContext, read_names, read_npy, write_names, write_npy
-from .data import TrainingDataset
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
-from .features import CountVectorsFeaturizer, Vocabulary, count_vector, tokenize
+from .features import CountVectorsFeaturizer, count_vector
 from .iu import COUNT_VECTOR, INTENT_DISTRIBUTION, Blackboard
 from .results import label_order, rank_distribution
 
@@ -87,14 +86,16 @@ def _augment(matrix: np.ndarray) -> np.ndarray:
 
 
 def train_classifier(
-    dataset: TrainingDataset,
-    vocab: Vocabulary,
+    ctx: TrainingContext,
     epochs: int = 50,
     lr: float = 0.1,
     l2: float = 1e-4,
     seed: int = 7,
     batch_size: int = 32,
 ) -> LinearIntentModel:
+    """Fit the weights on the count vectors of the tokens the tokenizer
+    left on ``ctx``, over the featurizer's vocabulary there."""
+    dataset, vocab = ctx.dataset, ctx.vocabulary
     if not dataset.examples:
         raise DataError("cannot train on an empty dataset")
     intents = dataset.intents
@@ -102,11 +103,7 @@ def train_classifier(
         log.warning("training an intent classifier on a single class %r", intents)
     label_index = {intent: i for i, intent in enumerate(intents)}
 
-    rows = [
-        count_vector(vocab, tokenize(ex.text, lowercase=vocab.lowercase))
-        for ex in dataset.examples
-    ]
-    inputs = _augment(np.stack(rows))
+    inputs = _augment(np.stack([count_vector(vocab, tokens) for tokens in ctx.tokens]))
     labels = np.array([label_index[ex.intent] for ex in dataset.examples], dtype=np.int64)
 
     weights = np.zeros((len(vocab) + 1, len(intents)), dtype=np.float64)
@@ -172,8 +169,7 @@ class BowIntentClassifier(Component):
                 "intent_classifier_bow needs featurizer_count_vectors earlier in the pipeline"
             )
         self.model = train_classifier(
-            dataset,
-            ctx.vocabulary,
+            ctx,
             epochs=self.params["epochs"],
             lr=self.params["lr"],
             l2=self.params["l2"],

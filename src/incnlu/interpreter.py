@@ -42,7 +42,9 @@ import time
 from pathlib import Path
 
 from .components import Component, TrainingContext
-from .config import ComponentSpec, PipelineConfig, build_components, config_text, key_owners, read_config
+from .config import (
+    ComponentSpec, PipelineConfig, build_components, check_pipeline, config_text, key_owners, read_config,
+)
 from .data import TrainingDataset
 from .errors import BundleError, ConfigError, DataError
 from .features import tokenize
@@ -104,7 +106,13 @@ class IncrementalInterpreter:
 
     def __init__(self, config: PipelineConfig, components: list[Component] | None = None) -> None:
         self.config = config
-        self.components = components if components is not None else build_components(config)
+        # Components given are trained (loaded or copied); built ones are not.
+        self.is_trained = components is not None
+        if self.is_trained:
+            check_pipeline(components)
+        else:
+            components = build_components(config)
+        self.components = components
         owners = key_owners(self.components)
         self.board = Blackboard(owners)
         # A component that declares keys and owns none of them is shadowed:
@@ -122,8 +130,6 @@ class IncrementalInterpreter:
         # (word, record) of each REVOKE since the last ADD that was no redo,
         # the newest last and at most REDO_DEPTH.
         self._redo: list[tuple[str, dict]] = []
-        # Components given are trained (loaded or copied); built ones are not.
-        self.is_trained = components is not None
         self.training_timings: list[tuple[str, float]] = []
         self.training_info: dict = {}
         if self.is_trained:
@@ -286,7 +292,8 @@ def load(path: str | Path) -> IncrementalInterpreter:
     checksum over those bytes, and builds the config and every component
     from them: each component gets the verified bytes of its directory by
     file name, and opens no file. So a file rewritten during the load
-    cannot reach the model unverified.
+    cannot reach the model unverified. The loaded components then pass the
+    pipeline check that ``train`` runs on its config (:func:`check_pipeline`).
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .components import Component, TrainingContext, read_names, read_rows, write_names, write_rows
-from .data import NO_ENTITY, TrainingDataset, token_entity_classes
+from .data import NO_ENTITY
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, INTENT_DISTRIBUTION, TOKENS, Blackboard, IncrementalUnit
 from .results import EntitySpan, label_order, rank_distribution
@@ -101,7 +101,8 @@ class SiumModel:
         ratios = (counts[labels, words] + alpha) / np.array(denoms)[labels]
         table[words, labels] = [*map(math.log, ratios.tolist())]
         sums = np.exp(table).sum(axis=0)
-        if not np.allclose(sums, 1.0, atol=1e-9):
+        # np.allclose's bound, in one comparison that NaN fails.
+        if not abs(sums - 1.0).max() <= 1e-9 + 1e-5:
             raise ConsistencyError(f"a likelihood table does not normalize: {sums}")
         return table
 
@@ -125,14 +126,12 @@ class SiumModel:
             return pick
 
 
-def train_sium(
-    dataset: TrainingDataset,
-    alpha: float = 1.0,
-    entity_threshold: float = 0.6,
-    lowercase: bool = True,
-) -> SiumModel:
-    """Count each training token under its example's intent and its own
-    entity class, and build the model from those counts."""
+def train_sium(ctx: TrainingContext, alpha: float = 1.0, entity_threshold: float = 0.6) -> SiumModel:
+    """Count each token the tokenizer left on ``ctx`` under its example's
+    intent and its own entity class, that of its BIO tag or NO_ENTITY, and
+    build the model from those counts. The model lowers the words a
+    session adds as the tokenizer lowered these."""
+    dataset = ctx.dataset
     if not dataset.examples:
         raise DataError("cannot train on an empty dataset")
 
@@ -142,12 +141,11 @@ def train_sium(
     class_row = {cls: i for i, cls in enumerate(entity_classes)}
     word_index: dict[str, int] = {}
     intent_rows, class_rows, columns = [], [], []
-    for ex in dataset.examples:
-        tokens, classes = token_entity_classes(ex.text, ex.entities, lowercase=lowercase)
-        for token, cls in zip(tokens, classes):
+    for ex, tokens, tags in zip(dataset.examples, ctx.tokens, ctx.tags):
+        for token, tag in zip(tokens, tags):
             columns.append(word_index.setdefault(token, len(word_index)))
             intent_rows.append(intent_row[ex.intent])
-            class_rows.append(class_row[cls])
+            class_rows.append(class_row[tag[2:] or NO_ENTITY])  # "O" names no class
     intent_counts = np.zeros((len(intents), len(word_index)), dtype=np.int64)
     entity_counts = np.zeros((len(entity_classes), len(word_index)), dtype=np.int64)
     np.add.at(intent_counts, (intent_rows, columns), 1)
@@ -160,7 +158,7 @@ def train_sium(
         entity_counts=entity_counts,
         alpha=alpha,
         entity_threshold=entity_threshold,
-        lowercase=lowercase,
+        lowercase=ctx.lowercase,
     )
 
 
@@ -303,12 +301,8 @@ class SiumIntent(Component):
 
     def train(self, dataset, ctx: TrainingContext) -> None:
         self.new_utterance()
-        self.model = train_sium(
-            dataset,
-            alpha=self.params["alpha"],
-            entity_threshold=self.params["entity_threshold"],
-            lowercase=self.params["lowercase"],
-        )
+        params = self.params
+        self.model = train_sium(ctx, alpha=params["alpha"], entity_threshold=params["entity_threshold"])
 
     def _require_state(self) -> SiumState:
         if self.model is None:
@@ -325,7 +319,8 @@ class SiumIntent(Component):
         # buffer's own. A unit can sit at its position only if nothing below
         # it was popped, so the first match down from the shorter length
         # ends that run. Then add the buffer's words past it, as the ADDs
-        # handed them over; a tokenizer that lowercases publishes them changed.
+        # handed them over: SIUM lowers them if the tokenizer does, as its
+        # lowercase equals the tokenizer's.
         units, held = board.buffer.units, self._units
         kept = min(len(units), len(held))
         while kept and held[kept - 1] is not units[kept - 1]:

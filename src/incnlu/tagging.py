@@ -8,9 +8,9 @@ The component keeps one Viterbi lattice per session (:class:`ViterbiState`)
 and computes only the columns an edit changes: the right-context feature
 ``nw=`` makes a column final once the next word is known. Its emission rows
 are sums of each word's parts (:class:`WordParts`), which depend only on
-the word: the model memoises them per known word on first use, lowered if
-the component lowercases, and those of any other word under the head
-features it knows of that word. Every session shares the memos, so the
+the word: the model memoises them per known token on first use, the
+token as the tokenizer published it, and those of any other token under
+the head features it knows of it. Every session shares the memos, so the
 lattice builds no feature string. Position i's last column, its column as
 if it were the final word, reads no token to the right of its position,
 and one add of the next word's parts makes it final, so an ADD computes
@@ -36,7 +36,8 @@ order, so every column equals the one the batch :func:`decode` makes of
 feature strings, and the entity output is exactly that of a restart over
 the current prefix.
 
-Training (:func:`train_tagger`, Collins, EMNLP 2002) decodes a sentence
+Training (:func:`train_tagger`, Collins, EMNLP 2002) reads the tokens and
+BIO tags the tokenizer left on the training context, and decodes a sentence
 only if a weight has changed since it last decoded to its gold tags. A
 skipped decode would give gold again and update nothing, so the averaged
 weights are those of decoding every sentence in every epoch. An averaged
@@ -61,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .components import Component, TrainingContext, read_names, read_rows, write_names, write_rows
-from .data import TrainingDataset, bio_tags
+from .data import TrainingDataset
 from .errors import ConsistencyError, DataError, ParameterError
 from .iu import ENTITIES, LATTICE, TOKENS, Blackboard
 from .results import EntitySpan
@@ -210,38 +211,33 @@ class TaggerModel:
         self._first = self._transitions[0] + self.weights.get(f"pw={START}", 0)
         for array in (table, *self._transitions, self._incoming, self._offsets, self._first):
             array.flags.writeable = False
-        # word_parts memos, for tokens read as they are and lowered: at most
-        # one entry per known word each; and one for the other words, keyed
-        # by the head features the model knows of them. Not fields, so a copy
-        # made through ``dataclasses.replace`` starts its own.
-        self._memos: tuple[dict[str, WordParts], dict[str, WordParts]] = ({}, {})
+        # word_parts memos: at most one entry per known word, and one for
+        # the other words, keyed by the head features the model knows of
+        # them. Not fields, so a copy made through ``dataclasses.replace``
+        # starts its own.
+        self._memos: dict[str, WordParts] = {}
         self._unseen: dict[tuple[str | bool, ...], WordParts] = {}
 
     def transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         return self._transitions
 
-    def word_parts(self, token: str, lowercase: bool) -> WordParts:
-        """The emission parts of ``token`` as the lattice reads it: lowered
-        if ``lowercase``. They are memoised under that word if the weights
-        know it by its ``w=``, ``pw=`` or ``nw=`` feature, so "Boston" finds
-        the parts of "boston". Any other word's parts are its ``lw=``,
+    def word_parts(self, token: str) -> WordParts:
+        """The emission parts of ``token``, as the tokenizer published it.
+        They are memoised under it if the weights know it by its ``w=``,
+        ``pw=`` or ``nw=`` feature. Any other token's parts are its ``lw=``,
         ``p3=`` and ``s3=`` weights and its ``digit`` flag alone, so they
         are memoised under the ones of those features the weights know and
-        that flag: a key the model bounds, however many words share it."""
-        memo = self._memos[lowercase]
-        parts = memo.get(token)  # with lowercase, every key is a word lowering leaves as it is
+        that flag: a key the model bounds, however many tokens share it."""
+        parts = self._memos.get(token)
         if parts is None:
-            word = token.lower() if lowercase else token
-            parts = memo.get(word)
-            if parts is None:
-                rows = self.weights.rows
-                if f"w={word}" in rows or f"pw={word}" in rows or f"nw={word}" in rows:
-                    parts = memo[word] = WordParts(self, word)
-                else:
-                    key = (*[feat for feat in _head_features(word)[2:] if feat in rows], word.isdigit())
-                    parts = self._unseen.get(key)
-                    if parts is None:
-                        parts = self._unseen[key] = WordParts(self, word)
+            rows = self.weights.rows
+            if f"w={token}" in rows or f"pw={token}" in rows or f"nw={token}" in rows:
+                parts = self._memos[token] = WordParts(self, token)
+            else:
+                key = (*[feat for feat in _head_features(token)[2:] if feat in rows], token.isdigit())
+                parts = self._unseen.get(key)
+                if parts is None:
+                    parts = self._unseen[key] = WordParts(self, token)
         return parts
 
 
@@ -337,9 +333,9 @@ def _tag_set(dataset: TrainingDataset) -> list[str]:
     return tags
 
 
-def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
-                 lowercase: bool = True) -> TaggerModel:
-    """Averaged perceptron training with per-sentence Viterbi decoding.
+def train_tagger(ctx: TrainingContext, epochs: int = 10, seed: int = 13) -> TaggerModel:
+    """Averaged perceptron training with per-sentence Viterbi decoding, on
+    the tokens and gold BIO tags the tokenizer left on ``ctx``.
 
     A sentence is decoded only if a weight has changed since it last
     decoded to its gold tags: with the same weights it would decode to gold
@@ -360,7 +356,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     A dataset with no entity annotations still yields a valid model; its
     single tag is "O" and decoding is trivially all-"O".
     """
-    tags = _tag_set(dataset)
+    tags = _tag_set(ctx.dataset)
     n_tags = len(tags)
     tag_idx = {t: i for i, t in enumerate(tags)}
     init_mask, pair_mask = _transition_mask(tags)
@@ -369,8 +365,7 @@ def train_tagger(dataset: TrainingDataset, epochs: int = 10, seed: int = 13,
     # Each feature string's row: the training features, then the pt= ones.
     rows: dict[str, int] = {}
     sentences = []
-    for ex in dataset.examples:
-        tokens, gold = bio_tags(ex.text, ex.entities, lowercase=lowercase)
+    for tokens, gold in zip(ctx.tokens, ctx.tags):
         if tokens:
             feats = [[rows.setdefault(f, len(rows)) for f in tag_features(tokens, i)]
                      for i in range(len(tokens))]
@@ -469,15 +464,14 @@ def _runs(tags: Sequence[str], start: int):
 class ViterbiState:
     """One session's Viterbi lattice over the prefix.
 
-    The state reads the published tokens as they are and takes each one's
-    emission parts from :meth:`TaggerModel.word_parts`, which lowers it if
-    ``lowercase``; it builds no feature string. Column i is final once
-    token i+1 is known, as only ``nw=`` reads past token i. A back-pointer
-    row only reads the final column before it, so every row is final and
-    all are kept, one byte per tag. Position i's last column, its column as
-    if it were the final word, with ``nw=</s>`` on its right, reads no
-    token past its own. One vector add, the next word's ``fin``, turns it
-    into the final one.
+    The state reads the tokens as the tokenizer published them and takes
+    each one's emission parts from :meth:`TaggerModel.word_parts`; it
+    builds no feature string. Column i is final once token i+1 is known,
+    as only ``nw=`` reads past token i. A back-pointer row only reads the
+    final column before it, so every row is final and all are kept, one
+    byte per tag. Position i's last column, its column as if it were the
+    final word, with ``nw=</s>`` on its right, reads no token past its own.
+    One vector add, the next word's ``fin``, turns it into the final one.
 
     Scores are int64, and a move BIO forbids scores _MASKED, -2^60, plus
     its weight. A last column adds nine totals at a position, each below
@@ -513,11 +507,10 @@ class ViterbiState:
     checkpoint below it.
     """
 
-    __slots__ = ("model", "lowercase", "back", "checkpoints")
+    __slots__ = ("model", "back", "checkpoints")
 
-    def __init__(self, model: TaggerModel, lowercase: bool) -> None:
+    def __init__(self, model: TaggerModel) -> None:
         self.model = model
-        self.lowercase = lowercase
         n_tags = len(model.tags)
         self.back = np.zeros((8, n_tags), dtype=_back_dtype(n_tags))  # row i points into column i-1
         self.checkpoints: dict[int, np.ndarray] = {}
@@ -543,7 +536,7 @@ class ViterbiState:
         # Resume at the newest position below n whose last column is known,
         # one of the record's or else a checkpoint, position 0's rebuilt:
         # make each column up to n-2 final and compute the next one's last.
-        model, lowercase = self.model, self.lowercase
+        model = self.model
         word_parts = model.word_parts
         kept = min(m, n)
         below = len(columns) - m + kept  # the record's columns below n
@@ -554,12 +547,12 @@ class ViterbiState:
             if first:
                 col = self.checkpoints[first]
             else:
-                col = model._first + word_parts(tokens[0], lowercase).last
+                col = model._first + word_parts(tokens[0]).last
                 col.setflags(write=False)
             columns = (col,)
-        col, word = columns[-1], word_parts(tokens[first], lowercase)
+        col, word = columns[-1], word_parts(tokens[first])
         for i in range(first + 1, n):
-            after = word_parts(tokens[i], lowercase)
+            after = word_parts(tokens[i])
             if i == len(self.back):
                 grown = np.empty((2 * i, self.back.shape[1]), dtype=self.back.dtype)
                 grown[:i] = self.back
@@ -592,12 +585,11 @@ class ViterbiState:
             tags += (tag,)
             if tag == "O":
                 return tags, spans, columns
-            value = tokens[i].lower() if lowercase else tokens[i]
             last = spans[-1] if spans else None
             if last is not None and last.end == i and tag == "I-" + last.type:
-                span = EntitySpan(last.type, f"{last.value} {value}", last.start, n, 1.0)
+                span = EntitySpan(last.type, f"{last.value} {tokens[i]}", last.start, n, 1.0)
                 return tags, spans[:-1] + (span,), columns
-            return tags, spans + (EntitySpan(tag[2:], value, i, n, 1.0),), columns
+            return tags, spans + (EntitySpan(tag[2:], tokens[i], i, n, 1.0),), columns
         path.reverse()
         tags = tags[:i] + tuple(path)
 
@@ -614,7 +606,7 @@ class ViterbiState:
         continued = head is not None and head.end == i
         new = []
         for etype, s, e in _runs(tags, min(i, head.start) if head is not None and head.end > i else i):
-            value = " ".join([t.lower() if lowercase else t for t in tokens[s:e]])
+            value = " ".join(tokens[s:e])
             if continued:
                 continued, s, value = False, head.start, f"{head.value} {value}"
             new.append(EntitySpan(etype, value, s, e, 1.0))
@@ -644,12 +636,7 @@ class SequenceEntityTagger(Component):
 
     def train(self, dataset, ctx: TrainingContext) -> None:
         self._state = None
-        self.model = train_tagger(
-            dataset,
-            epochs=self.params["epochs"],
-            seed=self.params["seed"],
-            lowercase=self.params["lowercase"],
-        )
+        self.model = train_tagger(ctx, epochs=self.params["epochs"], seed=self.params["seed"])
 
     def process(self, board: Blackboard, edit=None, word=None) -> None:
         if self.model is None:
@@ -657,7 +644,7 @@ class SequenceEntityTagger(Component):
         state = self._state
         if state is None:
             # A new lattice holds no row of a record on the board: it decodes anew.
-            state = self._state = ViterbiState(self.model, self.params["lowercase"])
+            state = self._state = ViterbiState(self.model)
             (tags, columns), spans = ((), ()), ()
         else:
             tags, columns = board.published(self.name, LATTICE, ((), ()))

@@ -12,6 +12,8 @@ from incnlu import (
     default_config,
     train_pipeline,
 )
+from incnlu.components import TrainingContext
+from incnlu.features import WhitespaceTokenizer
 from incnlu.interpreter import _bundle_checksum, _read_bundle
 
 # Small three-intent corpus for unit tests; entity values are single words
@@ -44,6 +46,14 @@ def make_example(text: str, intent: str, entities) -> TrainingExample:
 
 def toy_rows():
     return list(_TOY_ROWS)
+
+
+def tokenized(dataset) -> TrainingContext:
+    """The training context the tokenizer's ``train`` leaves: the tokens
+    and BIO tags every later component trains from."""
+    ctx = TrainingContext(dataset=dataset, seed=13)
+    WhitespaceTokenizer().train(dataset, ctx)
+    return ctx
 
 
 def spy_process(interp):

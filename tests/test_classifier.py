@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from incnlu import ConsistencyError, EditType, IncrementalInterpreter, default_config
 from incnlu.data import TrainingDataset, TrainingExample
-from incnlu.features import Vocabulary, WhitespaceTokenizer, count_vector, tokenize
+from incnlu.features import CountVectorsFeaturizer, WhitespaceTokenizer, count_vector, tokenize
 from incnlu.intent_bow import (
     BowIntentClassifier,
     LinearIntentModel,
@@ -19,7 +19,7 @@ from incnlu.intent_bow import (
 from incnlu.results import label_order, rank_distribution
 from incnlu.sium import NO_ENTITY, SiumIntent, SiumModel, SiumState, classify
 
-from conftest import make_example, model_files, toy_rows
+from conftest import make_example, model_files, tokenized, toy_rows
 
 
 def _separable_dataset():
@@ -30,8 +30,11 @@ def _separable_dataset():
     return TrainingDataset(rows)
 
 
-def _fit_vocabulary(dataset):
-    return Vocabulary.fit(tokenize(ex.text) for ex in dataset.examples)
+def _featurized(dataset):
+    """The training context the tokenizer and the featurizer leave."""
+    ctx = tokenized(dataset)
+    CountVectorsFeaturizer().train(dataset, ctx)
+    return ctx
 
 
 def _fd_gradient(weights, inputs, labels, l2, h=1e-6):
@@ -49,8 +52,9 @@ def _fd_gradient(weights, inputs, labels, l2, h=1e-6):
 
 def test_separable_toy_problem_is_fit_exactly():
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    model = train_classifier(ds, vocab)
+    ctx = _featurized(ds)
+    vocab = ctx.vocabulary
+    model = train_classifier(ctx)
     for text, intent in [("play music", "PlayMusic"), ("book table", "BookRestaurant")]:
         ranking = predict(model, count_vector(vocab, tokenize(text)))
         assert ranking[0][0] == intent
@@ -60,8 +64,9 @@ def test_separable_toy_problem_is_fit_exactly():
 def test_zero_epochs_means_uniform_output():
     # Zero-initialized weights score every intent identically.
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    model = train_classifier(ds, vocab, epochs=0)
+    ctx = _featurized(ds)
+    vocab = ctx.vocabulary
+    model = train_classifier(ctx, epochs=0)
     ranking = predict(model, count_vector(vocab, tokenize("play music")))
     np.testing.assert_allclose([p for _, p in ranking], 0.5, rtol=0, atol=1e-12)
     assert ranking[0][0] == "BookRestaurant"  # ties rank alphabetically
@@ -72,8 +77,9 @@ def test_equal_counts_of_any_integer_dtype_rank_bit_for_bit_alike():
     allow; predict casts each to the same float row as the int64 batch
     vector, so the ranking keeps every bit."""
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    model = train_classifier(ds, vocab, epochs=5)
+    ctx = _featurized(ds)
+    vocab = ctx.vocabulary
+    model = train_classifier(ctx, epochs=5)
     rng = np.random.default_rng(30)
     for top, dtypes in [
         (255, (np.uint8, np.uint16, np.uint32, np.uint64, np.int32)),
@@ -87,8 +93,9 @@ def test_equal_counts_of_any_integer_dtype_rank_bit_for_bit_alike():
 
 def test_predictions_normalize_and_rank_descending():
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    model = train_classifier(ds, vocab, epochs=5)
+    ctx = _featurized(ds)
+    vocab = ctx.vocabulary
+    model = train_classifier(ctx, epochs=5)
     rng = np.random.default_rng(8)
     for _ in range(30):
         vec = rng.integers(0, 3, size=len(vocab)).astype(np.int64)
@@ -99,8 +106,9 @@ def test_predictions_normalize_and_rank_descending():
 
 
 _TOY = TrainingDataset([make_example(*row) for row in toy_rows()])
-_TOY_VOCAB = _fit_vocabulary(_TOY)
-_TOY_MODEL = train_classifier(_TOY, _TOY_VOCAB, epochs=5)
+_TOY_CONTEXT = _featurized(_TOY)
+_TOY_VOCAB = _TOY_CONTEXT.vocabulary
+_TOY_MODEL = train_classifier(_TOY_CONTEXT, epochs=5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,17 +177,18 @@ def test_every_ranking_breaks_ties_on_the_label(drawn, counts):
 
 def test_dimension_mismatch_is_rejected():
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    model = train_classifier(ds, vocab, epochs=1)
+    ctx = _featurized(ds)
+    vocab = ctx.vocabulary
+    model = train_classifier(ctx, epochs=1)
     with pytest.raises(ConsistencyError):
         predict(model, np.zeros(len(vocab) + 3))
 
 
 def test_training_is_deterministic():
     ds = _separable_dataset()
-    vocab = _fit_vocabulary(ds)
-    a = train_classifier(ds, vocab, seed=7)
-    b = train_classifier(ds, vocab, seed=7)
+    ctx = _featurized(ds)
+    a = train_classifier(ctx, seed=7)
+    b = train_classifier(ctx, seed=7)
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -218,11 +227,8 @@ def test_l2_penalty_spares_the_bias_row():
 class TestBowComponent:
     def test_persist_load_round_trip(self, tmp_path):
         ds = _separable_dataset()
-        vocab = _fit_vocabulary(ds)
+        ctx = _featurized(ds)
         comp = BowIntentClassifier({"epochs": 10})
-        from incnlu.components import TrainingContext
-
-        ctx = TrainingContext(dataset=ds, seed=0, vocabulary=vocab)
         comp.train(ds, ctx)
         comp.persist(tmp_path)
         loaded = BowIntentClassifier.load(model_files(tmp_path), {})
@@ -240,13 +246,11 @@ class TestBowComponent:
 
     def test_weight_file_is_byte_stable(self, tmp_path):
         ds = _separable_dataset()
-        vocab = _fit_vocabulary(ds)
+        ctx = _featurized(ds)
         blobs = []
         for run in range(2):
             comp = BowIntentClassifier({"epochs": 10})
-            from incnlu.components import TrainingContext
-
-            comp.train(ds, TrainingContext(dataset=ds, seed=0, vocabulary=vocab))
+            comp.train(ds, ctx)
             out = tmp_path / f"run{run}"
             out.mkdir()
             comp.persist(out)
@@ -258,11 +262,9 @@ class TestBowComponent:
         from incnlu.iu import Blackboard
 
         ds = _separable_dataset()
-        vocab = _fit_vocabulary(ds)
+        ctx = _featurized(ds)
         comp = BowIntentClassifier({"epochs": 1})
-        from incnlu.components import TrainingContext
-
-        comp.train(ds, TrainingContext(dataset=ds, seed=0, vocabulary=vocab))
+        comp.train(ds, ctx)
         board = Blackboard()
         board.begin_cycle()
         with pytest.raises(ConfigError):
@@ -273,12 +275,12 @@ class TestBowComponent:
         # come out near-uniform through the bias alone (mini-batches are not
         # perfectly balanced, hence the loose tolerance).
         from incnlu.iu import COUNT_VECTOR, Blackboard, INTENT_DISTRIBUTION
-        from incnlu.components import TrainingContext
 
         ds = _separable_dataset()
-        vocab = _fit_vocabulary(ds)
+        ctx = _featurized(ds)
+        vocab = ctx.vocabulary
         comp = BowIntentClassifier()
-        comp.train(ds, TrainingContext(dataset=ds, seed=0, vocabulary=vocab))
+        comp.train(ds, ctx)
         board = Blackboard()
         board.begin_cycle()
         board.write("featurizer_count_vectors", COUNT_VECTOR, np.zeros(len(vocab), dtype=np.int64))

@@ -13,14 +13,13 @@ from incnlu.data import (
     EntityAnnotation,
     TrainingDataset,
     TrainingExample,
-    bio_tags,
     load_dataset,
     load_json,
     load_markdown,
     save_json,
     stratified_split,
-    token_entity_classes,
 )
+from incnlu.features import bio_tags
 
 from conftest import make_example, toy_rows
 
@@ -350,13 +349,6 @@ class TestBioProjection:
         anns = [EntityAnnotation(start=11, end=14, value="bos", type="city")]
         _, tags = bio_tags(text, anns)
         assert tags == ["O", "O", "B-city"]
-
-    def test_token_entity_classes_uses_placeholder(self):
-        text = "play jazz now"
-        anns = [EntityAnnotation(start=5, end=9, value="jazz", type="genre")]
-        tokens, classes = token_entity_classes(text, anns)
-        assert tokens == ["play", "jazz", "now"]
-        assert classes == [NO_ENTITY, "genre", NO_ENTITY]
 
     def test_every_tagging_is_a_valid_bio_sequence(self):
         rng = random.Random(31)

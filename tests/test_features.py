@@ -5,6 +5,7 @@ import pytest
 
 from incnlu import ConsistencyError, DataError
 from incnlu.components import TrainingContext, read_names, write_names
+from incnlu.data import TrainingDataset
 from incnlu.features import (
     CountVectorsFeaturizer,
     Vocabulary,
@@ -16,7 +17,7 @@ from incnlu.features import (
 )
 from incnlu.iu import COUNT_VECTOR, TOKENS, Blackboard, EditType
 
-from conftest import model_files
+from conftest import make_example, model_files
 
 
 def test_tokenize_splits_on_whitespace_runs():
@@ -138,6 +139,18 @@ def test_random_edit_stream_matches_recount_oracle():
 
 
 class TestWhitespaceTokenizer:
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_training_leaves_each_examples_tokens_and_bio_tags(self, lowercase):
+        """The tokens every later component trains from, made by the
+        tokenizer's own flag, with the tags of the entity spans on them."""
+        ds = TrainingDataset([make_example("Weather in New York", "GetWeather", [("New York", "city")])])
+        ctx = TrainingContext(dataset=ds, seed=0)
+        WhitespaceTokenizer({"lowercase": lowercase}).train(ds, ctx)
+        words = "Weather in New York".split()
+        assert ctx.tokens == [[w.lower() for w in words] if lowercase else words]
+        assert ctx.tags == [["O", "O", "B-city", "I-city"]]
+        assert ctx.lowercase is lowercase
+
     def test_add_revoke_and_refresh(self):
         comp = WhitespaceTokenizer()
         board = Blackboard()

@@ -18,6 +18,7 @@ from incnlu import (
     BundleError,
     ConfigError,
     DataError,
+    IncnluError,
     IncrementalInterpreter,
     InvalidPayloadError,
     ParameterError,
@@ -29,6 +30,7 @@ from incnlu.config import (
     ComponentSpec,
     PipelineConfig,
     build_components,
+    check_pipeline,
     config_text,
     default_config,
     key_owners,
@@ -136,6 +138,15 @@ class TestConfigParsing:
             load_config(path)
 
 
+def _cased_config(lowercase):
+    """The default pipeline with every ``lowercase`` set to ``lowercase``."""
+    config = default_config()
+    for spec in config.components:
+        if "lowercase" in REGISTRY[spec.name].defaults:
+            spec.params["lowercase"] = lowercase
+    return config
+
+
 class TestPipelineAssembly:
     def test_unknown_component_lists_the_known_ones(self):
         config = PipelineConfig(components=[ComponentSpec("no_such_component")])
@@ -211,6 +222,26 @@ class TestPipelineAssembly:
         )
         with pytest.raises(ConfigError, match="twice"):
             build_components(config)
+
+    @pytest.mark.parametrize("name", ["featurizer_count_vectors", "intent_sium", "entity_tagger_sequence"])
+    def test_a_lowercase_that_differs_from_the_tokenizers_is_refused(self, toy_dataset, name):
+        """The tokenizer alone decides what a token is: a pipeline whose
+        other flag disagrees is refused whether it is built from a config,
+        trained or handed its components."""
+        config = default_config()
+        next(s for s in config.components if s.name == name).params["lowercase"] = False
+        with pytest.raises(ConfigError, match=f"{name}.*lowercase False.*tokenizer has True"):
+            build_components(config)
+        with pytest.raises(ConfigError, match=name):
+            train_pipeline(config, toy_dataset)
+        components = [REGISTRY[spec.name](spec.params) for spec in config.components]
+        with pytest.raises(ConfigError, match=name):
+            IncrementalInterpreter(config, components)
+        check_pipeline(build_components(_cased_config(False)))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yml")), ids=lambda path: path.name)
+    def test_every_shipped_config_passes_the_pipeline_check(self, path):
+        check_pipeline(build_components(load_config(path)))
 
     def test_default_pipeline_ownership(self):
         owners = key_owners(build_components(default_config()))
@@ -719,13 +750,12 @@ class TestRedo:
         session.parse_incremental(EditType.ADD, "tonight")
         assert _views(session) == _fresh_views(toy_interp, ["play", "some", "jazz", "tonight"])
 
-    def test_sium_catches_up_on_the_words_as_given(self, toy_dataset):
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_sium_catches_up_on_the_words_as_given(self, toy_dataset, lowercase):
         """SIUM adds the words a redo put back as it adds an ADD's word, as
-        the ADDs handed them over, so a case-keeping SIUM behind a
-        lowercasing tokenizer still lands on a fresh run."""
-        config = default_config()
-        next(s for s in config.components if s.name == "intent_sium").params["lowercase"] = False
-        interp = train_pipeline(config, toy_dataset)
+        the ADDs handed them over, and lowers them as the tokenizer does,
+        so it lands on a fresh run whether the pipeline lowercases or not."""
+        interp = train_pipeline(_cased_config(lowercase), toy_dataset)
         session = interp.fresh_copy()
         words = ["Weather", "in", "Boston"]
         for word in words:
@@ -1556,6 +1586,36 @@ class TestBundles:
             target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
         reseal(root)
         with pytest.raises(BundleError, match=relpath.split("/")[0]):
+            load(root)
+
+    @pytest.mark.parametrize(
+        "change, name",
+        [
+            ("reorder", "entity_tagger_sequence"),
+            ("twice", "intent_classifier_bow"),
+            ("lowercase", "entity_tagger_sequence"),
+        ],
+    )
+    def test_a_bundle_whose_pipeline_fails_the_check_is_refused(self, toy_interp, tmp_path, change, name):
+        """A bundle whose config puts the tagger ahead of the tokenizer, lists
+        a component twice or has a tagger that lowercases unlike the
+        tokenizer, with a manifest that agrees and a valid checksum, is
+        refused as ``train`` refuses its config."""
+        root = toy_interp.persist(tmp_path / "bundle")
+        config = load_config(root / "config.yml")
+        specs = config.components
+        if change == "reorder":
+            specs.insert(0, specs.pop(3))
+        elif change == "twice":
+            specs.append(specs[-1])
+        else:
+            specs[3].params["lowercase"] = False
+        (root / "config.yml").write_text(config_text(config), encoding="utf-8")
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+        manifest["components"] = [spec.name for spec in specs]
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        reseal(root)
+        with pytest.raises(IncnluError, match=f"component '{name}'"):
             load(root)
 
     def test_config_records_every_parameter_and_no_params_file_is_written(

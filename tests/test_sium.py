@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from functools import partial
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from incnlu import ConfigError, ConsistencyError, ParameterError
+from incnlu import ConfigError, ConsistencyError, ParameterError, sium
 from incnlu.data import NO_ENTITY, TrainingDataset, TrainingExample
 from incnlu.features import WhitespaceTokenizer
 from incnlu.iu import ENTITIES, INTENT_DISTRIBUTION, Blackboard, EditType
@@ -21,7 +24,7 @@ from incnlu.sium import (
     train_sium,
 )
 
-from conftest import make_example, model_files, toy_rows
+from conftest import make_example, model_files, tokenized, toy_rows
 
 SEVEN_INTENTS = [
     "AddToPlaylist",
@@ -51,7 +54,7 @@ def test_smoothed_likelihoods_match_hand_computation():
     # plus the unseen bucket gives 3 cells per intent; with alpha=1,
     # P(a | I1) = (2 + 1) / (3 + 1 * 3) = 1/2.
     ds = TrainingDataset([_plain("a a b", "I1"), _plain("b", "I2")])
-    model = train_sium(ds, alpha=1.0)
+    model = train_sium(tokenized(ds), alpha=1.0)
     probs = np.exp(model.log_word_given_intent)
     i1, i2 = model.intents.index("I1"), model.intents.index("I2")
     a, b, oov = model.word_index["a"], model.word_index["b"], len(model.word_index)
@@ -83,10 +86,27 @@ def test_single_word_posterior_update():
     np.testing.assert_allclose(classify(state), [0.75, 0.25], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("miss, refused", [(5e-6, False), (2e-5, True), (math.nan, True)])
+def test_a_table_whose_columns_miss_one_by_more_than_the_bound_is_refused(miss, refused):
+    """Every column of a likelihood table must sum to one within
+    np.allclose's bound, 1e-9 + 1e-5. Each entry's log is shifted here so
+    that every column sums to 1 + ``miss``: 5e-6 passes, 2e-5 does not,
+    and neither does NaN."""
+    shifted = SimpleNamespace(inf=math.inf, log=lambda x: math.log(x) + math.log1p(miss))
+    with mock.patch.object(sium, "math", shifted):
+        build = partial(SiumModel, ["A", "B"], [NO_ENTITY], {"w": 0}, np.array([[2], [1]]),
+                        np.array([[3]]), alpha=1.0, entity_threshold=0.6, lowercase=True)
+        if not refused:
+            build()
+            return
+        with pytest.raises(ConsistencyError, match="does not normalize"):
+            build()
+
+
 def test_rebuilding_from_the_fields_gives_bit_equal_tables(toy_dataset):
     # editbench's counting model is built this way, from the trained
     # model's fields, and must read the same numbers.
-    model = train_sium(toy_dataset)
+    model = train_sium(tokenized(toy_dataset))
     copy = SiumModel(**{f.name: getattr(model, f.name) for f in dataclasses.fields(SiumModel)})
     for name in (
         "log_word_given_intent",
@@ -99,7 +119,7 @@ def test_rebuilding_from_the_fields_gives_bit_equal_tables(toy_dataset):
 
 def test_empty_state_returns_the_prior():
     ds = TrainingDataset([_plain(f"word{i} filler", it) for i, it in enumerate(SEVEN_INTENTS)])
-    model = train_sium(ds)
+    model = train_sium(tokenized(ds))
     probs = classify(SiumState(model))
     np.testing.assert_allclose(probs, np.full(7, 1 / 7), rtol=0, atol=1e-12)
     # Ties rank alphabetically, so the first label is stable.
@@ -110,7 +130,7 @@ def test_empty_state_returns_the_prior():
 
 
 def test_add_then_revoke_restores_state_bit_for_bit(toy_dataset):
-    model = train_sium(toy_dataset)
+    model = train_sium(tokenized(toy_dataset))
     state = SiumState(model)
     for w in ["weather", "in"]:
         state.add(w)
@@ -122,7 +142,7 @@ def test_add_then_revoke_restores_state_bit_for_bit(toy_dataset):
     assert state.tokens == ["weather", "in"]
 
 
-_TOY_MODEL = train_sium(TrainingDataset([make_example(*row) for row in toy_rows()]))
+_TOY_MODEL = train_sium(tokenized(TrainingDataset([make_example(*row) for row in toy_rows()])))
 # Toy words, an unseen word, and a capitalised one that lowercases onto a
 # known word.
 _WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston"]
@@ -169,7 +189,9 @@ def test_randomized_streams_track_the_batch_oracle(script):
 
 # At threshold 0 most toy words pick a class, so spans run over several
 # words and their confidence varies along them.
-_EAGER_MODEL = train_sium(TrainingDataset([make_example(*row) for row in toy_rows()]), entity_threshold=0.0)
+_EAGER_MODEL = train_sium(
+    tokenized(TrainingDataset([make_example(*row) for row in toy_rows()])), entity_threshold=0.0
+)
 
 
 @given(st.lists(st.tuples(_STEPS, st.booleans()), max_size=30))
@@ -199,7 +221,7 @@ def test_entity_readout_tracks_a_full_merge(script):
 
 
 def test_revoke_must_match_the_last_word(toy_dataset):
-    model = train_sium(toy_dataset)
+    model = train_sium(tokenized(toy_dataset))
     state = SiumState(model)
     with pytest.raises(ConsistencyError):
         state.revoke("ghost")
@@ -214,7 +236,7 @@ def test_revoke_must_match_the_last_word(toy_dataset):
 
 
 def test_posteriors_and_tables_normalize(toy_dataset):
-    model = train_sium(toy_dataset)
+    model = train_sium(tokenized(toy_dataset))
     for table in (model.log_word_given_intent, model.log_word_given_entity):
         np.testing.assert_allclose(np.exp(table).sum(axis=0), 1.0, rtol=0, atol=1e-9)
     state = SiumState(model)
@@ -227,20 +249,30 @@ def test_hyperparameter_validation():
     ds = TrainingDataset([_plain("x", "A")])
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
-            train_sium(ds, alpha=alpha)
+            train_sium(tokenized(ds), alpha=alpha)
         with pytest.raises(ParameterError):
             SiumIntent({"alpha": alpha})
     for threshold in (-0.1, 1.5):
         with pytest.raises(ParameterError):
-            train_sium(ds, entity_threshold=threshold)
+            train_sium(tokenized(ds), entity_threshold=threshold)
         with pytest.raises(ParameterError):
             SiumIntent({"entity_threshold": threshold})
+
+
+def test_a_token_outside_every_entity_counts_under_the_null_class():
+    """Each token counts under the class of its BIO tag; a token tagged
+    "O" counts under NO_ENTITY."""
+    ds = TrainingDataset([make_example("play jazz now", "PlayMusic", [("jazz", "genre")])])
+    model = train_sium(tokenized(ds))
+    assert model.entity_classes == ["genre", NO_ENTITY]
+    assert model.word_index == {"play": 0, "jazz": 1, "now": 2}
+    assert model.entity_counts.tolist() == [[0, 1, 0], [1, 0, 1]]
 
 
 class TestEntityReadout:
     def _model(self, threshold=0.6):
         ds = TrainingDataset([make_example(*row) for row in toy_rows()])
-        model = train_sium(ds, entity_threshold=threshold)
+        model = train_sium(tokenized(ds), entity_threshold=threshold)
         assert model.entity_classes[-1] == NO_ENTITY
         return model
 
@@ -318,7 +350,7 @@ class TestSiumComponent:
 
     def _trained(self, dataset):
         comp = SiumIntent()
-        comp.train(dataset, ctx=None)
+        comp.train(dataset, tokenized(dataset))
         return comp
 
     def _stream(self, comp, edits):
@@ -437,7 +469,8 @@ class TestSiumComponent:
         """Every word in an entity leaves the null class no count."""
         rows = [("jazz", "PlayMusic", [("jazz", "genre")]), ("boston", "GetWeather", [("boston", "city")])]
         comp = SiumIntent()
-        comp.train(TrainingDataset([make_example(*row) for row in rows]), ctx=None)
+        dataset = TrainingDataset([make_example(*row) for row in rows])
+        comp.train(dataset, tokenized(dataset))
         assert comp.model.entity_classes[-1] == NO_ENTITY and not comp.model.entity_counts[-1].any()
         comp.persist(tmp_path)
         loaded = SiumIntent.load(model_files(tmp_path), {}).model
@@ -456,7 +489,7 @@ class TestPickMemo:
     """An ADD's entity pick comes from a per-row memo on the model."""
 
     def test_add_appends_the_pick_of_the_words_posterior(self, toy_dataset):
-        model = train_sium(toy_dataset)
+        model = train_sium(tokenized(toy_dataset))
         words = sorted(model.word_index) + ["zubat", "Jazz", "BOSTON"]
         for _ in range(2):  # the first pass fills the memo, the second reads it
             state = SiumState(model)
@@ -466,7 +499,7 @@ class TestPickMemo:
         assert len(model._picks) == len(model.word_index) + 1
 
     def test_replaced_model_follows_its_own_threshold(self, toy_dataset):
-        model = train_sium(toy_dataset)
+        model = train_sium(tokenized(toy_dataset))
         words = sorted(model.word_index)
         SiumState(model).add("jazz")
         loose = dataclasses.replace(model, entity_threshold=0.0)
@@ -488,6 +521,6 @@ class TestPickMemo:
 
     def test_memo_is_empty_after_load(self, toy_dataset, tmp_path):
         comp = SiumIntent()
-        comp.train(toy_dataset, ctx=None)
+        comp.train(toy_dataset, tokenized(toy_dataset))
         comp.persist(tmp_path)
         assert SiumIntent.load(model_files(tmp_path), {}).model._picks == {}

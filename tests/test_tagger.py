@@ -21,8 +21,8 @@ from incnlu import (
 )
 from incnlu import intent_bow, sium, tagging
 from incnlu.cli import main as cli
-from incnlu.data import TrainingDataset, bio_tags
-from incnlu.features import WhitespaceTokenizer
+from incnlu.data import TrainingDataset
+from incnlu.features import WhitespaceTokenizer, bio_tags
 from incnlu.interpreter import REDO_DEPTH
 from incnlu.iu import ENTITIES, LATTICE, TOKENS, Blackboard, EditType
 from incnlu.tagging import (
@@ -36,7 +36,7 @@ from incnlu.tagging import (
     train_tagger,
 )
 
-from conftest import make_example, model_files, toy_rows
+from conftest import make_example, model_files, tokenized, toy_rows
 
 
 def _dataset(rows):
@@ -53,7 +53,7 @@ def _is_valid_bio(tags):
 
 
 def test_tag_set_is_o_first_then_sorted_types(toy_dataset):
-    model = train_tagger(toy_dataset, epochs=1)
+    model = train_tagger(tokenized(toy_dataset), epochs=1)
     assert model.tags == [
         "O",
         "B-city", "I-city",
@@ -68,14 +68,14 @@ def test_learns_an_unambiguous_cue_word():
         ("sunny tomorrow", "W", [("tomorrow", "date")]),
         ("snow tomorrow", "W", [("tomorrow", "date")]),
     ]
-    model = train_tagger(_dataset(rows), epochs=5)
+    model = train_tagger(tokenized(_dataset(rows)), epochs=5)
     assert decode(model, ["rain", "tomorrow"]) == ["O", "B-date"]
     # the cue generalizes past an unseen first word
     assert decode(model, ["hail", "tomorrow"]) == ["O", "B-date"]
 
 
 def test_fits_most_of_the_toy_corpus(toy_dataset):
-    model = train_tagger(toy_dataset)
+    model = train_tagger(tokenized(toy_dataset))
     hits = 0
     for ex in toy_dataset.examples:
         tokens, gold = bio_tags(ex.text, ex.entities)
@@ -85,7 +85,7 @@ def test_fits_most_of_the_toy_corpus(toy_dataset):
 
 
 def test_decoded_sequences_never_violate_bio(toy_dataset):
-    model = train_tagger(toy_dataset)
+    model = train_tagger(tokenized(toy_dataset))
     rng = random.Random(77)
     words = [w for row in toy_rows() for w in row[0].split()] + ["zubat", "qux"]
     for _ in range(300):
@@ -94,20 +94,20 @@ def test_decoded_sequences_never_violate_bio(toy_dataset):
 
 
 def test_empty_prefix_decodes_to_nothing(toy_dataset):
-    model = train_tagger(toy_dataset, epochs=1)
+    model = train_tagger(tokenized(toy_dataset), epochs=1)
     assert decode(model, []) == []
 
 
 def test_entity_free_dataset_yields_the_trivial_tagger():
     rows = [("hello there", "Greet", []), ("good morning", "Greet", [])]
-    model = train_tagger(_dataset(rows))
+    model = train_tagger(tokenized(_dataset(rows)))
     assert model.tags == ["O"]
     assert decode(model, ["hello", "unseen"]) == ["O", "O"]
 
 
 def test_same_seed_reproduces_identical_weights(toy_dataset):
-    a = train_tagger(toy_dataset, seed=13)
-    b = train_tagger(toy_dataset, seed=13)
+    a = train_tagger(tokenized(toy_dataset), seed=13)
+    b = train_tagger(tokenized(toy_dataset), seed=13)
     assert set(a.weights) == set(b.weights)
     for feat in a.weights:
         assert np.array_equal(a.weights[feat], b.weights[feat])
@@ -256,7 +256,7 @@ def _conflicting_datasets(draw):
 def test_skipped_decodes_leave_every_weight_bit_for_bit(dataset, epochs, seed):
     """Training skips each decode whose outcome is known; the weights must
     be those of decoding every sentence in every epoch."""
-    model = train_tagger(dataset, epochs=epochs, seed=seed)
+    model = train_tagger(tokenized(dataset), epochs=epochs, seed=seed)
     _assert_same_bits(model, *_train_decoding_everything(dataset, epochs, seed))
 
 
@@ -265,7 +265,7 @@ _SNIPS_TRAIN = Path(__file__).resolve().parent.parent / "data" / "snips_train.js
 
 def test_skipped_decodes_leave_the_bundled_split_bit_for_bit():
     dataset = load_dataset(_SNIPS_TRAIN)
-    _assert_same_bits(train_tagger(dataset), *_train_decoding_everything(dataset, 10, 13))
+    _assert_same_bits(train_tagger(tokenized(dataset)), *_train_decoding_everything(dataset, 10, 13))
 
 
 def test_no_decode_runs_once_training_has_converged(monkeypatch):
@@ -278,13 +278,13 @@ def test_no_decode_runs_once_training_has_converged(monkeypatch):
     counts = []
     for epochs in (10, 50):
         decodes.clear()
-        train_tagger(dataset, epochs=epochs)
+        train_tagger(tokenized(dataset), epochs=epochs)
         counts.append(len(decodes))
     assert counts == [1602, 1602]
 
 
 def test_transition_scores_are_built_once_and_read_only(toy_dataset):
-    model = train_tagger(toy_dataset)
+    model = train_tagger(tokenized(toy_dataset))
     init, pair = model.transition_matrix()
     again = model.transition_matrix()
     # Every session shares these arrays, so they are the same objects on
@@ -403,7 +403,7 @@ _BOUND = tagging._TOTAL_BELOW
 class TestTaggerComponent:
     def _trained(self, dataset):
         comp = SequenceEntityTagger()
-        comp.train(dataset, ctx=None)
+        comp.train(dataset, tokenized(dataset))
         return comp
 
     def _board_with(self, tokens):
@@ -448,7 +448,7 @@ class TestTaggerComponent:
 
     def test_a_tagger_that_took_no_step_persists_and_loads(self, toy_dataset, tmp_path):
         comp = SequenceEntityTagger({"epochs": 0})
-        comp.train(toy_dataset, None)
+        comp.train(toy_dataset, tokenized(toy_dataset))
         comp.persist(tmp_path)
         loaded = SequenceEntityTagger.load(model_files(tmp_path), {"epochs": 0}).model
         assert loaded.weights == {}
@@ -557,7 +557,7 @@ def test_the_seed_13_bundle_holds_integer_totals_with_the_trained_bits(tmp_path)
     """``incnlu train --seed 13`` on the bundled split: the loaded totals are
     the trained ones."""
     cli(["train", "--data", str(_SNIPS_TRAIN), "--out", str(tmp_path), "--seed", "13"])
-    trained = train_tagger(load_dataset(_SNIPS_TRAIN))
+    trained = train_tagger(tokenized(load_dataset(_SNIPS_TRAIN)))
     _assert_integer_totals(tmp_path / SequenceEntityTagger.name, trained)
     loaded = SequenceEntityTagger.load(model_files(tmp_path / SequenceEntityTagger.name), {}).model
     _assert_same_bits(loaded, trained.tags, trained.weights)
@@ -647,7 +647,7 @@ def _model_at_the_bound(seed=5):
 
 _WORDS = sorted({w for row in toy_rows() for w in row[0].split()}) + ["zubat", "Boston", "7", "2019"]
 _MODELS = {
-    "toy": train_tagger(TrainingDataset([make_example(*r) for r in toy_rows()])),
+    "toy": train_tagger(tokenized(TrainingDataset([make_example(*r) for r in toy_rows()]))),
     "random": _random_model(),
     "bound": _model_at_the_bound(),
     # No weights: every allowed predecessor ties, so the first maximum decides.
@@ -734,18 +734,21 @@ _CASED_WORDS = _WORDS + ["BOSTON", "Denver", "Jazz", "Rain", "ZUBAT"]
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(sorted(_MODELS)),
+    st.booleans(),
     st.lists(st.one_of(st.sampled_from(_CASED_WORDS), st.none()), max_size=40),
 )
-def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(model_name, script):
-    """The tokenizer publishes "Boston" as it is; the tagger must read it as
-    "boston", in its scores and in its span values, after every ADD (a
-    word) and REVOKE (None), over revoke runs deeper than the checkpoints."""
+def test_the_tagger_reads_the_tokens_as_the_tokenizer_publishes_them(model_name, lowercase, script):
+    """The tagger scores the tokens, and takes its span values from them,
+    as the tokenizer published them: "Boston" is "boston" behind a
+    lowercasing tokenizer and stays "Boston" behind a case-keeping one,
+    after every ADD (a word) and REVOKE (None), over revoke runs deeper
+    than the checkpoints."""
     model = _MODELS[model_name]
     with mock.patch.object(tagging, "CHECKPOINT_EVERY", 3):
-        tagger = SequenceEntityTagger({"lowercase": True})
+        tagger = SequenceEntityTagger({"lowercase": lowercase})
         tagger.model = model
         session = IncrementalInterpreter(
-            default_config(), [WhitespaceTokenizer({"lowercase": False}), tagger]
+            default_config(), [WhitespaceTokenizer({"lowercase": lowercase}), tagger]
         )
         stack: list[str] = []
         for step in script:
@@ -757,9 +760,9 @@ def test_a_lowercasing_tagger_lowers_what_a_case_keeping_tokenizer_publishes(mod
             else:
                 stack.append(step)
                 session.parse_incremental(EditType.ADD, step)
-            assert session.board.annotations[TOKENS] == tuple(stack)
-            lowered = [w.lower() for w in stack]
-            assert _entities(session) == extract_entities(decode(model, lowered), lowered)
+            tokens = [w.lower() if lowercase else w for w in stack]
+            assert session.board.annotations[TOKENS] == tuple(tokens)
+            assert _entities(session) == extract_entities(decode(model, tokens), tokens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -833,7 +836,7 @@ def test_kept_columns_equal_the_batch_forward_pass_bit_for_bit(model_name, recor
             for i, column in enumerate(kept, n - len(kept)):
                 assert not column.flags.writeable and column.tobytes() == last[i].tobytes()
                 if i < n - 1:
-                    final = column + model.word_parts(tokens[i + 1], True).fin
+                    final = column + model.word_parts(tokens[i + 1]).fin
                     assert final.tobytes() == columns[i].tobytes()
             state = tagger._state
             assert set(range(every, n, every)) <= set(state.checkpoints)
@@ -868,7 +871,7 @@ def test_a_column_is_the_same_whatever_order_its_parts_are_summed_in(model_name,
     column = np.zeros(n_tags, dtype=np.int64)
     for k in data.draw(st.permutations(range(len(parts)))):
         column += parts[k]
-    words = [model.word_parts(t, True) for t in tokens]
+    words = [model.word_parts(t) for t in tokens]
     pw = model.weights.get(f"pw={tagging.START}") if i == 0 else words[i - 1].pw
     lattice = preds + words[i].last + (0 if pw is None else pw)
     if i + 1 < len(tokens):
@@ -885,7 +888,7 @@ def test_totals_at_the_bound_decode_a_long_stream_as_a_float_viterbi_does():
     lattice neither overflows nor lets a forbidden move win."""
     model = _MODELS["bound"]
     extreme = 2 * (tagging._TOTAL_BELOW - 1)
-    fins = np.array([model.word_parts(word, True).fin for word in _WORDS])
+    fins = np.array([model.word_parts(word).fin for word in _WORDS])
     assert fins.max() == extreme and fins.min() == -extreme
     rng = random.Random(17)
     tokens = [rng.choice(_WORDS).lower() for _ in range(10_000)]
@@ -1010,8 +1013,8 @@ def test_only_a_continued_span_is_rebuilt_and_a_revoke_gives_back_the_spans_it_h
         ("fly to boston", "Fly", [("boston", "city")]),
         ("fly to boston now", "Fly", [("boston", "city")]),
     ]
-    model = train_tagger(_dataset(rows))
-    state = tagging.ViterbiState(model, True)
+    model = train_tagger(tokenized(_dataset(rows)))
+    state = tagging.ViterbiState(model)
     tokens = "fly to new york now".split()
     tags, spans, columns = (), (), ()
     for n in range(1, 4):
@@ -1258,33 +1261,29 @@ def test_an_unseen_word_sums_its_parts_once_however_often_it_is_read():
     assert sorted(call.args[1] for call in spy.call_args_list) == ["boston", "in", "zubay"]
 
 
-def test_unseen_words_do_not_grow_the_shared_memo():
-    """The emission memo keeps the words the weights know, once each, and
-    only those: the 64 case variants of "boston" that a case-keeping
-    tokenizer publishes share one entry, and 10,000 distinct unseen words,
-    streamed through two sessions on the same model, add none; their parts
-    are kept under one of two keys."""
+def test_the_memo_keeps_each_known_token_once_and_no_unseen_one():
+    """The emission memo keeps the tokens the weights know, once each, and
+    only those: the 64 case variants of "boston", which the tokenizer
+    lowers, make one entry, and 10,000 distinct unseen words, streamed
+    through two sessions on the same model, add none; their parts are kept
+    under one of two keys."""
     model = _random_model()
-    tagger = SequenceEntityTagger({"lowercase": True})
-    tagger.model = model
-    sessions = [
-        IncrementalInterpreter(default_config(), [WhitespaceTokenizer({"lowercase": False}), tagger])
-    ]
+    sessions = [_tagger_session(model)]
     for cases in itertools.product(*(c.upper() + c for c in "boston")):  # "BOSTON" first
         sessions[0].parse_incremental(EditType.ADD, "".join(cases))
-    assert set(model._memos[True]) == {"boston"} and not model._memos[False]
+    assert set(model._memos) == {"boston"}
     sessions += [_tagger_session(model), _tagger_session(model)]
     for word in _WORDS:
         for session in sessions[1:]:
             session.parse_incremental(EditType.ADD, word)
-    memos = [dict(memo) for memo in model._memos]
-    assert set(memos[True]) == {w.lower() for w in _WORDS} and not memos[False]
+    memo = dict(model._memos)
+    assert set(memo) == {w.lower() for w in _WORDS}
     for k in range(10_000):
         sessions[1 + k % 2].parse_incremental(EditType.ADD, f"unseen{k}")
-    assert [dict(memo) for memo in model._memos] == memos
+    assert model._memos == memo
     # Their parts are kept by the head features the model knows of them:
     # none, or "s3=019" for the words ending as "2019" does.
     assert set(model._unseen) == {(False,), ("s3=019", False)}
     for session in sessions:
-        tokens = [w.lower() for w in session.board.annotations[TOKENS]]
+        tokens = list(session.board.annotations[TOKENS])
         assert _entities(session) == extract_entities(decode(model, tokens), tokens)
