@@ -26,7 +26,6 @@ from .data import load_dataset
 from .errors import BufferUnderflowError, DataError, IncnluError, InvalidPayloadError, ParameterError
 from .evaluation import NOISE_RATES, evaluate
 from .iu import EditType
-from .registry import REGISTRY
 from .results import NluResult
 
 USAGE_EXIT = 1
@@ -83,12 +82,6 @@ def _format_result(result: NluResult) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else default_config()
-    # The CLI seed reaches every component that takes one, unless the config
-    # pinned an explicit value.
-    for spec in config.components:
-        cls = REGISTRY.get(spec.name)
-        if cls is not None and "seed" in cls.defaults and "seed" not in spec.params:
-            spec.params["seed"] = args.seed
     dataset = load_dataset(args.data)
     interp = interp_mod.train_pipeline(config, dataset, seed=args.seed)
     interp.persist(args.out)

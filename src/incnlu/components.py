@@ -11,8 +11,11 @@ board's one annotation map, and the map a publication replaced is the
 record the interpreter gives back.
 
 Every model file of a bundle takes one of two forms, each written and read
-here: a names file, one entry a line, and a sparse integer table of three
-``.npy`` files. A component writes its files to a directory, and is built
+here: a names file, one entry a line, and a table file, which holds only
+its values, little-endian in C order, and is named for their type
+(``weights.f8``). Its shape is the bundle's to say: the names files fix
+it, and a sparse integer table is three such files. A component writes
+its files to a directory, and is built
 again from their bytes: :func:`incnlu.load` reads each bundle file once,
 verifies the checksum over those bytes and hands every component the
 verified bytes of its directory, so no component opens a file.
@@ -21,7 +24,6 @@ verified bytes of its directory, so no component opens a file.
 from __future__ import annotations
 
 import copy
-import io
 import math
 import os
 from collections.abc import Mapping
@@ -181,43 +183,32 @@ def _same_kind(value: Any, default: Any) -> bool:
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
-def write_npy(path: Path, array: np.ndarray, dtype: str | np.dtype) -> None:
-    """Write ``array`` as ``dtype``, C-ordered, to a version 1.0 ``.npy`` file."""
-    with path.open("wb") as f:
-        np.lib.format.write_array(
-            f, np.ascontiguousarray(array, dtype=dtype), version=(1, 0), allow_pickle=False
-        )
+def write_values(directory: Path, stem: str, values: np.ndarray, dtype: str | np.dtype) -> None:
+    """Write ``values`` as little-endian ``dtype``, in C order, and nothing
+    else, to the file ``stem`` named for its type: ``values.i4``,
+    ``weights.f8``, ``index.u1``."""
+    dtype = np.dtype(dtype).newbyteorder("<")
+    (directory / f"{stem}.{dtype.str[1:]}").write_bytes(np.asarray(values, dtype).tobytes())
 
 
-def read_npy(files: Mapping[str, bytes], name: str, dtype: str | np.dtype, ndim: int) -> np.ndarray:
-    """The array of the version 1.0 ``.npy`` file ``files[name]`` if it
-    holds one ``ndim``-D array of exactly ``dtype`` and nothing else, or a
-    ValueError. The array is a read-only view of those bytes.
+def read_values(files: Mapping[str, bytes], stem: str, dtype: str | np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The values ``write_values`` wrote to ``stem`` as ``dtype``, as a
+    read-only view of ``shape`` over the file's bytes, or a ValueError if
+    the file holds any other number of bytes. A first side of -1 takes any
+    whole number of rows.
 
-    The header's shape is checked against the bytes the file holds before
-    the array is made, so a crafted header cannot ask for more values than
-    the file's own size. Nothing is unpickled.
+    The file's size is checked before the view is made, so no count is
+    taken from the file itself.
     """
+    dtype = np.dtype(dtype).newbyteorder("<")
+    name = f"{stem}.{dtype.str[1:]}"
     data = files[name]
-    dtype = np.dtype(dtype)
-    f = io.BytesIO(data)
-    # A ValueError for an empty file, an .npz or any other non-.npy.
-    version = np.lib.format.read_magic(f)
-    if version != (1, 0):
-        raise ValueError(f"{name} is .npy format version {version}, not (1, 0)")
-    shape, fortran_order, found = np.lib.format.read_array_header_1_0(f)
-    if found != dtype or len(shape) != ndim or any(side < 0 for side in shape):
-        raise ValueError(
-            f"{name} holds a {found.str} array of shape {shape}, "
-            f"not a {ndim}-D {dtype.str} one"
-        )
-    count = math.prod(shape)
-    needed = count * dtype.itemsize
-    held = len(data) - f.tell()
-    if held != needed:
-        raise ValueError(f"{name}'s shape {shape} needs {needed} bytes of values, not the {held} it holds")
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=f.tell())
-    return values.reshape(shape, order="F" if fortran_order else "C")
+    row = math.prod(shape[1:]) * dtype.itemsize
+    if shape[0] == -1 and row:
+        shape = (len(data) // row, *shape[1:])
+    if len(data) != shape[0] * row:
+        raise ValueError(f"{name} holds {len(data)} bytes, not {shape[0]} × {row}")
+    return np.frombuffer(data, dtype).reshape(shape)
 
 
 def _distinct(names: list[str]) -> bool:
@@ -243,42 +234,32 @@ def read_names(files: Mapping[str, bytes], name: str) -> list[str]:
     return names
 
 
-def _index_dtype(n_cols: int) -> np.dtype:
-    """The smallest unsigned type that holds ``n_cols``: one byte up to 255."""
-    return np.min_scalar_type(n_cols).newbyteorder("<")
-
-
 def write_rows(directory: Path, table: np.ndarray) -> None:
     """Write the nonzero cells of the 2-D integer ``table``, row by row, to
-    three ``.npy`` files: ``widths.npy`` the count of each row's cells,
-    ``index.npy`` each cell's column, ascending within its row, both in the
-    smallest unsigned type that holds the column count, and ``values.npy``
-    the values as little-endian int32. A value outside int32 is a
-    BundleError."""
+    three files: ``widths`` the count of each row's cells, ``index`` each
+    cell's column, ascending within its row, both in the smallest unsigned
+    type that holds the column count, and ``values.i4`` the values as
+    int32. A value outside int32 is a BundleError."""
     if table.size and not -2**31 <= table.min() <= table.max() < 2**31:
         raise BundleError(f"{directory.name}: a value is outside int32")
     rows, index = np.nonzero(table)  # row by row, so each row's columns ascend
-    dtype = _index_dtype(table.shape[1])
-    write_npy(directory / "widths.npy", np.count_nonzero(table, axis=1), dtype)
-    write_npy(directory / "index.npy", index, dtype)
-    write_npy(directory / "values.npy", table[rows, index], "<i4")
+    dtype = np.min_scalar_type(table.shape[1])  # one byte up to 255 columns
+    write_values(directory, "widths", np.count_nonzero(table, axis=1), dtype)
+    write_values(directory, "index", index, dtype)
+    write_values(directory, "values", table[rows, index], "i4")
 
 
 def read_rows(files: Mapping[str, bytes], shape: tuple[int, int]) -> np.ndarray:
     """The int64 table of ``shape`` whose nonzero cells ``write_rows`` wrote
     to the three files of ``files``, or a ValueError if they do not hold
-    exactly one such table."""
+    exactly one such table: a width for each row, then as many column
+    indices and values as the widths sum to."""
     n_rows, n_cols = shape
-    dtype = _index_dtype(n_cols)
-    widths = read_npy(files, "widths.npy", dtype, 1)
-    index = read_npy(files, "index.npy", dtype, 1)
-    values = read_npy(files, "values.npy", "<i4", 1)
-    if widths.size != n_rows:
-        raise ValueError(f"widths.npy has {widths.size} widths for {n_rows} rows")
+    dtype = np.min_scalar_type(n_cols)
+    widths = read_values(files, "widths", dtype, (n_rows,))
     n_cells = int(widths.sum(dtype=np.int64))
-    if not n_cells == index.size == values.size:
-        raise ValueError(f"the widths sum to {n_cells}, against {index.size} column indices "
-                         f"and {values.size} values")
+    index = read_values(files, "index", dtype, (n_cells,))
+    values = read_values(files, "values", "i4", (n_cells,))
     if index.size and index.max() >= n_cols:
         raise ValueError(f"a column index is outside 0..{n_cols - 1}")
     if not values.all():

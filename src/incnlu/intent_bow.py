@@ -9,10 +9,10 @@ state, so a REVOKE right after an ADD, on which the interpreter gives back
 the board from before the ADD, leaves it nothing to do.
 
 A bundle names the intents in ``intents.tsv``, one a line, and holds
-the weight matrix as ``weights.npy``: a version 1.0 ``.npy`` file of
-little-endian float64, exactly the trained bits. Loading reads it without
-unpickling, and checks its header against the file's size before it
-allocates anything.
+the weight matrix as ``weights.f8``: its values, little-endian float64 in
+C order and nothing else, exactly the trained bits. Loading takes a row
+of a column per intent for every whole row the file holds, refuses any
+remainder, and checks the row count against the featurizer's vocabulary.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .components import Component, TrainingContext, read_names, read_npy, write_names, write_npy
+from .components import Component, TrainingContext, read_names, read_values, write_names, write_values
 from .errors import ConfigError, ConsistencyError, DataError, ParameterError
 from .features import CountVectorsFeaturizer, count_vector
 from .iu import COUNT_VECTOR, INTENT_DISTRIBUTION, Blackboard
@@ -193,13 +193,13 @@ class BowIntentClassifier(Component):
         if model is None:
             raise ConsistencyError("cannot persist an untrained intent_classifier_bow")
         write_names(directory / "intents.tsv", model.intents)
-        write_npy(directory / "weights.npy", model.weights, "<f8")
+        write_values(directory, "weights", model.weights, "f8")
 
     def restore(self, files) -> None:
         intents = read_names(files, "intents.tsv")
-        weights = read_npy(files, "weights.npy", "<f8", 2)
-        if weights.shape[1] != len(intents) or not intents:
-            raise ValueError("weight matrix width does not match intents.tsv")
+        if not intents:
+            raise ValueError("weight matrix width does not match intents.tsv, which names no intent")
+        weights = read_values(files, "weights", "f8", (-1, len(intents)))
         if not np.isfinite(weights).all():
             raise ValueError("weight matrix holds a value that is not finite")
         self.model = LinearIntentModel(intents=intents, weights=weights)

@@ -52,7 +52,7 @@ from .iu import ADD, ENTITIES, INTENT_DISTRIBUTION, Blackboard, EditType, Increm
 from .registry import REGISTRY
 from .results import NluResult
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 MANIFEST_NAME = "manifest.json"
 CONFIG_NAME = "config.yml"
 # Records the redo stack keeps; a deeper REVOKE run drops the oldest, and
@@ -261,6 +261,9 @@ class IncrementalInterpreter:
         if not self.is_trained:
             raise BundleError("refusing to persist an untrained pipeline")
         root = Path(path)
+        # A file left in the directory would be inside the new bundle, checksummed.
+        if root.exists() and (not root.is_dir() or any(root.iterdir())):
+            raise BundleError(f"refusing to persist into {root}: it exists and is not an empty directory")
         root.mkdir(parents=True, exist_ok=True)
         # Every parameter, defaults included: the bundle keeps them nowhere else.
         resolved = PipelineConfig(
@@ -292,8 +295,12 @@ def load(path: str | Path) -> IncrementalInterpreter:
     checksum over those bytes, and builds the config and every component
     from them: each component gets the verified bytes of its directory by
     file name, and opens no file. So a file rewritten during the load
-    cannot reach the model unverified. The loaded components then pass the
-    pipeline check that ``train`` runs on its config (:func:`check_pipeline`).
+    cannot reach the model unverified. A table file holds only its values,
+    so a component takes their count from its names files, and a file of
+    any other size is a BundleError naming the component, as is a bundle
+    of another schema, such as a schema-8 one of ``.npy`` files. The loaded
+    components then pass the pipeline check that ``train`` runs on its
+    config (:func:`check_pipeline`).
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
@@ -348,7 +355,15 @@ def load(path: str | Path) -> IncrementalInterpreter:
 
 
 def train_pipeline(config: PipelineConfig, dataset: TrainingDataset, seed: int = 13) -> IncrementalInterpreter:
-    """Build and train a pipeline; ``seed`` as in :meth:`IncrementalInterpreter.train`."""
-    interp = IncrementalInterpreter(config)
+    """Build and train a pipeline on a copy of ``config`` in which every
+    component that takes a ``seed`` and whose spec pins none takes
+    ``seed``; the manifest records it as ``training.seed``. ``config``
+    itself is left as it is."""
+    specs = [ComponentSpec(spec.name, dict(spec.params)) for spec in config.components]
+    for spec in specs:
+        cls = REGISTRY.get(spec.name)
+        if cls is not None and "seed" in cls.defaults:
+            spec.params.setdefault("seed", seed)
+    interp = IncrementalInterpreter(PipelineConfig(config.language, specs))
     interp.train(dataset, seed=seed)
     return interp

@@ -30,7 +30,9 @@ A bundle names the intents, the entity classes and the vocabulary in
 ``intents.tsv``, ``entity_classes.tsv`` and ``vocabulary.tsv``, one a
 line, and holds the counts in the sparse table of
 :func:`~incnlu.components.write_rows`: a row per intent, then a row per
-entity class, and a column per word.
+entity class, and a column per word. Its three files, ``widths``,
+``index`` and ``values.i4``, hold only their values; the names files fix
+how many each must hold, and loading refuses any other size.
 """
 
 from __future__ import annotations

@@ -47,7 +47,9 @@ the model keeps the totals and never divides, and the bundle stores them:
 ``tags.tsv`` names the tags and ``features.tsv`` each feature with a
 nonzero total, one a line, and the sparse table of
 :func:`~incnlu.components.write_rows` holds the totals, a row per feature
-and a column per tag. The model keeps the totals as one read-only int64
+and a column per tag: a width for each feature in ``widths``, then as many
+tag indices in ``index`` and totals in ``values.i4``, files that hold only
+their values, so the names files fix their sizes. The model keeps the totals as one read-only int64
 table, a row per feature, as training leaves them and loading scatters
 them, and its ``weights`` are a view of that table by feature.
 """

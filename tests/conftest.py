@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from incnlu import (
@@ -70,6 +71,13 @@ def model_files(directory):
     """The bytes of each file in ``directory``, by name: what ``incnlu.load``
     hands a component's ``load`` for its directory."""
     return {path.name: path.read_bytes() for path in Path(directory).iterdir() if path.is_file()}
+
+
+def table_values(directory, stem):
+    """The values of the one table file ``stem.<type>`` in ``directory``,
+    read as the little-endian type its suffix names."""
+    (path,) = Path(directory).glob(f"{stem}.*")
+    return np.frombuffer(path.read_bytes(), "<" + path.suffix[1:])
 
 
 def reseal(root):

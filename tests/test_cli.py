@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from incnlu import default_config, load_dataset, train_pipeline
 from incnlu.cli import main
 from incnlu.data import TrainingDataset
 from incnlu.interpreter import load as load_bundle
@@ -14,6 +15,11 @@ from conftest import make_example, reseal, toy_rows
 UTF8_LINE = "play café jazz\n".encode("utf-8")
 LATIN1_LINE = "play café jazz\n".encode("latin-1")
 WIRE_RE = re.compile(r"^\S*\t\d\.\d{6}\t(\S+:\S+:\d+:\d+(;\S+:\S+:\d+:\d+)*)?$")
+
+
+def _files(root):
+    """The bytes of every file below ``root``, by relative path."""
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 def assert_one_line_error(capsys, command):
@@ -137,6 +143,24 @@ class TestTrain:
         out.write_text("", encoding="utf-8")
         assert main(["train", "--data", str(cli_env["data"]), "--out", str(out)]) == 1
         assert_one_line_error(capsys, "train")
+
+    def test_out_holding_files_exits_one_and_leaves_them(self, cli_env, tmp_path, capsys):
+        """Retraining into a bundle's directory would keep its files inside
+        the new bundle; it is refused, and the old bundle stays as it was."""
+        out = tmp_path / "bundle"
+        shutil.copytree(cli_env["bundle"], out)
+        before = _files(out)
+        assert main(["train", "--data", str(cli_env["data"]), "--out", str(out)]) == 1
+        assert_one_line_error(capsys, "train")
+        assert _files(out) == before
+
+    def test_the_cli_and_train_pipeline_write_the_same_bundle(self, cli_env, tmp_path, capsys):
+        """Both hand the seed to every component that takes one and whose
+        config pins none, so the bundles that both record as seed 13 are
+        byte-identical."""
+        assert main(["train", "--data", str(cli_env["data"]), "--out", str(tmp_path / "cli"), "--seed", "13"]) == 0
+        train_pipeline(default_config(), load_dataset(cli_env["data"]), seed=13).persist(tmp_path / "api")
+        assert _files(tmp_path / "cli") == _files(tmp_path / "api")
 
     def test_a_lone_surrogate_in_the_data_exits_one_and_writes_no_bundle(self, tmp_path, capsys):
         data = tmp_path / "d.json"
@@ -326,7 +350,7 @@ class TestEval:
     def test_malformed_bundle_exits_one_with_a_one_line_error(self, cli_env, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(cli_env["bundle"], bundle)
-        weights = bundle / "intent_classifier_bow" / "weights.npy"
+        weights = bundle / "intent_classifier_bow" / "weights.f8"
         weights.write_bytes(weights.read_bytes()[:-8])
         reseal(bundle)
         code = main(["eval", "--model", str(bundle), "--test", str(cli_env["data"])])

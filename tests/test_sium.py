@@ -24,7 +24,7 @@ from incnlu.sium import (
     train_sium,
 )
 
-from conftest import make_example, model_files, tokenized, toy_rows
+from conftest import make_example, model_files, table_values, tokenized, toy_rows
 
 SEVEN_INTENTS = [
     "AddToPlaylist",
@@ -444,10 +444,10 @@ class TestSiumComponent:
         # The files hold the labels, the words and the counts only: a row per
         # intent, then per entity class, of its nonzero counts.
         assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "entity_classes.tsv", "index.npy", "intents.tsv", "values.npy", "vocabulary.tsv", "widths.npy"
+            "entity_classes.tsv", "index.u1", "intents.tsv", "values.i4", "vocabulary.tsv", "widths.u1"
         ]
         counts = np.vstack((comp.model.intent_counts, comp.model.entity_counts))
-        widths, index, values = (np.load(tmp_path / f"{name}.npy") for name in ("widths", "index", "values"))
+        widths, index, values = (table_values(tmp_path, name) for name in ("widths", "index", "values"))
         assert widths.tolist() == np.count_nonzero(counts, axis=1).tolist()
         assert index.tolist() == np.nonzero(counts)[1].tolist()
         assert values.tolist() == counts[counts != 0].tolist()
@@ -459,9 +459,9 @@ class TestSiumComponent:
         probability, and would load silently."""
         comp = self._trained(toy_dataset)
         comp.persist(tmp_path)
-        values = np.load(tmp_path / "values.npy")
+        values = table_values(tmp_path, "values").copy()
         values[0] = -1
-        np.save(tmp_path / "values.npy", values)
+        (tmp_path / "values.i4").write_bytes(values.tobytes())
         with pytest.raises(ValueError, match="a count is negative"):
             SiumIntent.load(model_files(tmp_path), {"alpha": 2.0})
 

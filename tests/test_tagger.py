@@ -36,7 +36,7 @@ from incnlu.tagging import (
     train_tagger,
 )
 
-from conftest import make_example, model_files, tokenized, toy_rows
+from conftest import make_example, model_files, table_values, tokenized, toy_rows
 
 
 def _dataset(rows):
@@ -473,7 +473,7 @@ class TestTaggerComponent:
         weights = {"a": np.array([5, 0, 0]), "b": np.array([0, 6, 7])}
         comp.model = TaggerModel(tags=["O", "B-x", "I-x"], weights=weights)
         comp.persist(tmp_path)
-        np.save(tmp_path / f"{name}.npy", np.array(values, dtype=np.uint8))
+        (tmp_path / f"{name}.u1").write_bytes(bytes(values))
         with pytest.raises(ValueError, match=message):
             SequenceEntityTagger.load(model_files(tmp_path), {})
 
@@ -507,7 +507,7 @@ def _assert_integer_totals(directory, model):
     assert (directory / "tags.tsv").read_text(encoding="utf-8") == "".join(f"{tag}\n" for tag in model.tags)
     feats = (directory / "features.tsv").read_text(encoding="utf-8").splitlines()
     assert feats == sorted(feat for feat, vec in model.weights.items() if vec.any())
-    widths, index, totals = (np.load(directory / f"{name}.npy") for name in ("widths", "index", "values"))
+    widths, index, totals = (table_values(directory, name) for name in ("widths", "index", "values"))
     assert widths.dtype == index.dtype == np.min_scalar_type(len(model.tags))
     assert totals.dtype == np.dtype("<i4")
     nonzero = [(feat, tag) for feat in feats for tag in np.flatnonzero(model.weights[feat])]

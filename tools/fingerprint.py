@@ -5,8 +5,8 @@ Usage: python3 tools/fingerprint.py [--write]
 Trains the bundle ``incnlu train --data data/snips_train.json --seed 13``
 writes, and digests:
 
-- ``bundle``: every file of that bundle, by relative path, a ``.npy``
-  file as the text of its values, floats or integers;
+- ``bundle``: every file of that bundle, by relative path, a table file
+  as the text of its values, floats or integers;
 - ``stream``: one fixed, seeded edit script over the test split, streamed
   through the loaded bundle twice: once through ``parse_incremental``, and
   once with every edit run through each component's ``process``, as a
@@ -38,7 +38,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import platform
 import random
 import re
@@ -97,14 +96,13 @@ class Digest:
 
 
 def _file_text(path: Path) -> str:
-    """A bundle file's text; a ``.npy`` file's is its values, one row a
-    line of tab-separated ``repr`` numbers (a 1-D array's row is one value),
-    so the rounded digest rounds the floats."""
-    if path.suffix != ".npy":
+    """A bundle file's text; a table file's is its values, read as the
+    little-endian type its suffix names (``.f8``, ``.i4``, ``.u1``), one a
+    line as ``repr`` writes them, so the rounded digest rounds the floats."""
+    if path.suffix in (".tsv", ".yml", ".json"):
         return path.read_text(encoding="utf-8")
-    values = np.load(path, allow_pickle=False)
-    rows = values.reshape(values.shape[0], math.prod(values.shape[1:])).tolist()
-    return "\n".join("\t".join(map(repr, row)) for row in rows)
+    values = np.frombuffer(path.read_bytes(), "<" + path.suffix[1:])
+    return "\n".join(map(repr, values.tolist()))
 
 
 def edit_script(seed: int = SCRIPT_SEED) -> list[tuple]:
