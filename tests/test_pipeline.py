@@ -1105,14 +1105,42 @@ def _rewrite(dtype, change, written=None):
     return lambda data: np.asarray(change(np.frombuffer(data, dtype).copy()), written or dtype).tobytes()
 
 
-def _set_value(dtype, index, value):
-    """Edit of a table file of ``dtype`` values that sets one of them."""
+def _set_value(dtype, index, value, written=None):
+    """Edit of a table file of ``dtype`` values that sets one of them, as
+    ``written`` values if given."""
 
     def change(values):
+        values = values.astype(written or dtype)
         values[index] = value
         return values
 
-    return _rewrite(dtype, change)
+    return _rewrite(dtype, change, written)
+
+
+def _npy(array, version=(1, 0)):
+    """``array`` as a .npy file, header and all: a table file of schema 8."""
+    out = io.BytesIO()
+    np.lib.format.write_array(out, np.asarray(array), version=version, allow_pickle=True)
+    return out.getvalue()
+
+
+def _as_npy(dtype, change=lambda values: values, version=(1, 0)):
+    """Edit of a table file of ``dtype`` values that writes ``change`` of
+    them as a .npy file."""
+    return lambda data: _npy(change(np.frombuffer(data, dtype).copy()), version)
+
+
+def _past_int64(values):
+    """``values`` as a pickled object array whose first value is past int64."""
+    values = values.astype(object)
+    values[0] = -2**70
+    return values
+
+
+def _weights_npz(data):
+    out = io.BytesIO()
+    np.savez(out, weights=np.frombuffer(data, "<f8").reshape(-1, _TOY_INTENTS))
+    return out.getvalue()
 
 
 def _names_cases(prefix, relpath):
@@ -1137,8 +1165,19 @@ def _rows_cases(prefix, component, n_cols):
         "value-zero": (values, _set_value("<i4", 0, 0)),
         # Each value written in 8 bytes: twice the bytes the widths imply.
         "values-int64": (values, _rewrite("<i4", lambda values: values, "<i8")),
+        # A float or a string in place of an int: 8 or 20 bytes a value.
+        "values-strings": (values, _rewrite("<i4", lambda values: np.full(values.shape, "heavy"), "<U5")),
+        "value-nan": (values, _set_value("<i4", 0, np.nan, "<f8")),
+        "value-infinite": (values, _set_value("<i4", 0, -np.inf, "<f8")),
+        "value-not-an-int": (values, _set_value("<i4", 0, 2.5, "<f8")),
+        "value-past-int32": (values, _set_value("<i4", 0, 2**31, "<i8")),
+        # A pickle, which the load must not run.
+        "value-past-int64": (values, _as_npy("<i4", _past_int64)),
+        # The values as schema 8 wrote them, behind a 128-byte header.
+        "values-npy": (values, _as_npy("<i4")),
         "values-empty": (values, lambda data: b""),
         "values-truncated": (values, lambda data: data[:-4]),
+        "values-cut-mid-value": (values, lambda data: data[:-1]),
         "values-deleted": (values, None),
         "index-missing-one": (index, lambda data: data[:-1]),
         "index-out-of-range": (index, _set_value(code, 0, n_cols)),
@@ -1147,12 +1186,21 @@ def _rows_cases(prefix, component, n_cols):
         "index-repeated": (index, _rewrite(code, lambda index: index[[0, 0, *range(2, index.size)]])),
         "index-not-ascending": (index, _rewrite(code, lambda index: index[[1, 0, *range(2, index.size)]])),
         "index-two-bytes": (index, _rewrite(code, lambda index: index, "<u2")),
+        "index-float": (index, _rewrite(code, lambda index: index, "<f8")),
         "index-trailing-bytes": (index, lambda data: data + bytes(1)),
+        "index-format-2": (index, _as_npy(code, version=(2, 0))),
         "index-deleted": (index, None),
         "widths-missing-one": (widths, _rewrite(code, lambda widths: widths[:-1])),
         "widths-extra": (widths, _rewrite(code, lambda widths: np.append(widths, 0))),
         "widths-past-the-cells": (widths, _rewrite(code, lambda widths: np.append(widths[:-1], widths[-1] + 1))),
         "widths-int64": (widths, _rewrite(code, lambda widths: widths, "<i8")),
+        "widths-npy": (widths, _as_npy(code)),
+        # Widths that imply far more cells than the files hold: the sizes
+        # refuse them before any array of that count is built.
+        "values-shape-past-the-file": (
+            widths,
+            _rewrite(code, lambda widths: np.full_like(widths, np.iinfo(code).max)),
+        ),
         "widths-deleted": (widths, None),
     }
     return {f"{prefix}-{name}": case for name, case in cases.items()}
@@ -1203,8 +1251,16 @@ _MALFORMED = {
     **_names_cases("bow", "intent_classifier_bow/intents.tsv"),
     "bow-intent-extra": ("intent_classifier_bow/intents.tsv", lambda text: text + "NoSuchIntent\n"),
     "bow-weights-float32": (_BOW, _rewrite("<f8", lambda weights: weights, "<f4")),
+    # A .npy file or archive in place of the values: refused by its size,
+    # or, where the extra bytes make whole rows, by the rows.
+    "bow-weights-npy": (_BOW, _as_npy("<f8")),
+    "bow-weights-format-2": (_BOW, _as_npy("<f8", version=(2, 0))),
+    "bow-weights-npz": (_BOW, _weights_npz),
+    # A pickle, which the load must not run.
+    "bow-weights-object-array": (_BOW, _as_npy("<f8", lambda weights: weights.astype(object))),
     "bow-weights-empty": (_BOW, lambda data: b""),
     "bow-weights-truncated": (_BOW, lambda data: data[:-8]),
+    "bow-weights-cut-mid-value": (_BOW, lambda data: data[:-1]),
     "bow-weights-trailing-bytes": (_BOW, lambda data: data + bytes(8)),
     # A NaN weight parsed to a confidence of nan.
     "bow-weight-nan": (_BOW, _set_value("<f8", 0, np.nan)),
